@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -168,27 +166,11 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ENTKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sweep(func, values) -> list:
-    """Evaluate grid points, possibly in parallel; order follows the input grid."""
-    n = _threads()
-    if n <= 1:
-        return [func(v) for v in values]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, values))
-
-
 def _fig_nmems(points):
     def row(p):
         forms = channel.closed_forms("nmems", p=p)
         return (p, forms["concurrence"], forms["n_value"], forms["m_value"])
-    return ("p", "concurrence", "n_value", "m_value"), _sweep(row, _grid(0.0, 1.0, points))
+    return ("p", "concurrence", "n_value", "m_value"), [row(x) for x in _grid(0.0, 1.0, points)]
 
 
 def _fig_fidelity_vs_concurrence(points):
@@ -196,7 +178,7 @@ def _fig_fidelity_vs_concurrence(points):
         f_w = channel.closed_forms("werner", F=(1.0 + c) / 2.0)["fidelity_opt"]
         f_m = channel.closed_forms("mjwk", C=c)["fidelity_opt"]
         return (c, f_w, f_m)
-    return ("concurrence", "f_opt_werner", "f_opt_mjwk"), _sweep(row, _grid(0.0, 1.0, points))
+    return ("concurrence", "f_opt_werner", "f_opt_mjwk"), [row(x) for x in _grid(0.0, 1.0, points)]
 
 
 def _fig_fidelity_vs_m_mjwk(points):
@@ -205,7 +187,7 @@ def _fig_fidelity_vs_m_mjwk(points):
         m = channel.closed_forms("mjwk", C=c)
         return (c, w["m_value"], w["fidelity_opt"], m["m_value"], m["fidelity_opt"])
     return ("concurrence", "m_werner", "f_opt_werner", "m_mjwk", "f_opt_mjwk"), \
-        _sweep(row, _grid(0.0, 1.0, points))
+        [row(x) for x in _grid(0.0, 1.0, points)]
 
 
 def _fig_fidelity_vs_m_wei(points):
@@ -215,7 +197,7 @@ def _fig_fidelity_vs_m_wei(points):
         v = channel.closed_forms("wei", a=a, b=b, gamma=g)
         return (g, w["m_value"], w["fidelity_opt"], v["m_value"], v["fidelity_opt"])
     return ("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), \
-        _sweep(row, _grid(0.0, 1.0, points))
+        [row(x) for x in _grid(0.0, 1.0, points)]
 
 
 def _fig_fidelity_vs_entropy(points):
@@ -227,14 +209,14 @@ def _fig_fidelity_vs_entropy(points):
             f_m = 5.0 / 9.0 + np.sqrt(8.0 - 9.0 * s) / (3.0 * np.sqrt(6.0))
         return (s, f_w, f_m)
     return ("linear_entropy", "f_opt_werner", "f_opt_mjwk"), \
-        _sweep(row, _grid(0.0, 8.0 / 9.0 - 1e-9, points))
+        [row(x) for x in _grid(0.0, 8.0 / 9.0 - 1e-9, points)]
 
 
 def _fig_clone_advantage(points):
     def row(d):
         out = cloning.qutrit_cloned_pair(d)
         return (d, cloning.dense_coding_advantage(out.joint))
-    return ("d", "entropy_advantage"), _sweep(row, _grid(1e-3, 0.5, points))
+    return ("d", "entropy_advantage"), [row(x) for x in _grid(1e-3, 0.5, points)]
 
 
 def _fig_distilled_fef(points):
@@ -243,7 +225,7 @@ def _fig_distilled_fef(points):
         dist = cloning.distill(out.joint, cloning.distillation_filter(out.joint))
         return (d, measures.singlet_fraction(dist, restarts=0))
     lo = cloning.NONOPT_FILTER_D_MIN + 1e-6
-    return ("d", "singlet_fraction_distilled"), _sweep(row, _grid(lo, 0.5, points))
+    return ("d", "singlet_fraction_distilled"), [row(x) for x in _grid(lo, 0.5, points)]
 
 
 def _fig_dense_coding_capacity(points):
@@ -253,26 +235,26 @@ def _fig_dense_coding_capacity(points):
         return (d, cloning.dense_coding_capacity(out.joint),
                 cloning.dense_coding_capacity(dist))
     lo = cloning.NONOPT_FILTER_D_MIN + 1e-6
-    return ("d", "chi_undistilled", "chi_distilled"), _sweep(row, _grid(lo, 0.5, points))
+    return ("d", "chi_undistilled", "chi_distilled"), [row(x) for x in _grid(lo, 0.5, points)]
 
 
 def _fig_cdc_bits(points):
     def row(t):
         return (t, 1.0 + 2.0 * np.sin(t) ** 2, 1.0 + 2.0 * np.cos(t) ** 2)
     return ("theta", "bits_sin_family", "bits_cos_family"), \
-        _sweep(row, _grid(0.0, np.pi / 2.0, points))
+        [row(x) for x in _grid(0.0, np.pi / 2.0, points)]
 
 
 def _fig_pati_angle(points):
     def row(l):
         return (l, np.arctan2(1.0, l))
-    return ("l", "theta"), _sweep(row, _grid(0.0, 1.0, points))
+    return ("l", "theta"), [row(x) for x in _grid(0.0, 1.0, points)]
 
 
 def _fig_pati_concurrence(points):
     def row(t):
         return (t, abs(np.sin(2.0 * t)))
-    return ("theta", "concurrence"), _sweep(row, _grid(np.pi / 4.0, np.pi / 2.0, points))
+    return ("theta", "concurrence"), [row(x) for x in _grid(np.pi / 4.0, np.pi / 2.0, points)]
 
 
 def _fig_ghz4_concurrence(points):
@@ -286,7 +268,7 @@ def _fig_ghz4_concurrence(points):
 def _fig_w3_concurrence(points):
     def row(t):
         return (t, np.sqrt(2.0) * abs(np.sin(t) * np.cos(t)))
-    return ("theta", "concurrence"), _sweep(row, _grid(np.pi / 4.0, np.pi / 2.0, points))
+    return ("theta", "concurrence"), [row(x) for x in _grid(np.pi / 4.0, np.pi / 2.0, points)]
 
 
 def _fig_w4_concurrence(points):

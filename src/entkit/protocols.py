@@ -1,19 +1,25 @@
 """Controlled dense coding (CDC) and cloning-controlled secret sharing.
 
-CDC runs simulate the actual protocol: the controller measures in a tilted
-basis, the sender attaches an auxiliary system and applies a collective
-unitary, and the auxiliary measurement decides success.  Runs are
-deterministic given the outcomes; a Monte-Carlo wrapper samples outcomes with
-their Born probabilities from an explicit seed.
+Every CDC family runs through one pipeline in `cdc_run`: build the resource
+state; project the controllers in turn, multiplying the branch probability by
+each outcome's probability and renormalising (a zero-probability outcome
+raises DomainError); attach the sender's auxiliary system, apply the
+collective extraction unitary and split by auxiliary outcome, or hand the
+branch over as it is; then fill the report by the family's convention.  What
+differs between families is data in one table, `_FAMILIES` (see `_Family`).
+Runs are deterministic given the outcomes; a Monte-Carlo wrapper samples
+outcomes from an explicit seed.
 
-Reported per-family concurrences follow each family's published closed form
-(evaluated on the unnormalised post-measurement branch vector where that is
-the underlying convention); the simulated shared state itself is also
-returned so the honest value can always be recomputed.
+Reported concurrences follow each family's published closed form (evaluated
+on the unnormalised post-measurement branch vector where that is the
+underlying convention), except for the qutrit family, which reports the
+simulated pair's; the simulated shared state itself is also returned so the
+honest value can always be recomputed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -86,21 +92,30 @@ def _radical(value: float, name: str) -> float:
     return np.sqrt(max(value, 0.0))
 
 
-def _u1_matrix(ratio: float, rad: float) -> np.ndarray:
+def _tan_ratio(theta: float) -> tuple:
+    """(sin/cos, sqrt(1 - sin^2/cos^2)) on the domain |sin| <= |cos|."""
+    s, c = np.sin(theta), np.cos(theta)
+    if abs(s) > abs(c) + 1e-12:
+        raise DomainError("angle outside admissible domain: 1 - sin^2/cos^2 would be negative")
+    return s / c, _radical(1.0 - (s / c) ** 2, "1 - sin^2/cos^2")
+
+
+def _cot_ratio(theta: float) -> tuple:
+    """(cos/sin, sqrt(1 - cos^2/sin^2)) on the domain |cos| <= |sin|."""
+    s, c = np.sin(theta), np.cos(theta)
+    if abs(c) > abs(s) + 1e-12:
+        raise DomainError("angle outside admissible domain: 1 - cos^2/sin^2 would be negative")
+    return c / s, _radical(1.0 - (c / s) ** 2, "1 - cos^2/sin^2")
+
+
+def _u1(theta: float) -> np.ndarray:
+    ratio, rad = _tan_ratio(theta)
     # basis order |00>, |10>, |01>, |11> of (sender qubit, auxiliary qubit)
     return np.array(
         [[ratio, 0.0, rad, 0.0],
          [0.0, 1.0, 0.0, 0.0],
          [0.0, 0.0, 0.0, -1.0],
          [rad, 0.0, -ratio, 0.0]], dtype=complex)
-
-
-def _u1(theta: float) -> np.ndarray:
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(s) > abs(c) + 1e-12:
-        raise DomainError("angle outside admissible domain: 1 - sin^2/cos^2 would be negative")
-    rad = _radical(1.0 - (s / c) ** 2, "1 - sin^2/cos^2")
-    return _u1_matrix(s / c, rad)
 
 
 def _u2(theta: float, epsilon: float) -> np.ndarray:
@@ -118,36 +133,35 @@ def _u2(theta: float, epsilon: float) -> np.ndarray:
          [0.0, 0.0, 0.0, -1.0]], dtype=complex)
 
 
-def _braid(ratio: float, rad: float, flip_index: int) -> np.ndarray:
+def _braid(ratio: float, rad: float, low: int, flip_index: int | None = None) -> np.ndarray:
     """9x9 extraction unitary on (sender qutrit, auxiliary qutrit).
 
-    Rotates the {|0,0x>, |2,2x>} plane by the given ratio, flips the sign of
-    one basis direction so a balanced two-level state is left on success, and
-    acts as the identity elsewhere.
+    Rotates the {|low>, |2,2x>} plane by the given ratio, optionally flips the
+    sign of one basis direction so a balanced two-level state is left on
+    success, and acts as the identity elsewhere.
     """
     m = np.eye(9, dtype=complex)
-    m[0, 0] = ratio
-    m[0, 8] = rad
-    m[8, 0] = rad
+    m[low, low] = ratio
+    m[low, 8] = rad
+    m[8, low] = rad
     m[8, 8] = -ratio
-    m[flip_index, flip_index] = -1.0
+    if flip_index is not None:
+        m[flip_index, flip_index] = -1.0
     return m
 
 
 def _v1(theta: float) -> np.ndarray:
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(c) > abs(s) + 1e-12:
-        raise DomainError("angle outside admissible domain: 1 - cos^2/sin^2 would be negative")
-    rad = _radical(1.0 - (c / s) ** 2, "1 - cos^2/sin^2")
-    return _braid(c / s, rad, flip_index=6)
+    return _braid(*_cot_ratio(theta), low=0, flip_index=6)
+
+
+def _v1_down(theta: float) -> np.ndarray:
+    """V1 mirrored for the qutrit 'down' branch, whose weight sits on |22>:
+    the rotation acts on the {|2,0x>, |2,2x>} plane."""
+    return _braid(*_cot_ratio(theta), low=6)
 
 
 def _v2(theta: float) -> np.ndarray:
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(s) > abs(c) + 1e-12:
-        raise DomainError("angle outside admissible domain: 1 - sin^2/cos^2 would be negative")
-    rad = _radical(1.0 - (s / c) ** 2, "1 - sin^2/cos^2")
-    return _braid(s / c, rad, flip_index=6)
+    return _braid(*_tan_ratio(theta), low=0, flip_index=6)
 
 
 def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> CollectiveUnitary:
@@ -186,20 +200,13 @@ def _collective_branches(shared: np.ndarray, d: int, unitary: np.ndarray) -> dic
 
     Returns {aux_outcome: unnormalised (sender, receiver) vector}.
     """
-    v = shared.reshape(d, d)
-    # joint (sender, aux) index with aux initialised to |0>
-    joint = np.zeros((d * d, d), dtype=complex)     # rows (sender, aux), cols receiver
-    for a in range(d):
-        joint[a * d + 0, :] = v[a, :]
+    # rows (sender, aux) with aux initialised to |0>, cols receiver
+    joint = np.zeros((d * d, d), dtype=complex)
+    joint[::d] = shared.reshape(d, d)
     joint = unitary @ joint
-    branches = {}
-    for x in range(d):
-        w = np.zeros((d, d), dtype=complex)
-        for a in range(d):
-            w[a, :] = joint[a * d + x, :]
-        if np.linalg.norm(w) > 1e-12:
-            branches[x] = w.reshape(-1)
-    return branches
+    # rows x, x + d, x + 2d, ... hold auxiliary outcome x
+    branches = {x: joint[x::d].reshape(-1) for x in range(d)}
+    return {x: w for x, w in branches.items() if np.linalg.norm(w) > 1e-12}
 
 
 def _pure_concurrence(vec: np.ndarray) -> float:
@@ -280,6 +287,8 @@ def cdc_closed_forms(family: str, theta: float | None = None,
         return {"success": success, "bits": 1.0 + success,
                 "concurrence": 2.0 * l / (1.0 + l * l),
                 "theta": np.arctan2(1.0, l)}
+    if family in ("ghz4", "w4") and epsilon is None:
+        raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
     if family == "ghz4":
         c1 = 2.0 * np.sin(theta) ** 2 * np.sin(epsilon) ** 2
         return {"concurrence": c1, "success": c1, "bits": 1.0 + c1}
@@ -319,56 +328,122 @@ def _sender_major(u: np.ndarray) -> np.ndarray:
     return u[_AM_TO_SM]
 
 
-def _extract_two_level(shared: np.ndarray, theta: float) -> tuple:
-    """Collective extraction from a two-qubit shared vector alpha|0y> + beta|1y'>.
+def _tilted(angle: float, label: str) -> np.ndarray:
+    """Ket of outcome '+' of controller_basis(angle); any other label is '-'."""
+    return controller_basis(angle).vectors[0 if label == "+" else 1]
 
-    Applies the tangent-form unitary at the ratio angle min(theta, pi/2 -
-    theta); when the sender's |1> component dominates, the unitary is
-    conjugated by X on the sender so the dominant level is the one rescaled.
-    Returns (branches keyed by aux outcome, success probability).
-    """
-    v = shared.reshape(2, 2)
-    w0 = np.linalg.norm(v[0])
-    w1 = np.linalg.norm(v[1])
+
+def _qutrit_controller(p: dict, outcome: str) -> list:
+    """The last of three qutrits measures in qutrit_controller_basis(theta)."""
+    basis = qutrit_controller_basis(p["theta"])
+    if outcome not in basis.labels:
+        raise DomainError(f"unknown controller outcome {outcome!r}")
+    return [(2, basis.vectors[basis.labels.index(outcome)])]
+
+
+def _one_tilted(p: dict, outcome: str) -> list:
+    """The last of three parties measures in controller_basis(theta)."""
+    return [(2, _tilted(p["theta"], outcome))]
+
+
+def _two_tilted(p: dict, outcome: str) -> list:
+    """Cliff (last of four) measures at theta, then Paul (first) at epsilon;
+    a one-character outcome leaves Paul's outcome at '+'."""
+    return [(3, _tilted(p["theta"], outcome[0])),
+            (0, _tilted(p["epsilon"], outcome[1:2] or "+"))]
+
+
+def _balanced(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray:
+    """U1 at the ratio angle min(theta, pi/2 - theta) for a two-qubit branch
+    alpha|0y> + beta|1y'>; when the sender's |1> component dominates, it is
+    conjugated by X on the sender so the dominant level is the one rescaled."""
+    theta = p["theta"]
+    v = branch.reshape(2, 2)
     eff = theta if theta <= np.pi / 4.0 + 1e-12 else np.pi / 2.0 - theta
     unitary = _sender_major(_u1(eff))
-    if w1 > w0 + 1e-12:
+    if np.linalg.norm(v[1]) > np.linalg.norm(v[0]) + 1e-12:
         swap = tensor(X, I2)
         unitary = swap @ unitary @ swap
-    branches = _collective_branches(shared, 2, unitary)
-    succ = 0.0
-    if 0 in branches:
-        succ = float(np.real(np.vdot(branches[0], branches[0])))
-    return branches, succ
+    return unitary
 
 
-def _two_branch_family(family: str, psi: PureState, theta: float,
-                       controller_outcome: str, aux_outcome: int,
-                       closed: dict) -> CdcReport:
-    """Common runner for ghz / ghz_class / pati: controller measures the last
-    qubit, sender extracts a balanced state from the two-term branch."""
-    basis = controller_basis(theta)
-    onto = basis.vectors[0 if controller_outcome == "+" else 1]
-    n_sub = len(psi.dims)
-    prob, branch = _project_out(psi.vector, psi.dims, n_sub - 1, onto)
-    if prob < 1e-15:
-        raise DomainError(f"controller outcome {controller_outcome!r} has zero probability")
-    branch = branch / np.sqrt(prob)
-    branches, success = _extract_two_level(branch, theta)
-    if aux_outcome not in branches:
-        raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
-    vec = branches[aux_outcome]
-    vec = vec / np.linalg.norm(vec)
-    shared = pure((2, 2), vec)
-    got_max_ent = aux_outcome == 0 and abs(_pure_concurrence(vec) - 1.0) <= 1e-9
-    return CdcReport(
-        family=family, theta=theta, epsilon=None,
-        controller_outcome=controller_outcome, aux_outcome=aux_outcome,
-        branch_probability=prob, success_probability=success,
-        bits_transmitted_avg=1.0 + success,
-        shared_concurrence=closed["concurrence"],
-        maximally_entangled=bool(abs(closed["concurrence"] - 1.0) <= 1e-9),
-        shared_state=shared)
+def _qutrit_unitary(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray | None:
+    """V1 for 'up' and its mirror for 'down'; 'side' is handed over as it is."""
+    if outcome == "side":
+        return None
+    return (_v1 if outcome == "up" else _v1_down)(p["theta"])
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What one CDC family feeds the pipeline in cdc_run.
+
+    params      the cdc_run arguments the family reads; the others report None
+    state       p -> the resource state
+    controllers (p, outcome) -> [(subsystem, ket), ...] in measurement order,
+                subsystems counted among the parties still unmeasured
+    unitary     (p, outcome, branch) -> the sender's extraction unitary on
+                (sender, aux), or None to hand the branch over as it is
+    convention  how the report is filled:
+                "simulated"   success = aux-0 weight, bits 1 + success,
+                              closed-form concurrence
+                "published"   success, bits and concurrence from cdc_closed_forms
+                "per_outcome" success = aux-0 weight; 2 bits and the Schmidt
+                              concurrence on aux 0, else 1 bit and 0
+    aliases     other names of controller outcomes
+    """
+
+    params: tuple
+    state: Callable
+    controllers: Callable
+    unitary: Callable
+    convention: str = "simulated"
+    aliases: dict = field(default_factory=dict)
+
+
+_FAMILIES = {
+    "ghz": _Family(("theta",), lambda p: statezoo.ghz3(), _one_tilted, _balanced),
+    "ghz_class": _Family(("theta", "class_index"),
+                         lambda p: statezoo.ghz_class(p["class_index"]), _one_tilted, _balanced),
+    # Bob's probabilistic two-bit readout succeeds with 2 l^2 / (1 + l^2)
+    "pati": _Family(("theta", "l"), lambda p: statezoo.pati(p["l"]), _one_tilted, _balanced,
+                    convention="published"),
+    "ghz4": _Family(("theta", "epsilon"), lambda p: statezoo.ghz4(), _two_tilted,
+                    lambda p, o, v: _sender_major(_u2(p["theta"], p["epsilon"]))),
+    "w3": _Family(("theta",), lambda p: statezoo.w3_prototype(), _one_tilted,
+                  lambda p, o, v: _sender_major(_u1(p["theta"])), convention="published"),
+    "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _two_tilted, _balanced,
+                  convention="published"),
+    "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]),
+                       lambda p, o: [(2, ket(0 if o in ("+", "0") else 1, 2))],
+                       lambda p, o, v: None, convention="published"),
+    "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_controller,
+                          _qutrit_unitary, convention="per_outcome",
+                          aliases={"+": "up", "-": "down"}),
+}
+
+
+def _branches(family: str, p: dict, outcome: str) -> tuple:
+    """Steps 1-3 of the pipeline for one controller outcome.
+
+    Returns (branch probability, normalised branch, its dimension d, aux
+    branches), where the aux branches map each auxiliary outcome to its
+    unnormalised (sender, receiver) vector, or are None when the branch is
+    handed over as it is.
+    """
+    fam = _FAMILIES[family]
+    psi = fam.state(p)
+    vec, dims, prob = psi.vector, psi.dims, 1.0
+    for subsystem, onto in fam.controllers(p, outcome):
+        p_step, vec = _project_out(vec, dims, subsystem, onto)
+        if p_step < 1e-15:
+            raise DomainError(f"controller outcome {outcome!r} has zero probability")
+        vec = vec / np.sqrt(p_step)
+        prob *= p_step
+        dims = dims[:subsystem] + dims[subsystem + 1:]
+    d = dims[0]
+    unitary = fam.unitary(p, outcome, vec)
+    return prob, vec, d, None if unitary is None else _collective_branches(vec, d, unitary)
 
 
 def cdc_run(family: str, theta: float | None = None, epsilon: float | None = None,
@@ -381,98 +456,44 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
     angle defaulting to arctan(1/l)), ghz4 (angles theta and epsilon), w3, w4,
     liqiu_w (parameter n) and qutrit_ghz.
     """
-    if family == "ghz":
-        closed = cdc_closed_forms("ghz", theta=theta)
-        return _two_branch_family("ghz", statezoo.ghz3(), theta,
-                                  controller_outcome, aux_outcome, closed)
+    fam = _FAMILIES.get(family)
+    if fam is None:
+        raise DomainError(f"unknown CDC family {family!r}")
+    given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
+    p = {k: given[k] for k in fam.params}
+    closed = cdc_closed_forms(family, **p)
+    if "theta" in closed and p["theta"] is None:
+        p["theta"] = closed["theta"]        # pati's published angle arctan(1/l)
+    outcome = fam.aliases.get(controller_outcome, controller_outcome)
+    prob, vec, d, branches = _branches(family, p, outcome)
 
-    if family == "ghz_class":
-        closed = cdc_closed_forms("ghz_class", theta=theta, class_index=class_index)
-        return _two_branch_family(f"ghz_class:{class_index}", statezoo.ghz_class(class_index),
-                                  theta, controller_outcome, aux_outcome, closed)
+    if branches is None:        # handed over as it is
+        aux_outcome, shared, success = 0, vec, 0.0
+    else:
+        if aux_outcome not in branches:
+            raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
+        w = branches[aux_outcome]
+        shared = w / np.linalg.norm(w)
+        success = float(np.real(np.vdot(branches[0], branches[0]))) if 0 in branches else 0.0
 
-    if family == "pati":
-        if l is None:
-            raise DomainError("pati needs the state parameter l")
-        closed = cdc_closed_forms("pati", l=l)
-        if theta is None:
-            theta = closed["theta"]
-        report = _two_branch_family("pati", statezoo.pati(l), theta,
-                                    controller_outcome, aux_outcome, closed)
-        # Bob's probabilistic two-bit readout succeeds with 2 l^2 / (1 + l^2)
-        return replace(
-            report,
-            success_probability=closed["success"],
-            bits_transmitted_avg=closed["bits"],
-            maximally_entangled=bool(abs(closed["concurrence"] - 1.0) <= 1e-9))
-
-    if family == "ghz4":
-        return _run_ghz4(theta, epsilon, controller_outcome, aux_outcome)
-
-    if family == "w3":
-        return _run_w3(theta, controller_outcome, aux_outcome)
-
-    if family == "w4":
-        return _run_w4(theta, epsilon, controller_outcome, aux_outcome)
-
-    if family == "liqiu_w":
-        return _run_liqiu(n, controller_outcome)
-
-    if family == "qutrit_ghz":
-        outcome = {"+": "up", "-": "down"}.get(controller_outcome, controller_outcome)
-        return qutrit_cdc_run(theta, outcome, aux_outcome)
-
-    raise DomainError(f"unknown CDC family {family!r}")
-
-
-def _run_ghz4(theta, epsilon, controller_outcome, aux_outcome) -> CdcReport:
-    if epsilon is None:
-        raise DomainError("ghz4 needs both theta (Cliff) and epsilon (Paul)")
-    psi = statezoo.ghz4()      # subsystems (Paul, Alice, Bob, Cliff)
-    cliff, paul = controller_outcome[0], (controller_outcome[1] if len(controller_outcome) > 1 else "+")
-    p1, v = _project_out(psi.vector, psi.dims, 3,
-                         controller_basis(theta).vectors[0 if cliff == "+" else 1])
-    v = v / np.sqrt(p1)
-    p2, v = _project_out(v, (2, 2, 2), 0,
-                         controller_basis(epsilon).vectors[0 if paul == "+" else 1])
-    v = v / np.sqrt(p2)
-    branches = _collective_branches(v, 2, _sender_major(_u2(theta, epsilon)))
-    if aux_outcome not in branches:
-        raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
-    w = branches[aux_outcome]
-    success = float(np.real(np.vdot(branches[0], branches[0]))) if 0 in branches else 0.0
-    closed = cdc_closed_forms("ghz4", theta=theta, epsilon=epsilon)
-    shared = pure((2, 2), w / np.linalg.norm(w))
+    if branches is None and _schmidt_concurrence(shared, d) <= 1e-12:
+        success, bits, conc = 0.0, 1.0, 0.0         # a product pair carries no resource
+    elif fam.convention == "published":
+        success, bits, conc = closed["success"], closed["bits"], closed["concurrence"]
+    elif fam.convention == "per_outcome":
+        ok = aux_outcome == 0
+        bits, conc = (2.0, _schmidt_concurrence(shared, d)) if ok else (1.0, 0.0)
+    else:
+        bits, conc = 1.0 + success, closed["concurrence"]
     return CdcReport(
-        family="ghz4", theta=theta, epsilon=epsilon,
-        controller_outcome=controller_outcome, aux_outcome=aux_outcome,
-        branch_probability=p1 * p2, success_probability=success,
-        bits_transmitted_avg=1.0 + success,
-        shared_concurrence=closed["concurrence"],
-        maximally_entangled=bool(abs(closed["concurrence"] - 1.0) <= 1e-9),
-        shared_state=shared)
-
-
-def _run_w3(theta, controller_outcome, aux_outcome) -> CdcReport:
-    psi = statezoo.w3_prototype()
-    basis = controller_basis(theta)
-    prob, branch = _project_out(psi.vector, psi.dims, 2,
-                                basis.vectors[0 if controller_outcome == "+" else 1])
-    branch = branch / np.sqrt(prob)
-    branches = _collective_branches(branch, 2, _sender_major(_u1(theta)))
-    if aux_outcome not in branches:
-        raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
-    w = branches[aux_outcome]
-    closed = cdc_closed_forms("w3", theta=theta)
-    shared = pure((2, 2), w / np.linalg.norm(w))
-    return CdcReport(
-        family="w3", theta=theta, epsilon=None,
-        controller_outcome=controller_outcome, aux_outcome=aux_outcome,
-        branch_probability=prob, success_probability=0.0,
-        bits_transmitted_avg=1.0,
-        shared_concurrence=closed["concurrence"],
-        maximally_entangled=False,
-        shared_state=shared)
+        family=f"{family}:{class_index}" if "class_index" in p else family,
+        theta=p.get("theta"), epsilon=p.get("epsilon"),
+        controller_outcome=outcome, aux_outcome=aux_outcome,
+        branch_probability=prob, success_probability=success,
+        bits_transmitted_avg=bits, shared_concurrence=conc,
+        # a run that cannot succeed never ends maximally entangled
+        maximally_entangled=bool(success > 0.0 and abs(conc - 1.0) <= 1e-9),
+        shared_state=pure((d, d), shared))
 
 
 def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
@@ -484,65 +505,6 @@ def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
     s, c = np.sin(theta), np.cos(theta)
     se, ce = np.sin(epsilon), np.cos(epsilon)
     return np.array([s * se + s * s * ce / c, s * ce, c * ce, 0.0])
-
-
-def _run_w4(theta, epsilon, controller_outcome, aux_outcome) -> CdcReport:
-    if epsilon is None:
-        raise DomainError("w4 needs both theta (Cliff) and epsilon (Paul)")
-    psi = pure((2, 2, 2, 2), np.zeros(16) * 0j + _w4_vector())
-    cliff, paul = controller_outcome[0], (controller_outcome[1] if len(controller_outcome) > 1 else "+")
-    p1, v = _project_out(psi.vector, psi.dims, 3,
-                         controller_basis(theta).vectors[0 if cliff == "+" else 1])
-    v = v / np.sqrt(p1)
-    p2, v = _project_out(v, (2, 2, 2), 0,
-                         controller_basis(epsilon).vectors[0 if paul == "+" else 1])
-    v = v / np.sqrt(p2)
-    branches, _ = _extract_two_level(v, theta)
-    if aux_outcome not in branches:
-        raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
-    w = branches[aux_outcome]
-    closed = cdc_closed_forms("w4", theta=theta, epsilon=epsilon)
-    shared = pure((2, 2), w / np.linalg.norm(w))
-    return CdcReport(
-        family="w4", theta=theta, epsilon=epsilon,
-        controller_outcome=controller_outcome, aux_outcome=aux_outcome,
-        branch_probability=p1 * p2, success_probability=0.0,
-        bits_transmitted_avg=1.0,
-        shared_concurrence=closed["concurrence"],
-        maximally_entangled=False,
-        shared_state=shared)
-
-
-def _w4_vector() -> np.ndarray:
-    v = np.zeros(16)
-    for idx in (0b1000, 0b0100, 0b0010, 0b0001):
-        v[idx] = 0.5
-    return v
-
-
-def _run_liqiu(n, controller_outcome) -> CdcReport:
-    if n is None or n < 1:
-        raise DomainError("liqiu_w needs n >= 1")
-    psi = statezoo.liqiu_w(n)
-    onto = ket(0, 2) if controller_outcome in ("+", "0") else ket(1, 2)
-    prob, branch = _project_out(psi.vector, psi.dims, 2, onto)
-    branch = branch / np.sqrt(prob)
-    closed = cdc_closed_forms("liqiu_w", n=n)
-    if controller_outcome in ("+", "0"):
-        shared = pure((2, 2), branch)
-        success = closed["success"]
-        conc = closed["concurrence"]
-    else:
-        shared = pure((2, 2), branch)
-        success, conc = 0.0, 0.0
-    return CdcReport(
-        family="liqiu_w", theta=None, epsilon=None,
-        controller_outcome=controller_outcome, aux_outcome=0,
-        branch_probability=prob, success_probability=success,
-        bits_transmitted_avg=1.0 + success,
-        shared_concurrence=conc,
-        maximally_entangled=bool(abs(conc - 1.0) <= 1e-9),
-        shared_state=shared)
 
 
 def qutrit_projected_states(shared: np.ndarray) -> list:
@@ -569,54 +531,8 @@ def qutrit_cdc_run(theta: float, controller_outcome: str = "up",
     'up' the sender applies the 9x9 extraction unitary V1 (cos <= sin domain);
     success leaves (|00> - |22>)/sqrt(2) and two bits, failure a product state.
     """
-    psi = statezoo.qutrit_ghz3()
-    basis = qutrit_controller_basis(theta)
-    idx = {"up": 0, "side": 1, "down": 2}.get(controller_outcome)
-    if idx is None:
-        raise DomainError(f"unknown controller outcome {controller_outcome!r}")
-    prob, branch = _project_out(psi.vector, psi.dims, 2, basis.vectors[idx])
-    if prob < 1e-15:
-        raise DomainError(f"controller outcome {controller_outcome!r} has zero probability")
-    branch = branch / np.sqrt(prob)
-
-    if controller_outcome == "side":
-        return CdcReport(
-            family="qutrit_ghz", theta=theta, epsilon=None,
-            controller_outcome="side", aux_outcome=0,
-            branch_probability=prob, success_probability=0.0,
-            bits_transmitted_avg=1.0, shared_concurrence=0.0,
-            maximally_entangled=False, shared_state=pure((3, 3), branch))
-
-    if controller_outcome == "up":
-        unitary = _v1(theta)
-    else:
-        # the 'down' branch carries its weight on |22>; extract with the
-        # mirrored rotation acting on the {|2,0x>, |2,2x>} plane
-        s, c = np.sin(theta), np.cos(theta)
-        if abs(c) > abs(s) + 1e-12:
-            raise DomainError("angle outside admissible domain: 1 - cos^2/sin^2 would be negative")
-        rad = _radical(1.0 - (c / s) ** 2, "1 - cos^2/sin^2")
-        unitary = np.eye(9, dtype=complex)
-        unitary[6, 6] = c / s
-        unitary[6, 8] = rad
-        unitary[8, 6] = rad
-        unitary[8, 8] = -(c / s)
-    branches = _collective_branches(branch, 3, unitary)
-    if aux_outcome not in branches:
-        raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
-    w = branches[aux_outcome]
-    success = float(np.real(np.vdot(branches[0], branches[0]))) if 0 in branches else 0.0
-    vec = w / np.linalg.norm(w)
-    conc = _schmidt_concurrence(vec, 3)
-    ok = aux_outcome == 0
-    return CdcReport(
-        family="qutrit_ghz", theta=theta, epsilon=None,
-        controller_outcome=controller_outcome, aux_outcome=aux_outcome,
-        branch_probability=prob, success_probability=success,
-        bits_transmitted_avg=2.0 if ok else 1.0,
-        shared_concurrence=conc if ok else 0.0,
-        maximally_entangled=bool(ok and abs(conc - 1.0) <= 1e-9),
-        shared_state=pure((3, 3), vec))
+    return cdc_run("qutrit_ghz", theta, controller_outcome=controller_outcome,
+                   aux_outcome=aux_outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,13 @@ def w3_nonprototype() -> PureState:
     return pure((2, 2, 2), v / 2.0)
 
 
+def w4() -> PureState:
+    """(|1000> + |0100> + |0010> + |0001>)/2."""
+    v = np.zeros(16)
+    v[8] = v[4] = v[2] = v[1] = 0.5
+    return pure((2, 2, 2, 2), v)
+
+
 def pati(l: float) -> PureState:
     """GHZ-type state (|000> + l|111>)/sqrt(1 + l^2) for real l > 0."""
     if l <= 0:
@@ -176,8 +183,10 @@ def wei(x: float, y: float, a: float, b: float, gamma: float) -> DensityMatrix:
     """Wei et al. MEMS: Psi+ coherence gamma over a diagonal background."""
     params = {"x": x, "y": y, "a": a, "b": b, "gamma": gamma}
     for name, val in params.items():
-        if val < 0:
+        # a weight computed at the closed end of the domain may round below 0
+        if val < -1e-12:
             raise DomainError(f"wei parameter {name} must be >= 0, got {val}")
+    x, y, a, b, gamma = (max(val, 0.0) for val in params.values())
     total = x + y + a + b + gamma
     if abs(total - 1.0) > 1e-10:
         raise DomainError(f"wei parameters must sum to 1, got {total}")

@@ -1,0 +1,106 @@
+"""The controlled-dense-coding pipeline: pinned reports, zero-probability
+controller branches, and the Born-weight invariants of every family."""
+import json
+import pathlib
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entkit import protocols
+from entkit.qcore import DomainError
+
+FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "cdc_reports.json").read_text())
+
+
+def _mismatch(entry: dict):
+    """Why a call disagrees with its pinned entry, or None."""
+    call = getattr(protocols, entry["call"])
+    try:
+        report = call(**entry["kwargs"])
+    except DomainError as exc:
+        if entry.get("error") == str(exc):
+            return None
+        return f"raised {exc!s}, pinned {entry.get('error') or 'a report'}"
+    if "error" in entry:
+        return f"returned a report, pinned the error {entry['error']!r}"
+    got = report.to_dict()
+    if got.keys() != entry["report"].keys():
+        return f"fields {sorted(got)} vs {sorted(entry['report'])}"
+    for key, want in entry["report"].items():
+        value = got[key]
+        close = abs(value - want) <= 1e-12 if isinstance(want, float) else value == want
+        if not close:
+            return f"{key} = {value!r}, pinned {want!r}"
+    pinned = entry["shared_state"]
+    state = report.shared_state
+    vector = np.array(pinned["re"]) + 1j * np.array(pinned["im"])
+    if list(state.dims) != pinned["dims"] or np.max(np.abs(state.vector - vector)) > 1e-12:
+        return "shared_state differs"
+    return None
+
+
+def test_cdc_reports_match_pinned_fixture():
+    assert len(FIXTURE) > 300
+    problems = [(entry["call"], entry["kwargs"], why)
+                for entry in FIXTURE if (why := _mismatch(entry)) is not None]
+    assert not problems, problems[:10]
+
+
+@pytest.mark.parametrize("theta,epsilon,outcome", [
+    (0.0, np.pi / 2, "--"),     # 1e-33 branch that used to report success 1, 2 bits
+    (0.0, 0.0, "+-"),           # used to divide by zero and blame the aux outcome
+])
+def test_zero_probability_controller_branch_raises(theta, epsilon, outcome):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="controller outcome"):
+            protocols.cdc_run("ghz4", theta=theta, epsilon=epsilon, controller_outcome=outcome)
+
+
+ANGLE = st.floats(0.01, np.pi / 2 - 0.01)
+
+
+@st.composite
+def runs(draw):
+    """(family, parameters, every controller outcome) at admissible angles."""
+    family = draw(st.sampled_from(sorted(protocols._FAMILIES)))
+    theta = draw(ANGLE)
+    p = {"theta": theta, "epsilon": None, "l": None, "n": None, "class_index": None}
+    outcomes = ("+", "-")
+    if family == "ghz_class":
+        p["class_index"] = draw(st.integers(1, 7))
+    elif family == "pati":
+        p["l"] = draw(st.floats(0.05, 5.0))
+    elif family == "w3":
+        p["theta"] = draw(st.floats(0.01, np.pi / 4))
+    elif family == "ghz4":
+        # U2 needs tan(theta) tan(epsilon) <= 1, i.e. theta + epsilon <= pi/2
+        p["epsilon"] = draw(st.floats(0.01, 0.99)) * (np.pi / 2 - theta)
+        outcomes = ("++", "+-", "-+", "--")
+    elif family == "w4":
+        p["epsilon"] = draw(ANGLE)
+        outcomes = ("++", "+-", "-+", "--")
+    elif family == "liqiu_w":
+        p["n"] = draw(st.integers(1, 50))
+    elif family == "qutrit_ghz":
+        p["theta"] = draw(st.floats(np.pi / 4, np.pi / 2 - 0.01))
+        outcomes = ("up", "side", "down")
+    return family, p, outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs())
+def test_born_weights_of_every_branch_sum_to_one(run):
+    family, p, outcomes = run
+    total = 0.0
+    for outcome in outcomes:
+        prob, _, _, branches = protocols._branches(family, p, outcome)
+        total += prob
+        if branches is not None:        # the branch went through an extraction unitary
+            weights = [np.vdot(w, w).real for w in branches.values()]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-12), (outcome, weights)
+    assert total == pytest.approx(1.0, abs=1e-12)

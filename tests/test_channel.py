@@ -195,6 +195,12 @@ def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
             assert got == pytest.approx(expected, abs=1e-9), (family, value, key)
 
 
+def test_wei_sweep_reaches_the_closed_end_of_its_domain():
+    # x = y = (1 - gamma - a - b)/2 rounds to -1.4e-17 here
+    [(gamma, report, forms)] = channel.analyze_family("wei", [0.9], a=0.05, b=0.05)
+    assert report.m_value == pytest.approx(forms["m_value"], abs=1e-9)
+
+
 def test_mjwk_useful_iff_concurrence_above_one_third():
     rows = channel.analyze_family("mjwk", np.linspace(0.0, 1.0, 41))
     for c, report, _ in rows:

@@ -129,15 +129,6 @@ def test_figure_json_format(capsys):
     assert payload["rows"][-1][1] == pytest.approx(np.pi / 4)     # l = 1
 
 
-def test_figure_parallel_sweep_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    run_cli(capsys, "figure", "4.1", "--points", "21", "--out", str(serial))
-    monkeypatch.setenv("ENTKIT_THREADS", "4")
-    run_cli(capsys, "figure", "4.1", "--points", "21", "--out", str(parallel))
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 @pytest.mark.parametrize("fig", sorted(cli.FIGURES))
 def test_every_figure_renders(tmp_path, capsys, fig):
     path = tmp_path / f"fig{fig}.csv"

@@ -97,6 +97,15 @@ def test_wei_normalisation_enforced():
         statezoo.wei(-0.1, 0.4, 0.2, 0.2, 0.3)
 
 
+def test_wei_rounds_tiny_negative_weights_to_zero():
+    gamma = 0.9 + 2e-13
+    rho = statezoo.wei(-1e-13, -1e-13, 0.05, 0.05, gamma)
+    assert rho.matrix[0, 0].real == gamma / 2.0        # x counted as 0
+    assert np.min(np.linalg.eigvalsh(rho.matrix)) >= 0.0
+    with pytest.raises(DomainError, match="wei parameter x"):
+        statezoo.wei(-1e-9, 0.0, 0.05, 0.05, 0.9 + 1e-9)
+
+
 def test_wei_concurrence_closed_form():
     rho = statezoo.wei(0.1, 0.1, 0.1, 0.1, 0.6)
     assert measures.concurrence(rho) == pytest.approx(0.6 - 2 * 0.1, abs=1e-10)
