@@ -1,10 +1,15 @@
 """CLI contract tests: values, exit codes, file formats, reproducibility."""
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from entkit import channel, cli, statezoo
+from fixtures.make_figure_digests import digests
+
+PINNED_FIGURE_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "figure_digests.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,10 @@ def test_every_figure_renders(tmp_path, capsys, fig):
     assert code == 0
     lines = path.read_text().strip().split("\n")
     assert len(lines) > 2
+
+
+def test_figure_bytes_match_pinned_digests():
+    assert digests() == PINNED_FIGURE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
