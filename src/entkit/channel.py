@@ -211,10 +211,12 @@ def closed_forms(family: str, **params) -> dict:
 
     These are the analytic expressions the numeric T-matrix pipeline must
     reproduce; each entry states its own validity domain through the family
-    parameter ranges.
+    parameter ranges.  werner takes F or, on its entangled side, its
+    concurrence C = 2F - 1; wei without a and b is the x = y = 0 slice
+    a = b = (1 - gamma)/2.
     """
     if family == "werner":
-        F = params["F"]
+        F = params["F"] if "F" in params else (1.0 + params["C"]) / 2.0
         n = abs(4.0 * F - 1.0)
         return {
             "concurrence": max(0.0, 2.0 * F - 1.0),
@@ -242,7 +244,9 @@ def closed_forms(family: str, **params) -> dict:
             "singlet_fraction": h + C / 2.0,
         }
     if family == "wei":
-        a, b, gamma = params["a"], params["b"], params["gamma"]
+        gamma = params["gamma"]
+        a = params.get("a", (1.0 - gamma) / 2.0)
+        b = params.get("b", (1.0 - gamma) / 2.0)
         tz = 1.0 - 2.0 * (a + b)
         n = 2.0 * gamma + abs(tz)
         u = sorted([gamma * gamma, gamma * gamma, tz * tz], reverse=True)
@@ -280,23 +284,31 @@ def closed_forms(family: str, **params) -> dict:
     raise DomainError(f"no closed forms for family {family!r}")
 
 
-_FAMILY_BUILDERS = {
-    "werner": lambda v, fixed: statezoo.werner(v),
-    "mjwk": lambda v, fixed: statezoo.mjwk(v),
-    "nmems": lambda v, fixed: statezoo.nmems(v),
-    "werner_derivative": lambda v, fixed: statezoo.werner_derivative(fixed["F"], v),
-    "wei": lambda v, fixed: statezoo.wei(
-        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
-        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
-        fixed["a"], fixed["b"], v),
-}
+def fidelity_from_linear_entropy(family: str, s: float) -> float:
+    """Optimal teleportation fidelity of the werner (F >= 1/2) or mjwk state
+    whose linear entropy is s, for s in [0, 8/9]; the mjwk branch switches at
+    s = 16/27 (C = 2/3)."""
+    if not 0.0 <= s <= 8.0 / 9.0:
+        raise DomainError(f"linear entropy must lie in [0, 8/9], got {s}")
+    if family == "werner":
+        return (1.0 + np.sqrt(1.0 - s)) / 2.0
+    if family == "mjwk":
+        if s <= 16.0 / 27.0:
+            return 2.0 / 3.0 + np.sqrt(2.0 - 3.0 * s) / (3.0 * np.sqrt(2.0))
+        return 5.0 / 9.0 + np.sqrt(8.0 - 9.0 * s) / (3.0 * np.sqrt(6.0))
+    raise DomainError(f"no fidelity-entropy closed form for family {family!r}")
 
-_FAMILY_PARAM = {
-    "werner": "F",
-    "mjwk": "C",
-    "nmems": "p",
-    "werner_derivative": "a",
-    "wei": "gamma",
+
+# family -> (sweep parameter, builder(value, fixed parameters))
+_FAMILIES = {
+    "werner": ("F", lambda v, fixed: statezoo.werner(v)),
+    "mjwk": ("C", lambda v, fixed: statezoo.mjwk(v)),
+    "nmems": ("p", lambda v, fixed: statezoo.nmems(v)),
+    "werner_derivative": ("a", lambda v, fixed: statezoo.werner_derivative(fixed["F"], v)),
+    "wei": ("gamma", lambda v, fixed: statezoo.wei(
+        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
+        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
+        fixed["a"], fixed["b"], v)),
 }
 
 
@@ -309,12 +321,11 @@ def analyze_family(family: str, values, seed: int = 0, restarts: int = 0,
     a (werner_derivative, with F fixed) or gamma (wei, with a and b fixed,
     the remaining weight split evenly between x and y).
     """
-    if family not in _FAMILY_BUILDERS:
+    if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}")
+    param, build = _FAMILIES[family]
     rows = []
     for v in sorted(float(x) for x in values):
-        rho = _FAMILY_BUILDERS[family](v, fixed)
-        report = analyze_channel(rho, seed=seed, restarts=restarts)
-        forms = closed_forms(family, **{_FAMILY_PARAM[family]: v}, **fixed)
-        rows.append((v, report, forms))
+        report = analyze_channel(build(v, fixed), seed=seed, restarts=restarts)
+        rows.append((v, report, closed_forms(family, **{param: v}, **fixed)))
     return rows

@@ -8,13 +8,16 @@ flags (seed included) reproduces the output byte for byte.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import channel, cloning, measures, protocols, statezoo
-from .qcore import DensityMatrix, DomainError, PureState, density, pure
+from .qcore import DomainError, PureState, density
 
 
 class ParseFailure(ValueError):
@@ -29,38 +32,14 @@ def fmt(x: float) -> str:
 # state-spec mini grammar:  family:key=value,...  |  bell:K  |  matrix:FILE
 # ---------------------------------------------------------------------------
 
-_PURE_BUILDERS = {
-    "ghz3": lambda kw: statezoo.make_pure("ghz3"),
-    "ghz4": lambda kw: statezoo.make_pure("ghz4"),
-    "w3_prototype": lambda kw: statezoo.make_pure("w3_prototype"),
-    "w3_nonprototype": lambda kw: statezoo.make_pure("w3_nonprototype"),
-    "qutrit_ghz3": lambda kw: statezoo.make_pure("qutrit_ghz3"),
-    "pati": lambda kw: statezoo.make_pure("pati", kw["l"]),
-    "liqiu_w": lambda kw: statezoo.make_pure("liqiu_w", int(kw["n"])),
-    "ghz_class": lambda kw: statezoo.make_pure("ghz_class", int(kw["i"])),
-    "gme": lambda kw: statezoo.make_pure("generalized_max_entangled", int(kw["n"])),
-}
-
-_MIXED_BUILDERS = {
-    "werner": lambda kw: statezoo.make_mixed("werner", F=kw["F"]),
-    "mjwk": lambda kw: statezoo.make_mixed("mjwk", C=kw["C"]),
-    "wei": lambda kw: statezoo.make_mixed(
-        "wei", x=kw["x"], y=kw["y"], a=kw["a"], b=kw["b"], gamma=kw["gamma"]),
-    "werner_derivative": lambda kw: statezoo.make_mixed(
-        "werner_derivative", F=kw["F"], a=kw["a"]),
-    "nmems": lambda kw: statezoo.make_mixed("nmems", p=kw["p"]),
-    "ih_mems": lambda kw: statezoo.make_mixed(
-        "ih_mems", p1=kw["p1"], p2=kw["p2"], p3=kw["p3"], p4=kw["p4"]),
-    "cloned_mems": lambda kw: statezoo.make_mixed("cloned_mems", c2=kw["c2"]),
-}
+# the keys of family:key=value,... are the parameters of the statezoo builder
+_STATE_FAMILIES = {**statezoo.PURE_FAMILIES, **statezoo.MIXED_FAMILIES}
+_STATE_ALIASES = {"gme": "generalized_max_entangled"}
 
 
 def parse_state(spec: str):
     """Parse a state spec into a PureState or DensityMatrix."""
-    if ":" in spec:
-        family, _, rest = spec.partition(":")
-    else:
-        family, rest = spec, ""
+    family, _, rest = spec.partition(":")
     family = family.strip()
 
     if family == "matrix":
@@ -84,13 +63,22 @@ def parse_state(spec: str):
             except ValueError as exc:
                 raise ParseFailure(f"cannot parse value {value!r} for {key!r}") from exc
 
-    builders = {**_PURE_BUILDERS, **_MIXED_BUILDERS}
-    if family not in builders:
+    builder = _STATE_FAMILIES.get(_STATE_ALIASES.get(family, family))
+    if builder is None:
         raise ParseFailure(f"unknown state family {family!r}")
-    try:
-        return builders[family](kwargs)
-    except KeyError as exc:
-        raise ParseFailure(f"state family {family!r} is missing parameter {exc}") from exc
+    params = inspect.signature(builder, eval_str=True).parameters
+    for name, param in params.items():
+        if name not in kwargs:
+            raise ParseFailure(f"state family {family!r} is missing parameter {name!r}")
+        if param.annotation is int:
+            if not kwargs[name].is_integer():
+                raise ParseFailure(f"state family {family!r} parameter {name!r} must be "
+                                   f"an integer, got {kwargs[name]!r}")
+            kwargs[name] = int(kwargs[name])
+    unknown = [key for key in kwargs if key not in params]
+    if unknown:
+        raise ParseFailure(f"state family {family!r} has no parameter {unknown[0]!r}")
+    return builder(**kwargs)
 
 
 def _load_matrix(path: str):
@@ -109,56 +97,114 @@ def _load_matrix(path: str):
     return density(dims, entries.reshape(d, d))
 
 
-def _as_density(state) -> DensityMatrix:
-    return state.density() if isinstance(state, PureState) else state
+def _emit(text: str, out: str | None) -> int:
+    """Write a command's output to the file `out`, or to stdout when omitted."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # measure command
 # ---------------------------------------------------------------------------
 
-MEASURE_KINDS = (
-    "concurrence", "tangle", "negativity", "eof", "entropy_vn", "entropy_linear",
-    "singlet_fraction", "entropy_of_entanglement", "n_value", "m_value",
-    "fidelity_opt",
-)
+# kind -> value(rho, args)
+MEASURES = {
+    "concurrence": lambda rho, args: measures.concurrence(rho),
+    "tangle": lambda rho, args: measures.tangle(rho),
+    "negativity": lambda rho, args: measures.negativity(rho),
+    "eof": lambda rho, args: measures.entanglement_of_formation(rho),
+    "entropy_vn": lambda rho, args: measures.entropy(rho, "von_neumann", args.base),
+    "entropy_linear": lambda rho, args: measures.entropy(rho, "linear"),
+    "singlet_fraction": lambda rho, args: measures.singlet_fraction(
+        rho, seed=args.seed, restarts=args.restarts),
+    "entropy_of_entanglement": lambda rho, args: measures.entropy_of_entanglement(rho),
+    "n_value": lambda rho, args: channel.n_value(rho),
+    "m_value": lambda rho, args: channel.m_value(rho),
+    "fidelity_opt": lambda rho, args: channel.optimal_fidelity(
+        rho, seed=args.seed, restarts=args.restarts),
+}
 
 
 def cmd_measure(args) -> int:
     state = parse_state(args.state)
-    rho = _as_density(state)
-    kind = args.kind
-    if kind == "concurrence":
-        value = measures.concurrence(rho)
-    elif kind == "tangle":
-        value = measures.tangle(rho)
-    elif kind == "negativity":
-        value = measures.negativity(rho)
-    elif kind == "eof":
-        value = measures.entanglement_of_formation(rho)
-    elif kind == "entropy_vn":
-        value = measures.entropy(rho, "von_neumann", args.base)
-    elif kind == "entropy_linear":
-        value = measures.entropy(rho, "linear")
-    elif kind == "singlet_fraction":
-        value = measures.singlet_fraction(rho, seed=args.seed, restarts=args.restarts)
-    elif kind == "entropy_of_entanglement":
-        value = measures.entropy_of_entanglement(rho)
-    elif kind == "n_value":
-        value = channel.n_value(rho)
-    elif kind == "m_value":
-        value = channel.m_value(rho)
-    elif kind == "fidelity_opt":
-        value = channel.optimal_fidelity(rho, seed=args.seed, restarts=args.restarts)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseFailure(f"unknown measure kind {kind!r}")
-    print(fmt(value))
+    rho = state.density() if isinstance(state, PureState) else state
+    print(fmt(MEASURES[args.kind](rho, args)))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# figure command
+# figure command: each figure is a grid over its axes and a library function
+# giving the remaining columns at one grid point
 # ---------------------------------------------------------------------------
+
+class Figure(NamedTuple):
+    columns: tuple
+    axes: tuple                 # one (lo, hi) per swept axis
+    points: int                 # default grid points per axis
+    values: Callable            # grid point -> the columns after the axes
+
+
+def _pick(forms: dict, *keys) -> tuple:
+    return tuple(map(forms.__getitem__, keys))
+
+
+def _cloned_and_distilled(d: float) -> tuple:
+    joint = cloning.qutrit_cloned_pair(d).joint
+    return joint, cloning.distill(joint, cloning.distillation_filter(joint))
+
+
+_PI_4 = np.pi / 4.0
+_PI_2 = np.pi / 2.0
+_DISTILLABLE = (cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5)
+
+FIGURES = {
+    "3.1": Figure(("p", "concurrence", "n_value", "m_value"), ((0.0, 1.0),), 1001,
+                  lambda p: _pick(channel.closed_forms("nmems", p=p),
+                                  "concurrence", "n_value", "m_value")),
+    "3.2": Figure(("concurrence", "f_opt_werner", "f_opt_mjwk"), ((0.0, 1.0),), 201,
+                  lambda c: (channel.closed_forms("werner", C=c)["fidelity_opt"],
+                             channel.closed_forms("mjwk", C=c)["fidelity_opt"])),
+    "3.3": Figure(("concurrence", "m_werner", "f_opt_werner", "m_mjwk", "f_opt_mjwk"),
+                  ((0.0, 1.0),), 201,
+                  lambda c: (
+                      _pick(channel.closed_forms("werner", C=c), "m_value", "fidelity_opt")
+                      + _pick(channel.closed_forms("mjwk", C=c), "m_value", "fidelity_opt"))),
+    "3.4": Figure(("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), ((0.0, 1.0),), 201,
+                  lambda g: (
+                      _pick(channel.closed_forms("werner", C=g), "m_value", "fidelity_opt")
+                      + _pick(channel.closed_forms("wei", gamma=g), "m_value", "fidelity_opt"))),
+    "3.5": Figure(("linear_entropy", "f_opt_werner", "f_opt_mjwk"),
+                  ((0.0, 8.0 / 9.0 - 1e-9),), 201,
+                  lambda s: (channel.fidelity_from_linear_entropy("werner", s),
+                             channel.fidelity_from_linear_entropy("mjwk", s))),
+    "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
+                  lambda d: (cloning.dense_coding_advantage(
+                      cloning.qutrit_cloned_pair(d).joint),)),
+    "4.2": Figure(("d", "singlet_fraction_distilled"), (_DISTILLABLE,), 33,
+                  lambda d: (measures.singlet_fraction(_cloned_and_distilled(d)[1], restarts=0),)),
+    "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), (_DISTILLABLE,), 33,
+                  lambda d: tuple(map(cloning.dense_coding_capacity, _cloned_and_distilled(d)))),
+    "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), ((0.0, _PI_2),), 201,
+                  lambda t: (protocols.cdc_closed_forms("ghz", theta=t)["bits"],
+                             protocols.cdc_closed_forms("qutrit_ghz", theta=t)["bits"])),
+    "5.2": Figure(("l", "theta"), ((0.0, 1.0),), 201,
+                  lambda l: (protocols.cdc_closed_forms("pati", l=l)["theta"],)),
+    "5.3": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
+                  lambda t: (protocols.cdc_closed_forms("ghz", theta=t)["concurrence"],)),
+    "5.4": Figure(("theta", "epsilon", "concurrence"), ((0.0, _PI_4), (0.0, _PI_2)), 41,
+                  lambda t, e: (protocols.cdc_closed_forms(
+                      "ghz4", theta=t, epsilon=e)["concurrence"],)),
+    "5.5": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
+                  lambda t: (protocols.cdc_closed_forms("w3", theta=t)["concurrence"],)),
+    "5.6": Figure(("theta", "epsilon", "concurrence"), ((_PI_4, _PI_2), (_PI_4, _PI_2)), 41,
+                  lambda t, e: (protocols.cdc_closed_forms(
+                      "w4", theta=t, epsilon=e)["concurrence"],)),
+}
+
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 2:
@@ -166,157 +212,26 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _fig_nmems(points):
-    def row(p):
-        forms = channel.closed_forms("nmems", p=p)
-        return (p, forms["concurrence"], forms["n_value"], forms["m_value"])
-    return ("p", "concurrence", "n_value", "m_value"), [row(x) for x in _grid(0.0, 1.0, points)]
-
-
-def _fig_fidelity_vs_concurrence(points):
-    def row(c):
-        f_w = channel.closed_forms("werner", F=(1.0 + c) / 2.0)["fidelity_opt"]
-        f_m = channel.closed_forms("mjwk", C=c)["fidelity_opt"]
-        return (c, f_w, f_m)
-    return ("concurrence", "f_opt_werner", "f_opt_mjwk"), [row(x) for x in _grid(0.0, 1.0, points)]
-
-
-def _fig_fidelity_vs_m_mjwk(points):
-    def row(c):
-        w = channel.closed_forms("werner", F=(1.0 + c) / 2.0)
-        m = channel.closed_forms("mjwk", C=c)
-        return (c, w["m_value"], w["fidelity_opt"], m["m_value"], m["fidelity_opt"])
-    return ("concurrence", "m_werner", "f_opt_werner", "m_mjwk", "f_opt_mjwk"), \
-        [row(x) for x in _grid(0.0, 1.0, points)]
-
-
-def _fig_fidelity_vs_m_wei(points):
-    def row(g):
-        w = channel.closed_forms("werner", F=(1.0 + g) / 2.0)
-        a = b = (1.0 - g) / 2.0
-        v = channel.closed_forms("wei", a=a, b=b, gamma=g)
-        return (g, w["m_value"], w["fidelity_opt"], v["m_value"], v["fidelity_opt"])
-    return ("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), \
-        [row(x) for x in _grid(0.0, 1.0, points)]
-
-
-def _fig_fidelity_vs_entropy(points):
-    def row(s):
-        f_w = (1.0 + np.sqrt(1.0 - s)) / 2.0
-        if s <= 16.0 / 27.0:
-            f_m = 2.0 / 3.0 + np.sqrt(2.0 - 3.0 * s) / (3.0 * np.sqrt(2.0))
-        else:
-            f_m = 5.0 / 9.0 + np.sqrt(8.0 - 9.0 * s) / (3.0 * np.sqrt(6.0))
-        return (s, f_w, f_m)
-    return ("linear_entropy", "f_opt_werner", "f_opt_mjwk"), \
-        [row(x) for x in _grid(0.0, 8.0 / 9.0 - 1e-9, points)]
-
-
-def _fig_clone_advantage(points):
-    def row(d):
-        out = cloning.qutrit_cloned_pair(d)
-        return (d, cloning.dense_coding_advantage(out.joint))
-    return ("d", "entropy_advantage"), [row(x) for x in _grid(1e-3, 0.5, points)]
-
-
-def _fig_distilled_fef(points):
-    def row(d):
-        out = cloning.qutrit_cloned_pair(d)
-        dist = cloning.distill(out.joint, cloning.distillation_filter(out.joint))
-        return (d, measures.singlet_fraction(dist, restarts=0))
-    lo = cloning.NONOPT_FILTER_D_MIN + 1e-6
-    return ("d", "singlet_fraction_distilled"), [row(x) for x in _grid(lo, 0.5, points)]
-
-
-def _fig_dense_coding_capacity(points):
-    def row(d):
-        out = cloning.qutrit_cloned_pair(d)
-        dist = cloning.distill(out.joint, cloning.distillation_filter(out.joint))
-        return (d, cloning.dense_coding_capacity(out.joint),
-                cloning.dense_coding_capacity(dist))
-    lo = cloning.NONOPT_FILTER_D_MIN + 1e-6
-    return ("d", "chi_undistilled", "chi_distilled"), [row(x) for x in _grid(lo, 0.5, points)]
-
-
-def _fig_cdc_bits(points):
-    def row(t):
-        return (t, 1.0 + 2.0 * np.sin(t) ** 2, 1.0 + 2.0 * np.cos(t) ** 2)
-    return ("theta", "bits_sin_family", "bits_cos_family"), \
-        [row(x) for x in _grid(0.0, np.pi / 2.0, points)]
-
-
-def _fig_pati_angle(points):
-    def row(l):
-        return (l, np.arctan2(1.0, l))
-    return ("l", "theta"), [row(x) for x in _grid(0.0, 1.0, points)]
-
-
-def _fig_pati_concurrence(points):
-    def row(t):
-        return (t, abs(np.sin(2.0 * t)))
-    return ("theta", "concurrence"), [row(x) for x in _grid(np.pi / 4.0, np.pi / 2.0, points)]
-
-
-def _fig_ghz4_concurrence(points):
-    thetas = _grid(0.0, np.pi / 4.0, points)
-    epsilons = _grid(0.0, np.pi / 2.0, points)
-    rows = [(t, e, 2.0 * np.sin(t) ** 2 * np.sin(e) ** 2)
-            for t in thetas for e in epsilons]
-    return ("theta", "epsilon", "concurrence"), rows
-
-
-def _fig_w3_concurrence(points):
-    def row(t):
-        return (t, np.sqrt(2.0) * abs(np.sin(t) * np.cos(t)))
-    return ("theta", "concurrence"), [row(x) for x in _grid(np.pi / 4.0, np.pi / 2.0, points)]
-
-
-def _fig_w4_concurrence(points):
-    thetas = _grid(np.pi / 4.0, np.pi / 2.0, points)
-    epsilons = _grid(np.pi / 4.0, np.pi / 2.0, points)
-    rows = [(t, e, abs(np.sin(2.0 * t)) * np.cos(e) ** 2)
-            for t in thetas for e in epsilons]
-    return ("theta", "epsilon", "concurrence"), rows
-
-
-FIGURES = {
-    "3.1": (_fig_nmems, 1001),
-    "3.2": (_fig_fidelity_vs_concurrence, 201),
-    "3.3": (_fig_fidelity_vs_m_mjwk, 201),
-    "3.4": (_fig_fidelity_vs_m_wei, 201),
-    "3.5": (_fig_fidelity_vs_entropy, 201),
-    "4.1": (_fig_clone_advantage, 101),
-    "4.2": (_fig_distilled_fef, 33),
-    "4.3": (_fig_dense_coding_capacity, 33),
-    "5.1": (_fig_cdc_bits, 201),
-    "5.2": (_fig_pati_angle, 201),
-    "5.3": (_fig_pati_concurrence, 201),
-    "5.4": (_fig_ghz4_concurrence, 41),
-    "5.5": (_fig_w3_concurrence, 201),
-    "5.6": (_fig_w4_concurrence, 41),
-}
+def _rows(figure: Figure, points: int) -> list:
+    """Rows (axis values..., column values...) over the product of the axis grids."""
+    grids = [_grid(lo, hi, points) for lo, hi in figure.axes]
+    return [(*x, *figure.values(*x)) for x in itertools.product(*grids)]
 
 
 def cmd_figure(args) -> int:
     if args.figure_id not in FIGURES:
         raise ParseFailure(f"unknown figure id {args.figure_id!r}; known: {sorted(FIGURES)}")
-    builder, default_points = FIGURES[args.figure_id]
-    points = args.points or default_points
-    header, rows = builder(points)
+    figure = FIGURES[args.figure_id]
+    rows = _rows(figure, figure.points if args.points is None else args.points)
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(fmt(x) for x in row) for row in rows]
+        lines = [",".join(figure.columns)]
+        lines += [",".join(map(fmt, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"figure": args.figure_id, "columns": list(header),
+        text = json.dumps({"figure": args.figure_id, "columns": list(figure.columns),
                            "rows": [[float(x) for x in row] for row in rows]},
                           indent=None, separators=(",", ":")) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +240,8 @@ def cmd_figure(args) -> int:
 
 def cmd_protocol(args) -> int:
     if args.protocol == "cdc":
-        kwargs = {}
-        if args.l is not None:
-            kwargs["l"] = args.l
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.class_index is not None:
-            kwargs["class_index"] = args.class_index
+        kwargs = {name: getattr(args, name) for name in ("l", "n", "class_index")
+                  if getattr(args, name) is not None}
         report = protocols.cdc_run(
             args.family, theta=args.theta, epsilon=args.epsilon,
             controller_outcome=args.outcome, aux_outcome=args.aux, **kwargs)
@@ -348,13 +258,7 @@ def cmd_protocol(args) -> int:
                 c, args.montecarlo, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseFailure(f"unknown protocol {args.protocol!r}")
-    text = json.dumps(payload, sort_keys=True, default=float) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(json.dumps(payload, sort_keys=True, default=float) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="evaluate one measure of one state")
     m.add_argument("--state", required=True,
                    help="state spec, e.g. werner:F=0.75, bell:1, matrix:file.json")
-    m.add_argument("--kind", required=True, choices=MEASURE_KINDS)
+    m.add_argument("--kind", required=True, choices=tuple(MEASURES))
     m.add_argument("--base", type=float, default=2.0, help="entropy base (default 2)")
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--restarts", type=int, default=32,

@@ -115,7 +115,8 @@ def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) ->
     if kind == "von_neumann":
         evals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
         evals = evals[evals > 1e-15]
-        return float(-np.sum(evals * np.log(evals)) / np.log(base))
+        # + 0.0 turns the -0.0 of a pure state into 0.0
+        return float(-np.sum(evals * np.log(evals)) / np.log(base)) + 0.0
     if kind == "linear":
         n = rho.dim
         return float(n / (n - 1.0) * (1.0 - rho.purity()))

@@ -201,6 +201,43 @@ def test_wei_sweep_reaches_the_closed_end_of_its_domain():
     assert report.m_value == pytest.approx(forms["m_value"], abs=1e-9)
 
 
+def test_closed_form_parametrisations_of_the_concurrence_figures():
+    for c in np.linspace(0.0, 1.0, 21):
+        assert channel.closed_forms("werner", C=c) == \
+            channel.closed_forms("werner", F=(1.0 + c) / 2.0)
+        # wei without a and b is the x = y = 0 slice
+        a = (1.0 - c) / 2.0
+        assert channel.closed_forms("wei", gamma=c) == \
+            channel.closed_forms("wei", a=a, b=a, gamma=c)
+        if c > 0.0:
+            report = channel.analyze_channel(statezoo.wei(0.0, 0.0, a, a, c), restarts=0)
+            forms = channel.closed_forms("wei", gamma=c)
+            assert report.n_value == pytest.approx(forms["n_value"], abs=1e-9)
+            assert report.m_value == pytest.approx(forms["m_value"], abs=1e-9)
+
+
+@pytest.mark.parametrize("family,param,grid", [
+    ("werner", "F", np.linspace(0.5, 1.0, 101)),
+    # both sides of the mjwk branch point C = 2/3 (S_L = 16/27)
+    ("mjwk", "C", np.concatenate([np.linspace(0.0, 1.0, 101),
+                                  2.0 / 3.0 + np.array([-1e-9, 0.0, 1e-9])])),
+])
+def test_fidelity_from_linear_entropy_round_trips_closed_forms(family, param, grid):
+    for value in grid:
+        forms = channel.closed_forms(family, **{param: value})
+        f = channel.fidelity_from_linear_entropy(family, forms["linear_entropy"])
+        assert f == pytest.approx(forms["fidelity_opt"], abs=1e-12), (family, value)
+
+
+@pytest.mark.parametrize("family,s", [
+    ("werner", -1e-12), ("mjwk", -1e-12), ("werner", 8.0 / 9.0 + 1e-12),
+    ("mjwk", 8.0 / 9.0 + 1e-12), ("mjwk", float("nan")), ("nmems", 0.5),
+])
+def test_fidelity_from_linear_entropy_domain(family, s):
+    with pytest.raises(DomainError):
+        channel.fidelity_from_linear_entropy(family, s)
+
+
 def test_mjwk_useful_iff_concurrence_above_one_third():
     rows = channel.analyze_family("mjwk", np.linspace(0.0, 1.0, 41))
     for c, report, _ in rows:

@@ -80,6 +80,87 @@ def test_measure_entropy_of_entanglement_on_mixed_is_domain_error(capsys):
     assert code == 3
 
 
+def test_measure_entropy_of_pure_state_prints_plain_zero(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--state", "liqiu_w:n=2",
+                           "--kind", "entropy_vn")
+    assert code == 0
+    assert out == "0\n"
+
+
+# ---------------------------------------------------------------------------
+# state specs
+# ---------------------------------------------------------------------------
+
+# documented parameters of every statezoo family
+STATE_PARAMS = {
+    "werner": {"F": 0.8},
+    "mjwk": {"C": 0.5},
+    "wei": {"x": 0.1, "y": 0.1, "a": 0.1, "b": 0.1, "gamma": 0.6},
+    "werner_derivative": {"F": 0.8, "a": 0.7},
+    "nmems": {"p": 0.2},
+    "ih_mems": {"p1": 0.4, "p2": 0.3, "p3": 0.2, "p4": 0.1},
+    "cloned_mems": {"c2": 0.6},
+    "bell": {"k": 3},
+    "ghz3": {},
+    "ghz4": {},
+    "ghz_class": {"i": 3},
+    "w3_prototype": {},
+    "w3_nonprototype": {},
+    "pati": {"l": 2.0},
+    "liqiu_w": {"n": 3},
+    "qutrit_ghz3": {},
+    "generalized_max_entangled": {"n": 3},
+}
+
+
+def _entries(state):
+    return state.vector if hasattr(state, "vector") else state.matrix
+
+
+def test_every_registered_family_parses_with_its_documented_parameters():
+    builders = {**statezoo.PURE_FAMILIES, **statezoo.MIXED_FAMILIES}
+    assert set(STATE_PARAMS) == set(builders)
+    for family, params in STATE_PARAMS.items():
+        if family == "bell":
+            spec = f"bell:{params['k']}"
+        else:
+            spec = f"{family}:" + ",".join(f"{k}={v}" for k, v in params.items())
+        state = cli.parse_state(spec)
+        expected = builders[family](**params)
+        assert state.dims == expected.dims, spec
+        assert np.array_equal(_entries(state), _entries(expected)), spec
+
+
+def test_gme_alias_matches_full_family_name(capsys):
+    outputs = []
+    for family in ("gme", "generalized_max_entangled"):
+        code, out, err = run_cli(capsys, "measure", "--state", f"{family}:n=3",
+                                 "--kind", "entropy_linear")
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("werner:F=0.75,typo=3", "has no parameter 'typo'"),
+    ("ghz3:x=1", "has no parameter 'x'"),
+    ("werner:C=0.5", "missing parameter 'F'"),
+    ("liqiu_w:n=2.7", "'n' must be an integer"),
+    ("ghz_class:i=1.9", "'i' must be an integer"),
+    ("gme:n=inf", "'n' must be an integer"),
+])
+def test_state_spec_keys_must_match_the_family_parameters(capsys, spec, message):
+    code, out, err = run_cli(capsys, "measure", "--state", spec, "--kind", "entropy_linear")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_integer_parameter_accepts_an_integral_float():
+    assert np.array_equal(cli.parse_state("liqiu_w:n=3.0").vector,
+                          statezoo.liqiu_w(3).vector)
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------
@@ -132,6 +213,14 @@ def test_figure_json_format(capsys):
     assert payload["columns"] == ["l", "theta"]
     assert payload["rows"][0][1] == pytest.approx(np.pi / 2)      # l = 0
     assert payload["rows"][-1][1] == pytest.approx(np.pi / 4)     # l = 1
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_figure_too_few_points_is_domain_error(capsys, points):
+    code, out, err = run_cli(capsys, "figure", "5.2", "--points", points)
+    assert code == 3
+    assert out == ""
+    assert "step count must be >= 2" in err
 
 
 @pytest.mark.parametrize("fig", sorted(cli.FIGURES))
