@@ -240,11 +240,10 @@ def cmd_figure(args) -> int:
 
 def cmd_protocol(args) -> int:
     if args.protocol == "cdc":
-        kwargs = {name: getattr(args, name) for name in ("l", "n", "class_index")
+        kwargs = {name: getattr(args, name) for name in ("epsilon", "l", "n", "class_index")
                   if getattr(args, name) is not None}
-        report = protocols.cdc_run(
-            args.family, theta=args.theta, epsilon=args.epsilon,
-            controller_outcome=args.outcome, aux_outcome=args.aux, **kwargs)
+        report = protocols.cdc_run(args.family, theta=args.theta, controller_outcome=args.outcome,
+                                   aux_outcome=args.aux, **kwargs)
         payload = report.to_dict()
         if args.montecarlo:
             payload["montecarlo"] = protocols.monte_carlo_cdc(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .qcore import (
     TOL_HERM,
@@ -119,7 +118,9 @@ def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) ->
         return float(-np.sum(evals * np.log(evals)) / np.log(base)) + 0.0
     if kind == "linear":
         n = rho.dim
-        return float(n / (n - 1.0) * (1.0 - rho.purity()))
+        s_l = float(n / (n - 1.0) * (1.0 - rho.purity()))
+        # a pure state's purity rounds to either side of 1
+        return 0.0 if abs(s_l) <= 1e-12 else s_l
     raise DomainError(f"unknown entropy kind {kind!r}")
 
 
@@ -207,6 +208,9 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     best = max(float(np.real(v.conj() @ rho.matrix @ v)) for v in bases)
     if restarts <= 0:
         return best
+
+    # scipy (about 50 MB and 0.4 s to import) is loaded only by the refinement
+    from scipy import optimize
 
     gens = _traceless_hermitian_basis(n)
     npar = len(gens)

@@ -7,8 +7,10 @@ raises DomainError); attach the sender's auxiliary system, apply the
 collective extraction unitary and split by auxiliary outcome, or hand the
 branch over as it is; then fill the report by the family's convention.  What
 differs between families is data in one table, `_FAMILIES` (see `_Family`).
-Runs are deterministic given the outcomes; a Monte-Carlo wrapper samples
-outcomes from an explicit seed.
+Runs are deterministic given the outcomes.  The Monte-Carlo wrappers
+enumerate a protocol's outcome tree once, weighting each leaf by its Born
+probability, and draw every sample from it with one multinomial at an
+explicit seed.
 
 Reported concurrences follow each family's published closed form (evaluated
 on the unnormalised post-measurement branch vector where that is the
@@ -328,17 +330,18 @@ def _sender_major(u: np.ndarray) -> np.ndarray:
     return u[_AM_TO_SM]
 
 
+def _ket_of(basis: MeasurementBasis, label: str) -> np.ndarray:
+    return basis.vectors[basis.labels.index(label)]
+
+
 def _tilted(angle: float, label: str) -> np.ndarray:
-    """Ket of outcome '+' of controller_basis(angle); any other label is '-'."""
-    return controller_basis(angle).vectors[0 if label == "+" else 1]
+    """Ket of outcome label ('+' or '-') of controller_basis(angle)."""
+    return _ket_of(controller_basis(angle), label)
 
 
 def _qutrit_controller(p: dict, outcome: str) -> list:
     """The last of three qutrits measures in qutrit_controller_basis(theta)."""
-    basis = qutrit_controller_basis(p["theta"])
-    if outcome not in basis.labels:
-        raise DomainError(f"unknown controller outcome {outcome!r}")
-    return [(2, basis.vectors[basis.labels.index(outcome)])]
+    return [(2, _ket_of(qutrit_controller_basis(p["theta"]), outcome))]
 
 
 def _one_tilted(p: dict, outcome: str) -> list:
@@ -347,10 +350,8 @@ def _one_tilted(p: dict, outcome: str) -> list:
 
 
 def _two_tilted(p: dict, outcome: str) -> list:
-    """Cliff (last of four) measures at theta, then Paul (first) at epsilon;
-    a one-character outcome leaves Paul's outcome at '+'."""
-    return [(3, _tilted(p["theta"], outcome[0])),
-            (0, _tilted(p["epsilon"], outcome[1:2] or "+"))]
+    """Cliff (last of four) measures at theta, then Paul (first) at epsilon."""
+    return [(3, _tilted(p["theta"], outcome[0])), (0, _tilted(p["epsilon"], outcome[1]))]
 
 
 def _balanced(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray:
@@ -390,7 +391,9 @@ class _Family:
                 "published"   success, bits and concurrence from cdc_closed_forms
                 "per_outcome" success = aux-0 weight; 2 bits and the Schmidt
                               concurrence on aux 0, else 1 bit and 0
-    aliases     other names of controller outcomes
+    outcomes    the canonical controller outcomes, the leaves of the Monte-Carlo tree
+    aliases     other names of controller outcomes; reports show the canonical one
+    spellings   other names of controller outcomes; reports show the name as given
     """
 
     params: tuple
@@ -398,7 +401,13 @@ class _Family:
     controllers: Callable
     unitary: Callable
     convention: str = "simulated"
+    outcomes: tuple = ("+", "-")
     aliases: dict = field(default_factory=dict)
+    spellings: dict = field(default_factory=dict)
+
+
+# Cliff's and Paul's outcomes; a one-character outcome leaves Paul's at '+'
+_TWO_CONTROLLERS = {"outcomes": ("++", "+-", "-+", "--"), "spellings": {"+": "++", "-": "-+"}}
 
 
 _FAMILIES = {
@@ -409,18 +418,24 @@ _FAMILIES = {
     "pati": _Family(("theta", "l"), lambda p: statezoo.pati(p["l"]), _one_tilted, _balanced,
                     convention="published"),
     "ghz4": _Family(("theta", "epsilon"), lambda p: statezoo.ghz4(), _two_tilted,
-                    lambda p, o, v: _sender_major(_u2(p["theta"], p["epsilon"]))),
+                    lambda p, o, v: _sender_major(_u2(p["theta"], p["epsilon"])),
+                    **_TWO_CONTROLLERS),
     "w3": _Family(("theta",), lambda p: statezoo.w3_prototype(), _one_tilted,
                   lambda p, o, v: _sender_major(_u1(p["theta"])), convention="published"),
     "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _two_tilted, _balanced,
-                  convention="published"),
+                  convention="published", **_TWO_CONTROLLERS),
     "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]),
-                       lambda p, o: [(2, ket(0 if o in ("+", "0") else 1, 2))],
-                       lambda p, o, v: None, convention="published"),
+                       lambda p, o: [(2, ket(0 if o == "+" else 1, 2))],
+                       lambda p, o, v: None, convention="published",
+                       spellings={"0": "+", "1": "-"}),
     "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_controller,
                           _qutrit_unitary, convention="per_outcome",
-                          aliases={"+": "up", "-": "down"}),
+                          outcomes=("up", "side", "down"), aliases={"+": "up", "-": "down"}),
 }
+
+
+class _ZeroProbability(DomainError):
+    """A controller outcome the resource state never produces."""
 
 
 def _branches(family: str, p: dict, outcome: str) -> tuple:
@@ -437,13 +452,40 @@ def _branches(family: str, p: dict, outcome: str) -> tuple:
     for subsystem, onto in fam.controllers(p, outcome):
         p_step, vec = _project_out(vec, dims, subsystem, onto)
         if p_step < 1e-15:
-            raise DomainError(f"controller outcome {outcome!r} has zero probability")
+            raise _ZeroProbability(f"controller outcome {outcome!r} has zero probability")
         vec = vec / np.sqrt(p_step)
         prob *= p_step
         dims = dims[:subsystem] + dims[subsystem + 1:]
     d = dims[0]
     unitary = fam.unitary(p, outcome, vec)
     return prob, vec, d, None if unitary is None else _collective_branches(vec, d, unitary)
+
+
+def _setup(family: str, theta: float | None = None, epsilon: float | None = None,
+           l: float | None = None, n: int | None = None,
+           class_index: int | None = None) -> tuple:
+    """(family entry, the parameters it reads, its closed forms) of a CDC call."""
+    fam = _FAMILIES.get(family)
+    if fam is None:
+        raise DomainError(f"unknown CDC family {family!r}")
+    given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
+    p = {k: given[k] for k in fam.params}
+    closed = cdc_closed_forms(family, **p)
+    if "theta" in closed and p["theta"] is None:
+        p["theta"] = closed["theta"]        # pati's published angle arctan(1/l)
+    return fam, p, closed
+
+
+def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> float:
+    """Success probability of one controller branch (see _branches) by the
+    family's convention."""
+    if branches is None and _schmidt_concurrence(vec, d) <= 1e-12:
+        return 0.0                      # a product pair carries no resource
+    if fam.convention == "published":
+        return closed["success"]
+    if branches is None or 0 not in branches:
+        return 0.0
+    return float(np.real(np.vdot(branches[0], branches[0])))
 
 
 def cdc_run(family: str, theta: float | None = None, epsilon: float | None = None,
@@ -454,32 +496,30 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
 
     Families: ghz, ghz_class (class_index 1..7), pati (parameter l, controller
     angle defaulting to arctan(1/l)), ghz4 (angles theta and epsilon), w3, w4,
-    liqiu_w (parameter n) and qutrit_ghz.
+    liqiu_w (parameter n) and qutrit_ghz.  A controller outcome outside the
+    family's outcomes (and their other names) raises DomainError.
     """
-    fam = _FAMILIES.get(family)
-    if fam is None:
-        raise DomainError(f"unknown CDC family {family!r}")
-    given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
-    p = {k: given[k] for k in fam.params}
-    closed = cdc_closed_forms(family, **p)
-    if "theta" in closed and p["theta"] is None:
-        p["theta"] = closed["theta"]        # pati's published angle arctan(1/l)
-    outcome = fam.aliases.get(controller_outcome, controller_outcome)
+    fam, p, closed = _setup(family, theta, epsilon, l, n, class_index)
+    label = fam.aliases.get(controller_outcome, controller_outcome)
+    outcome = fam.spellings.get(label, label)
+    if outcome not in fam.outcomes:
+        raise DomainError(f"unknown controller outcome {controller_outcome!r} for {family}; "
+                          f"expected one of {', '.join(fam.outcomes)}")
     prob, vec, d, branches = _branches(family, p, outcome)
+    success = _success(fam, closed, vec, d, branches)
 
     if branches is None:        # handed over as it is
-        aux_outcome, shared, success = 0, vec, 0.0
+        aux_outcome, shared = 0, vec
     else:
         if aux_outcome not in branches:
             raise DomainError(f"auxiliary outcome {aux_outcome} has zero probability")
         w = branches[aux_outcome]
         shared = w / np.linalg.norm(w)
-        success = float(np.real(np.vdot(branches[0], branches[0]))) if 0 in branches else 0.0
 
     if branches is None and _schmidt_concurrence(shared, d) <= 1e-12:
-        success, bits, conc = 0.0, 1.0, 0.0         # a product pair carries no resource
+        bits, conc = 1.0, 0.0         # a product pair carries no resource
     elif fam.convention == "published":
-        success, bits, conc = closed["success"], closed["bits"], closed["concurrence"]
+        bits, conc = closed["bits"], closed["concurrence"]
     elif fam.convention == "per_outcome":
         ok = aux_outcome == 0
         bits, conc = (2.0, _schmidt_concurrence(shared, d)) if ok else (1.0, 0.0)
@@ -488,7 +528,7 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
     return CdcReport(
         family=f"{family}:{class_index}" if "class_index" in p else family,
         theta=p.get("theta"), epsilon=p.get("epsilon"),
-        controller_outcome=outcome, aux_outcome=aux_outcome,
+        controller_outcome=label, aux_outcome=aux_outcome,
         branch_probability=prob, success_probability=success,
         bits_transmitted_avg=bits, shared_concurrence=conc,
         # a run that cannot succeed never ends maximally entangled
@@ -682,46 +722,86 @@ def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
 # Monte-Carlo wrappers
 # ---------------------------------------------------------------------------
 
+def _draw(rng: np.random.Generator, weights: dict, n: int) -> dict:
+    """Counts of n samples over the leaves of an outcome tree, drawn with one
+    multinomial over the normalised weights.
+
+    A weight down to -1e-12 counts as 0; a more negative one raises.  Leaves
+    never drawn are omitted, so counts from independent chains merge by
+    summation.
+    """
+    if n < 1:
+        raise DomainError(f"Monte-Carlo sample count must be >= 1, got {n}")
+    w = np.array(list(weights.values()), dtype=float)
+    if w.min() < -1e-12:
+        leaf = list(weights)[int(w.argmin())]
+        raise DomainError(f"outcome {leaf!r} has negative weight {w.min():.3e}")
+    w = np.maximum(w, 0.0)
+    drawn = rng.multinomial(n, w / w.sum())
+    return {leaf: int(k) for leaf, k in zip(weights, drawn) if k}
+
+
 def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
                     **kwargs) -> dict:
     """Sample controller and auxiliary outcomes with their Born probabilities.
 
-    Returns outcome counts plus the empirical and exact success frequencies;
-    counts from independent chains can be merged by summation.
+    The outcome tree is enumerated once: each of the family's controller
+    outcomes o has the leaves "o/aux0", weighing p_branch * p_success, and
+    "o/fail", weighing p_branch * (1 - p_success), with both probabilities as
+    cdc_run reports them; an outcome the state never produces weighs 0, and
+    any other DomainError propagates.  All samples come from one multinomial
+    draw.  exact_success is the Born average
+    sum p_branch * p_success and published_success the family's closed form.
     """
-    rng = np.random.default_rng(seed)
-    counts = {}
-    successes = 0
-    for _ in range(n_samples):
-        outcome = "+" if rng.random() < 0.5 else "-"
+    fam, p, closed = _setup(family, theta=theta, **kwargs)
+    leaves, exact = {}, 0.0
+    for outcome in fam.outcomes:
         try:
-            report = cdc_run(family, theta=theta, controller_outcome=outcome,
-                             aux_outcome=0, **kwargs)
-            p_succ = report.success_probability
-        except DomainError:
-            p_succ = 0.0
-        ok = rng.random() < p_succ
-        successes += int(ok)
-        key = f"{outcome}/{'aux0' if ok else 'fail'}"
-        counts[key] = counts.get(key, 0) + 1
-    exact = cdc_success_probability(family, theta=theta, **{
-        k: v for k, v in kwargs.items() if k in ("l", "n", "epsilon", "class_index")})
-    return {"counts": counts, "empirical_success": successes / n_samples,
-            "exact_success": exact, "n_samples": n_samples, "seed": seed}
+            prob, vec, d, branches = _branches(family, p, outcome)
+        except _ZeroProbability:
+            prob, success = 0.0, 0.0
+        else:
+            success = _success(fam, closed, vec, d, branches)
+        leaves[f"{outcome}/aux0"] = prob * success
+        leaves[f"{outcome}/fail"] = prob * (1.0 - success)
+        exact += prob * success
+    counts = _draw(np.random.default_rng(seed), leaves, n_samples)
+    hits = sum(k for leaf, k in counts.items() if leaf.endswith("/aux0"))
+    return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
+            "published_success": float(closed["success"]), "n_samples": n_samples,
+            "seed": seed}
 
 
 def monte_carlo_secret_share(c: float, n_samples: int, seed: int) -> dict:
-    """Sample Charlie's bit, Alice's outcome, and Bob's discrimination result."""
-    rng = np.random.default_rng(seed)
-    q = 4.0 * c * c * (1.0 - c * c) / 2.0
-    counts = {"conclusive_correct": 0, "conclusive_wrong": 0, "inconclusive": 0}
-    for _ in range(n_samples):
-        bit = int(rng.random() < 0.5)
-        r = rng.random()
-        if r < q:
-            counts["conclusive_correct"] += 1
-        else:
-            counts["inconclusive"] += 1
-        _ = bit
-    return {"counts": counts, "empirical_success": counts["conclusive_correct"] / n_samples,
-            "exact_success": q, "n_samples": n_samples, "seed": seed}
+    """Sample Charlie's bit, Alice's Hadamard outcome and Bob's discrimination
+    result from the protocol's outcome tree, with one multinomial draw.
+
+    Charlie's bit weighs 1/2 and Alice's outcome its Born weight on the
+    channel.  Bob's result weighs the published statistic Tr(E rho_B) of
+    povm_elements; E1 and E2 are not hermitian, so these are the published
+    discrimination statistics, not the Born probabilities of a measurement,
+    and the result says so under "discrimination".  E1 is conclusive for
+    (bit 0, '+') and (bit 1, '-'), E2 for the other two, E3 inconclusive.
+    Leaves read "bit/alice outcome/result"; exact_success is the mass of the
+    conclusive_correct leaves, which is Q = 4 c^2 d^2.
+    """
+    channels = [secret_share_channel(c, bit) for bit in (0, 1)]
+    elements = povm_elements(4.0 * c * c * (1.0 - c * c) / 2.0)
+    leaves = {}
+    for bit, channel in enumerate(channels):
+        alice = partial_trace(channel, keep=(0,)).matrix
+        for outcome in ("+", "-"):
+            h = _hadamard_vector(outcome)
+            p_alice = float(np.real(h @ alice @ h))
+            bob = _bob_conditional(channel, outcome).matrix
+            e1, e2 = "conclusive_correct", "conclusive_wrong"
+            if (bit == 0) != (outcome == "+"):
+                e1, e2 = e2, e1
+            for result, e in zip((e1, e2, "inconclusive"), elements):
+                leaves[f"{bit}/{outcome}/{result}"] = 0.5 * p_alice * float(np.trace(e @ bob).real)
+    counts = _draw(np.random.default_rng(seed), leaves, n_samples)
+    hits = sum(k for leaf, k in counts.items() if leaf.endswith("/conclusive_correct"))
+    exact = sum(w for leaf, w in leaves.items() if leaf.endswith("/conclusive_correct"))
+    return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
+            "discrimination": "published Tr(E rho_B); E1 and E2 are not hermitian",
+            "n_samples": n_samples, "seed": seed}

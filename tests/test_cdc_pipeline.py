@@ -1,5 +1,6 @@
-"""The controlled-dense-coding pipeline: pinned reports, zero-probability
-controller branches, and the Born-weight invariants of every family."""
+"""The controlled-dense-coding pipeline: pinned reports, controller outcome
+labels, zero-probability controller branches, the Born-weight invariants of
+every family, and the Monte-Carlo sampler over its outcome tree."""
 import json
 import pathlib
 import warnings
@@ -61,6 +62,20 @@ def test_zero_probability_controller_branch_raises(theta, epsilon, outcome):
             protocols.cdc_run("ghz4", theta=theta, epsilon=epsilon, controller_outcome=outcome)
 
 
+@pytest.mark.parametrize("family,kwargs,outcome", [
+    ("ghz", {"theta": 0.6}, "x"),
+    ("ghz", {"theta": 0.6}, ""),
+    ("ghz4", {"theta": 0.6, "epsilon": 0.5}, "xy"),
+    ("ghz4", {"theta": 0.6, "epsilon": 0.5}, "+-+"),
+    ("w4", {"theta": 1.0, "epsilon": 1.0}, "+x"),
+    ("liqiu_w", {"n": 3}, "q"),
+    ("qutrit_ghz", {"theta": 0.9}, "0"),
+])
+def test_unknown_controller_outcome_raises(family, kwargs, outcome):
+    with pytest.raises(DomainError, match="unknown controller outcome"):
+        protocols.cdc_run(family, controller_outcome=outcome, **kwargs)
+
+
 ANGLE = st.floats(0.01, np.pi / 2 - 0.01)
 
 
@@ -104,3 +119,32 @@ def test_born_weights_of_every_branch_sum_to_one(run):
             weights = [np.vdot(w, w).real for w in branches.values()]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12), (outcome, weights)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs(), st.integers(1, 5000), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_monte_carlo_samples_the_outcome_tree(run, n_samples, seed, other_seed):
+    family, p, outcomes = run
+    assert protocols._FAMILIES[family].outcomes == outcomes
+    reports = [protocols.cdc_run(family, controller_outcome=o, **p) for o in outcomes]
+    born = sum(r.branch_probability * r.success_probability for r in reports)
+    kwargs = {k: v for k, v in p.items() if k != "theta"}
+
+    out = protocols.monte_carlo_cdc(family, p["theta"], n_samples, seed, **kwargs)
+    assert out["exact_success"] == pytest.approx(born, abs=1e-12)
+    assert out["published_success"] == protocols.cdc_closed_forms(family, **p)["success"]
+    assert sum(out["counts"].values()) == n_samples
+    assert out == protocols.monte_carlo_cdc(family, p["theta"], n_samples, seed, **kwargs)
+
+    other = protocols.monte_carlo_cdc(family, p["theta"], n_samples, other_seed, **kwargs)
+    leaves = {f"{o}/{end}" for o in outcomes for end in ("aux0", "fail")}
+    merged = {}
+    for chain in (out, other):
+        assert set(chain["counts"]) <= leaves
+        assert all(k > 0 for k in chain["counts"].values())
+        for leaf, k in chain["counts"].items():
+            merged[leaf] = merged.get(leaf, 0) + k
+    assert sum(merged.values()) == 2 * n_samples
+    hits = sum(k for leaf, k in merged.items() if leaf.endswith("/aux0"))
+    assert hits / (2 * n_samples) == pytest.approx(
+        (out["empirical_success"] + other["empirical_success"]) / 2.0, abs=1e-12)

@@ -87,6 +87,13 @@ def test_measure_entropy_of_pure_state_prints_plain_zero(capsys):
     assert out == "0\n"
 
 
+@pytest.mark.parametrize("spec", ["gme:n=3", "liqiu_w:n=3.0"])
+def test_linear_entropy_of_pure_state_prints_plain_zero(capsys, spec):
+    code, out, err = run_cli(capsys, "measure", "--state", spec, "--kind", "entropy_linear")
+    assert code == 0, err
+    assert out == "0\n"
+
+
 # ---------------------------------------------------------------------------
 # state specs
 # ---------------------------------------------------------------------------
@@ -288,3 +295,58 @@ def test_protocol_montecarlo_deterministic(tmp_path, capsys):
     payload = json.loads(a.read_text())
     assert payload["montecarlo"]["exact_success"] == pytest.approx(
         2 * np.sin(0.6) ** 2, abs=1e-12)
+
+
+CDC_FAMILY_ARGS = [
+    ["--family", "ghz", "--theta", "0.6"],
+    ["--family", "ghz_class", "--theta", "0.6", "--class-index", "1"],
+    ["--family", "pati", "--l", "0.5"],
+    ["--family", "ghz4", "--theta", "0.6", "--epsilon", "0.5"],
+    ["--family", "w3", "--theta", "0.6"],
+    ["--family", "w4", "--theta", "1.0", "--epsilon", "1.0"],
+    ["--family", "liqiu_w", "--n", "3"],
+    ["--family", "qutrit_ghz", "--theta", "0.9"],
+]
+
+
+@pytest.mark.parametrize("family_args", CDC_FAMILY_ARGS, ids=lambda a: a[1])
+def test_protocol_montecarlo_bytes_repeat_for_every_family(tmp_path, capsys, family_args):
+    outputs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        code, _, err = run_cli(capsys, "protocol", "cdc", *family_args, "--montecarlo", "500",
+                               "--seed", "9", "--out", str(path))
+        assert code == 0, err
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert sum(json.loads(outputs[0])["montecarlo"]["counts"].values()) == 500
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdc", "--family", "ghz", "--theta", "0.6", "--montecarlo", "-5"],
+    ["secret-share", "--montecarlo", "-5"],
+])
+def test_protocol_negative_montecarlo_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, "protocol", *argv)
+    assert code == 3
+    assert out == ""
+    assert "sample count" in err
+
+
+def test_protocol_montecarlo_zero_means_off(capsys):
+    code, out, _ = run_cli(capsys, "protocol", "cdc", "--family", "ghz", "--theta", "0.6",
+                           "--montecarlo", "0")
+    assert code == 0
+    assert "montecarlo" not in json.loads(out)
+
+
+@pytest.mark.parametrize("family_args,outcome", [
+    (["--family", "ghz", "--theta", "0.6"], "x"),
+    (["--family", "ghz4", "--theta", "0.6", "--epsilon", "0.5"], "xy"),
+    (["--family", "liqiu_w", "--n", "3"], "q"),
+])
+def test_protocol_unknown_controller_outcome_is_domain_error(capsys, family_args, outcome):
+    code, out, err = run_cli(capsys, "protocol", "cdc", *family_args, "--outcome", outcome)
+    assert code == 3
+    assert out == ""
+    assert "unknown controller outcome" in err

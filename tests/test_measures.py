@@ -1,4 +1,9 @@
 """Entanglement/mixedness/distance measure tests with independent oracles."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -308,3 +313,17 @@ def test_negativity_never_exceeds_concurrence_random():
         neg = measures.negativity(rho)
         con = measures.concurrence(rho)
         assert -1e-10 <= neg <= con + 1e-9 <= 1.0 + 1e-9
+
+
+def test_scipy_is_imported_only_by_the_fef_refinement():
+    src = str(pathlib.Path(measures.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, entkit.cli; from entkit import measures, statezoo\n"
+            "rho = statezoo.werner(0.8)\n"
+            "print('scipy' in sys.modules)\n"
+            "measures.singlet_fraction(rho, restarts=0); print('scipy' in sys.modules)\n"
+            "measures.singlet_fraction(rho, restarts=1); print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.split() == ["False", "False", "True"]

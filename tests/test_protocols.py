@@ -398,3 +398,75 @@ def test_monte_carlo_cdc_deterministic_and_consistent():
 def test_monte_carlo_secret_share():
     out = protocols.monte_carlo_secret_share(np.sqrt(2 / 3), 5000, seed=3)
     assert out["empirical_success"] == pytest.approx(4.0 / 9.0, abs=0.03)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_monte_carlo_needs_at_least_one_sample(n_samples):
+    with pytest.raises(DomainError, match="sample count"):
+        protocols.monte_carlo_cdc("ghz", 0.6, n_samples, seed=1)
+    with pytest.raises(DomainError, match="sample count"):
+        protocols.monte_carlo_secret_share(np.sqrt(2 / 3), n_samples, seed=1)
+
+
+def test_monte_carlo_cdc_propagates_domain_errors():
+    with pytest.raises(DomainError, match="admissible domain"):
+        protocols.monte_carlo_cdc("w3", 1.0, 100, seed=1)
+
+
+def test_monte_carlo_cdc_zero_probability_outcome_is_a_zero_weight_leaf():
+    # at theta = 0, epsilon = pi/2 the outcomes '++' and '--' never happen
+    out = protocols.monte_carlo_cdc("ghz4", 0.0, 1000, seed=5, epsilon=np.pi / 2)
+    assert {leaf.split("/")[0] for leaf in out["counts"]} == {"+-", "-+"}
+    assert sum(out["counts"].values()) == 1000
+
+
+# (family, theta, keyword arguments, Born average, published closed form)
+MC_REGRESSION = [
+    ("ghz4", 0.6, {"epsilon": 0.5}, 0.5698, 0.1466),
+    ("qutrit_ghz", 0.9, {}, 0.5152, 0.7728),
+    ("liqiu_w", None, {"n": 3}, 0.25, 0.5),
+]
+
+
+@pytest.mark.parametrize("family,theta,kwargs,born,published", MC_REGRESSION,
+                         ids=[r[0] for r in MC_REGRESSION])
+def test_monte_carlo_cdc_exact_is_born_average_not_published(family, theta, kwargs, born,
+                                                            published):
+    out = protocols.monte_carlo_cdc(family, theta, 100, seed=1, **kwargs)
+    assert out["exact_success"] == pytest.approx(born, abs=5e-5)
+    assert out["published_success"] == pytest.approx(published, abs=5e-5)
+
+
+# the protocol-mc benchmark's parameters for all eight families, every controller outcome
+PAIRS = ("++", "+-", "-+", "--")
+MC_FAMILIES = [
+    ("ghz", 0.6, {}, "+-"), ("ghz_class", 0.6, {"class_index": 1}, "+-"),
+    ("pati", None, {"l": 0.5}, "+-"), ("ghz4", 0.6, {"epsilon": 0.5}, PAIRS),
+    ("w3", 0.6, {}, "+-"), ("w4", 1.0, {"epsilon": 1.0}, PAIRS), ("liqiu_w", None, {"n": 3}, "+-"),
+    ("qutrit_ghz", 0.9, {}, ("up", "side", "down")),
+]
+
+
+@pytest.mark.parametrize("family,theta,kwargs,outcomes", MC_FAMILIES,
+                         ids=[r[0] for r in MC_FAMILIES])
+def test_monte_carlo_cdc_samples_the_born_weights(family, theta, kwargs, outcomes):
+    born = sum(r.branch_probability * r.success_probability
+               for r in (protocols.cdc_run(family, theta=theta, controller_outcome=o, **kwargs)
+                         for o in outcomes))
+    n = 20_000
+    out = protocols.monte_carlo_cdc(family, theta, n, seed=2024, **kwargs)
+    sigma = np.sqrt(born * (1.0 - born) / n)
+    assert abs(out["empirical_success"] - born) <= 5.0 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("c2", [2 / 3, 1 / 2, 0.9, 0.34])
+def test_monte_carlo_secret_share_samples_the_protocol_tree(c2):
+    c = np.sqrt(c2)
+    out = protocols.monte_carlo_secret_share(c, 4000, seed=7)
+    q = 4.0 * c2 * (1.0 - c2) / 2.0
+    assert out["exact_success"] == pytest.approx(q, abs=1e-12)
+    assert "published" in out["discrimination"]
+    assert sum(out["counts"].values()) == 4000
+    assert not any(leaf.endswith("conclusive_wrong") for leaf in out["counts"])
+    # both of Charlie's bits and both of Alice's outcomes are drawn
+    assert {leaf.rsplit("/", 1)[0] for leaf in out["counts"]} == {"0/+", "0/-", "1/+", "1/-"}
