@@ -32,17 +32,18 @@ def _require_two_qubits(rho: DensityMatrix, what: str):
         raise DomainError(f"{what} requires a 2x2-qubit state, got dims {rho.dims}")
 
 
+# _PAULI_PAIRS[n, m] = sigma_n x sigma_m, Pauli order (x, y, z)
+_PAULI_PAIRS = np.array([[tensor(sn, sm) for sm in PAULIS] for sn in PAULIS])
+
+
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 real matrix t_nm = Tr(rho sigma_n x sigma_m), Pauli order (x, y, z)."""
     _require_two_qubits(rho, "correlation matrix")
-    t = np.empty((3, 3))
-    for i, sn in enumerate(PAULIS):
-        for j, sm in enumerate(PAULIS):
-            val = np.trace(rho.matrix @ tensor(sn, sm))
-            if abs(val.imag) > 1e-12:
-                raise DomainError(f"correlation entry has imaginary residue {val.imag:.3e}")
-            t[i, j] = val.real
-    return t
+    t = np.einsum("ij,nmji->nm", rho.matrix, _PAULI_PAIRS)
+    residue = np.max(np.abs(t.imag))
+    if residue > 1e-12:
+        raise DomainError(f"correlation entry has imaginary residue {residue:.3e}")
+    return t.real
 
 
 def tt_eigenvalues(rho: DensityMatrix) -> np.ndarray:

@@ -21,7 +21,6 @@ from .qcore import (
     DensityMatrix,
     DomainError,
     PureState,
-    ket,
     partial_trace,
     pure,
     tensor,
@@ -70,17 +69,13 @@ def uqcm_params(n: int, d: float | None = None) -> CloningParams:
 def cloning_isometry(params: CloningParams) -> np.ndarray:
     """(n^3 x n) isometry from the input system to (clone a, clone b, machine)."""
     n = params.n
-    v = np.zeros((n ** 3, n), dtype=complex)
-    for i in range(n):
-        col = params.c * tensor(ket(i, n), ket(i, n), ket(i, n))
-        for j in range(n):
-            if j == i:
-                continue
-            col = col + params.d * tensor(
-                tensor(ket(i, n), ket(j, n)) + tensor(ket(j, n), ket(i, n)),
-                ket(j, n))
-        v[:, i] = col
-    return v
+    # v[a, b, machine, input]: c |iii> + d sum_{j != i} (|ij> + |ji>)|j>
+    v = np.zeros((n, n, n, n), dtype=complex)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    v[i, j, j, i] = v[j, i, j, i] = params.d
+    k = np.arange(n)
+    v[k, k, k, k] = params.c
+    return v.reshape(n ** 3, n)
 
 
 def clone_pure(psi: PureState, params: CloningParams) -> tuple:

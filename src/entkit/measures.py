@@ -11,6 +11,7 @@ from .qcore import (
     hermitian_eigen,
     partial_trace,
     partial_transpose,
+    psd_spectrum,
     psd_sqrt,
     pure,
     tensor,
@@ -43,8 +44,10 @@ def concurrence(rho: DensityMatrix) -> float:
     l_i are the eigenvalues of rho (sy x sy) rho* (sy x sy), in decreasing order.
 
     The sqrt(l_i) are computed directly as the singular values of
-    sqrt(rho) sqrt(rho~); diagonalising the non-hermitian product itself (or
-    taking square roots of its near-zero eigenvalues) loses ~1e-8 of accuracy.
+    sqrt(rho) sqrt(rho~), so no square root of eigenvalue noise is taken:
+    psd_sqrt zeroes every eigenvalue that psd_spectrum ranks as zero, where a
+    clip at 0 would turn noise of ~1e-17 on a rank-deficient rho (MJWK for
+    C >= 2/3, pure states) into square roots of ~3e-9.
     """
     _require_two_qubits(rho, "concurrence")
     yy = tensor(Y, Y)
@@ -108,20 +111,19 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 
 def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) -> float:
     """von Neumann entropy -sum l_i log_base l_i, or the purity-based linear
-    entropy n/(n-1) (1 - Tr rho^2)."""
+    entropy n/(n-1) (1 - Tr rho^2); exactly 0.0 for a state of rank 1."""
     if base <= 1.0:
         raise DomainError(f"entropy base must be > 1, got {base}")
+    if kind not in ("von_neumann", "linear"):
+        raise DomainError(f"unknown entropy kind {kind!r}")
+    evals = psd_spectrum(np.linalg.eigvalsh(rho.matrix))
+    evals = evals[evals > 0.0]
+    if evals.size == 1:
+        return 0.0
     if kind == "von_neumann":
-        evals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
-        evals = evals[evals > 1e-15]
-        # + 0.0 turns the -0.0 of a pure state into 0.0
-        return float(-np.sum(evals * np.log(evals)) / np.log(base)) + 0.0
-    if kind == "linear":
-        n = rho.dim
-        s_l = float(n / (n - 1.0) * (1.0 - rho.purity()))
-        # a pure state's purity rounds to either side of 1
-        return 0.0 if abs(s_l) <= 1e-12 else s_l
-    raise DomainError(f"unknown entropy kind {kind!r}")
+        return float(-np.sum(evals * np.log(evals)) / np.log(base))
+    n = rho.dim
+    return float(n / (n - 1.0) * (1.0 - rho.purity()))
 
 
 def entropy_of_entanglement(psi) -> float:
@@ -245,7 +247,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DomainError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
     root = psd_sqrt(rho.matrix)
     inner = root @ sigma.matrix @ root
-    evals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
+    evals = psd_spectrum(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
     return float(min(np.sum(np.sqrt(evals)), 1.0))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 TOL_NORM = 1e-10   # state normalisation / unit trace
 TOL_HERM = 1e-10   # hermiticity
 TOL_PSD = 1e-9     # how negative an "eigenvalue >= 0" may be
+TOL_RANK = 1e-13   # a PSD eigenvalue <= TOL_RANK * the largest one is zero
 TOL_RECON = 1e-9   # decomposition round trips
 
 
@@ -102,9 +103,7 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TOL_NORM:
             raise DomainError(f"density matrix trace {tr} != 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -TOL_PSD:
-            raise DomainError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        psd_spectrum(np.linalg.eigvalsh(m))
 
     @property
     def dim(self) -> int:
@@ -192,23 +191,29 @@ def hermitian_eigen(m) -> tuple:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    for k in range(evecs.shape[1]):
-        col = evecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            evecs[:, k] = col / phase
-    return evals, evecs
+    # a unit column always has a component above 1e-12
+    pivot = evecs[np.argmax(np.abs(evecs) > 1e-12, axis=0), np.arange(evecs.shape[1])]
+    return evals, evecs / (pivot / np.abs(pivot))
+
+
+def psd_spectrum(evals) -> np.ndarray:
+    """Eigenvalues of a positive-semidefinite operator with its rank decided.
+
+    Takes eigenvalues already computed by the caller's own routine and keeps
+    their order.  Raises DomainError below -TOL_PSD; every value at or below
+    TOL_RANK times the largest becomes exactly 0.0.  This is the package's one
+    definition of which PSD eigenvalues are zero.
+    """
+    evals = np.asarray(evals, dtype=float)
+    if evals.min() < -TOL_PSD:
+        raise DomainError(f"operator is not PSD (eigenvalue {evals.min():.3e})")
+    return np.where(evals <= TOL_RANK * evals.max(), 0.0, evals)
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite matrix."""
-    m = _as_complex(m)
     evals, evecs = hermitian_eigen(m)
-    if evals.min() < -TOL_PSD:
-        raise DomainError(f"matrix is not PSD (eigenvalue {evals.min():.3e})")
-    root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    return root
+    return (evecs * np.sqrt(psd_spectrum(evals))) @ evecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -251,13 +256,9 @@ def purify(rho: DensityMatrix) -> PureState:
     single subsystem of the full system dimension.
     """
     evals, evecs = hermitian_eigen(rho.matrix)
-    evals = np.clip(evals, 0.0, None)
-    d = rho.dim
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec += np.sqrt(evals[i]) * np.kron(evecs[:, i], ket(i, d))
-    vec /= np.linalg.norm(vec)
-    return PureState(rho.dims + (d,), vec)
+    # component (a, i) is sqrt(l_i) <a|e_i>
+    vec = (evecs * np.sqrt(psd_spectrum(evals))).reshape(-1)
+    return PureState(rho.dims + (rho.dim,), vec / np.linalg.norm(vec))
 
 
 # ---------------------------------------------------------------------------

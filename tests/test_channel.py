@@ -177,12 +177,19 @@ def test_chsh_supremum_cirelson_random():
 # family analyzers and their closed forms
 # ---------------------------------------------------------------------------
 
+# the last five grids cover each family's whole domain; MJWK for C >= 2/3
+# and werner at F = 1 are rank deficient there
 @pytest.mark.parametrize("family,grid,fixed", [
     ("werner", np.linspace(0.3, 1.0, 15), {}),
     ("mjwk", np.linspace(0.0, 1.0, 15), {}),
     ("nmems", np.linspace(0.0, 1.0, 15), {}),
     ("werner_derivative", np.linspace(0.5, 0.95, 10), {"F": 0.85}),
     ("wei", np.linspace(0.1, 0.6, 8), {"a": 0.2, "b": 0.2}),
+    ("werner", np.linspace(0.25, 1.0, 402)[1:], {}),
+    ("mjwk", np.linspace(0.0, 1.0, 401), {}),
+    ("nmems", np.linspace(0.0, 1.0, 401), {}),
+    ("wei", np.linspace(0.0, 0.9, 401), {"a": 0.05, "b": 0.05}),
+    ("werner_derivative", np.linspace(0.5, 1.0, 401), {"F": 0.8}),
 ])
 def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
     for value, report, forms in channel.analyze_family(family, grid, **fixed):
@@ -192,7 +199,7 @@ def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
             got = getattr(report, key, None)
             if got is None:
                 continue
-            assert got == pytest.approx(expected, abs=1e-9), (family, value, key)
+            assert got == pytest.approx(expected, abs=1e-12), (family, value, key)
 
 
 def test_wei_sweep_reaches_the_closed_end_of_its_domain():

@@ -80,9 +80,10 @@ def test_measure_entropy_of_entanglement_on_mixed_is_domain_error(capsys):
     assert code == 3
 
 
-def test_measure_entropy_of_pure_state_prints_plain_zero(capsys):
-    code, out, _ = run_cli(capsys, "measure", "--state", "liqiu_w:n=2",
-                           "--kind", "entropy_vn")
+@pytest.mark.parametrize("spec", ["liqiu_w:n=2", "bell:1", "ghz3", "w3_prototype", "gme:n=3",
+                                  "pati:l=0.5", "qutrit_ghz3"])
+def test_measure_entropy_of_pure_state_prints_plain_zero(capsys, spec):
+    code, out, _ = run_cli(capsys, "measure", "--state", spec, "--kind", "entropy_vn")
     assert code == 0
     assert out == "0\n"
 

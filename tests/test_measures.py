@@ -6,11 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
 from entkit.qcore import DomainError, Y, density, partial_transpose, pure, tensor
-from util import fef_closed_form, random_density
+from util import fef_closed_form, random_density, random_pure
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
 
@@ -327,3 +329,66 @@ def test_scipy_is_imported_only_by_the_fef_refinement():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.split() == ["False", "False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# invariants, one property test each
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=4))
+def test_measures_are_invariant_under_local_unitaries(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, (2, 2), rank=rank)
+    u = tensor(_random_unitary(rng, 2), _random_unitary(rng, 2))
+    rotated = density((2, 2), u @ rho.matrix @ u.conj().T)
+    for measure in (measures.concurrence, measures.negativity,
+                    lambda r: measures.entropy(r, "von_neumann"),
+                    lambda r: measures.entropy(r, "linear")):
+        assert measure(rotated) == pytest.approx(measure(rho), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_linear_entropy_lies_in_the_unit_interval(seed, dims):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, int(np.prod(dims)) + 1))
+    assert 0.0 <= measures.entropy(random_density(rng, dims, rank=rank), "linear") <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from([(2, 2), (3, 3)]))
+def test_entropies_of_pure_states_are_exactly_zero(seed, dims):
+    rho = random_pure(np.random.default_rng(seed), dims).density()
+    assert measures.entropy(rho, "von_neumann") == 0.0
+    assert measures.entropy(rho, "linear") == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_concurrence_equals_the_x_form_closed_form(seed):
+    rng = np.random.default_rng(seed)
+    a, b, d, e = rng.dirichlet(np.ones(4))
+    c = np.sqrt(b * d) * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    closed = measures.concurrence_x_form(a, b, c, d, e)
+    assert measures.concurrence(measures.x_form_matrix(a, b, c, d, e)) == pytest.approx(
+        closed, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_eof_is_monotone_in_the_concurrence(seed):
+    rng = np.random.default_rng(seed)
+    states = [random_pure(rng, (2, 2)).density()] + [
+        random_density(rng, (2, 2), rank=r) for r in (2, 2, 3)]
+    pairs = sorted((measures.concurrence(r), measures.entanglement_of_formation(r))
+                   for r in states)
+    assert all(e1 <= e2 for (_, e1), (_, e2) in zip(pairs, pairs[1:]))

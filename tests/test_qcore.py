@@ -20,6 +20,7 @@ from entkit.qcore import (
     ket,
     partial_trace,
     partial_transpose,
+    psd_spectrum,
     psd_sqrt,
     pure,
     purify,
@@ -182,6 +183,14 @@ def test_psd_sqrt_basic_cases():
     assert_allclose(psd_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-12)
     proj = statezoo.bell(3).density().matrix
     assert_allclose(psd_sqrt(proj), proj, atol=1e-10)
+
+
+def test_psd_spectrum_zeroes_only_up_to_the_rank_tolerance():
+    # TOL_RANK * max = 5e-14 here; order is kept
+    evals = np.array([0.5, -1e-17, 2e-14, 0.5 - 2e-14, 1e-12])
+    assert np.array_equal(psd_spectrum(evals), [0.5, 0.0, 0.0, 0.5 - 2e-14, 1e-12])
+    with pytest.raises(DomainError):
+        psd_spectrum(np.array([1.0, -2e-9]))
 
 
 def test_psd_sqrt_squares_back(rng=np.random.default_rng(4)):
