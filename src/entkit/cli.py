@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--kind", required=True, choices=tuple(MEASURES))
     m.add_argument("--base", type=float, default=2.0, help="entropy base (default 2)")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--restarts", type=int, default=32,
-                   help="local-unitary ascent restarts for singlet_fraction")
+    m.add_argument("--restarts", type=int, default=32, help="local-unitary ascent restarts "
+                   "for singlet_fraction (0: Bell-basis enumeration only)")
     m.set_defaults(func=cmd_measure)
 
     f = sub.add_parser("figure", help="write one figure's data as CSV/JSON")

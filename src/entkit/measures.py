@@ -202,13 +202,16 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     gradient-free ascent over local unitaries U_A x U_B (Nelder-Mead,
     multi-start, deterministic for a given seed).  The returned value is the
     best overlap found and is always a valid lower bound on the true maximum.
+    restarts=0 returns the enumeration alone.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
+    if restarts < 0:
+        raise DomainError(f"restarts must be >= 0, got {restarts}")
     n = rho.dims[0]
     bases = maximally_entangled_bases(n)
     best = max(float(np.real(v.conj() @ rho.matrix @ v)) for v in bases)
-    if restarts <= 0:
+    if restarts == 0:
         return best
 
     # scipy (about 50 MB and 0.4 s to import) is loaded only by the refinement

@@ -36,6 +36,7 @@ from .qcore import (
     Z,
     ket,
     partial_trace,
+    psd_spectrum,
     pure,
     tensor,
 )
@@ -211,17 +212,11 @@ def _collective_branches(shared: np.ndarray, d: int, unitary: np.ndarray) -> dic
     return {x: w for x, w in branches.items() if np.linalg.norm(w) > 1e-12}
 
 
-def _pure_concurrence(vec: np.ndarray) -> float:
-    """Concurrence 2|ad - bc| of a (normalised) two-qubit pure state."""
-    a, b, c, d = vec
-    return float(2.0 * abs(a * d - b * c))
-
-
 def _schmidt_concurrence(vec: np.ndarray, d: int) -> float:
-    """Generalised pure-state concurrence sqrt(2 (1 - Tr rho_A^2))."""
-    m = vec.reshape(d, d)
-    rho_a = m @ m.conj().T
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.trace(rho_a @ rho_a).real))))
+    """Generalised pure-state concurrence 2 sqrt(sum_{i<j} p_i p_j) over the
+    Schmidt weights p ranked by psd_spectrum, so exactly 0.0 at Schmidt rank 1."""
+    p = psd_spectrum(np.linalg.svd(vec.reshape(d, d), compute_uv=False) ** 2)
+    return float(2.0 * np.sqrt(p[1:] @ np.cumsum(p[:-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def schmidt_decompose(psi: PureState) -> SchmidtDecomposition:
     da, db = psi.dims
     amp = psi.vector.reshape(da, db)
     u, s, vh = np.linalg.svd(amp)
-    rank = int(np.sum(s > 1e-12))
+    rank = int(np.count_nonzero(psd_spectrum(s**2)))
     dec = SchmidtDecomposition(s, u, vh.T, rank)
     err = np.linalg.norm(psi.vector - dec.reconstruct())
     if err > TOL_RECON:

@@ -161,7 +161,7 @@ def test_criterion_4_nonopt_fef_upper_branch():
         joint = cloning.qutrit_cloned_pair(d).joint
         f = measures.singlet_fraction(joint, restarts=0)
         assert abs(f - 4 * d * d / 3) <= 1e-10, d
-    check("4g non-optimal singlet fraction = 4 d^2/3 for d >= 1/sqrt(8)", True)
+    check("4g non-optimal Bell-basis enumeration = 4 d^2/3 for d >= 1/sqrt(8)", True)
 
 
 # ---------------------------------------------------------------------------

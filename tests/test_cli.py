@@ -74,6 +74,13 @@ def test_measure_matrix_file(tmp_path, capsys):
     assert float(out) == pytest.approx(0.6, abs=1e-10)
 
 
+def test_measure_negative_restarts_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "measure", "--state", "mjwk:C=0.5",
+                             "--kind", "singlet_fraction", "--restarts", "-3")
+    assert code == 3 and out == ""
+    assert "restarts" in err
+
+
 def test_measure_entropy_of_entanglement_on_mixed_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "measure", "--state", "werner:F=0.8",
                            "--kind", "entropy_of_entanglement")

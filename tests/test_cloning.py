@@ -239,7 +239,7 @@ def test_distilled_optimal_chain_frozen_values():
         FIXTURE["advantage_distilled_optimal"], abs=1e-12)
 
 
-def test_distillation_never_hurts_the_worked_cases():
+def test_distillation_never_lowers_the_bell_basis_enumeration_on_the_worked_cases():
     for d in (D_OPT, 0.45, 0.5):
         joint = cloning.qutrit_cloned_pair(d).joint
         dist = cloning.distill(joint, cloning.distillation_filter(joint))

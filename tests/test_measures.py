@@ -241,6 +241,11 @@ def test_singlet_fraction_requires_square_bipartite():
         measures.singlet_fraction(random_density(np.random.default_rng(0), (2, 3)))
 
 
+def test_singlet_fraction_negative_restarts_is_domain_error():
+    with pytest.raises(DomainError, match="restarts"):
+        measures.singlet_fraction(statezoo.werner(0.8), restarts=-3)
+
+
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------

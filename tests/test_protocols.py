@@ -111,13 +111,13 @@ def test_ghz_bits_closed_form():
 def test_ghz_both_outcomes_extract_bell_states():
     for outcome in ("+", "-"):
         r = protocols.cdc_run("ghz", theta=0.4, controller_outcome=outcome)
-        assert protocols._pure_concurrence(r.shared_state.vector) == pytest.approx(
+        assert protocols._schmidt_concurrence(r.shared_state.vector, 2) == pytest.approx(
             1.0, abs=1e-10)
 
 
 def test_ghz_failure_branch_is_product():
     r = protocols.cdc_run("ghz", theta=0.4, aux_outcome=1)
-    assert protocols._pure_concurrence(r.shared_state.vector) <= 1e-12
+    assert protocols._schmidt_concurrence(r.shared_state.vector, 2) <= 1e-12
 
 
 @pytest.mark.parametrize("idx", range(1, 8))
@@ -130,7 +130,7 @@ def test_ghz_class_bits_reproduce_both_curves(idx):
         expected = 1 + 2 * np.sin(theta) ** 2 if sin_family else \
             1 + 2 * np.cos(theta) ** 2
         assert r.bits_transmitted_avg == pytest.approx(expected, abs=1e-12)
-        assert protocols._pure_concurrence(r.shared_state.vector) == pytest.approx(
+        assert protocols._schmidt_concurrence(r.shared_state.vector, 2) == pytest.approx(
             1.0, abs=1e-10)
 
 
@@ -173,7 +173,7 @@ def test_ghz4_run_and_convention():
             raw[0] = raw[3] = np.sin(theta) * np.sin(eps)
             assert 2 * abs(raw[0] * raw[3]) == pytest.approx(
                 r.shared_concurrence, abs=1e-12)
-            assert protocols._pure_concurrence(r.shared_state.vector) == pytest.approx(
+            assert protocols._schmidt_concurrence(r.shared_state.vector, 2) == pytest.approx(
                 1.0, abs=1e-10)
 
 
@@ -275,6 +275,15 @@ def test_qutrit_side_outcome_is_separable_one_bit():
 def test_qutrit_failure_branch_unentangled():
     r = protocols.qutrit_cdc_run(np.pi / 3, "up", 2)
     assert protocols._schmidt_concurrence(r.shared_state.vector, 3) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_schmidt_concurrence_of_random_product_states_is_exactly_zero(d):
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+        vec = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        assert protocols._schmidt_concurrence(vec, d) == 0.0
 
 
 def test_qutrit_success_probability_curve():

@@ -212,6 +212,9 @@ def test_schmidt_product_state():
     dec = schmidt_decompose(pure((2, 2), basis_ket((0, 0), (2, 2))))
     assert dec.rank == 1
     assert_allclose(dec.coefficients[0], 1.0)
+    # Schmidt weight 1e-20 is zero under psd_spectrum, as the marginal entropy has it
+    near = pure((2, 2), np.array([np.sqrt(1.0 - 1e-20), 0.0, 0.0, 1e-10]))
+    assert schmidt_decompose(near).rank == 1
 
 
 def test_schmidt_bell_state():
