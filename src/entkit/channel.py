@@ -86,7 +86,7 @@ def optimal_fidelity(rho: DensityMatrix, n: int | None = None, seed: int = 0,
 # explicit teleportation through a channel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeleportOutcome:
     """Result of one Bell-measurement branch of the standard protocol."""
 
@@ -173,7 +173,7 @@ def chsh_supremum(rho: DensityMatrix) -> float:
 # bundled analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelReport:
     """One-shot summary of a two-qubit channel."""
 

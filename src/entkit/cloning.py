@@ -27,7 +27,7 @@ from .qcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloningParams:
     """Machine amplitudes (c, d) and the scaling factor s = c^2 + (n-2) d^2."""
 
@@ -88,11 +88,10 @@ def clone_pure(psi: PureState, params: CloningParams) -> tuple:
     if psi.dims != (params.n,):
         raise DomainError(f"state dims {psi.dims} do not match machine dimension {params.n}")
     full = pure((params.n,) * 3, cloning_isometry(params) @ psi.vector)
-    marginal = partial_trace(full.density(), keep=(0,))
-    return full, marginal
+    return full, partial_trace(full, keep=(0,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClonePairOutput:
     """Joint state of the two clones after the machine is traced out."""
 
@@ -106,9 +105,8 @@ def qutrit_cloned_pair(d: float) -> ClonePairOutput:
     if not 0.0 < d <= 0.5:
         raise DomainError(f"machine parameter d must lie in (0, 1/2], got {d}")
     params = uqcm_params(3, d)
-    psi = pure((3,), np.ones(3) / np.sqrt(3.0))
-    full, _ = clone_pure(psi, params)
-    joint = partial_trace(full.density(), keep=(0, 1))
+    full = pure((3,) * 3, cloning_isometry(params) @ (np.ones(3) / np.sqrt(3.0)))
+    joint = partial_trace(full, keep=(0, 1))
     return ClonePairOutput(joint, params, params.is_optimal)
 
 
@@ -151,7 +149,13 @@ def nonopt_filter_r(d: float) -> float:
 # reduction criterion and distillation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Reduction eigenvalues (or eigenspace weights) this close are equal.  The
+# clone pairs tie between sides A and B, and for d below about 0.4363 each
+# side's minimum is degenerate; rounding must not pick the distilled state.
+REDUCTION_TIE = 1e-12
+
+
+@dataclass(frozen=True, slots=True)
 class ReductionResult:
     """Outcome of the reduction-criterion check rho_A x I - rho >= 0 (and mirrored)."""
 
@@ -169,28 +173,49 @@ def reduction_check(rho: DensityMatrix, tol: float = 1e-10) -> ReductionResult:
     rho_b = partial_trace(rho, keep=(1,)).matrix
     ops = {"A": tensor(rho_a, np.eye(n)) - rho.matrix,
            "B": tensor(np.eye(n), rho_b) - rho.matrix}
-    best = None
-    for side, op in ops.items():
-        evals, evecs = np.linalg.eigh(op)
-        if best is None or evals[0] < best[1]:
-            best = (side, float(evals[0]), evecs[:, 0])
-    side, eigenvalue, eigenvector = best
+    lowest = {side: _lowest_eigenpair(op) for side, op in ops.items()}
+    # a tie goes to side A, the side the paper filters
+    side = "B" if lowest["B"][0] < lowest["A"][0] - REDUCTION_TIE else "A"
+    eigenvalue, eigenvector = lowest[side]
     return ReductionResult(eigenvalue < -tol, side, eigenvalue, eigenvector)
 
 
-@dataclass(frozen=True)
+def _lowest_eigenpair(op: np.ndarray) -> tuple:
+    """Lowest eigenvalue of a hermitian operator and one eigenvector that owns
+    its data: eigh's own vector if the eigenvalue is simple; if degenerate, the
+    projection onto the eigenspace of the first basis ket projected longest,
+    so the vector does not depend on how eigh picks a basis of the eigenspace."""
+    evals, evecs = np.linalg.eigh(op)
+    span = evecs[:, evals <= evals[0] + REDUCTION_TIE]
+    if span.shape[1] == 1:
+        return float(evals[0]), evecs[:, 0].copy()
+    weights = np.sum(np.abs(span) ** 2, axis=1)
+    k = int(np.argmax(weights >= weights.max() - REDUCTION_TIE))
+    v = span @ span[k].conj()
+    return float(evals[0]), v / np.linalg.norm(v)
+
+
+@dataclass(frozen=True, slots=True)
 class FilterMatrix:
-    """Local filter A with A_ij = sqrt(n) a_ij built from an eigenvector sum a_ij |i>|j>."""
+    """Local filter M applied to one side of the state: on side A as
+    (M^dag x I) rho (M x I), on side B as (I x M^dag) rho (I x M)."""
 
     matrix: np.ndarray
+    side: str = "A"
+
+    def __post_init__(self):
+        if self.side not in ("A", "B"):
+            raise DomainError(f"filter side must be 'A' or 'B', got {self.side!r}")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
 
-def filter_from_eigenvector(v, n: int) -> FilterMatrix:
-    """Filter from an n^2-component eigenvector, phase-fixed and unit-normalised."""
+def filter_from_eigenvector(v, n: int, side: str = "A") -> FilterMatrix:
+    """Filter from an n^2-component eigenvector sum a_ij |i>|j>, phase-fixed and
+    unit-normalised: M = sqrt(n) a on side A, M = sqrt(n) a^T on side B, so
+    that the eigenvector is (M x I) or (I x M) applied to sum_k |kk>."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n * n:
         raise DomainError(f"eigenvector length {v.size} does not match n^2 = {n * n}")
@@ -199,27 +224,35 @@ def filter_from_eigenvector(v, n: int) -> FilterMatrix:
         raise DomainError("cannot build a filter from a zero vector")
     v = v / (v[nz[0]] / abs(v[nz[0]]))
     v = v / np.linalg.norm(v)
-    return FilterMatrix(np.sqrt(n) * v.reshape(n, n))
+    a = np.sqrt(n) * v.reshape(n, n)
+    return FilterMatrix(a if side == "A" else a.T, side)
 
 
 def distillation_filter(rho: DensityMatrix, tol: float = 1e-10) -> FilterMatrix:
-    """Filter built from the most negative reduction-criterion eigenvector."""
+    """Filter built from the most negative reduction-criterion eigenvector, on
+    the side whose reduction operator carries it."""
     result = reduction_check(rho, tol=tol)
     if not result.violated:
         raise DomainError("state satisfies the reduction criterion; nothing to distill")
-    return filter_from_eigenvector(result.eigenvector, rho.dims[0])
+    return filter_from_eigenvector(result.eigenvector, rho.dims[0], result.side)
 
 
 def distill(rho: DensityMatrix, filt: FilterMatrix) -> DensityMatrix:
-    """Apply the local filter: (A^dag x I) rho (A x I) / Tr(rho A A^dag x I)."""
-    if len(rho.dims) != 2 or rho.dims[0] != filt.n:
+    """Apply the local filter on its side, e.g. on A:
+    (M^dag x I) rho (M x I) / Tr(rho (M M^dag x I))."""
+    on_a = filt.side == "A"
+    if len(rho.dims) != 2 or rho.dims[0 if on_a else 1] != filt.n:
         raise DomainError(f"filter size {filt.n} does not match state dims {rho.dims}")
+    eye = np.eye(rho.dims[1 if on_a else 0])
+
+    def local(m):
+        return tensor(m, eye) if on_a else tensor(eye, m)
+
     a = filt.matrix
-    eye = np.eye(rho.dims[1])
-    denom = float(np.trace(rho.matrix @ tensor(a @ a.conj().T, eye)).real)
+    denom = float(np.trace(rho.matrix @ local(a @ a.conj().T)).real)
     if denom <= 1e-12:
         raise DomainError("filter annihilates state")
-    num = tensor(a.conj().T, eye) @ rho.matrix @ tensor(a, eye)
+    num = local(a.conj().T) @ rho.matrix @ local(a)
     return DensityMatrix(rho.dims, num / denom)
 
 
@@ -312,11 +345,9 @@ def clone_bipartite(lambda1: float, params: CloningParams, sign: float = 1.0) ->
     # full[(1,3,x1),(2,4,x2)] = sum_ij amp_ij V[, i] V[, j]
     full = np.einsum("ai,bj,ij->ab", iso, iso, amp).reshape((n,) * 6)
     # reorder (1, 3, x1, 2, 4, x2) -> (1, 2, 3, 4, x1, x2)
-    full = full.transpose(0, 3, 1, 4, 2, 5).reshape(-1)
-    state = DensityMatrix((n,) * 6, np.outer(full, full.conj()))
-    clones = partial_trace(state, keep=(0, 1, 2, 3))
-    local = partial_trace(clones, keep=(0, 2))
-    nonlocal_ = partial_trace(clones, keep=(0, 3))
+    state = PureState((n,) * 6, full.transpose(0, 3, 1, 4, 2, 5))
+    local = partial_trace(state, keep=(0, 2))
+    nonlocal_ = partial_trace(state, keep=(0, 3))
     return local, nonlocal_, pqrs(params)
 
 

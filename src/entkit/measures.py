@@ -1,6 +1,8 @@
 """Entanglement, mixedness and distance measures for small bipartite systems."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qcore import (
@@ -116,8 +118,7 @@ def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) ->
         raise DomainError(f"entropy base must be > 1, got {base}")
     if kind not in ("von_neumann", "linear"):
         raise DomainError(f"unknown entropy kind {kind!r}")
-    evals = psd_spectrum(np.linalg.eigvalsh(rho.matrix))
-    evals = evals[evals > 0.0]
+    evals = rho.spectrum[rho.spectrum > 0.0]
     if evals.size == 1:
         return 0.0
     if kind == "von_neumann":
@@ -135,9 +136,8 @@ def entropy_of_entanglement(psi) -> float:
         psi = pure(psi.dims, evecs[:, 0])
     if len(psi.dims) != 2:
         raise DomainError(f"need a bipartite pure state, got dims {psi.dims}")
-    rho = psi.density()
-    s_left = entropy(partial_trace(rho, keep=(0,)), "von_neumann", 2.0)
-    s_right = entropy(partial_trace(rho, keep=(1,)), "von_neumann", 2.0)
+    s_left = entropy(partial_trace(psi, keep=(0,)), "von_neumann", 2.0)
+    s_right = entropy(partial_trace(psi, keep=(1,)), "von_neumann", 2.0)
     if abs(s_left - s_right) > 1e-10:
         raise DomainError(f"marginal entropies disagree: {s_left} vs {s_right}")
     return float(s_left)
@@ -147,8 +147,10 @@ def entropy_of_entanglement(psi) -> float:
 # singlet fraction (fully entangled fraction)
 # ---------------------------------------------------------------------------
 
-def maximally_entangled_bases(n: int) -> list:
-    """Reference maximally entangled vectors the optimizer starts from.
+@functools.lru_cache(maxsize=None)
+def maximally_entangled_bases(n: int) -> tuple:
+    """Reference maximally entangled vectors the optimizer starts from, built
+    once per n and returned as read-only arrays.
 
     n = 2: the four Bell states.  n >= 3: the generalised Bell family
     |phi_{x,y}> = sum_j xi^{jy} |j, j+x> / sqrt(n) with xi = exp(2 pi i / n).
@@ -156,16 +158,17 @@ def maximally_entangled_bases(n: int) -> list:
     if n == 2:
         from .statezoo import bell  # local import to avoid a cycle
 
-        return [bell(k).vector for k in (1, 2, 3, 4)]
-    xi = np.exp(2j * np.pi / n)
-    out = []
-    for x in range(n):
-        for y in range(n):
-            v = np.zeros(n * n, dtype=complex)
-            for j in range(n):
-                v[j * n + (j + x) % n] = xi ** (j * y)
-            out.append(v / np.sqrt(n))
-    return out
+        out = np.array([bell(k).vector for k in (1, 2, 3, 4)])
+    else:
+        xi = np.exp(2j * np.pi / n)
+        j = np.arange(n)
+        out = np.zeros((n, n, n * n), dtype=complex)
+        for x in range(n):
+            for y in range(n):
+                out[x, y, j * n + (j + x) % n] = xi ** (j * y)
+        out = out.reshape(n * n, n * n) / np.sqrt(n)
+    out.flags.writeable = False
+    return tuple(out)
 
 
 def _traceless_hermitian_basis(n: int) -> list:

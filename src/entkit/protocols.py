@@ -48,7 +48,7 @@ SQRT2 = np.sqrt(2.0)
 # measurement bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementBasis:
     """Orthonormal measurement basis of a controller qubit or qutrit."""
 
@@ -81,7 +81,7 @@ def qutrit_controller_basis(theta: float) -> MeasurementBasis:
 # collective unitaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveUnitary:
     family: str
     theta: float
@@ -223,7 +223,7 @@ def _schmidt_concurrence(vec: np.ndarray, d: int) -> float:
 # CDC reports and closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CdcReport:
     """One deterministic controlled-dense-coding run."""
 
@@ -306,11 +306,6 @@ def cdc_closed_forms(family: str, theta: float | None = None,
     raise DomainError(f"unknown CDC family {family!r}")
 
 
-def cdc_success_probability(family: str, **params) -> float:
-    """Closed-form success probability of a CDC family."""
-    return float(cdc_closed_forms(family, **params)["success"])
-
-
 # ---------------------------------------------------------------------------
 # the CDC simulations
 # ---------------------------------------------------------------------------
@@ -370,7 +365,7 @@ def _qutrit_unitary(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray | N
     return (_v1 if outcome == "up" else _v1_down)(p["theta"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Family:
     """What one CDC family feeds the pipeline in cdc_run.
 
@@ -613,7 +608,7 @@ def povm_validity(Q: float) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecretShareReport:
     """One deterministic run of the cloning-controlled secret sharing protocol."""
 
@@ -671,15 +666,17 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     """Run the protocol: Charlie encodes a bit in |Psi+/-|, Cliff clones both
     qubits, Alice measures in the Hadamard basis, Bob applies the three-element
     discrimination and succeeds with probability Q = 4 c^2 d^2."""
-    channel = secret_share_channel(c, charlie_bit)
+    channels = {charlie_bit: secret_share_channel(c, charlie_bit)}
+    channels[1 - charlie_bit] = secret_share_channel(c, 1 - charlie_bit)
+    channel = channels[charlie_bit]
     d2 = (1.0 - c * c) / 2.0
     q = 4.0 * c * c * d2
     bob = _bob_conditional(channel, alice_outcome)
     e1, e2, e3 = povm_elements(q)
     stats = tuple(float(np.trace(e @ bob.matrix).real) for e in (e1, e2, e3))
     # success probability of unambiguous discrimination, evaluated honestly
-    bob_plus0 = _bob_conditional(secret_share_channel(c, 0), "+")
-    bob_minus0 = _bob_conditional(secret_share_channel(c, 1), "+")
+    bob_plus0 = _bob_conditional(channels[0], "+")
+    bob_minus0 = _bob_conditional(channels[1], "+")
     success = 0.5 * float(np.trace(e1 @ bob_plus0.matrix).real) \
         + 0.5 * float(np.trace(e2 @ bob_minus0.matrix).real)
     if abs(success - q) > 1e-12:
@@ -690,7 +687,7 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
         success_probability=success)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessCheck:
     w1_value: float
     w2_value: float

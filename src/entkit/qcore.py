@@ -27,6 +27,12 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _as_vector(a) -> np.ndarray:
+    """Complex 1-D array; an array that already is one is kept, not re-viewed."""
+    v = _as_complex(a)
+    return v if v.ndim == 1 else v.reshape(-1)
+
+
 def ket(index: int, dim: int) -> np.ndarray:
     """Computational basis ket |index> of a dim-level system."""
     if not 0 <= index < dim:
@@ -38,13 +44,10 @@ def ket(index: int, dim: int) -> np.ndarray:
 
 def basis_ket(labels, dims) -> np.ndarray:
     """Product basis ket, e.g. basis_ket((0, 1), (2, 2)) -> |01>."""
-    out = np.array([1.0 + 0j])
-    for lab, d in zip(labels, dims):
-        out = np.kron(out, ket(lab, d))
-    return out
+    return tensor(*(ket(lab, d) for lab, d in zip(labels, dims)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureState:
     """Normalised state vector with an explicit subsystem-dimension signature."""
 
@@ -54,7 +57,7 @@ class PureState:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        vec = _as_complex(self.vector).reshape(-1)
+        vec = _as_vector(self.vector)
         object.__setattr__(self, "vector", vec)
         if any(d < 2 for d in dims):
             raise DomainError(f"subsystem dimensions must be >= 2, got {dims}")
@@ -74,7 +77,7 @@ class PureState:
 
 def pure(dims, amplitudes, normalise: bool = False) -> PureState:
     """Build a PureState, optionally normalising the amplitude vector first."""
-    vec = _as_complex(amplitudes).reshape(-1)
+    vec = _as_vector(amplitudes)
     if normalise:
         n = np.linalg.norm(vec)
         if n < 1e-15:
@@ -83,17 +86,24 @@ def pure(dims, amplitudes, normalise: bool = False) -> PureState:
     return PureState(tuple(dims), vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator with dims signature."""
+    """Hermitian, unit-trace, positive-semidefinite operator with dims signature.
+
+    matrix is a read-only copy of the array passed in, and spectrum holds the
+    ascending eigenvalues computed to validate it, ranked by psd_spectrum and
+    read-only too, so neither can drift from the other.
+    """
 
     dims: tuple
     matrix: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        m = _as_complex(self.matrix)
+        m = np.array(self.matrix, dtype=complex)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         d = int(np.prod(dims))
         if m.shape != (d, d):
@@ -103,7 +113,9 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TOL_NORM:
             raise DomainError(f"density matrix trace {tr} != 1")
-        psd_spectrum(np.linalg.eigvalsh(m))
+        spectrum = psd_spectrum(np.linalg.eigvalsh(m))
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -125,12 +137,26 @@ def density(dims, matrix) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def tensor(*factors) -> np.ndarray:
-    """Kronecker product of one or more arrays (matrices or vectors)."""
+    """Kronecker product of one or more arrays (matrices or vectors).
+
+    Each pair of factors is multiplied as one broadcast outer product with
+    the axes of the two factors interleaved: the same products a_ij b_kl as
+    np.kron, signed zeros included, without its set-up cost.  As in np.kron,
+    a factor of lower ndim is given leading unit axes first.
+    """
     if not factors:
         raise DomainError("tensor() needs at least one factor")
     out = _as_complex(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, _as_complex(f))
+        f = _as_complex(f)
+        out = out.reshape((1,) * (f.ndim - out.ndim) + out.shape)
+        f = f.reshape((1,) * (out.ndim - f.ndim) + f.shape)
+        left, right, shape = [], [], []
+        for a, b in zip(out.shape, f.shape):
+            left += (a, 1)
+            right += (1, b)
+            shape.append(a * b)
+        out = (out.reshape(left) * f.reshape(right)).reshape(shape)
     return out
 
 
@@ -144,18 +170,27 @@ def _check_subsystems(dims, subsystems) -> tuple:
     return subs
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the listed subsystems (kept in original order)."""
+def partial_trace(rho, keep) -> DensityMatrix:
+    """Reduced density matrix on the listed subsystems (kept in original order).
+
+    Takes a DensityMatrix, or a PureState whose amplitudes, with the kept axes
+    moved to the front and reshaped to a d_keep x d_rest matrix A, give the
+    reduced state A A^dag without forming the full outer product.
+    """
     keep = sorted(_check_subsystems(rho.dims, keep))
     n = len(rho.dims)
     if not keep or len(keep) == n:
         raise DomainError("keep must be a non-empty proper subset of subsystems")
+    kept_dims = tuple(rho.dims[s] for s in keep)
+    d = int(np.prod(kept_dims))
+    if isinstance(rho, PureState):
+        rest = [s for s in range(n) if s not in keep]
+        a = rho.vector.reshape(rho.dims).transpose(keep + rest).reshape(d, -1)
+        return DensityMatrix(kept_dims, a @ a.conj().T)
     t = rho.matrix.reshape(rho.dims + rho.dims)
     # trace out the complement, highest index first so axis numbers stay valid
     for s in sorted(set(range(n)) - set(keep), reverse=True):
         t = np.trace(t, axis1=s, axis2=s + (t.ndim // 2))
-    kept_dims = tuple(rho.dims[s] for s in keep)
-    d = int(np.prod(kept_dims))
     return DensityMatrix(kept_dims, t.reshape(d, d))
 
 
@@ -216,7 +251,7 @@ def psd_sqrt(m) -> np.ndarray:
     return (evecs * np.sqrt(psd_spectrum(evals))) @ evecs.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchmidtDecomposition:
     """Schmidt form of a bipartite pure state: sum_i lambda_i |i_A>|i_B>."""
 
@@ -230,7 +265,7 @@ class SchmidtDecomposition:
         db = self.right_basis.shape[0]
         out = np.zeros(da * db, dtype=complex)
         for lam, a, b in zip(self.coefficients, self.left_basis.T, self.right_basis.T):
-            out += lam * np.kron(a, b)
+            out += lam * tensor(a, b)
         return out
 
 

@@ -21,6 +21,7 @@ from .qcore import (
     ket,
     partial_trace,
     pure,
+    tensor,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -123,7 +124,7 @@ def liqiu_w(n: int) -> PureState:
     phi[2] = 1.0
     phi[1] = np.sqrt(n)
     phi /= np.sqrt(n + 1.0)
-    v = (np.kron(phi, ket(0, 2)) + np.kron(basis_ket((0, 0), (2, 2)), ket(1, 2))) / SQRT2
+    v = (tensor(phi, ket(0, 2)) + tensor(basis_ket((0, 0), (2, 2)), ket(1, 2))) / SQRT2
     return pure((2, 2, 2), v)
 
 

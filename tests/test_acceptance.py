@@ -219,8 +219,8 @@ def test_criterion_6_cdc():
     check("6b GHZ-class bit curves 1+2sin^2 / 1+2cos^2", ok)
 
     check("6c pati success table",
-          protocols.cdc_success_probability("pati", l=0.0) == 0.0 and
-          abs(protocols.cdc_success_probability("pati", l=1.0) - 1.0) <= 1e-12)
+          protocols.cdc_closed_forms("pati", l=0.0)["success"] == 0.0 and
+          abs(protocols.cdc_closed_forms("pati", l=1.0)["success"] - 1.0) <= 1e-12)
 
     thetas = np.linspace(0.0, np.pi / 2, 501)
     w3 = [protocols.cdc_closed_forms("w3", theta=t)["concurrence"] for t in thetas]

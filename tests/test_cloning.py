@@ -177,6 +177,64 @@ def test_reduction_eigenvalue_closed_form_on_grid():
         assert np.min(np.abs(evals - cloning.reduction_eigenvalue_nonopt(d))) <= 1e-9
 
 
+def test_reduction_eigenvector_owns_its_data():
+    # a view would keep the whole n^2 x n^2 eigenbasis alive
+    for d in (0.2, D_OPT, 0.5):
+        res = cloning.reduction_check(cloning.qutrit_cloned_pair(d).joint)
+        assert res.eigenvector.base is None
+        assert res.eigenvector.shape == (9,)
+
+
+def _ulps_from(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def test_distillation_does_not_follow_the_last_bit_of_d():
+    # sides A and B tie on the swap-symmetric clone pair, and each side's
+    # minimum is doubly degenerate; 1/np.sqrt(8), one ulp below np.sqrt(1/8),
+    # used to pick side B and distil to FEF 0.22086
+    assert _ulps_from(D_OPT, -1) == 1.0 / np.sqrt(8.0)
+    reference = None
+    for k in range(-3, 4):
+        joint = cloning.qutrit_cloned_pair(_ulps_from(D_OPT, k)).joint
+        filt = cloning.distillation_filter(joint)
+        assert filt.side == "A"
+        dist = cloning.distill(joint, filt)
+        if reference is None:
+            reference = dist.matrix
+        assert np.max(np.abs(dist.matrix - reference)) <= 1e-12
+        f = measures.singlet_fraction(dist, restarts=0)
+        assert f == pytest.approx(FIXTURE["singlet_fraction_distilled_optimal"], abs=1e-12)
+        assert (3 * f + 1) / 4 == pytest.approx(FIXTURE["fidelity_distilled_optimal"], abs=1e-12)
+        assert cloning.dense_coding_advantage(dist) == pytest.approx(
+            FIXTURE["advantage_distilled_optimal"], abs=1e-12)
+
+
+def test_filter_side_b_mirrors_side_a_under_swap():
+    # a state whose B-side reduction operator is clearly lower is filtered on
+    # B, and the result is the swap of filtering the swapped state on A
+    joint = cloning.qutrit_cloned_pair(0.3).joint.matrix
+    lean = tensor(np.eye(3) / 3, np.diag([0.1, 0.2, 0.7]))
+    rho = density((3, 3), 0.9 * joint + 0.1 * lean)
+    swapped = density((3, 3), rho.matrix.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9))
+    res, mirror = cloning.reduction_check(rho), cloning.reduction_check(swapped)
+    assert (res.side, mirror.side) == ("B", "A")
+    assert res.eigenvalue == pytest.approx(mirror.eigenvalue, abs=1e-12)
+    assert res.eigenvalue < -0.01
+    filt = cloning.distillation_filter(rho)
+    assert filt.side == "B"
+    out = cloning.distill(rho, filt).matrix
+    back = cloning.distill(swapped, cloning.distillation_filter(swapped)).matrix
+    assert_allclose(out, back.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9), atol=1e-10)
+
+
+def test_filter_side_must_be_a_or_b():
+    with pytest.raises(DomainError):
+        cloning.FilterMatrix(np.eye(3, dtype=complex), side="C")
+
+
 def test_identity_filter_leaves_state_unchanged():
     rho = cloning.qutrit_cloned_pair(0.3).joint
     filt = cloning.FilterMatrix(np.eye(3, dtype=complex))

@@ -236,6 +236,19 @@ def test_singlet_fraction_deterministic_for_fixed_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_maximally_entangled_bases_are_built_once_and_read_only(n):
+    bases = measures.maximally_entangled_bases(n)
+    assert measures.maximally_entangled_bases(n) is bases
+    assert isinstance(bases, tuple) and len(bases) == n * n
+    gram = np.array(bases).conj() @ np.array(bases).T
+    assert np.max(np.abs(gram - np.eye(n * n))) <= 1e-12
+    for v in bases:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+
 def test_singlet_fraction_requires_square_bipartite():
     with pytest.raises(DomainError):
         measures.singlet_fraction(random_density(np.random.default_rng(0), (2, 3)))

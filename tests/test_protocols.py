@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entkit import protocols, statezoo
+from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError, is_unitary, pure
 
 
@@ -104,7 +104,7 @@ def test_ghz_bits_closed_form():
         r = protocols.cdc_run("ghz", theta=theta)
         assert r.bits_transmitted_avg == pytest.approx(
             1.0 + 2.0 * np.sin(theta) ** 2, abs=1e-12)
-        assert protocols.cdc_success_probability("ghz", theta=theta) == pytest.approx(
+        assert protocols.cdc_closed_forms("ghz", theta=theta)["success"] == pytest.approx(
             2 * np.sin(theta) ** 2, abs=1e-12)
 
 
@@ -135,8 +135,8 @@ def test_ghz_class_bits_reproduce_both_curves(idx):
 
 
 def test_pati_success_table():
-    assert protocols.cdc_success_probability("pati", l=0.0) == 0.0
-    assert protocols.cdc_success_probability("pati", l=1.0) == pytest.approx(1.0)
+    assert protocols.cdc_closed_forms("pati", l=0.0)["success"] == 0.0
+    assert protocols.cdc_closed_forms("pati", l=1.0)["success"] == pytest.approx(1.0)
     r = protocols.cdc_run("pati", l=1.0)
     assert r.theta == pytest.approx(np.pi / 4)
     assert r.success_probability == pytest.approx(1.0)
@@ -352,6 +352,22 @@ def test_secret_share_bob_states():
     rep = protocols.secret_share_run(c, 1, "+")
     expected = 0.5 * np.array([[1.0, -q], [-q, 1.0]])
     assert_allclose(rep.bob_state.matrix.real, expected, atol=1e-12)
+
+
+def test_secret_share_run_clones_each_bit_once(monkeypatch):
+    calls = []
+    real = cloning.clone_bipartite
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("sign"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cloning, "clone_bipartite", counting)
+    for bit in (0, 1):
+        calls.clear()
+        rep = protocols.secret_share_run(0.9, bit, "-")
+        assert sorted(calls) == [-1.0, 1.0]
+        assert np.array_equal(rep.channel.matrix, protocols.secret_share_channel(0.9, bit).matrix)
 
 
 def test_secret_share_channel_werner_point():

@@ -1,4 +1,8 @@
 """Core linear-algebra primitive tests."""
+import ast
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from numpy.testing import assert_allclose
 from entkit import qcore, statezoo
 from entkit.qcore import (
     CNOT,
+    DensityMatrix,
     FREDKIN,
     GATES,
     HADAMARD,
@@ -78,6 +83,40 @@ def test_bell_projector_matches_hand_expansion():
     assert_allclose(statezoo.bell(3).density().matrix, proj, atol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.lists(st.integers(1, 2), min_size=2, max_size=3))
+def test_tensor_is_bitwise_np_kron(seed, ndims):
+    # mixed ndims included: np.kron pads the lower-ndim factor with leading unit axes
+    rng = np.random.default_rng(seed)
+    factors = []
+    for ndim in ndims:
+        shape = tuple(rng.integers(2, 5, size=ndim))
+        f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # signed zeros in both parts, which np.kron keeps
+        f.real[rng.random(shape) < 0.2] = -0.0
+        f.imag[rng.random(shape) < 0.2] = -0.0
+        f[rng.random(shape) < 0.2] = 0.0
+        factors.append(f)
+    want = factors[0]
+    for f in factors[1:]:
+        want = np.kron(want, f)
+    got = tensor(*factors)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def test_np_kron_appears_nowhere_in_the_package():
+    # every Kronecker product in the package goes through qcore.tensor
+    src = pathlib.Path(qcore.__file__).parent
+    stray = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if any(isinstance(n, ast.Attribute) and n.attr == "kron" for n in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert not stray, stray
+
+
 # ---------------------------------------------------------------------------
 # partial trace / partial transpose
 # ---------------------------------------------------------------------------
@@ -145,6 +184,34 @@ def test_partial_trace_undoes_tensor(seed):
     b = random_density(rng, (2,))
     prod = density((2, 2), tensor(a.matrix, b.matrix))
     assert np.max(np.abs(partial_trace(prod, keep=(0,)).matrix - a.matrix)) <= 1e-12
+
+
+def _proper_subsets(n):
+    for r in range(1, n):
+        yield from itertools.combinations(range(n), r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([(2, 3), (3, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]))
+def test_partial_trace_of_pure_state_matches_its_density(seed, dims):
+    psi = random_pure(np.random.default_rng(seed), dims)
+    rho = psi.density()
+    for keep in _proper_subsets(len(dims)):
+        got = partial_trace(psi, keep)
+        want = partial_trace(rho, keep)
+        assert got.dims == want.dims
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
+
+
+def test_partial_trace_of_pure_state_keeps_original_order():
+    # keep is sorted: (2, 0) and (0, 2) give the same state on subsystems 0, 2
+    psi = pure((2, 3, 2), np.arange(1, 13), normalise=True)
+    a = partial_trace(psi, keep=(2, 0))
+    assert a.dims == (2, 2)
+    assert np.array_equal(a.matrix, partial_trace(psi, keep=(0, 2)).matrix)
+    with pytest.raises(DomainError):
+        partial_trace(psi, keep=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +354,36 @@ def test_pure_state_validation():
         pure((2,), np.array([1.0, 1.0]))                            # not normalised
     with pytest.raises(DomainError):
         pure((2, 2), np.array([1.0, 0.0]))                          # wrong length
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+def test_density_matrix_spectrum_is_its_validation_spectrum(seed, rank):
+    rho = random_density(np.random.default_rng(seed), (2, 3), rank=rank)
+    assert np.array_equal(rho.spectrum, psd_spectrum(np.linalg.eigvalsh(rho.matrix)))
+    assert np.count_nonzero(rho.spectrum) == rank
+    assert not rho.spectrum.flags.writeable
+
+
+def test_density_matrix_matrix_cannot_drift_from_its_spectrum():
+    m = np.diag([0.75, 0.25]).astype(complex)
+    rho = density((2,), m)
+    m[0, 0], m[1, 1] = 0.5, 0.5                                   # the caller's array
+    assert np.array_equal(rho.matrix, np.diag([0.75, 0.25]))
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 0.5
+    assert np.array_equal(rho.spectrum, [0.25, 0.75])
+
+
+def test_states_hold_no_instance_dict_and_no_extra_view():
+    vec = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+    psi = pure((2, 2), vec)
+    assert psi.vector is vec
+    for state in (psi, psi.density()):
+        assert not hasattr(state, "__dict__")
+
+
+def test_density_matrix_spectrum_is_not_an_init_argument():
+    with pytest.raises(TypeError):
+        DensityMatrix((2,), np.eye(2) / 2, np.ones(2))
+    assert "spectrum" not in repr(density((2,), np.eye(2) / 2))
