@@ -184,7 +184,7 @@ FIGURES = {
     "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
                   lambda d: (cloning.dense_coding_advantage(
                       cloning.qutrit_cloned_pair(d).joint),)),
-    "4.2": Figure(("d", "singlet_fraction_distilled"), (_DISTILLABLE,), 33,
+    "4.2": Figure(("d", "bell_enumeration_distilled"), (_DISTILLABLE,), 33,
                   lambda d: (measures.singlet_fraction(_cloned_and_distilled(d)[1], restarts=0),)),
     "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), (_DISTILLABLE,), 33,
                   lambda d: tuple(map(cloning.dense_coding_capacity, _cloned_and_distilled(d)))),

@@ -274,18 +274,11 @@ def dense_coding_capacity(rho: DensityMatrix) -> float:
     return float(np.log2(rho.dims[1]) + dense_coding_advantage(rho))
 
 
-def max_entangled_ket(n: int) -> np.ndarray:
-    v = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    return v / np.sqrt(n)
-
-
 def teleportation_witness_qutrit(rho: DensityMatrix) -> float:
     """Tr(W rho) for W = I/3 - |phi+><phi+|; >= 0 flags 'not useful' via this witness."""
     if rho.dims != (3, 3):
         raise DomainError(f"qutrit witness needs a 3x3 state, got dims {rho.dims}")
-    phi = max_entangled_ket(3)
+    phi = measures.maximally_entangled_bases(3)[0]
     return float(1.0 / 3.0 - np.real(phi.conj() @ rho.matrix @ phi))
 
 

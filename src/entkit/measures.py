@@ -171,7 +171,10 @@ def maximally_entangled_bases(n: int) -> tuple:
     return tuple(out)
 
 
-def _traceless_hermitian_basis(n: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _traceless_hermitian_basis(n: int) -> np.ndarray:
+    """The n^2 - 1 generalised Gell-Mann matrices as one read-only
+    (n^2 - 1, n, n) array, built once per n; Tr(G_i G_j) = 2 delta_ij."""
     basis = []
     for j in range(n):
         for k in range(j + 1, n):
@@ -187,15 +190,19 @@ def _traceless_hermitian_basis(n: int) -> list:
         d[:j, :j] = np.eye(j)
         d[j, j] = -j
         basis.append(d * np.sqrt(2.0 / (j * (j + 1))))
-    return basis
+    out = np.array(basis)
+    out.flags.writeable = False
+    return out
 
 
-def _local_unitary(params: np.ndarray, gens: list) -> np.ndarray:
-    h = np.zeros_like(gens[0])
-    for p, g in zip(params, gens):
-        h = h + p * g
+def _local_unitaries(params: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """exp(i H_A) and exp(i H_B) as one (2, n, n) array, for H_A and H_B the
+    combinations of gens with the two halves of params: one matmul forms both
+    generators and one stacked eigh exponentiates them."""
+    npar, n = len(gens), gens.shape[-1]
+    h = (params.reshape(2, npar) @ gens.reshape(npar, n * n)).reshape(2, n, n)
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(1j * evals)) @ evecs.conj().T
+    return (evecs * np.exp(1j * evals)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
 def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
@@ -224,20 +231,19 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     npar = len(gens)
     rng = np.random.default_rng(seed)
 
-    def objective(params, base_vec):
-        ua = _local_unitary(params[:npar], gens)
-        ub = _local_unitary(params[npar:], gens)
-        v = tensor(ua, ub) @ base_vec
+    def objective(params, base):
+        ua, ub = _local_unitaries(params, gens)
+        v = (ua @ base @ ub.T).reshape(-1)   # = tensor(ua, ub) @ base.reshape(-1)
         return -float(np.real(v.conj() @ rho.matrix @ v))
 
     for r in range(restarts):
-        base_vec = bases[r % len(bases)]
+        base = bases[r % len(bases)].reshape(n, n)
         if r < len(bases):
             start = np.zeros(2 * npar)
         else:
             start = rng.uniform(-np.pi, np.pi, size=2 * npar)
         res = optimize.minimize(
-            objective, start, args=(base_vec,), method="Nelder-Mead",
+            objective, start, args=(base,), method="Nelder-Mead",
             options={"fatol": 1e-12, "xatol": 1e-9, "maxiter": 300 * npar})
         best = max(best, -float(res.fun))
     return best

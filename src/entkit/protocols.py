@@ -359,7 +359,9 @@ def _balanced(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray:
 
 
 def _qutrit_unitary(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray | None:
-    """V1 for 'up' and its mirror for 'down'; 'side' is handed over as it is."""
+    """V1 for 'up' and its mirror for 'down' (cos <= sin domain); success leaves
+    (|00> - |22>)/sqrt(2) and two bits, failure a product state.  'side' leaves
+    the separable |11> pair (one bit) and is handed over as it is."""
     if outcome == "side":
         return None
     return (_v1 if outcome == "up" else _v1_down)(p["theta"])
@@ -551,18 +553,6 @@ def qutrit_projected_states(shared: np.ndarray) -> list:
         w = tensor(op, np.eye(3)) @ shared
         out.append(w / np.linalg.norm(w))
     return out
-
-
-def qutrit_cdc_run(theta: float, controller_outcome: str = "up",
-                   aux_outcome: int = 0) -> CdcReport:
-    """CDC on the three-qutrit GHZ state.
-
-    Controller outcome 'side' leaves the separable |11> pair (one bit).  For
-    'up' the sender applies the 9x9 extraction unitary V1 (cos <= sin domain);
-    success leaves (|00> - |22>)/sqrt(2) and two bits, failure a product state.
-    """
-    return cdc_run("qutrit_ghz", theta, controller_outcome=controller_outcome,
-                   aux_outcome=aux_outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Write cdc_reports.json: pinned controlled-dense-coding reports.
 
 The fixture pins every CdcReport field and the shared-state vector of
-`cdc_run` / `qutrit_cdc_run` on a grid of families, controller outcomes,
-auxiliary outcomes and admissible angles, plus the argument sets of the
-`entkit protocol cdc` commands the benchmark runs.  A call that raises
+`cdc_run` on a grid of families, controller outcomes, auxiliary outcomes and
+admissible angles, plus the argument sets of the `entkit protocol cdc`
+commands the benchmark runs.  A call that raises
 records its DomainError message instead.  Regenerate it only when a change
 of CDC output is intended:
 
@@ -62,8 +62,8 @@ def cases():
     for theta in (QUARTER, 1.0, 1.2, 1.4):
         for aux in (0, 1, 2):
             for outcome in ("up", "side", "down"):
-                yield "qutrit_cdc_run", dict(theta=theta, controller_outcome=outcome,
-                                             aux_outcome=aux)
+                yield "cdc_run", dict(family="qutrit_ghz", theta=theta,
+                                      controller_outcome=outcome, aux_outcome=aux)
             for outcome in ("+", "-", "side"):
                 yield "cdc_run", dict(family="qutrit_ghz", theta=theta,
                                       controller_outcome=outcome, aux_outcome=aux)

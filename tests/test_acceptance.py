@@ -234,7 +234,7 @@ def test_criterion_6_cdc():
     check("6e w4 concurrence peaks at 0.5, never 1",
           abs(max(w4) - 0.5) <= 1e-9 and max(w4) < 1.0)
 
-    r = protocols.qutrit_cdc_run(np.pi / 4, "up", 0)
+    r = protocols.cdc_run("qutrit_ghz", np.pi / 4, controller_outcome="up", aux_outcome=0)
     v = r.shared_state.vector
     balanced = (abs(abs(v[0]) - 1 / np.sqrt(2)) <= 1e-12 and
                 abs(abs(v[8]) - 1 / np.sqrt(2)) <= 1e-12 and

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
 from entkit.qcore import DomainError, Y, density, partial_transpose, pure, tensor
-from util import fef_closed_form, random_density, random_pure
+from util import fef_closed_form, random_density, random_pure, random_unitary
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
 
@@ -249,6 +249,36 @@ def test_maximally_entangled_bases_are_built_once_and_read_only(n):
             v[0] = 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_traceless_hermitian_basis_is_cached_read_only_and_orthogonal(n):
+    gens = measures._traceless_hermitian_basis(n)
+    assert measures._traceless_hermitian_basis(n) is gens
+    assert gens.shape == (n * n - 1, n, n)
+    assert not gens.flags.writeable
+    with pytest.raises(ValueError):
+        gens[0, 0, 0] = 1.0
+    assert np.max(np.abs(np.trace(gens, axis1=1, axis2=2))) <= 1e-15
+    assert np.array_equal(gens, gens.conj().transpose(0, 2, 1))
+    gram = np.einsum("iab,jba->ij", gens, gens)
+    assert np.max(np.abs(gram - 2.0 * np.eye(n * n - 1))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 4]))
+def test_objective_rotates_the_bell_vector_without_the_tensor_product(seed, n):
+    # the FEF objective applies U_A x U_B to vec(B) as vec(U_A B U_B^T)
+    rng = np.random.default_rng(seed)
+    gens = measures._traceless_hermitian_basis(n)
+    params = rng.uniform(-np.pi, np.pi, size=2 * len(gens))
+    ua, ub = measures._local_unitaries(params, gens)
+    for u, p in ((ua, params[:len(gens)]), (ub, params[len(gens):])):
+        evals, evecs = np.linalg.eigh(np.einsum("i,iab->ab", p, gens))
+        assert np.max(np.abs(u - (evecs * np.exp(1j * evals)) @ evecs.conj().T)) <= 1e-13
+        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-13
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.max(np.abs((ua @ b @ ub.T).reshape(-1) - tensor(ua, ub) @ b.reshape(-1))) <= 1e-13
+
+
 def test_singlet_fraction_requires_square_bipartite():
     with pytest.raises(DomainError):
         measures.singlet_fraction(random_density(np.random.default_rng(0), (2, 3)))
@@ -356,17 +386,12 @@ def test_scipy_is_imported_only_by_the_fef_refinement():
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=4))
 def test_measures_are_invariant_under_local_unitaries(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (2, 2), rank=rank)
-    u = tensor(_random_unitary(rng, 2), _random_unitary(rng, 2))
+    u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = density((2, 2), u @ rho.matrix @ u.conj().T)
     for measure in (measures.concurrence, measures.negativity,
                     lambda r: measures.entropy(r, "von_neumann"),

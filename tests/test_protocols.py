@@ -257,7 +257,7 @@ def test_liqiu_runs():
 # ---------------------------------------------------------------------------
 
 def test_qutrit_run_quarter_pi():
-    r = protocols.qutrit_cdc_run(np.pi / 4, "up", 0)
+    r = protocols.cdc_run("qutrit_ghz", np.pi / 4, controller_outcome="up", aux_outcome=0)
     v = r.shared_state.vector
     assert abs(v[0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert abs(v[8]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -267,13 +267,13 @@ def test_qutrit_run_quarter_pi():
 
 
 def test_qutrit_side_outcome_is_separable_one_bit():
-    r = protocols.qutrit_cdc_run(np.pi / 3, "side")
+    r = protocols.cdc_run("qutrit_ghz", np.pi / 3, controller_outcome="side")
     assert r.bits_transmitted_avg == 1.0
     assert r.shared_concurrence == 0.0
 
 
 def test_qutrit_failure_branch_unentangled():
-    r = protocols.qutrit_cdc_run(np.pi / 3, "up", 2)
+    r = protocols.cdc_run("qutrit_ghz", np.pi / 3, controller_outcome="up", aux_outcome=2)
     assert protocols._schmidt_concurrence(r.shared_state.vector, 3) <= 1e-12
 
 
@@ -288,18 +288,19 @@ def test_schmidt_concurrence_of_random_product_states_is_exactly_zero(d):
 
 def test_qutrit_success_probability_curve():
     for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.05, 8):
-        r = protocols.qutrit_cdc_run(theta, "up", 0)
+        r = protocols.cdc_run("qutrit_ghz", theta, controller_outcome="up", aux_outcome=0)
         assert r.success_probability == pytest.approx(
             2 * np.cos(theta) ** 2, abs=1e-12)
 
 
 def test_qutrit_domain_error_below_quarter_pi():
     with pytest.raises(DomainError):
-        protocols.qutrit_cdc_run(0.3, "up", 0)
+        protocols.cdc_run("qutrit_ghz", 0.3, controller_outcome="up", aux_outcome=0)
 
 
 def test_qutrit_projected_states():
-    shared = protocols.qutrit_cdc_run(np.pi / 4, "up", 0).shared_state.vector
+    r = protocols.cdc_run("qutrit_ghz", np.pi / 4, controller_outcome="up", aux_outcome=0)
+    shared = r.shared_state.vector
     states = protocols.qutrit_projected_states(shared)
     expected_supports = [(0, 8), (2, 6), (2, 6), (0, 8)]
     for v, support in zip(states, expected_supports):

@@ -22,6 +22,12 @@ def random_pure(rng, dims) -> PureState:
     return pure(dims, v / np.linalg.norm(v))
 
 
+def random_unitary(rng, n) -> np.ndarray:
+    """Haar-random n x n unitary: the QR factor of a Ginibre matrix, phase-fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def fef_closed_form(rho: DensityMatrix) -> float:
     """Independent oracle for the two-qubit fully entangled fraction.
 
