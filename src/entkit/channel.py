@@ -26,19 +26,13 @@ from .qcore import (
 
 BOUNDARY_BAND = 1e-9
 
-
-def _require_two_qubits(rho: DensityMatrix, what: str):
-    if rho.dims != (2, 2):
-        raise DomainError(f"{what} requires a 2x2-qubit state, got dims {rho.dims}")
-
-
 # _PAULI_PAIRS[n, m] = sigma_n x sigma_m, Pauli order (x, y, z)
 _PAULI_PAIRS = np.array([[tensor(sn, sm) for sm in PAULIS] for sn in PAULIS])
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 real matrix t_nm = Tr(rho sigma_n x sigma_m), Pauli order (x, y, z)."""
-    _require_two_qubits(rho, "correlation matrix")
+    measures._require_two_qubits(rho, "correlation matrix")
     t = np.einsum("ij,nmji->nm", rho.matrix, _PAULI_PAIRS)
     residue = np.max(np.abs(t.imag))
     if residue > 1e-12:
@@ -63,8 +57,7 @@ def m_value(rho: DensityMatrix) -> float:
     return float(u[0] + u[1])
 
 
-def optimal_fidelity(rho: DensityMatrix, n: int | None = None, seed: int = 0,
-                     restarts: int = 32) -> float:
+def optimal_fidelity(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
     """Optimal teleportation fidelity of a channel.
 
     Two qubits: f = (1 + N(rho)/3)/2.  n x n with n >= 3: f = (n F + 1)/(n + 1)
@@ -72,10 +65,7 @@ def optimal_fidelity(rho: DensityMatrix, n: int | None = None, seed: int = 0,
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"optimal fidelity needs an n x n bipartite state, got {rho.dims}")
-    if n is None:
-        n = rho.dims[0]
-    if n != rho.dims[0]:
-        raise DomainError(f"requested dimension {n} does not match state dims {rho.dims}")
+    n = rho.dims[0]
     if n == 2:
         return 0.5 * (1.0 + n_value(rho) / 3.0)
     f = measures.singlet_fraction(rho, seed=seed, restarts=restarts)
@@ -124,7 +114,7 @@ def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
     """
     if rho_in.dims != (2,):
         raise DomainError(f"input must be a single qubit, got dims {rho_in.dims}")
-    _require_two_qubits(channel, "teleportation channel")
+    measures._require_two_qubits(channel, "teleportation channel")
     overlaps = [float(np.real(statezoo.bell(k).vector.conj()
                               @ channel.matrix @ statezoo.bell(k).vector))
                 for k in range(1, 5)]
@@ -189,7 +179,7 @@ class ChannelReport:
 
 
 def analyze_channel(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> ChannelReport:
-    _require_two_qubits(rho, "channel analysis")
+    measures._require_two_qubits(rho, "channel analysis")
     n = n_value(rho)
     m = m_value(rho)
     # exactly-critical channels (N = 1 up to float noise) are flagged boundary

@@ -165,7 +165,7 @@ class ReductionResult:
     eigenvector: np.ndarray
 
 
-def reduction_check(rho: DensityMatrix, tol: float = 1e-10) -> ReductionResult:
+def reduction_check(rho: DensityMatrix) -> ReductionResult:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"reduction criterion needs an n x n state, got dims {rho.dims}")
     n = rho.dims[0]
@@ -177,7 +177,7 @@ def reduction_check(rho: DensityMatrix, tol: float = 1e-10) -> ReductionResult:
     # a tie goes to side A, the side the paper filters
     side = "B" if lowest["B"][0] < lowest["A"][0] - REDUCTION_TIE else "A"
     eigenvalue, eigenvector = lowest[side]
-    return ReductionResult(eigenvalue < -tol, side, eigenvalue, eigenvector)
+    return ReductionResult(eigenvalue < -1e-10, side, eigenvalue, eigenvector)
 
 
 def _lowest_eigenpair(op: np.ndarray) -> tuple:
@@ -228,10 +228,10 @@ def filter_from_eigenvector(v, n: int, side: str = "A") -> FilterMatrix:
     return FilterMatrix(a if side == "A" else a.T, side)
 
 
-def distillation_filter(rho: DensityMatrix, tol: float = 1e-10) -> FilterMatrix:
+def distillation_filter(rho: DensityMatrix) -> FilterMatrix:
     """Filter built from the most negative reduction-criterion eigenvector, on
     the side whose reduction operator carries it."""
-    result = reduction_check(rho, tol=tol)
+    result = reduction_check(rho)
     if not result.violated:
         raise DomainError("state satisfies the reduction criterion; nothing to distill")
     return filter_from_eigenvector(result.eigenvector, rho.dims[0], result.side)

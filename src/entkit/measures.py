@@ -5,12 +5,12 @@ import functools
 
 import numpy as np
 
+from . import statezoo
 from .qcore import (
     TOL_HERM,
     DensityMatrix,
     DomainError,
     Y,
-    hermitian_eigen,
     partial_trace,
     partial_transpose,
     psd_spectrum,
@@ -27,7 +27,7 @@ def _require_two_qubits(rho: DensityMatrix, what: str):
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit, h(0) = h(1) = 0 by continuity."""
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         if -1e-12 < x < 1.0 + 1e-12:
             x = min(max(x, 0.0), 1.0)
         else:
@@ -114,7 +114,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) -> float:
     """von Neumann entropy -sum l_i log_base l_i, or the purity-based linear
     entropy n/(n-1) (1 - Tr rho^2); exactly 0.0 for a state of rank 1."""
-    if base <= 1.0:
+    if not base > 1.0:
         raise DomainError(f"entropy base must be > 1, got {base}")
     if kind not in ("von_neumann", "linear"):
         raise DomainError(f"unknown entropy kind {kind!r}")
@@ -132,8 +132,8 @@ def entropy_of_entanglement(psi) -> float:
     if isinstance(psi, DensityMatrix):
         if not psi.is_pure():
             raise DomainError("entropy of entanglement is defined for pure states only")
-        evals, evecs = hermitian_eigen(psi.matrix)
-        psi = pure(psi.dims, evecs[:, 0])
+        evecs = np.linalg.eigh(psi.matrix)[1]
+        psi = pure(psi.dims, evecs[:, -1])     # ascending: the last one spans rho
     if len(psi.dims) != 2:
         raise DomainError(f"need a bipartite pure state, got dims {psi.dims}")
     s_left = entropy(partial_trace(psi, keep=(0,)), "von_neumann", 2.0)
@@ -156,9 +156,7 @@ def maximally_entangled_bases(n: int) -> tuple:
     |phi_{x,y}> = sum_j xi^{jy} |j, j+x> / sqrt(n) with xi = exp(2 pi i / n).
     """
     if n == 2:
-        from .statezoo import bell  # local import to avoid a cycle
-
-        out = np.array([bell(k).vector for k in (1, 2, 3, 4)])
+        out = np.array([statezoo.bell(k).vector for k in (1, 2, 3, 4)])
     else:
         xi = np.exp(2j * np.pi / n)
         j = np.arange(n)

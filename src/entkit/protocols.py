@@ -20,7 +20,7 @@ honest value can always be recomputed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ class MeasurementBasis:
 
     def __post_init__(self):
         g = np.array([[np.vdot(u, v) for v in self.vectors] for u in self.vectors])
-        if np.max(np.abs(g - np.eye(len(self.vectors)))) > 1e-12:
+        if not np.max(np.abs(g - np.eye(len(self.vectors)))) <= 1e-12:
             raise DomainError("measurement basis is not orthonormal")
 
 
@@ -80,14 +80,6 @@ def qutrit_controller_basis(theta: float) -> MeasurementBasis:
 # ---------------------------------------------------------------------------
 # collective unitaries
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class CollectiveUnitary:
-    family: str
-    theta: float
-    epsilon: float | None
-    matrix: np.ndarray = field(repr=False)
-
 
 def _radical(value: float, name: str) -> float:
     if value < -1e-12:
@@ -167,19 +159,19 @@ def _v2(theta: float) -> np.ndarray:
     return _braid(*_tan_ratio(theta), low=0, flip_index=6)
 
 
-def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> CollectiveUnitary:
-    """Named collective unitaries: U1 (= hao), U2, and the qutrit forms V1, V2."""
+def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> np.ndarray:
+    """Matrix of a named collective unitary: U1 (= hao), U2, and the qutrit forms V1, V2."""
     tag = tag.upper() if tag.lower() != "hao" else "hao"
     if tag in ("U1", "hao"):
-        return CollectiveUnitary(tag, theta, None, _u1(theta))
+        return _u1(theta)
     if tag == "U2":
         if epsilon is None:
             raise DomainError("U2 needs both theta and epsilon")
-        return CollectiveUnitary(tag, theta, epsilon, _u2(theta, epsilon))
+        return _u2(theta, epsilon)
     if tag == "V1":
-        return CollectiveUnitary(tag, theta, None, _v1(theta))
+        return _v1(theta)
     if tag == "V2":
-        return CollectiveUnitary(tag, theta, None, _v2(theta))
+        return _v2(theta)
     raise DomainError(f"unknown collective unitary {tag!r}")
 
 
@@ -212,6 +204,11 @@ def _collective_branches(shared: np.ndarray, d: int, unitary: np.ndarray) -> dic
     return {x: w for x, w in branches.items() if np.linalg.norm(w) > 1e-12}
 
 
+def _report_dict(report, *states) -> dict:
+    """A report's dataclass fields as a dict, without the named state fields."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in states}
+
+
 def _schmidt_concurrence(vec: np.ndarray, d: int) -> float:
     """Generalised pure-state concurrence 2 sqrt(sum_{i<j} p_i p_j) over the
     Schmidt weights p ranked by psd_spectrum, so exactly 0.0 at Schmidt rank 1."""
@@ -240,18 +237,7 @@ class CdcReport:
     shared_state: PureState | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "controller_outcome": self.controller_outcome,
-            "aux_outcome": self.aux_outcome,
-            "branch_probability": self.branch_probability,
-            "success_probability": self.success_probability,
-            "bits_transmitted_avg": self.bits_transmitted_avg,
-            "shared_concurrence": self.shared_concurrence,
-            "maximally_entangled": self.maximally_entangled,
-        }
+        return _report_dict(self, "shared_state")
 
 
 _GHZ_CLASS_SIN = {1, 4, 6}      # bits 1 + 2 sin^2(theta), operated on (0, pi/4]
@@ -462,6 +448,9 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
         raise DomainError(f"unknown CDC family {family!r}")
     given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
     p = {k: given[k] for k in fam.params}
+    for k, v in p.items():
+        if v is not None and not np.isfinite(v):
+            raise DomainError(f"CDC parameter {k} must be finite, got {v}")
     closed = cdc_closed_forms(family, **p)
     if "theta" in closed and p["theta"] is None:
         p["theta"] = closed["theta"]        # pati's published angle arctan(1/l)
@@ -612,14 +601,7 @@ class SecretShareReport:
     success_probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "q": self.q,
-            "charlie_bit": self.charlie_bit,
-            "alice_outcome": self.alice_outcome,
-            "povm_stats": list(self.povm_stats),
-            "success_probability": self.success_probability,
-        }
+        return _report_dict(self, "channel", "bob_state")
 
 
 def _hadamard_vector(outcome: str) -> np.ndarray:
@@ -638,15 +620,19 @@ def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
     return partial_trace(DensityMatrix((2, 2), sub / prob), keep=(1,))
 
 
+def _cloning_machine(c: float) -> cloning.CloningParams:
+    """Cliff's qubit cloning machine with amplitude c in (1/sqrt(3), 1]."""
+    if not INV_SQRT3 < c <= 1.0:
+        raise DomainError(f"cloning amplitude c must lie in (1/sqrt(3), 1], got {c}")
+    return cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
+
+
 def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
     """Non-local two-qubit state Alice and Bob share after Cliff clones both
     qubits of Charlie's |Psi+> (bit 0) or |Psi-> (bit 1)."""
-    if not INV_SQRT3 < c <= 1.0:
-        raise DomainError(f"cloning amplitude c must lie in (1/sqrt(3), 1], got {c}")
+    params = _cloning_machine(c)
     if charlie_bit not in (0, 1):
         raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
-    d = np.sqrt((1.0 - c * c) / 2.0)
-    params = cloning.uqcm_params(2, d)
     sign = 1.0 if charlie_bit == 0 else -1.0
     _, nonlocal_, _ = cloning.clone_bipartite(0.5, params, sign=sign)
     return nonlocal_
@@ -688,11 +674,7 @@ class WitnessCheck:
 def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
     """Witness expectations on the non-local clone output and the critical
     input concurrence (1 + c^2)/(4 c^2) above which it stays entangled."""
-    if not INV_SQRT3 < c <= 1.0:
-        raise DomainError(f"cloning amplitude c must lie in (1/sqrt(3), 1], got {c}")
-    d = np.sqrt((1.0 - c * c) / 2.0)
-    params = cloning.uqcm_params(2, d)
-    _, nonlocal_, _ = cloning.clone_bipartite(lambda1, params)
+    _, nonlocal_, _ = cloning.clone_bipartite(lambda1, _cloning_machine(c))
     w1 = float(np.trace(W_A1 @ nonlocal_.matrix).real)
     w2 = float(np.trace(W_A2 @ nonlocal_.matrix).real)
     critical = cloning.nonlocal_critical_concurrence(c)

@@ -64,7 +64,7 @@ class PureState:
         if vec.size != int(np.prod(dims)):
             raise DomainError(f"vector length {vec.size} does not match dims {dims}")
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > TOL_NORM:
+        if not abs(norm - 1.0) <= TOL_NORM:
             raise DomainError(f"state vector not normalised: <psi|psi> = {norm**2:.3e}")
 
     @property
@@ -75,15 +75,8 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(self.vector, self.vector.conj()))
 
 
-def pure(dims, amplitudes, normalise: bool = False) -> PureState:
-    """Build a PureState, optionally normalising the amplitude vector first."""
-    vec = _as_vector(amplitudes)
-    if normalise:
-        n = np.linalg.norm(vec)
-        if n < 1e-15:
-            raise DomainError("cannot normalise a zero vector")
-        vec = vec / n
-    return PureState(tuple(dims), vec)
+def pure(dims, amplitudes) -> PureState:
+    return PureState(tuple(dims), amplitudes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +101,8 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if m.shape != (d, d):
             raise DomainError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise DomainError(f"density matrix has a non-finite entry {m[~np.isfinite(m)][0]}")
         if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
             raise DomainError("density matrix is not hermitian")
         tr = np.trace(m).real
@@ -194,41 +189,13 @@ def partial_trace(rho, keep) -> DensityMatrix:
     return DensityMatrix(kept_dims, t.reshape(d, d))
 
 
-def partial_transpose(rho, subsystem: int, dims=None) -> np.ndarray:
-    """Transpose one tensor factor; hermitian and trace preserving, not always PSD.
-
-    Accepts a DensityMatrix, or a plain square matrix together with dims.
-    """
-    if isinstance(rho, DensityMatrix):
-        matrix, dims = rho.matrix, rho.dims
-    else:
-        if dims is None:
-            raise DomainError("partial_transpose of a raw matrix needs dims")
-        matrix, dims = _as_complex(rho), tuple(int(d) for d in dims)
-    (s,) = _check_subsystems(dims, [subsystem])
-    n = len(dims)
-    d = matrix.shape[0]
-    t = matrix.reshape(dims + dims)
+def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+    """Transpose one tensor factor; hermitian and trace preserving, not always PSD."""
+    (s,) = _check_subsystems(rho.dims, [subsystem])
+    n = len(rho.dims)
+    t = rho.matrix.reshape(rho.dims + rho.dims)
     t = np.swapaxes(t, s, s + n)
-    return t.reshape(d, d)
-
-
-def hermitian_eigen(m) -> tuple:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
-
-    Eigenvectors carry a fixed phase convention: the first component of
-    magnitude above 1e-12 is made real and positive.
-    """
-    m = _as_complex(m)
-    if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
-        raise DomainError("hermitian_eigen requires a hermitian matrix")
-    evals, evecs = np.linalg.eigh(m)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    # a unit column always has a component above 1e-12
-    pivot = evecs[np.argmax(np.abs(evecs) > 1e-12, axis=0), np.arange(evecs.shape[1])]
-    return evals, evecs / (pivot / np.abs(pivot))
+    return t.reshape(rho.dim, rho.dim)
 
 
 def psd_spectrum(evals) -> np.ndarray:
@@ -240,14 +207,17 @@ def psd_spectrum(evals) -> np.ndarray:
     definition of which PSD eigenvalues are zero.
     """
     evals = np.asarray(evals, dtype=float)
-    if evals.min() < -TOL_PSD:
+    if not evals.min() >= -TOL_PSD:
         raise DomainError(f"operator is not PSD (eigenvalue {evals.min():.3e})")
     return np.where(evals <= TOL_RANK * evals.max(), 0.0, evals)
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite matrix."""
-    evals, evecs = hermitian_eigen(m)
+    evals, evecs = np.linalg.eigh(m)
+    # summed from the largest eigenvalue down: the order sets the last bits,
+    # and with them the rounding noise printed for a zero concurrence
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     return (evecs * np.sqrt(psd_spectrum(evals))) @ evecs.conj().T
 
 
@@ -290,7 +260,7 @@ def purify(rho: DensityMatrix) -> PureState:
     The system keeps its subsystem signature; the reference is appended as a
     single subsystem of the full system dimension.
     """
-    evals, evecs = hermitian_eigen(rho.matrix)
+    evals, evecs = np.linalg.eigh(rho.matrix)
     # component (a, i) is sqrt(l_i) <a|e_i>
     vec = (evecs * np.sqrt(psd_spectrum(evals))).reshape(-1)
     return PureState(rho.dims + (rho.dim,), vec / np.linalg.norm(vec))

@@ -108,8 +108,8 @@ def w4() -> PureState:
 
 def pati(l: float) -> PureState:
     """GHZ-type state (|000> + l|111>)/sqrt(1 + l^2) for real l > 0."""
-    if l <= 0:
-        raise DomainError(f"pati parameter l must be > 0, got {l}")
+    if not 0 < l < np.inf:
+        raise DomainError(f"pati parameter l must be finite and > 0, got {l}")
     v = np.zeros(8)
     v[0] = 1.0
     v[7] = l
@@ -185,7 +185,7 @@ def wei(x: float, y: float, a: float, b: float, gamma: float) -> DensityMatrix:
     params = {"x": x, "y": y, "a": a, "b": b, "gamma": gamma}
     for name, val in params.items():
         # a weight computed at the closed end of the domain may round below 0
-        if val < -1e-12:
+        if not val >= -1e-12:
             raise DomainError(f"wei parameter {name} must be >= 0, got {val}")
     x, y, a, b, gamma = (max(val, 0.0) for val in params.values())
     total = x + y + a + b + gamma
@@ -246,7 +246,7 @@ def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
     The weights must already be ordered p1 >= p2 >= p3 >= p4.
     """
     ps = (p1, p2, p3, p4)
-    if any(p < 0 for p in ps):
+    if not all(p >= 0 for p in ps):
         raise DomainError(f"ih_mems weights must be >= 0, got {ps}")
     if abs(sum(ps) - 1.0) > 1e-10:
         raise DomainError(f"ih_mems weights must sum to 1, got {sum(ps)}")
@@ -304,16 +304,3 @@ PURE_FAMILIES = {
     "generalized_max_entangled": generalized_max_entangled,
 }
 
-
-def make_mixed(family: str, **params) -> DensityMatrix:
-    """Dispatch constructor for the mixed families, e.g. make_mixed('werner', F=0.8)."""
-    if family not in MIXED_FAMILIES:
-        raise DomainError(f"unknown mixed family {family!r}")
-    return MIXED_FAMILIES[family](**params)
-
-
-def make_pure(family: str, *args, **params) -> PureState:
-    """Dispatch constructor for the pure families, e.g. make_pure('bell', 3)."""
-    if family not in PURE_FAMILIES:
-        raise DomainError(f"unknown pure family {family!r}")
-    return PURE_FAMILIES[family](*args, **params)

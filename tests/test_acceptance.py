@@ -319,14 +319,14 @@ def test_criterion_8_unitaries_and_isometries():
     for gate in GATES.values():
         ok = ok and is_unitary(gate, 1e-10)
     for theta in np.linspace(0.02, np.pi / 4, 20):
-        ok = ok and is_unitary(protocols.collective_unitary("U1", theta).matrix, 1e-10)
-        ok = ok and is_unitary(protocols.collective_unitary("V2", theta).matrix, 1e-10)
+        ok = ok and is_unitary(protocols.collective_unitary("U1", theta), 1e-10)
+        ok = ok and is_unitary(protocols.collective_unitary("V2", theta), 1e-10)
     for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.02, 20):
-        ok = ok and is_unitary(protocols.collective_unitary("V1", theta).matrix, 1e-10)
+        ok = ok and is_unitary(protocols.collective_unitary("V1", theta), 1e-10)
     for theta in np.linspace(0.02, np.pi / 4, 6):
         for eps in np.linspace(0.02, np.pi / 4, 6):
             ok = ok and is_unitary(
-                protocols.collective_unitary("U2", theta, eps).matrix, 1e-10)
+                protocols.collective_unitary("U2", theta, eps), 1e-10)
     check("8e gates and collective unitaries pass unitarity", ok)
 
     ok = True

@@ -32,14 +32,12 @@ def _mismatch(entry: dict):
     if got.keys() != entry["report"].keys():
         return f"fields {sorted(got)} vs {sorted(entry['report'])}"
     for key, want in entry["report"].items():
-        value = got[key]
-        close = abs(value - want) <= 1e-12 if isinstance(want, float) else value == want
-        if not close:
-            return f"{key} = {value!r}, pinned {want!r}"
+        if got[key] != want:
+            return f"{key} = {got[key]!r}, pinned {want!r}"
     pinned = entry["shared_state"]
     state = report.shared_state
     vector = np.array(pinned["re"]) + 1j * np.array(pinned["im"])
-    if list(state.dims) != pinned["dims"] or np.max(np.abs(state.vector - vector)) > 1e-12:
+    if list(state.dims) != pinned["dims"] or not np.array_equal(state.vector, vector):
         return "shared_state differs"
     return None
 

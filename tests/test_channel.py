@@ -52,8 +52,6 @@ def test_fidelity_closed_forms():
 def test_optimal_fidelity_dimension_checks():
     with pytest.raises(DomainError):
         channel.optimal_fidelity(random_density(np.random.default_rng(0), (2, 3)))
-    with pytest.raises(DomainError):
-        channel.optimal_fidelity(statezoo.werner(0.9), n=3)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +324,7 @@ def test_optimal_fidelity_qutrit_route_on_distilled_clone():
 
     joint = cloning.qutrit_cloned_pair(np.sqrt(1 / 8)).joint
     dist = cloning.distill(joint, cloning.distillation_filter(joint))
-    f = channel.optimal_fidelity(dist, n=3, restarts=0)
+    f = channel.optimal_fidelity(dist, restarts=0)
     assert f == pytest.approx(0.5409, abs=1e-3)
 
 

@@ -1,15 +1,18 @@
 """CLI contract tests: values, exit codes, file formats, reproducibility."""
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from entkit import channel, cli, statezoo
-from fixtures.make_figure_digests import digests
+from entkit.qcore import DomainError
+from fixtures import make_command_digests, make_figure_digests
 
-PINNED_FIGURE_DIGESTS = json.loads(
-    (pathlib.Path(__file__).parent / "fixtures" / "figure_digests.json").read_text())
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PINNED_FIGURE_DIGESTS = json.loads((FIXTURES / "figure_digests.json").read_text())
+PINNED_COMMAND_DIGESTS = json.loads((FIXTURES / "command_digests.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +149,18 @@ def test_every_registered_family_parses_with_its_documented_parameters():
         assert np.array_equal(_entries(state), _entries(expected)), spec
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_every_real_state_parameter_rejects_non_finite_values(bad):
+    for family, params in STATE_PARAMS.items():
+        for key in [k for k, v in params.items() if isinstance(v, float)]:
+            spec = f"{family}:" + ",".join(
+                f"{k}={bad if k == key else v}" for k, v in params.items())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError, match=bad.lstrip("-")):
+                    cli.parse_state(spec)
+
+
 def test_gme_alias_matches_full_family_name(capsys):
     outputs = []
     for family in ("gme", "generalized_max_entangled"):
@@ -250,7 +265,13 @@ def test_every_figure_renders(tmp_path, capsys, fig):
 
 
 def test_figure_bytes_match_pinned_digests():
-    assert digests() == PINNED_FIGURE_DIGESTS
+    assert make_figure_digests.digests() == PINNED_FIGURE_DIGESTS
+
+
+def test_measure_and_protocol_bytes_match_pinned_digests():
+    got = make_command_digests.digests()
+    assert got.keys() == PINNED_COMMAND_DIGESTS.keys()
+    assert [cmd for cmd, digest in got.items() if digest != PINNED_COMMAND_DIGESTS[cmd]] == []
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +360,44 @@ def test_protocol_negative_montecarlo_is_domain_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert "sample count" in err
+
+
+def _run_without_runtime_warnings(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["measure", "--state", "wei:x=nan,y=0.1,a=0.2,b=0.2,gamma=0.4", "--kind", "concurrence"],
+     "wei parameter x must be >= 0, got nan"),
+    (["measure", "--state", "pati:l=nan", "--kind", "entropy_vn"], "l must be finite and > 0, got nan"),
+    (["measure", "--state", "pati:l=inf", "--kind", "entropy_vn"], "l must be finite and > 0, got inf"),
+    (["measure", "--state", "bell:1", "--kind", "entropy_vn", "--base", "nan"], "got nan"),
+    (["protocol", "cdc", "--theta", "nan"], "theta must be finite, got nan"),
+    (["protocol", "cdc", "--theta", "inf"], "theta must be finite, got inf"),
+    (["protocol", "cdc", "--theta", "nan", "--montecarlo", "10"], "theta must be finite, got nan"),
+    (["protocol", "cdc", "--family", "ghz4", "--theta", "0.6", "--epsilon", "inf"],
+     "epsilon must be finite, got inf"),
+    (["protocol", "cdc", "--family", "pati", "--l", "nan"], "l must be finite, got nan"),
+    (["protocol", "cdc", "--family", "qutrit_ghz", "--theta", "inf"], "theta must be finite, got inf"),
+])
+def test_non_finite_parameters_are_domain_errors_naming_the_value(capsys, argv, named):
+    code, out, err = _run_without_runtime_warnings(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_non_finite_matrix_file_entry_is_a_domain_error(tmp_path, capsys, entry):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dims": [2], "entries": [[0.5, 0], [entry, 0], [entry, 0],
+                                                        [0.5, 0]]}))
+    code, out, err = _run_without_runtime_warnings(
+        capsys, "measure", "--state", f"matrix:{path}", "--kind", "entropy_vn")
+    assert code == 3
+    assert f"non-finite entry ({entry}+0j)" in err
 
 
 def test_protocol_montecarlo_zero_means_off(capsys):

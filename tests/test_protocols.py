@@ -43,37 +43,37 @@ def test_controller_outcome_probabilities_sum_to_one():
 
 def test_unitaries_on_their_angle_domains():
     for theta in np.linspace(0.01, np.pi / 4, 50):
-        assert is_unitary(protocols.collective_unitary("U1", theta).matrix, 1e-10)
-        assert is_unitary(protocols.collective_unitary("V2", theta).matrix, 1e-10)
-        assert is_unitary(protocols.collective_unitary("hao", theta).matrix, 1e-10)
+        assert is_unitary(protocols.collective_unitary("U1", theta), 1e-10)
+        assert is_unitary(protocols.collective_unitary("V2", theta), 1e-10)
+        assert is_unitary(protocols.collective_unitary("hao", theta), 1e-10)
     for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.01, 50):
-        assert is_unitary(protocols.collective_unitary("V1", theta).matrix, 1e-10)
+        assert is_unitary(protocols.collective_unitary("V1", theta), 1e-10)
     for theta in np.linspace(0.01, np.pi / 4, 8):
         for eps in np.linspace(0.01, np.pi / 4, 8):
-            assert is_unitary(protocols.collective_unitary("U2", theta, eps).matrix, 1e-10)
+            assert is_unitary(protocols.collective_unitary("U2", theta, eps), 1e-10)
 
 
 def test_u1_degenerate_maximal_angle():
-    u = protocols.collective_unitary("U1", np.pi / 4).matrix
+    u = protocols.collective_unitary("U1", np.pi / 4)
     assert u[0, 0] == pytest.approx(1.0, abs=1e-12)    # sin/cos = 1
     assert abs(u[0, 2]) <= 1e-6                        # radical vanishes
 
 
 def test_u2_domain_seam():
-    u = protocols.collective_unitary("U2", np.pi / 4, np.pi / 4).matrix
+    u = protocols.collective_unitary("U2", np.pi / 4, np.pi / 4)
     assert u[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_v1_published_entries():
     theta = np.pi / 3
-    v = protocols.collective_unitary("V1", theta).matrix
+    v = protocols.collective_unitary("V1", theta)
     assert v[0, 0] == pytest.approx(np.cos(theta) / np.sin(theta), abs=1e-12)
     assert v[0, 8] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
 
 
 def test_hao_is_u1():
-    assert_allclose(protocols.collective_unitary("hao", 0.5).matrix,
-                    protocols.collective_unitary("U1", 0.5).matrix)
+    assert_allclose(protocols.collective_unitary("hao", 0.5),
+                    protocols.collective_unitary("U1", 0.5))
 
 
 def test_unitary_domain_errors_name_the_radical():

@@ -20,7 +20,6 @@ from entkit.qcore import (
     DomainError,
     basis_ket,
     density,
-    hermitian_eigen,
     is_unitary,
     ket,
     partial_trace,
@@ -172,8 +171,10 @@ def test_partial_transpose_invalid_index():
 def test_partial_transpose_is_an_involution(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (2, 3))
-    pt = partial_transpose(rho, 1)
-    assert np.max(np.abs(partial_transpose(pt, 1, dims=(2, 3)) - rho.matrix)) <= 1e-15
+    # a partial transpose has its eigenvalues in [-1/2, 1], so (pt + I)/7 is a
+    # state; its partial transpose permutes the entries back, bit for bit
+    lifted = density((2, 3), (partial_transpose(rho, 1) + np.eye(6)) / 7)
+    assert np.array_equal(partial_transpose(lifted, 1), (rho.matrix + np.eye(6)) / 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +207,7 @@ def test_partial_trace_of_pure_state_matches_its_density(seed, dims):
 
 def test_partial_trace_of_pure_state_keeps_original_order():
     # keep is sorted: (2, 0) and (0, 2) give the same state on subsystems 0, 2
-    psi = pure((2, 3, 2), np.arange(1, 13), normalise=True)
+    psi = pure((2, 3, 2), np.arange(1, 13) / np.linalg.norm(np.arange(1, 13)))
     a = partial_trace(psi, keep=(2, 0))
     assert a.dims == (2, 2)
     assert np.array_equal(a.matrix, partial_trace(psi, keep=(0, 2)).matrix)
@@ -217,33 +218,6 @@ def test_partial_trace_of_pure_state_keeps_original_order():
 # ---------------------------------------------------------------------------
 # eigen machinery
 # ---------------------------------------------------------------------------
-
-def test_hermitian_eigen_identity_and_pauli_z():
-    evals, _ = hermitian_eigen(np.eye(4))
-    assert_allclose(evals, np.ones(4))
-    evals, evecs = hermitian_eigen(qcore.Z)
-    assert_allclose(evals, [1.0, -1.0])
-    assert_allclose(np.abs(evecs[:, 0]), [1.0, 0.0], atol=1e-14)
-
-
-def test_hermitian_eigen_tt_of_pure_singlet_fraction_one_werner():
-    from entkit import channel
-
-    t = channel.correlation_matrix(statezoo.werner(1.0))
-    evals, _ = hermitian_eigen(t.conj().T @ t)
-    assert_allclose(evals, np.ones(3), atol=1e-12)
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(DomainError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eigen_reconstruction(rng=np.random.default_rng(3)):
-    m = random_density(rng, (2, 2)).matrix
-    evals, evecs = hermitian_eigen(m)
-    assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.conj().T - m)) < 1e-9
-
 
 def test_psd_sqrt_basic_cases():
     assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
@@ -264,6 +238,23 @@ def test_psd_sqrt_squares_back(rng=np.random.default_rng(4)):
     m = random_density(rng, (2, 2)).matrix
     root = psd_sqrt(m)
     assert np.max(np.abs(root @ root - m)) < 1e-8
+
+
+STATE_DIMS = st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3)])
+
+
+def _random_state_of_any_rank(seed, dims, data) -> DensityMatrix:
+    rank = data.draw(st.integers(min_value=1, max_value=int(np.prod(dims))))
+    return random_density(np.random.default_rng(seed), dims, rank=rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), STATE_DIMS, st.data())
+def test_psd_sqrt_is_a_hermitian_square_root_at_every_rank(seed, dims, data):
+    rho = _random_state_of_any_rank(seed, dims, data)
+    root = psd_sqrt(rho.matrix)
+    assert np.max(np.abs(root - root.conj().T)) <= 1e-12
+    assert np.max(np.abs(root @ root - rho.matrix)) <= 1e-12
 
 
 def test_psd_sqrt_rejects_negative_matrix():
@@ -328,6 +319,16 @@ def test_purify_pure_state_has_rank_one_reference():
     assert dec.rank == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), STATE_DIMS, st.data())
+def test_purify_traced_over_the_reference_gives_back_rho_at_every_rank(seed, dims, data):
+    rho = _random_state_of_any_rank(seed, dims, data)
+    psi = purify(rho)
+    assert psi.dims == dims + (rho.dim,)
+    back = partial_trace(psi, keep=range(len(dims)))
+    assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-12
+
+
 def test_purify_werner_roundtrip():
     rho = statezoo.werner(0.9)
     psi = purify(rho)
@@ -347,6 +348,16 @@ def test_density_matrix_validation():
         density((2,), np.eye(2))                                    # trace 2
     with pytest.raises(DomainError):
         density((2,), np.diag([1.5, -0.5]))                         # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_states_reject_non_finite_entries(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix((2,), [[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix((2,), [[0.5, bad], [bad, 0.5]])
+    with pytest.raises(DomainError, match="not normalised"):
+        pure((2,), [bad, 0.0])
 
 
 def test_pure_state_validation():

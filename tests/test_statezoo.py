@@ -250,12 +250,3 @@ def test_generalized_max_entangled():
     assert psi.vector[4].real == pytest.approx(1 / np.sqrt(3))
     assert psi.vector[8].real == pytest.approx(1 / np.sqrt(3))
 
-
-def test_make_mixed_make_pure_dispatch():
-    assert_allclose(statezoo.make_mixed("werner", F=0.8).matrix,
-                    statezoo.werner(0.8).matrix)
-    assert_allclose(statezoo.make_pure("bell", 2).vector, statezoo.bell(2).vector)
-    with pytest.raises(DomainError):
-        statezoo.make_mixed("nonsense")
-    with pytest.raises(DomainError):
-        statezoo.make_pure("nonsense")
