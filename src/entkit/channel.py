@@ -115,14 +115,12 @@ def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
     if rho_in.dims != (2,):
         raise DomainError(f"input must be a single qubit, got dims {rho_in.dims}")
     measures._require_two_qubits(channel, "teleportation channel")
-    overlaps = [float(np.real(statezoo.bell(k).vector.conj()
-                              @ channel.matrix @ statezoo.bell(k).vector))
-                for k in range(1, 5)]
+    bells = measures.maximally_entangled_bases(2)     # bell(1)..bell(4)
+    overlaps = [float(np.real(v.conj() @ channel.matrix @ v)) for v in bells]
     corrections = _CORRECTIONS[1 + int(np.argmax(overlaps))]
     total = DensityMatrix((2, 2, 2), tensor(rho_in.matrix, channel.matrix))
     outcomes = []
-    for k in range(1, 5):
-        bell_vec = statezoo.bell(k).vector
+    for k, bell_vec in enumerate(bells, start=1):
         proj = tensor(np.outer(bell_vec, bell_vec.conj()), I2)
         sub = proj @ total.matrix @ proj
         prob = float(np.trace(sub).real)
@@ -178,7 +176,7 @@ class ChannelReport:
     boundary: bool = False         # true when N sits within 1e-9 of the N = 1 line
 
 
-def analyze_channel(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> ChannelReport:
+def analyze_channel(rho: DensityMatrix, restarts: int = 32) -> ChannelReport:
     measures._require_two_qubits(rho, "channel analysis")
     n = n_value(rho)
     m = m_value(rho)
@@ -188,7 +186,7 @@ def analyze_channel(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> Ch
         concurrence=measures.concurrence(rho),
         n_value=n,
         m_value=m,
-        singlet_fraction=measures.singlet_fraction(rho, seed=seed, restarts=restarts),
+        singlet_fraction=measures.singlet_fraction(rho, restarts=restarts),
         fidelity_opt=0.5 * (1.0 + n / 3.0),
         useful_for_teleportation=n > 1.0 + BOUNDARY_BAND,
         violates_bell_chsh=m > 1.0 + BOUNDARY_BAND,
@@ -303,8 +301,7 @@ _FAMILIES = {
 }
 
 
-def analyze_family(family: str, values, seed: int = 0, restarts: int = 0,
-                   **fixed) -> list:
+def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
     """Analyze one state family over a parameter grid.
 
     Returns (value, ChannelReport, closed_forms) triples sorted by the grid
@@ -317,6 +314,6 @@ def analyze_family(family: str, values, seed: int = 0, restarts: int = 0,
     param, build = _FAMILIES[family]
     rows = []
     for v in sorted(float(x) for x in values):
-        report = analyze_channel(build(v, fixed), seed=seed, restarts=restarts)
+        report = analyze_channel(build(v, fixed), restarts=restarts)
         rows.append((v, report, closed_forms(family, **{param: v}, **fixed)))
     return rows

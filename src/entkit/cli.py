@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import channel, cloning, measures, protocols, statezoo
-from .qcore import DomainError, PureState, density
+from .qcore import DensityMatrix, DomainError, PureState
 
 
 class ParseFailure(ValueError):
@@ -94,7 +94,7 @@ def _load_matrix(path: str):
     d = int(np.prod(dims))
     if entries.size != d * d:
         raise ParseFailure(f"matrix file has {entries.size} entries, expected {d * d}")
-    return density(dims, entries.reshape(d, d))
+    return DensityMatrix(dims, entries.reshape(d, d))
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -248,15 +248,15 @@ def cmd_protocol(args) -> int:
         if args.montecarlo:
             payload["montecarlo"] = protocols.monte_carlo_cdc(
                 args.family, args.theta, args.montecarlo, args.seed, **kwargs)
-    elif args.protocol == "secret-share":
+    else:
+        if args.c2 < 0.0:
+            raise DomainError(f"cloning c^2 must lie in (1/3, 1], got {args.c2}")
         c = np.sqrt(args.c2)
         report = protocols.secret_share_run(c, args.charlie_bit, args.alice_outcome)
         payload = report.to_dict()
         if args.montecarlo:
             payload["montecarlo"] = protocols.monte_carlo_secret_share(
                 c, args.montecarlo, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseFailure(f"unknown protocol {args.protocol!r}")
     return _emit(json.dumps(payload, sort_keys=True, default=float) + "\n", args.out)
 
 

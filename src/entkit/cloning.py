@@ -22,7 +22,6 @@ from .qcore import (
     DomainError,
     PureState,
     partial_trace,
-    pure,
     tensor,
 )
 
@@ -87,7 +86,7 @@ def clone_pure(psi: PureState, params: CloningParams) -> tuple:
     """
     if psi.dims != (params.n,):
         raise DomainError(f"state dims {psi.dims} do not match machine dimension {params.n}")
-    full = pure((params.n,) * 3, cloning_isometry(params) @ psi.vector)
+    full = PureState((params.n,) * 3, cloning_isometry(params) @ psi.vector)
     return full, partial_trace(full, keep=(0,))
 
 
@@ -105,7 +104,7 @@ def qutrit_cloned_pair(d: float) -> ClonePairOutput:
     if not 0.0 < d <= 0.5:
         raise DomainError(f"machine parameter d must lie in (0, 1/2], got {d}")
     params = uqcm_params(3, d)
-    full = pure((3,) * 3, cloning_isometry(params) @ (np.ones(3) / np.sqrt(3.0)))
+    full = PureState((3,) * 3, cloning_isometry(params) @ (np.ones(3) / np.sqrt(3.0)))
     joint = partial_trace(full, keep=(0, 1))
     return ClonePairOutput(joint, params, params.is_optimal)
 

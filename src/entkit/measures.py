@@ -10,12 +10,12 @@ from .qcore import (
     TOL_HERM,
     DensityMatrix,
     DomainError,
+    PureState,
     Y,
     partial_trace,
     partial_transpose,
     psd_spectrum,
     psd_sqrt,
-    pure,
     tensor,
 )
 
@@ -133,7 +133,7 @@ def entropy_of_entanglement(psi) -> float:
         if not psi.is_pure():
             raise DomainError("entropy of entanglement is defined for pure states only")
         evecs = np.linalg.eigh(psi.matrix)[1]
-        psi = pure(psi.dims, evecs[:, -1])     # ascending: the last one spans rho
+        psi = PureState(psi.dims, evecs[:, -1])  # ascending: the last one spans rho
     if len(psi.dims) != 2:
         raise DomainError(f"need a bipartite pure state, got dims {psi.dims}")
     s_left = entropy(partial_trace(psi, keep=(0,)), "von_neumann", 2.0)
@@ -265,7 +265,6 @@ def distance(rho: DensityMatrix, sigma: DensityMatrix, metric: str = "trace") ->
     """Distance between two states.
 
     trace:           (1/2) Tr|rho - sigma|
-    fidelity:        Tr sqrt(sqrt(rho) sigma sqrt(rho))  (a closeness, not a distance)
     hilbert_schmidt: Tr (rho - sigma)^2
     bures:           sqrt(2) (1 - fidelity)^(1/2)
     """
@@ -274,8 +273,6 @@ def distance(rho: DensityMatrix, sigma: DensityMatrix, metric: str = "trace") ->
     if metric == "trace":
         evals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
         return float(0.5 * np.sum(np.abs(evals)))
-    if metric == "fidelity":
-        return fidelity(rho, sigma)
     if metric == "hilbert_schmidt":
         delta = rho.matrix - sigma.matrix
         return float(np.trace(delta @ delta).real)
@@ -288,7 +285,7 @@ def distance(rho: DensityMatrix, sigma: DensityMatrix, metric: str = "trace") ->
 # separability tests
 # ---------------------------------------------------------------------------
 
-def peres_horodecki(rho: DensityMatrix, tol: float = 1e-12) -> str:
+def peres_horodecki(rho: DensityMatrix) -> str:
     """Separability verdict for two qubits from the leading principal minors
     W2, W3, W4 of the partial transpose; entangled iff the transpose fails to
     stay positive."""
@@ -297,7 +294,7 @@ def peres_horodecki(rho: DensityMatrix, tol: float = 1e-12) -> str:
     w2 = float(np.linalg.det(pt[:2, :2]).real)
     w3 = float(np.linalg.det(pt[:3, :3]).real)
     w4 = float(np.linalg.det(pt).real)
-    entangled = w4 < -tol or (abs(w4) <= tol and w3 < -tol) or w2 < -tol
+    entangled = w4 < -1e-12 or (abs(w4) <= 1e-12 and w3 < -1e-12) or w2 < -1e-12
     return "entangled" if entangled else "separable"
 
 

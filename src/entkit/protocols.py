@@ -37,7 +37,6 @@ from .qcore import (
     ket,
     partial_trace,
     psd_spectrum,
-    pure,
     tensor,
 )
 
@@ -457,16 +456,16 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
     return fam, p, closed
 
 
-def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> float:
-    """Success probability of one controller branch (see _branches) by the
-    family's convention."""
+def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> tuple:
+    """(success probability of one controller branch (see _branches) by the
+    family's convention, whether the branch is a product pair handed over as it is)."""
     if branches is None and _schmidt_concurrence(vec, d) <= 1e-12:
-        return 0.0                      # a product pair carries no resource
+        return 0.0, True                # a product pair carries no resource
     if fam.convention == "published":
-        return closed["success"]
+        return closed["success"], False
     if branches is None or 0 not in branches:
-        return 0.0
-    return float(np.real(np.vdot(branches[0], branches[0])))
+        return 0.0, False
+    return float(np.real(np.vdot(branches[0], branches[0]))), False
 
 
 def cdc_run(family: str, theta: float | None = None, epsilon: float | None = None,
@@ -487,7 +486,7 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
         raise DomainError(f"unknown controller outcome {controller_outcome!r} for {family}; "
                           f"expected one of {', '.join(fam.outcomes)}")
     prob, vec, d, branches = _branches(family, p, outcome)
-    success = _success(fam, closed, vec, d, branches)
+    success, product = _success(fam, closed, vec, d, branches)
 
     if branches is None:        # handed over as it is
         aux_outcome, shared = 0, vec
@@ -497,8 +496,8 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
         w = branches[aux_outcome]
         shared = w / np.linalg.norm(w)
 
-    if branches is None and _schmidt_concurrence(shared, d) <= 1e-12:
-        bits, conc = 1.0, 0.0         # a product pair carries no resource
+    if product:
+        bits, conc = 1.0, 0.0
     elif fam.convention == "published":
         bits, conc = closed["bits"], closed["concurrence"]
     elif fam.convention == "per_outcome":
@@ -514,7 +513,7 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
         bits_transmitted_avg=bits, shared_concurrence=conc,
         # a run that cannot succeed never ends maximally entangled
         maximally_entangled=bool(success > 0.0 and abs(conc - 1.0) <= 1e-9),
-        shared_state=pure((d, d), shared))
+        shared_state=PureState((d, d), shared))
 
 
 def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
@@ -725,7 +724,7 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
         except _ZeroProbability:
             prob, success = 0.0, 0.0
         else:
-            success = _success(fam, closed, vec, d, branches)
+            success = _success(fam, closed, vec, d, branches)[0]
         leaves[f"{outcome}/aux0"] = prob * success
         leaves[f"{outcome}/fail"] = prob * (1.0 - success)
         exact += prob * success

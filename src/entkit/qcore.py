@@ -75,10 +75,6 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(self.vector, self.vector.conj()))
 
 
-def pure(dims, amplitudes) -> PureState:
-    return PureState(tuple(dims), amplitudes)
-
-
 @dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator with dims signature.
@@ -119,12 +115,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return abs(self.purity() - 1.0) <= tol
-
-
-def density(dims, matrix) -> DensityMatrix:
-    return DensityMatrix(tuple(dims), matrix)
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

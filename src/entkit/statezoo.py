@@ -20,7 +20,6 @@ from .qcore import (
     basis_ket,
     ket,
     partial_trace,
-    pure,
     tensor,
 )
 
@@ -45,21 +44,21 @@ def bell(k: int) -> PureState:
     v = np.zeros(4)
     v[i] = 1.0
     v[j] = sign
-    return pure((2, 2), v / SQRT2)
+    return PureState((2, 2), v / SQRT2)
 
 
 def ghz3() -> PureState:
     """(|000> + |111>)/sqrt(2)."""
     v = np.zeros(8)
     v[0] = v[7] = 1.0
-    return pure((2, 2, 2), v / SQRT2)
+    return PureState((2, 2, 2), v / SQRT2)
 
 
 def ghz4() -> PureState:
     """(|0000> + |1111>)/sqrt(2)."""
     v = np.zeros(16)
     v[0] = v[15] = 1.0
-    return pure((2, 2, 2, 2), v / SQRT2)
+    return PureState((2, 2, 2, 2), v / SQRT2)
 
 
 # Orthogonal three-qubit companions of the GHZ state, G1..G7.
@@ -81,14 +80,14 @@ def ghz_class(i: int) -> PureState:
     a, b, sign = _GHZ_CLASS[i]
     v = basis_ket([int(c) for c in a], (2, 2, 2)) + sign * basis_ket(
         [int(c) for c in b], (2, 2, 2))
-    return pure((2, 2, 2), v / SQRT2)
+    return PureState((2, 2, 2), v / SQRT2)
 
 
 def w3_prototype() -> PureState:
     """(|100> + |010> + |001>)/sqrt(3)."""
     v = np.zeros(8)
     v[4] = v[2] = v[1] = 1.0
-    return pure((2, 2, 2), v / np.sqrt(3))
+    return PureState((2, 2, 2), v / np.sqrt(3))
 
 
 def w3_nonprototype() -> PureState:
@@ -96,14 +95,14 @@ def w3_nonprototype() -> PureState:
     v = np.zeros(8)
     v[4] = v[2] = 1.0
     v[1] = SQRT2
-    return pure((2, 2, 2), v / 2.0)
+    return PureState((2, 2, 2), v / 2.0)
 
 
 def w4() -> PureState:
     """(|1000> + |0100> + |0010> + |0001>)/2."""
     v = np.zeros(16)
     v[8] = v[4] = v[2] = v[1] = 0.5
-    return pure((2, 2, 2, 2), v)
+    return PureState((2, 2, 2, 2), v)
 
 
 def pati(l: float) -> PureState:
@@ -113,7 +112,7 @@ def pati(l: float) -> PureState:
     v = np.zeros(8)
     v[0] = 1.0
     v[7] = l
-    return pure((2, 2, 2), v / np.sqrt(1.0 + l * l))
+    return PureState((2, 2, 2), v / np.sqrt(1.0 + l * l))
 
 
 def liqiu_w(n: int) -> PureState:
@@ -125,7 +124,7 @@ def liqiu_w(n: int) -> PureState:
     phi[1] = np.sqrt(n)
     phi /= np.sqrt(n + 1.0)
     v = (tensor(phi, ket(0, 2)) + tensor(basis_ket((0, 0), (2, 2)), ket(1, 2))) / SQRT2
-    return pure((2, 2, 2), v)
+    return PureState((2, 2, 2), v)
 
 
 def qutrit_ghz3() -> PureState:
@@ -133,7 +132,7 @@ def qutrit_ghz3() -> PureState:
     v = np.zeros(27)
     for i in range(3):
         v += basis_ket((i, i, i), (3, 3, 3)).real
-    return pure((3, 3, 3), v / np.sqrt(3))
+    return PureState((3, 3, 3), v / np.sqrt(3))
 
 
 def generalized_max_entangled(n: int) -> PureState:
@@ -143,7 +142,7 @@ def generalized_max_entangled(n: int) -> PureState:
     v = np.zeros(n * n)
     for i in range(n):
         v[i * n + i] = 1.0
-    return pure((n, n), v / np.sqrt(n))
+    return PureState((n, n), v / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

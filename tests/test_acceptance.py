@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from entkit import channel, cloning, measures, protocols, statezoo
-from entkit.qcore import density, is_unitary, partial_transpose
+from entkit.qcore import DensityMatrix, is_unitary, partial_transpose
 from util import bisect_predicate, random_density
 
 FIXTURE = json.loads(
@@ -348,6 +348,6 @@ def test_criterion_8_constructed_states_pass_invariants():
         evals = np.linalg.eigvalsh(rho.matrix)
         assert evals.min() >= -1e-9 and abs(np.trace(rho.matrix).real - 1) <= 1e-10
         assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-10
-    pt = partial_transpose(density((2, 2), np.eye(4) / 4), 0)
+    pt = partial_transpose(DensityMatrix((2, 2), np.eye(4) / 4), 0)
     assert np.max(np.abs(pt - np.eye(4) / 4)) <= 1e-12
     check("8g all constructed density matrices satisfy the state invariants", True)

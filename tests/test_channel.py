@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entkit import channel, measures, statezoo
-from entkit.qcore import DomainError, density
+from entkit.qcore import DensityMatrix, DomainError
 from util import bisect_predicate, fef_closed_form, random_density
 
 WERNER_BELL_BOUNDARY = (3.0 + np.sqrt(2.0)) / (4.0 * np.sqrt(2.0))
@@ -15,7 +15,7 @@ WERNER_BELL_BOUNDARY = (3.0 + np.sqrt(2.0)) / (4.0 * np.sqrt(2.0))
 # ---------------------------------------------------------------------------
 
 def test_correlation_matrix_maximally_mixed_is_zero():
-    rho = density((2, 2), np.eye(4) / 4)
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
     assert_allclose(channel.correlation_matrix(rho), np.zeros((3, 3)), atol=1e-14)
 
 
@@ -37,7 +37,7 @@ def test_n_and_m_values():
     assert channel.n_value(statezoo.werner(1.0)) == pytest.approx(3.0, abs=1e-12)
     assert channel.m_value(statezoo.werner(1.0)) == pytest.approx(2.0, abs=1e-12)
     assert channel.n_value(statezoo.nmems(0.0)) == pytest.approx(5 / 3, abs=1e-12)
-    mixed = density((2, 2), np.eye(4) / 4)
+    mixed = DensityMatrix((2, 2), np.eye(4) / 4)
     assert channel.n_value(mixed) == pytest.approx(0.0, abs=1e-12)
     assert channel.m_value(mixed) == pytest.approx(0.0, abs=1e-12)
 
@@ -45,7 +45,7 @@ def test_n_and_m_values():
 def test_fidelity_closed_forms():
     assert channel.optimal_fidelity(statezoo.werner(0.75)) == pytest.approx(
         (2 * 0.75 + 1) / 3, abs=1e-12)
-    mixed = density((2, 2), np.eye(4) / 4)
+    mixed = DensityMatrix((2, 2), np.eye(4) / 4)
     assert channel.optimal_fidelity(mixed) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_chsh_product_state_classical_bound():
     rng = np.random.default_rng(31)
     a = random_density(rng, (2,))
     b = random_density(rng, (2,))
-    rho = density((2, 2), np.kron(a.matrix, b.matrix))
+    rho = DensityMatrix((2, 2), np.kron(a.matrix, b.matrix))
     for _ in range(20):
         settings = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 3))]
         assert channel.chsh_max(rho, settings) <= 2.0 + 1e-9

@@ -312,6 +312,21 @@ def test_protocol_domain_error_propagates_as_exit_three(capsys):
     assert code == 3
 
 
+def test_protocol_unknown_name_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "protocol", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("c2,named", [("-1", "got -1.0"), ("-inf", "got -inf"), ("nan", "got nan")])
+def test_secret_share_c2_outside_its_domain_is_a_domain_error_naming_it(capsys, c2, named):
+    code, out, err = _run_without_runtime_warnings(capsys, "protocol", "secret-share", f"--c2={c2}")
+    assert code == 3
+    assert out == ""
+    assert named in err
+
+
 def test_protocol_montecarlo_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

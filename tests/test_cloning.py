@@ -10,12 +10,12 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, measures, statezoo
 from entkit.qcore import (
+    DensityMatrix,
     DomainError,
-    density,
+    PureState,
     ket,
     partial_trace,
     partial_transpose,
-    pure,
     tensor,
 )
 from util import random_pure, random_unitary
@@ -48,7 +48,7 @@ def test_wootters_zurek_limit():
     p = cloning.uqcm_params(2, d=0.0)
     assert p.c == pytest.approx(1.0)
     assert p.s == pytest.approx(1.0)
-    psi = pure((2,), ket(1, 2))
+    psi = PureState((2,), ket(1, 2))
     full, marginal = cloning.clone_pure(psi, p)
     # basis states are copied exactly: |1>|1>|X_1> has index 7
     assert_allclose(marginal.matrix, np.diag([0.0, 1.0]), atol=1e-12)
@@ -73,12 +73,12 @@ def test_cloning_transformation_is_an_isometry(n, d):
 # ---------------------------------------------------------------------------
 
 def test_clone_marginal_qubit_basis_state():
-    full, marginal = cloning.clone_pure(pure((2,), ket(0, 2)), cloning.uqcm_params(2))
+    full, marginal = cloning.clone_pure(PureState((2,), ket(0, 2)), cloning.uqcm_params(2))
     assert_allclose(marginal.matrix.real, np.diag([5.0 / 6.0, 1.0 / 6.0]), atol=1e-12)
 
 
 def test_clone_marginal_qutrit_scaling_form():
-    psi = pure((3,), np.ones(3) / np.sqrt(3))
+    psi = PureState((3,), np.ones(3) / np.sqrt(3))
     _, marginal = cloning.clone_pure(psi, cloning.uqcm_params(3))
     expected = 5.0 / 8.0 * np.outer(psi.vector, psi.vector.conj()) + np.eye(3) / 8.0
     assert np.max(np.abs(marginal.matrix - expected)) <= 1e-10
@@ -100,7 +100,7 @@ def test_clone_scaling_form_for_random_inputs(n):
 
 def test_clone_pure_dimension_mismatch():
     with pytest.raises(DomainError):
-        cloning.clone_pure(pure((2,), ket(0, 2)), cloning.uqcm_params(3))
+        cloning.clone_pure(PureState((2,), ket(0, 2)), cloning.uqcm_params(3))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_reduction_holds_for_separable_product():
     rng = np.random.default_rng(200)
     a = np.diag([0.6, 0.3, 0.1])
     b = np.diag([0.5, 0.25, 0.25])
-    rho = density((3, 3), tensor(a, b))
+    rho = DensityMatrix((3, 3), tensor(a, b))
     assert not cloning.reduction_check(rho).violated
     _ = rng
 
@@ -219,8 +219,9 @@ def test_filter_side_b_mirrors_side_a_under_swap():
     # B, and the result is the swap of filtering the swapped state on A
     joint = cloning.qutrit_cloned_pair(0.3).joint.matrix
     lean = tensor(np.eye(3) / 3, np.diag([0.1, 0.2, 0.7]))
-    rho = density((3, 3), 0.9 * joint + 0.1 * lean)
-    swapped = density((3, 3), rho.matrix.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9))
+    rho = DensityMatrix((3, 3), 0.9 * joint + 0.1 * lean)
+    swapped = DensityMatrix(
+        (3, 3), rho.matrix.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9))
     res, mirror = cloning.reduction_check(rho), cloning.reduction_check(swapped)
     assert (res.side, mirror.side) == ("B", "A")
     assert res.eigenvalue == pytest.approx(mirror.eigenvalue, abs=1e-12)
@@ -252,7 +253,7 @@ def test_filter_from_eigenvector_validation():
 
 
 def test_distill_annihilation():
-    rho = pure((2, 2), ket(3, 4)).density()     # |11><11|
+    rho = PureState((2, 2), ket(3, 4)).density()     # |11><11|
     filt = cloning.FilterMatrix(np.sqrt(2) * np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(DomainError):
         cloning.distill(rho, filt)
@@ -330,7 +331,7 @@ def test_distillation_filter_is_invariant_under_local_unitaries(seed, d, where):
     ua = random_unitary(rng, 3) if where != "B" else np.eye(3)
     ub = random_unitary(rng, 3) if where != "A" else np.eye(3)
     u = tensor(ua, ub)
-    rotated = density((3, 3), u @ joint.matrix @ u.conj().T)
+    rotated = DensityMatrix((3, 3), u @ joint.matrix @ u.conj().T)
     res, ref = cloning.reduction_check(rotated), cloning.reduction_check(joint)
     assert res.side == ref.side
     assert res.eigenvalue == pytest.approx(ref.eigenvalue, abs=1e-12)
@@ -384,7 +385,7 @@ def test_distilled_nonopt_at_half_is_dense_codeable():
 def test_teleportation_witness_qutrit_values():
     phi = statezoo.generalized_max_entangled(3).density()
     assert cloning.teleportation_witness_qutrit(phi) == pytest.approx(-2.0 / 3.0, abs=1e-12)
-    mixed = density((3, 3), np.eye(9) / 9)
+    mixed = DensityMatrix((3, 3), np.eye(9) / 9)
     assert cloning.teleportation_witness_qutrit(mixed) == pytest.approx(2.0 / 9.0, abs=1e-12)
     for d in (0.2, 0.35, 0.5):
         got = cloning.teleportation_witness_qutrit(cloning.qutrit_cloned_pair(d).joint)
@@ -418,7 +419,7 @@ def test_clone_bipartite_pair_symmetries():
     amp = np.diag([np.sqrt(lam), np.sqrt(1 - lam)])
     full = np.einsum("ai,bj,ij->ab", iso, iso, amp).reshape((2,) * 6)
     full = full.transpose(0, 3, 1, 4, 2, 5).reshape(-1)
-    state = density((2,) * 6, np.outer(full, full.conj()))
+    state = DensityMatrix((2,) * 6, np.outer(full, full.conj()))
     clones = partial_trace(state, keep=(0, 1, 2, 3))
     rho13 = partial_trace(clones, keep=(0, 2)).matrix
     rho24 = partial_trace(clones, keep=(1, 3)).matrix

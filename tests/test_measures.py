@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
-from entkit.qcore import DomainError, Y, density, partial_transpose, pure, tensor
+from entkit.qcore import DensityMatrix, DomainError, PureState, Y, partial_transpose, tensor
 from util import fef_closed_form, random_density, random_pure, random_unitary
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
@@ -81,7 +81,7 @@ def test_negativity_extremes():
     assert measures.negativity(statezoo.bell(3).density()) == pytest.approx(1.0, abs=1e-12)
     v = np.zeros(4)
     v[0] = 1.0
-    assert measures.negativity(pure((2, 2), v).density()) == pytest.approx(0.0, abs=1e-12)
+    assert measures.negativity(PureState((2, 2), v).density()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negativity_werner_against_partial_transpose_oracle():
@@ -100,7 +100,7 @@ def test_negativity_three_level():
 def test_peres_horodecki_verdicts():
     v = np.zeros(4)
     v[0] = 1.0
-    assert measures.peres_horodecki(pure((2, 2), v).density()) == "separable"
+    assert measures.peres_horodecki(PureState((2, 2), v).density()) == "separable"
     assert measures.peres_horodecki(statezoo.werner(0.9)) == "entangled"
     assert measures.peres_horodecki(statezoo.werner(0.4)) == "separable"
 
@@ -121,7 +121,7 @@ def test_eof_extremes():
     assert measures.entanglement_of_formation(statezoo.bell(1).density()) == pytest.approx(1.0)
     v = np.zeros(4)
     v[0] = 1.0
-    assert measures.entanglement_of_formation(pure((2, 2), v).density()) == 0.0
+    assert measures.entanglement_of_formation(PureState((2, 2), v).density()) == 0.0
 
 
 def test_eof_werner_against_binary_entropy():
@@ -149,7 +149,7 @@ def test_entropy_pure_state_is_zero():
 
 
 def test_entropy_maximally_mixed():
-    rho = density((2, 2), np.eye(4) / 4)
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
     assert measures.entropy(rho, "von_neumann", 4) == pytest.approx(1.0, abs=1e-12)
     assert measures.entropy(rho, "linear") == pytest.approx(1.0, abs=1e-12)
 
@@ -171,14 +171,14 @@ def test_entropy_of_entanglement_examples():
     assert measures.entropy_of_entanglement(statezoo.bell(3)) == pytest.approx(1.0, abs=1e-10)
     v = np.zeros(4)
     v[0] = 1.0
-    assert measures.entropy_of_entanglement(pure((2, 2), v)) == pytest.approx(0.0, abs=1e-10)
+    assert measures.entropy_of_entanglement(PureState((2, 2), v)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_entropy_of_entanglement_schmidt_route():
     v = np.zeros(4)
     v[0] = np.sqrt(0.9)
     v[3] = np.sqrt(0.1)
-    psi = pure((2, 2), v)
+    psi = PureState((2, 2), v)
     marginal_route = measures.entropy_of_entanglement(psi)
     schmidt_route = -0.9 * np.log2(0.9) - 0.1 * np.log2(0.1)
     assert marginal_route == pytest.approx(schmidt_route, abs=1e-12)
@@ -195,9 +195,9 @@ def test_entropy_of_entanglement_rejects_mixed_input():
 
 def test_singlet_fraction_trivial_cases():
     assert measures.singlet_fraction(statezoo.bell(3).density(), restarts=0) == pytest.approx(1.0)
-    rho9 = density((3, 3), np.eye(9) / 9)
+    rho9 = DensityMatrix((3, 3), np.eye(9) / 9)
     assert measures.singlet_fraction(rho9, restarts=0) == pytest.approx(1 / 9, abs=1e-12)
-    rho4 = density((2, 2), np.eye(4) / 4)
+    rho4 = DensityMatrix((2, 2), np.eye(4) / 4)
     assert measures.singlet_fraction(rho4, restarts=4) == pytest.approx(0.25, abs=1e-9)
 
 
@@ -298,12 +298,12 @@ def test_distance_of_state_with_itself():
     assert measures.distance(rho, rho, "trace") == pytest.approx(0.0, abs=1e-12)
     assert measures.distance(rho, rho, "hilbert_schmidt") == pytest.approx(0.0, abs=1e-12)
     assert measures.distance(rho, rho, "bures") == pytest.approx(0.0, abs=1e-6)
-    assert measures.distance(rho, rho, "fidelity") == pytest.approx(1.0, abs=1e-10)
+    assert measures.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_trace_distance_orthogonal_pure_states():
-    zero = density((2,), np.diag([1.0, 0.0]))
-    one = density((2,), np.diag([0.0, 1.0]))
+    zero = DensityMatrix((2,), np.diag([1.0, 0.0]))
+    one = DensityMatrix((2,), np.diag([0.0, 1.0]))
     assert measures.distance(zero, one, "trace") == pytest.approx(1.0, abs=1e-12)
 
 
@@ -319,15 +319,21 @@ def test_bures_fidelity_relation_on_random_pairs():
     rng = np.random.default_rng(23)
     for _ in range(5):
         rho, sigma = random_density(rng, (2, 2)), random_density(rng, (2, 2))
-        f = measures.distance(rho, sigma, "fidelity")
+        f = measures.fidelity(rho, sigma)
         d_b = measures.distance(rho, sigma, "bures")
         assert d_b == pytest.approx(np.sqrt(2.0 * (1.0 - f)), abs=1e-10)
+
+
+def test_distance_rejects_an_unknown_metric():
+    rho = statezoo.werner(0.8)
+    with pytest.raises(DomainError, match="unknown metric 'fidelity'"):
+        measures.distance(rho, rho, "fidelity")
 
 
 def test_distance_dims_mismatch():
     with pytest.raises(DomainError):
         measures.distance(statezoo.werner(0.8),
-                          density((2,), np.eye(2) / 2), "trace")
+                          DensityMatrix((2,), np.eye(2) / 2), "trace")
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +346,7 @@ def test_witness_expectation_examples():
     psi_plus = statezoo.bell(1).density()
     assert measures.witness_expectation(W_A1, psi_plus) == pytest.approx(
         -1.0 / np.sqrt(3.0), abs=1e-12)
-    mixed = density((2, 2), np.eye(4) / 4)
+    mixed = DensityMatrix((2, 2), np.eye(4) / 4)
     assert measures.witness_expectation(W_A1, mixed) == pytest.approx(
         np.trace(W_A1).real / 4, abs=1e-12)
 
@@ -392,7 +398,7 @@ def test_measures_are_invariant_under_local_unitaries(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (2, 2), rank=rank)
     u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
-    rotated = density((2, 2), u @ rho.matrix @ u.conj().T)
+    rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
     for measure in (measures.concurrence, measures.negativity,
                     lambda r: measures.entropy(r, "von_neumann"),
                     lambda r: measures.entropy(r, "linear")):

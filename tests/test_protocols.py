@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
-from entkit.qcore import DomainError, is_unitary, pure
+from entkit.qcore import DomainError, is_unitary
 
 
 # ---------------------------------------------------------------------------

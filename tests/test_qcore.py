@@ -18,15 +18,14 @@ from entkit.qcore import (
     HADAMARD,
     TOFFOLI,
     DomainError,
+    PureState,
     basis_ket,
-    density,
     is_unitary,
     ket,
     partial_trace,
     partial_transpose,
     psd_spectrum,
     psd_sqrt,
-    pure,
     purify,
     schmidt_decompose,
     tensor,
@@ -128,7 +127,7 @@ def test_partial_trace_of_bell_state_is_maximally_mixed():
 def test_partial_trace_of_product_state(rng=np.random.default_rng(1)):
     a = random_density(rng, (2,))
     b = random_density(rng, (3,))
-    prod = density((2, 3), tensor(a.matrix, b.matrix))
+    prod = DensityMatrix((2, 3), tensor(a.matrix, b.matrix))
     assert_allclose(partial_trace(prod, keep=(0,)).matrix, a.matrix, atol=1e-14)
     assert_allclose(partial_trace(prod, keep=(1,)).matrix, b.matrix, atol=1e-14)
 
@@ -150,7 +149,7 @@ def test_partial_trace_invalid_subsystem():
 def test_partial_transpose_of_product_state_stays_positive(rng=np.random.default_rng(2)):
     a = random_density(rng, (2,))
     b = random_density(rng, (2,))
-    prod = density((2, 2), tensor(a.matrix, b.matrix))
+    prod = DensityMatrix((2, 2), tensor(a.matrix, b.matrix))
     pt = partial_transpose(prod, 1)
     assert_allclose(pt, tensor(a.matrix, b.matrix.T), atol=1e-14)
     assert np.linalg.eigvalsh(pt).min() > -1e-12
@@ -173,7 +172,7 @@ def test_partial_transpose_is_an_involution(seed):
     rho = random_density(rng, (2, 3))
     # a partial transpose has its eigenvalues in [-1/2, 1], so (pt + I)/7 is a
     # state; its partial transpose permutes the entries back, bit for bit
-    lifted = density((2, 3), (partial_transpose(rho, 1) + np.eye(6)) / 7)
+    lifted = DensityMatrix((2, 3), (partial_transpose(rho, 1) + np.eye(6)) / 7)
     assert np.array_equal(partial_transpose(lifted, 1), (rho.matrix + np.eye(6)) / 7)
 
 
@@ -183,7 +182,7 @@ def test_partial_trace_undoes_tensor(seed):
     rng = np.random.default_rng(seed)
     a = random_density(rng, (2,))
     b = random_density(rng, (2,))
-    prod = density((2, 2), tensor(a.matrix, b.matrix))
+    prod = DensityMatrix((2, 2), tensor(a.matrix, b.matrix))
     assert np.max(np.abs(partial_trace(prod, keep=(0,)).matrix - a.matrix)) <= 1e-12
 
 
@@ -207,7 +206,7 @@ def test_partial_trace_of_pure_state_matches_its_density(seed, dims):
 
 def test_partial_trace_of_pure_state_keeps_original_order():
     # keep is sorted: (2, 0) and (0, 2) give the same state on subsystems 0, 2
-    psi = pure((2, 3, 2), np.arange(1, 13) / np.linalg.norm(np.arange(1, 13)))
+    psi = PureState((2, 3, 2), np.arange(1, 13) / np.linalg.norm(np.arange(1, 13)))
     a = partial_trace(psi, keep=(2, 0))
     assert a.dims == (2, 2)
     assert np.array_equal(a.matrix, partial_trace(psi, keep=(0, 2)).matrix)
@@ -267,11 +266,11 @@ def test_psd_sqrt_rejects_negative_matrix():
 # ---------------------------------------------------------------------------
 
 def test_schmidt_product_state():
-    dec = schmidt_decompose(pure((2, 2), basis_ket((0, 0), (2, 2))))
+    dec = schmidt_decompose(PureState((2, 2), basis_ket((0, 0), (2, 2))))
     assert dec.rank == 1
     assert_allclose(dec.coefficients[0], 1.0)
     # Schmidt weight 1e-20 is zero under psd_spectrum, as the marginal entropy has it
-    near = pure((2, 2), np.array([np.sqrt(1.0 - 1e-20), 0.0, 0.0, 1e-10]))
+    near = PureState((2, 2), np.array([np.sqrt(1.0 - 1e-20), 0.0, 0.0, 1e-10]))
     assert schmidt_decompose(near).rank == 1
 
 
@@ -285,7 +284,7 @@ def test_schmidt_already_in_schmidt_form():
     v = np.zeros(4)
     v[0] = np.sqrt(0.9)
     v[3] = np.sqrt(0.1)
-    dec = schmidt_decompose(pure((2, 2), v))
+    dec = schmidt_decompose(PureState((2, 2), v))
     assert_allclose(dec.coefficients, [np.sqrt(0.9), np.sqrt(0.1)], atol=1e-12)
 
 
@@ -305,7 +304,7 @@ def test_schmidt_roundtrip_random(seed):
 
 
 def test_purify_maximally_mixed_qubit():
-    psi = purify(density((2,), np.eye(2) / 2))
+    psi = purify(DensityMatrix((2,), np.eye(2) / 2))
     assert psi.dims == (2, 2)
     marg = partial_trace(psi.density(), keep=(0,))
     assert_allclose(marg.matrix, np.eye(2) / 2, atol=1e-9)
@@ -314,7 +313,7 @@ def test_purify_maximally_mixed_qubit():
 
 
 def test_purify_pure_state_has_rank_one_reference():
-    psi = purify(density((2,), np.diag([1.0, 0.0])))
+    psi = purify(DensityMatrix((2,), np.diag([1.0, 0.0])))
     dec = schmidt_decompose(psi)
     assert dec.rank == 1
 
@@ -342,12 +341,14 @@ def test_purify_werner_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_density_matrix_validation():
+    rho = DensityMatrix(np.array([2, 2]), np.eye(4) / 4)         # dims stored as python ints
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
     with pytest.raises(DomainError):
-        density((2,), np.array([[0.5, 0.5], [0.0, 0.5]]))          # not hermitian
+        DensityMatrix((2,), np.array([[0.5, 0.5], [0.0, 0.5]]))          # not hermitian
     with pytest.raises(DomainError):
-        density((2,), np.eye(2))                                    # trace 2
+        DensityMatrix((2,), np.eye(2))                                    # trace 2
     with pytest.raises(DomainError):
-        density((2,), np.diag([1.5, -0.5]))                         # negative eigenvalue
+        DensityMatrix((2,), np.diag([1.5, -0.5]))                         # negative eigenvalue
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -357,14 +358,16 @@ def test_states_reject_non_finite_entries(bad):
     with pytest.raises(DomainError, match="non-finite"):
         DensityMatrix((2,), [[0.5, bad], [bad, 0.5]])
     with pytest.raises(DomainError, match="not normalised"):
-        pure((2,), [bad, 0.0])
+        PureState((2,), [bad, 0.0])
 
 
 def test_pure_state_validation():
+    psi = PureState([2, 2], np.array([1.0, 0.0, 0.0, 0.0]))        # dims stored as python ints
+    assert psi.dims == (2, 2) and all(type(d) is int for d in psi.dims)
     with pytest.raises(DomainError):
-        pure((2,), np.array([1.0, 1.0]))                            # not normalised
+        PureState((2,), np.array([1.0, 1.0]))                            # not normalised
     with pytest.raises(DomainError):
-        pure((2, 2), np.array([1.0, 0.0]))                          # wrong length
+        PureState((2, 2), np.array([1.0, 0.0]))                          # wrong length
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,7 +381,7 @@ def test_density_matrix_spectrum_is_its_validation_spectrum(seed, rank):
 
 def test_density_matrix_matrix_cannot_drift_from_its_spectrum():
     m = np.diag([0.75, 0.25]).astype(complex)
-    rho = density((2,), m)
+    rho = DensityMatrix((2,), m)
     m[0, 0], m[1, 1] = 0.5, 0.5                                   # the caller's array
     assert np.array_equal(rho.matrix, np.diag([0.75, 0.25]))
     with pytest.raises(ValueError):
@@ -388,7 +391,7 @@ def test_density_matrix_matrix_cannot_drift_from_its_spectrum():
 
 def test_states_hold_no_instance_dict_and_no_extra_view():
     vec = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-    psi = pure((2, 2), vec)
+    psi = PureState((2, 2), vec)
     assert psi.vector is vec
     for state in (psi, psi.density()):
         assert not hasattr(state, "__dict__")
@@ -397,4 +400,4 @@ def test_states_hold_no_instance_dict_and_no_extra_view():
 def test_density_matrix_spectrum_is_not_an_init_argument():
     with pytest.raises(TypeError):
         DensityMatrix((2,), np.eye(2) / 2, np.ones(2))
-    assert "spectrum" not in repr(density((2,), np.eye(2) / 2))
+    assert "spectrum" not in repr(DensityMatrix((2,), np.eye(2) / 2))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from entkit import channel
-from entkit.qcore import DensityMatrix, PureState, density, pure
+from entkit.qcore import DensityMatrix, PureState
 
 
 def random_density(rng, dims, rank=None) -> DensityMatrix:
@@ -13,13 +13,13 @@ def random_density(rng, dims, rank=None) -> DensityMatrix:
     k = rank or d
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     m = g @ g.conj().T
-    return density(dims, m / np.trace(m).real)
+    return DensityMatrix(dims, m / np.trace(m).real)
 
 
 def random_pure(rng, dims) -> PureState:
     d = int(np.prod(dims))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return pure(dims, v / np.linalg.norm(v))
+    return PureState(dims, v / np.linalg.norm(v))
 
 
 def random_unitary(rng, n) -> np.ndarray:
