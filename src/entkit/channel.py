@@ -20,7 +20,7 @@ from .qcore import (
     X,
     Y,
     Z,
-    partial_trace,
+    _reduced_matrix,
     tensor,
 )
 
@@ -48,13 +48,16 @@ def tt_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 def n_value(rho: DensityMatrix) -> float:
     """N(rho) = sum_i sqrt(u_i); the channel is teleportation-useful iff N > 1."""
-    return float(np.sum(np.sqrt(tt_eigenvalues(rho))))
+    return _n_and_m(tt_eigenvalues(rho))[0]
 
 
 def m_value(rho: DensityMatrix) -> float:
     """M(rho) = largest pair sum of the u_i; Bell-CHSH is violated iff M > 1."""
-    u = tt_eigenvalues(rho)
-    return float(u[0] + u[1])
+    return _n_and_m(tt_eigenvalues(rho))[1]
+
+
+def _n_and_m(u: np.ndarray) -> tuple:
+    return float(np.sum(np.sqrt(u))), float(u[0] + u[1])
 
 
 def optimal_fidelity(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
@@ -118,15 +121,16 @@ def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
     bells = measures.maximally_entangled_bases(2)     # bell(1)..bell(4)
     overlaps = [float(np.real(v.conj() @ channel.matrix @ v)) for v in bells]
     corrections = _CORRECTIONS[1 + int(np.argmax(overlaps))]
-    total = DensityMatrix((2, 2, 2), tensor(rho_in.matrix, channel.matrix))
+    total = tensor(rho_in.matrix, channel.matrix)
     outcomes = []
     for k, bell_vec in enumerate(bells, start=1):
         proj = tensor(np.outer(bell_vec, bell_vec.conj()), I2)
-        sub = proj @ total.matrix @ proj
-        prob = float(np.trace(sub).real)
-        bob = partial_trace(DensityMatrix((2, 2, 2), sub / prob), keep=(2,))
+        sub = proj @ total @ proj
+        prob = float(sub.trace().real)
+        # Bob's uncorrected qubit stays an array; the corrected one is the state
+        bob = _reduced_matrix(sub / prob, (2, 2, 2), (2,))
         u = corrections[k]
-        corrected = DensityMatrix((2,), u @ bob.matrix @ u.conj().T)
+        corrected = DensityMatrix((2,), u @ bob @ u.conj().T)
         delta = rho_in.matrix - corrected.matrix
         d_hs = float(np.trace(delta @ delta).real)
         outcomes.append(TeleportOutcome(k, prob, corrected, d_hs, 1.0 - d_hs))
@@ -178,8 +182,7 @@ class ChannelReport:
 
 def analyze_channel(rho: DensityMatrix, restarts: int = 32) -> ChannelReport:
     measures._require_two_qubits(rho, "channel analysis")
-    n = n_value(rho)
-    m = m_value(rho)
+    n, m = _n_and_m(tt_eigenvalues(rho))
     # exactly-critical channels (N = 1 up to float noise) are flagged boundary
     # and reported not useful; the same band guards the Bell flag
     return ChannelReport(

@@ -11,6 +11,7 @@ import argparse
 import inspect
 import itertools
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -91,7 +92,7 @@ def _load_matrix(path: str):
         entries = np.array([complex(re, im) for re, im in payload["entries"]])
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read matrix file {path!r}: {exc}") from exc
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if entries.size != d * d:
         raise ParseFailure(f"matrix file has {entries.size} entries, expected {d * d}")
     return DensityMatrix(dims, entries.reshape(d, d))

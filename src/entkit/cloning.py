@@ -21,6 +21,7 @@ from .qcore import (
     DensityMatrix,
     DomainError,
     PureState,
+    _reduced_matrix,
     partial_trace,
     tensor,
 )
@@ -167,24 +168,23 @@ class ReductionResult:
 def reduction_check(rho: DensityMatrix) -> ReductionResult:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"reduction criterion needs an n x n state, got dims {rho.dims}")
-    n = rho.dims[0]
-    rho_a = partial_trace(rho, keep=(0,)).matrix
-    rho_b = partial_trace(rho, keep=(1,)).matrix
-    ops = {"A": tensor(rho_a, np.eye(n)) - rho.matrix,
-           "B": tensor(np.eye(n), rho_b) - rho.matrix}
-    lowest = {side: _lowest_eigenpair(op) for side, op in ops.items()}
+    m, eye = rho.matrix, np.eye(rho.dims[0])
+    # both reduction operators, rho_A x I - rho and I x rho_B - rho, in one eigh
+    ops = np.stack([tensor(_reduced_matrix(m, rho.dims, (0,)), eye) - m,
+                    tensor(eye, _reduced_matrix(m, rho.dims, (1,))) - m])
+    lowest = dict(zip("AB", map(_lowest_eigenpair, *np.linalg.eigh(ops))))
     # a tie goes to side A, the side the paper filters
     side = "B" if lowest["B"][0] < lowest["A"][0] - REDUCTION_TIE else "A"
     eigenvalue, eigenvector = lowest[side]
     return ReductionResult(eigenvalue < -1e-10, side, eigenvalue, eigenvector)
 
 
-def _lowest_eigenpair(op: np.ndarray) -> tuple:
-    """Lowest eigenvalue of a hermitian operator and one eigenvector that owns
-    its data: eigh's own vector if the eigenvalue is simple; if degenerate, the
-    projection onto the eigenspace of the first basis ket projected longest,
-    so the vector does not depend on how eigh picks a basis of the eigenspace."""
-    evals, evecs = np.linalg.eigh(op)
+def _lowest_eigenpair(evals: np.ndarray, evecs: np.ndarray) -> tuple:
+    """Lowest eigenvalue of a hermitian operator, from its eigh decomposition,
+    and one eigenvector that owns its data: eigh's own vector if the eigenvalue
+    is simple; if degenerate, the projection onto the eigenspace of the first
+    basis ket projected longest, so the vector does not depend on how eigh
+    picks a basis of the eigenspace."""
     span = evecs[:, evals <= evals[0] + REDUCTION_TIE]
     if span.shape[1] == 1:
         return float(evals[0]), evecs[:, 0].copy()
@@ -251,8 +251,9 @@ def distill(rho: DensityMatrix, filt: FilterMatrix) -> DensityMatrix:
     denom = float(np.trace(rho.matrix @ local(a @ a.conj().T)).real)
     if denom <= 1e-12:
         raise DomainError("filter annihilates state")
-    num = local(a.conj().T) @ rho.matrix @ local(a)
-    return DensityMatrix(rho.dims, num / denom)
+    # M^dag x I is the adjoint of M x I, entry for entry, so it is not built again
+    m = local(a)
+    return DensityMatrix(rho.dims, m.conj().T @ rho.matrix @ m / denom)
 
 
 # ---------------------------------------------------------------------------

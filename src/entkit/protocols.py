@@ -34,8 +34,8 @@ from .qcore import (
     X,
     Y,
     Z,
+    _reduced_matrix,
     ket,
-    partial_trace,
     psd_spectrum,
     tensor,
 )
@@ -615,8 +615,8 @@ def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
     h = _hadamard_vector(outcome)
     proj = tensor(np.outer(h, h.conj()), I2)
     sub = proj @ channel.matrix @ proj
-    prob = float(np.trace(sub).real)
-    return partial_trace(DensityMatrix((2, 2), sub / prob), keep=(1,))
+    prob = float(sub.trace().real)
+    return DensityMatrix((2,), _reduced_matrix(sub / prob, (2, 2), (1,)))
 
 
 def _cloning_machine(c: float) -> cloning.CloningParams:
@@ -649,11 +649,11 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     bob = _bob_conditional(channel, alice_outcome)
     e1, e2, e3 = povm_elements(q)
     stats = tuple(float(np.trace(e @ bob.matrix).real) for e in (e1, e2, e3))
-    # success probability of unambiguous discrimination, evaluated honestly
-    bob_plus0 = _bob_conditional(channels[0], "+")
-    bob_minus0 = _bob_conditional(channels[1], "+")
-    success = 0.5 * float(np.trace(e1 @ bob_plus0.matrix).real) \
-        + 0.5 * float(np.trace(e2 @ bob_minus0.matrix).real)
+    # honest unambiguous-discrimination success on Bob's '+' states (one may be bob)
+    bob_plus = [bob if (bit, alice_outcome) == (charlie_bit, "+")
+                else _bob_conditional(channels[bit], "+") for bit in (0, 1)]
+    success = 0.5 * float(np.trace(e1 @ bob_plus[0].matrix).real) \
+        + 0.5 * float(np.trace(e2 @ bob_plus[1].matrix).real)
     if abs(success - q) > 1e-12:
         raise DomainError(f"success probability {success} deviates from Q = {q}")
     return SecretShareReport(
@@ -752,7 +752,7 @@ def monte_carlo_secret_share(c: float, n_samples: int, seed: int) -> dict:
     elements = povm_elements(4.0 * c * c * (1.0 - c * c) / 2.0)
     leaves = {}
     for bit, channel in enumerate(channels):
-        alice = partial_trace(channel, keep=(0,)).matrix
+        alice = _reduced_matrix(channel.matrix, channel.dims, (0,))
         for outcome in ("+", "-"):
             h = _hadamard_vector(outcome)
             p_alice = float(np.real(h @ alice @ h))

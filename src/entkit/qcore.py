@@ -7,6 +7,7 @@ plain dense numpy is used throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ class PureState:
         object.__setattr__(self, "vector", vec)
         if any(d < 2 for d in dims):
             raise DomainError(f"subsystem dimensions must be >= 2, got {dims}")
-        if vec.size != int(np.prod(dims)):
+        if vec.size != math.prod(dims):
             raise DomainError(f"vector length {vec.size} does not match dims {dims}")
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= TOL_NORM:
@@ -94,14 +95,14 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if m.shape != (d, d):
             raise DomainError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise DomainError(f"density matrix has a non-finite entry {m[~np.isfinite(m)][0]}")
-        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
+        if np.abs(m - m.conj().T).max() > TOL_HERM:
             raise DomainError("density matrix is not hermitian")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if abs(tr - 1.0) > TOL_NORM:
             raise DomainError(f"density matrix trace {tr} != 1")
         spectrum = psd_spectrum(np.linalg.eigvalsh(m))
@@ -169,16 +170,21 @@ def partial_trace(rho, keep) -> DensityMatrix:
     if not keep or len(keep) == n:
         raise DomainError("keep must be a non-empty proper subset of subsystems")
     kept_dims = tuple(rho.dims[s] for s in keep)
-    d = int(np.prod(kept_dims))
     if isinstance(rho, PureState):
         rest = [s for s in range(n) if s not in keep]
-        a = rho.vector.reshape(rho.dims).transpose(keep + rest).reshape(d, -1)
+        a = rho.vector.reshape(rho.dims).transpose(keep + rest).reshape(math.prod(kept_dims), -1)
         return DensityMatrix(kept_dims, a @ a.conj().T)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
+    return DensityMatrix(kept_dims, _reduced_matrix(rho.matrix, rho.dims, keep))
+
+
+def _reduced_matrix(m: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Partial trace of m, an operator on subsystems dims, onto keep (ascending):
+    partial_trace's one contraction, for callers that need no validated state."""
+    t = m.reshape(dims + dims)
     # trace out the complement, highest index first so axis numbers stay valid
-    for s in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=s, axis2=s + (t.ndim // 2))
-    return DensityMatrix(kept_dims, t.reshape(d, d))
+    for s in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = t.trace(axis1=s, axis2=s + (t.ndim // 2))
+    return t.reshape(math.prod(dims[s] for s in keep), -1)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -199,8 +205,9 @@ def psd_spectrum(evals) -> np.ndarray:
     definition of which PSD eigenvalues are zero.
     """
     evals = np.asarray(evals, dtype=float)
-    if not evals.min() >= -TOL_PSD:
-        raise DomainError(f"operator is not PSD (eigenvalue {evals.min():.3e})")
+    lowest = evals.min()
+    if not lowest >= -TOL_PSD:
+        raise DomainError(f"operator is not PSD (eigenvalue {lowest:.3e})")
     return np.where(evals <= TOL_RANK * evals.max(), 0.0, evals)
 
 

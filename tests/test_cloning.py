@@ -18,7 +18,7 @@ from entkit.qcore import (
     partial_transpose,
     tensor,
 )
-from util import random_pure, random_unitary
+from util import random_density, random_pure, random_unitary
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "cloning_dense_coding.json").read_text())
@@ -185,6 +185,26 @@ def test_reduction_eigenvector_owns_its_data():
         res = cloning.reduction_check(cloning.qutrit_cloned_pair(d).joint)
         assert res.eigenvector.base is None
         assert res.eigenvector.shape == (9,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+       st.integers(min_value=1, max_value=9))
+def test_reduction_check_stacked_eigh_is_separate_eigh_bitwise(seed, n, rank):
+    # one eigh over both reduction operators gives each operator's own eigh, bit for bit
+    rho = random_density(np.random.default_rng(seed), (n, n), rank=min(rank, n * n))
+    ops = {"A": tensor(partial_trace(rho, keep=(0,)).matrix, np.eye(n)) - rho.matrix,
+           "B": tensor(np.eye(n), partial_trace(rho, keep=(1,)).matrix) - rho.matrix}
+    stacked = np.linalg.eigh(np.stack([ops["A"], ops["B"]]))
+    for k, op in enumerate(ops.values()):
+        evals, evecs = np.linalg.eigh(op)
+        assert np.array_equal(stacked[0][k], evals) and np.array_equal(stacked[1][k], evecs)
+    lowest = {side: cloning._lowest_eigenpair(*np.linalg.eigh(op)) for side, op in ops.items()}
+    res = cloning.reduction_check(rho)
+    side = "B" if lowest["B"][0] < lowest["A"][0] - cloning.REDUCTION_TIE else "A"
+    assert res.side == side
+    assert res.eigenvalue == lowest[side][0]
+    assert np.array_equal(res.eigenvector, lowest[side][1])
 
 
 def _ulps_from(x: float, k: int) -> float:

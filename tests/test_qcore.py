@@ -2,6 +2,7 @@
 import ast
 import itertools
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import qcore, statezoo
+from entkit import channel, cloning, protocols, qcore, statezoo
 from entkit.qcore import (
     CNOT,
     DensityMatrix,
@@ -115,6 +116,19 @@ def test_np_kron_appears_nowhere_in_the_package():
     assert not stray, stray
 
 
+def test_np_prod_appears_nowhere_in_the_package():
+    # a product of dims is a product of python ints: math.prod, not a numpy reduction
+    src = pathlib.Path(qcore.__file__).parent
+    stray = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if any(isinstance(n, ast.Attribute) and n.attr == "prod"
+               and isinstance(n.value, ast.Name) and n.value.id == "np"
+               for n in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert not stray, stray
+
+
 # ---------------------------------------------------------------------------
 # partial trace / partial transpose
 # ---------------------------------------------------------------------------
@@ -137,6 +151,19 @@ def test_partial_trace_of_ghz_gives_separable_mixture():
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 0.5
     assert_allclose(reduced.matrix.real, expected, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([(2, 2), (3, 3), (2, 2, 2)]))
+def test_reduced_matrix_is_partial_trace_bitwise(seed, dims):
+    # the array-only contraction and partial_trace are one path, for every keep subset
+    rho = random_density(np.random.default_rng(seed), dims)
+    for r in range(1, len(dims)):
+        for keep in itertools.combinations(range(len(dims)), r):
+            got = qcore._reduced_matrix(rho.matrix, dims, keep)
+            want = partial_trace(rho, keep).matrix
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def test_partial_trace_invalid_subsystem():
@@ -349,6 +376,16 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.eye(2))                                    # trace 2
     with pytest.raises(DomainError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))                         # negative eigenvalue
+    # a non-finite entry in either part, on or off the diagonal, is named
+    # before any arithmetic on it can warn
+    for bad, part, (i, j) in itertools.product(
+            (np.nan, np.inf, -np.inf), (1.0, 1j), ((0, 0), (1, 1), (0, 1), (2, 1))):
+        m = np.eye(3, dtype=complex) / 3
+        m[i, j] += bad * part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="non-finite entry"):
+                DensityMatrix((3,), m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -359,6 +396,32 @@ def test_states_reject_non_finite_entries(bad):
         DensityMatrix((2,), [[0.5, bad], [bad, 0.5]])
     with pytest.raises(DomainError, match="not normalised"):
         PureState((2,), [bad, 0.0])
+
+
+def test_intermediate_states_build_no_density_matrix(monkeypatch):
+    # a state is built, and validated, only where one is returned
+    joint = cloning.qutrit_cloned_pair(0.45).joint
+    ss_channel = protocols.secret_share_channel(np.sqrt(2.0 / 3.0), 0)
+    rin, mjwk = channel.input_qubit(0.7, 0.2 + 0.1j), statezoo.mjwk(0.8)
+    filt = cloning.distillation_filter(joint)
+    built, validate = [], DensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.dims)
+        validate(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    cloning.reduction_check(joint)
+    cloning.distillation_filter(joint)
+    assert built == []
+    cloning.distill(joint, filt)
+    assert built == [(3, 3)]
+    protocols._bob_conditional(ss_channel, "-")
+    assert built == [(3, 3), (2,)]
+    del built[:]
+    outcomes = channel.teleport_through(rin, mjwk)
+    assert built == [(2,)] * 4                      # each branch's corrected state
+    assert len(outcomes) == 4
 
 
 def test_pure_state_validation():
