@@ -113,7 +113,9 @@ def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
     """Standard teleportation of rho_in through a two-qubit channel.
 
     Alice Bell-measures the input qubit together with her channel half; Bob
-    applies the outcome-dependent Pauli correction.  Returns the four branches.
+    applies the outcome-dependent Pauli correction.  Returns the branches in
+    Bell order, omitting any of probability <= 1e-15, which the input and
+    channel never produce and whose conditional state is undefined.
     """
     if rho_in.dims != (2,):
         raise DomainError(f"input must be a single qubit, got dims {rho_in.dims}")
@@ -127,6 +129,8 @@ def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
         proj = tensor(np.outer(bell_vec, bell_vec.conj()), I2)
         sub = proj @ total @ proj
         prob = float(sub.trace().real)
+        if prob <= 1e-15:
+            continue
         # Bob's uncorrected qubit stays an array; the corrected one is the state
         bob = _reduced_matrix(sub / prob, (2, 2, 2), (2,))
         u = corrections[k]

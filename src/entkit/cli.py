@@ -309,10 +309,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a spaced value such as -1e-3 or -inf as an option (only
+# plain negative numbers like -1 pass), so main joins each of these options
+# with a following token that float() accepts, as the --option=value form
+_FLOAT_OPTIONS = frozenset({"--base", "--theta", "--epsilon", "--l", "--c2"})
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and _is_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

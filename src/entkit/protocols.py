@@ -1,16 +1,18 @@
 """Controlled dense coding (CDC) and cloning-controlled secret sharing.
 
-Every CDC family runs through one pipeline in `cdc_run`: build the resource
-state; project the controllers in turn, multiplying the branch probability by
-each outcome's probability and renormalising (a zero-probability outcome
-raises DomainError); attach the sender's auxiliary system, apply the
-collective extraction unitary and split by auxiliary outcome, or hand the
-branch over as it is; then fill the report by the family's convention.  What
-differs between families is data in one table, `_FAMILIES` (see `_Family`).
-Runs are deterministic given the outcomes.  The Monte-Carlo wrappers
-enumerate a protocol's outcome tree once, weighting each leaf by its Born
-probability, and draw every sample from it with one multinomial at an
-explicit seed.
+Every CDC family runs through one pipeline: build the resource state; project
+the controllers in turn, multiplying the branch probability by each outcome's
+probability and renormalising (an outcome of zero probability is dropped, and
+`cdc_run` raises DomainError for it); attach the sender's auxiliary system,
+apply the collective extraction unitary and split by auxiliary outcome, or
+hand the branch over as it is; then fill the report by the family's
+convention.  What differs between families is data in one table, `_FAMILIES`
+(see `_Family`).  Steps 1-3 run in `_tree`, which builds the state and each
+controller's basis once and projects every requested outcome together;
+`cdc_run` asks for its one outcome.  Runs are deterministic given the
+outcomes.  The Monte-Carlo wrappers enumerate a protocol's outcome tree once,
+weighting each leaf by its Born probability, and draw every sample from it
+with one multinomial at an explicit seed.
 
 Reported concurrences follow each family's published closed form (evaluated
 on the unnormalised post-measurement branch vector where that is the
@@ -49,31 +51,31 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True, slots=True)
 class MeasurementBasis:
-    """Orthonormal measurement basis of a controller qubit or qutrit."""
+    """Orthonormal basis of a controller: the rows of a read-only (k, d) array."""
 
     angle: float
-    vectors: tuple
+    vectors: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        g = np.array([[np.vdot(u, v) for v in self.vectors] for u in self.vectors])
-        if not np.max(np.abs(g - np.eye(len(self.vectors)))) <= 1e-12:
+        v = np.array(self.vectors, dtype=complex)
+        v.flags.writeable = False
+        object.__setattr__(self, "vectors", v)
+        if not np.abs(v.conj() @ v.T - np.eye(len(v))).max() <= 1e-12:
             raise DomainError("measurement basis is not orthonormal")
 
 
 def controller_basis(theta: float) -> MeasurementBasis:
     """{|+> = cos t|0> + sin t|1>,  |-> = sin t|0> - cos t|1>}."""
-    plus = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    minus = np.array([np.sin(theta), -np.cos(theta)], dtype=complex)
-    return MeasurementBasis(theta, (plus, minus), ("+", "-"))
+    c, s = np.cos(theta), np.sin(theta)
+    return MeasurementBasis(theta, [[c, s], [s, -c]], ("+", "-"))
 
 
 def qutrit_controller_basis(theta: float) -> MeasurementBasis:
     """{up = sin t|0> + cos t|2>,  side = |1>,  down = cos t|0> - sin t|2>}."""
-    up = np.array([np.sin(theta), 0.0, np.cos(theta)], dtype=complex)
-    side = np.array([0.0, 1.0, 0.0], dtype=complex)
-    down = np.array([np.cos(theta), 0.0, -np.sin(theta)], dtype=complex)
-    return MeasurementBasis(theta, (up, side, down), ("up", "side", "down"))
+    c, s = np.cos(theta), np.sin(theta)
+    return MeasurementBasis(theta, [[s, 0.0, c], [0.0, 1.0, 0.0], [c, 0.0, -s]],
+                            ("up", "side", "down"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,13 @@ def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> 
 # generic protocol steps
 # ---------------------------------------------------------------------------
 
-def _project_out(vec: np.ndarray, dims: tuple, subsystem: int, onto: np.ndarray):
-    """Project one subsystem onto a ket; returns (probability, remaining vector).
-
-    The remaining subsystems keep their relative order.
-    """
-    t = vec.reshape(dims)
-    rest = np.tensordot(onto.conj(), t, axes=([0], [subsystem])).reshape(-1)
-    prob = float(np.real(np.vdot(rest, rest)))
-    return prob, rest
+def _project(stack: np.ndarray, dims: tuple, subsystem: int, kets: np.ndarray) -> np.ndarray:
+    """Project one subsystem of each row of a (B or 1, prod(dims)) stack onto the
+    matching row of the (B, d) kets in one contraction; returns the (B, ...)
+    unnormalised remainders, whose subsystems keep their relative order."""
+    axes = [0, subsystem + 1] + [i + 1 for i in range(len(dims)) if i != subsystem]
+    t = stack.reshape(-1, *dims).transpose(axes)
+    return (kets.conj()[:, None, :] @ t.reshape(len(t), dims[subsystem], -1))[:, 0]
 
 
 def _collective_branches(shared: np.ndarray, d: int, unitary: np.ndarray) -> dict:
@@ -305,28 +305,19 @@ def _sender_major(u: np.ndarray) -> np.ndarray:
     return u[_AM_TO_SM]
 
 
-def _ket_of(basis: MeasurementBasis, label: str) -> np.ndarray:
-    return basis.vectors[basis.labels.index(label)]
-
-
-def _tilted(angle: float, label: str) -> np.ndarray:
-    """Ket of outcome label ('+' or '-') of controller_basis(angle)."""
-    return _ket_of(controller_basis(angle), label)
-
-
-def _qutrit_controller(p: dict, outcome: str) -> list:
+def _qutrit_controller(p: dict) -> list:
     """The last of three qutrits measures in qutrit_controller_basis(theta)."""
-    return [(2, _ket_of(qutrit_controller_basis(p["theta"]), outcome))]
+    return [(2, qutrit_controller_basis(p["theta"]))]
 
 
-def _one_tilted(p: dict, outcome: str) -> list:
+def _one_tilted(p: dict) -> list:
     """The last of three parties measures in controller_basis(theta)."""
-    return [(2, _tilted(p["theta"], outcome))]
+    return [(2, controller_basis(p["theta"]))]
 
 
-def _two_tilted(p: dict, outcome: str) -> list:
+def _two_tilted(p: dict) -> list:
     """Cliff (last of four) measures at theta, then Paul (first) at epsilon."""
-    return [(3, _tilted(p["theta"], outcome[0])), (0, _tilted(p["epsilon"], outcome[1]))]
+    return [(3, controller_basis(p["theta"])), (0, controller_basis(p["epsilon"]))]
 
 
 def _balanced(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray:
@@ -358,8 +349,10 @@ class _Family:
 
     params      the cdc_run arguments the family reads; the others report None
     state       p -> the resource state
-    controllers (p, outcome) -> [(subsystem, ket), ...] in measurement order,
-                subsystems counted among the parties still unmeasured
+    controllers p -> [(subsystem, MeasurementBasis), ...] in measurement order,
+                subsystems counted among the parties still unmeasured; an
+                outcome is the basis label of a single controller, or one
+                label character per controller
     unitary     (p, outcome, branch) -> the sender's extraction unitary on
                 (sender, aux), or None to hand the branch over as it is
     convention  how the report is filled:
@@ -402,7 +395,7 @@ _FAMILIES = {
     "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _two_tilted, _balanced,
                   convention="published", **_TWO_CONTROLLERS),
     "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]),
-                       lambda p, o: [(2, ket(0 if o == "+" else 1, 2))],
+                       lambda p: [(2, MeasurementBasis(0.0, np.eye(2), ("+", "-")))],
                        lambda p, o, v: None, convention="published",
                        spellings={"0": "+", "1": "-"}),
     "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_controller,
@@ -411,31 +404,38 @@ _FAMILIES = {
 }
 
 
-class _ZeroProbability(DomainError):
-    """A controller outcome the resource state never produces."""
+def _tree(family: str, p: dict, outcomes: tuple) -> dict:
+    """Steps 1-3 of the pipeline for the given controller outcomes at once.
 
-
-def _branches(family: str, p: dict, outcome: str) -> tuple:
-    """Steps 1-3 of the pipeline for one controller outcome.
-
-    Returns (branch probability, normalised branch, its dimension d, aux
-    branches), where the aux branches map each auxiliary outcome to its
-    unnormalised (sender, receiver) vector, or are None when the branch is
-    handed over as it is.
+    The resource state and each controller's basis are built once; each step
+    projects every outcome still alive in one contraction (see _project) and
+    drops those whose step probability is below 1e-15.  Returns {outcome:
+    (branch probability, normalised branch, its dimension d, aux branches)},
+    the aux branches mapping each auxiliary outcome to its unnormalised
+    (sender, receiver) vector, or None when the branch is handed over as it is.
     """
     fam = _FAMILIES[family]
     psi = fam.state(p)
-    vec, dims, prob = psi.vector, psi.dims, 1.0
-    for subsystem, onto in fam.controllers(p, outcome):
-        p_step, vec = _project_out(vec, dims, subsystem, onto)
-        if p_step < 1e-15:
-            raise _ZeroProbability(f"controller outcome {outcome!r} has zero probability")
-        vec = vec / np.sqrt(p_step)
-        prob *= p_step
+    steps = fam.controllers(p)
+    dims, alive, probs = psi.dims, list(outcomes), [1.0] * len(outcomes)
+    vecs = psi.vector[None]
+    for step, (subsystem, basis) in enumerate(steps):
+        rows = [basis.labels.index(o if len(steps) == 1 else o[step]) for o in alive]
+        rests = _project(vecs, dims, subsystem, basis.vectors[rows])
+        p_steps = [float(np.vdot(rest, rest).real) for rest in rests]
+        live = [i for i, p_step in enumerate(p_steps) if p_step >= 1e-15]
+        if not live:
+            return {}
+        alive = [alive[i] for i in live]
+        probs = [probs[i] * p_steps[i] for i in live]
+        vecs = np.array([rests[i] / np.sqrt(p_steps[i]) for i in live])
         dims = dims[:subsystem] + dims[subsystem + 1:]
-    d = dims[0]
-    unitary = fam.unitary(p, outcome, vec)
-    return prob, vec, d, None if unitary is None else _collective_branches(vec, d, unitary)
+    d, tree = dims[0], {}
+    for outcome, prob, vec in zip(alive, probs, vecs):
+        unitary = fam.unitary(p, outcome, vec)
+        tree[outcome] = (prob, vec, d,
+                         None if unitary is None else _collective_branches(vec, d, unitary))
+    return tree
 
 
 def _setup(family: str, theta: float | None = None, epsilon: float | None = None,
@@ -457,7 +457,7 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
 
 
 def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> tuple:
-    """(success probability of one controller branch (see _branches) by the
+    """(success probability of one controller branch (see _tree) by the
     family's convention, whether the branch is a product pair handed over as it is)."""
     if branches is None and _schmidt_concurrence(vec, d) <= 1e-12:
         return 0.0, True                # a product pair carries no resource
@@ -485,7 +485,10 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
     if outcome not in fam.outcomes:
         raise DomainError(f"unknown controller outcome {controller_outcome!r} for {family}; "
                           f"expected one of {', '.join(fam.outcomes)}")
-    prob, vec, d, branches = _branches(family, p, outcome)
+    tree = _tree(family, p, (outcome,))
+    if outcome not in tree:
+        raise DomainError(f"controller outcome {outcome!r} has zero probability")
+    prob, vec, d, branches = tree[outcome]
     success, product = _success(fam, closed, vec, d, branches)
 
     if branches is None:        # handed over as it is
@@ -536,11 +539,7 @@ def qutrit_projected_states(shared: np.ndarray) -> list:
         np.outer(ket(0, 3), ket(2, 3)) - np.outer(ket(2, 3), ket(0, 3)),
         np.outer(ket(0, 3), ket(0, 3)) - np.outer(ket(2, 3), ket(2, 3)),
     ]
-    out = []
-    for op in ops:
-        w = tensor(op, np.eye(3)) @ shared
-        out.append(w / np.linalg.norm(w))
-    return out
+    return [w / np.linalg.norm(w) for w in (tensor(op, np.eye(3)) @ shared for op in ops)]
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +716,11 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
     sum p_branch * p_success and published_success the family's closed form.
     """
     fam, p, closed = _setup(family, theta=theta, **kwargs)
-    leaves, exact = {}, 0.0
+    tree, leaves, exact = _tree(family, p, fam.outcomes), {}, 0.0
     for outcome in fam.outcomes:
-        try:
-            prob, vec, d, branches = _branches(family, p, outcome)
-        except _ZeroProbability:
-            prob, success = 0.0, 0.0
-        else:
+        prob, success = 0.0, 0.0        # unless the state produces the outcome
+        if outcome in tree:
+            prob, vec, d, branches = tree[outcome]
             success = _success(fam, closed, vec, d, branches)[0]
         leaves[f"{outcome}/aux0"] = prob * success
         leaves[f"{outcome}/fail"] = prob * (1.0 - success)

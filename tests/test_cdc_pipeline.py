@@ -1,6 +1,8 @@
 """The controlled-dense-coding pipeline: pinned reports, controller outcome
 labels, zero-probability controller branches, the Born-weight invariants of
-every family, and the Monte-Carlo sampler over its outcome tree."""
+every family, the outcome tree that cdc_run and the Monte-Carlo sampler share,
+and the sampler over it."""
+import dataclasses
 import json
 import pathlib
 import warnings
@@ -109,14 +111,61 @@ def runs(draw):
 @given(runs())
 def test_born_weights_of_every_branch_sum_to_one(run):
     family, p, outcomes = run
-    total = 0.0
+    total, tree = 0.0, protocols._tree(family, p, outcomes)
     for outcome in outcomes:
-        prob, _, _, branches = protocols._branches(family, p, outcome)
+        prob, _, _, branches = tree[outcome]
         total += prob
         if branches is not None:        # the branch went through an extraction unitary
             weights = [np.vdot(w, w).real for w in branches.values()]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12), (outcome, weights)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs())
+def test_outcome_tree_matches_every_cdc_run_exactly(run):
+    family, p, outcomes = run
+    fam = protocols._FAMILIES[family]
+    closed = protocols.cdc_closed_forms(family, **{k: p[k] for k in fam.params})
+    tree = protocols._tree(family, p, outcomes)
+    born = 0.0
+    for outcome in outcomes:
+        report = protocols.cdc_run(family, controller_outcome=outcome, **p)
+        prob, vec, d, branches = tree[outcome]
+        got = (prob, protocols._success(fam, closed, vec, d, branches)[0])
+        assert got == (report.branch_probability, report.success_probability), outcome
+        born += report.branch_probability * report.success_probability
+    kwargs = {k: v for k, v in p.items() if k != "theta"}
+    assert protocols.monte_carlo_cdc(family, p["theta"], 10, 0, **kwargs)["exact_success"] == born
+
+
+# (family, theta, keyword arguments, its number of controllers)
+MC_CALLS = [
+    ("ghz", 0.6, {}, 1), ("ghz_class", 0.6, {"class_index": 1}, 1), ("pati", None, {"l": 0.5}, 1),
+    ("ghz4", 0.6, {"epsilon": 0.5}, 2), ("w3", 0.6, {}, 1), ("w4", 1.0, {"epsilon": 1.0}, 2),
+    ("liqiu_w", None, {"n": 3}, 1), ("qutrit_ghz", 0.9, {}, 1),
+]
+
+
+@pytest.mark.parametrize("family,theta,kwargs,bases", MC_CALLS)
+def test_monte_carlo_builds_the_state_and_each_basis_once(monkeypatch, family, theta, kwargs,
+                                                          bases):
+    fam, states, built = protocols._FAMILIES[family], [], []
+    validate = protocols.MeasurementBasis.__post_init__
+
+    def state(p):
+        states.append(p)
+        return fam.state(p)
+
+    def counted(self):
+        built.append(self.labels)
+        validate(self)
+
+    monkeypatch.setitem(protocols._FAMILIES, family, dataclasses.replace(fam, state=state))
+    monkeypatch.setattr(protocols.MeasurementBasis, "__post_init__", counted)
+    protocols.monte_carlo_cdc(family, theta, 500, 1, **kwargs)
+    assert len(states) == 1
+    assert len(built) == bases, built
 
 
 @settings(max_examples=100, deadline=None)

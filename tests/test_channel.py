@@ -1,4 +1,6 @@
 """Channel analysis tests: correlation matrices, N/M, teleportation, CHSH."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +66,17 @@ def test_perfect_channels_teleport_exactly():
         for out in channel.teleport_through(rin, statezoo.bell(k).density()):
             assert out.hs_distance == pytest.approx(0.0, abs=1e-12)
             assert out.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_probability_bell_branches_are_omitted():
+    rin = channel.input_qubit(1.0, 0)
+    product = DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = channel.teleport_through(rin, product)
+    assert [o.bell_outcome for o in outs] == [1, 2]          # the Psi branches never occur
+    assert all(o.probability > 0.0 for o in outs)
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
 
 
 def _mjwk_case1(x, y, C):

@@ -327,6 +327,21 @@ def test_secret_share_c2_outside_its_domain_is_a_domain_error_naming_it(capsys, 
     assert named in err
 
 
+@pytest.mark.parametrize("head,option,value", [
+    (["protocol", "cdc"], "--theta", "-1e-3"),
+    (["protocol", "cdc"], "--theta", "-inf"),
+    (["protocol", "cdc", "--montecarlo", "10"], "--theta", "0.6"),
+    (["protocol", "cdc", "--family", "ghz4", "--theta", "0.6"], "--epsilon", "-1e-3"),
+    (["protocol", "cdc", "--family", "pati"], "--l", "-1e-3"),
+    (["protocol", "secret-share"], "--c2", "-inf"),
+    (["measure", "--state", "bell:1", "--kind", "entropy_vn"], "--base", "-1e-3"),
+])
+def test_float_option_value_spaced_or_joined_gives_the_same_bytes(capsys, head, option, value):
+    spaced = _run_without_runtime_warnings(capsys, *head, option, value)
+    assert spaced == _run_without_runtime_warnings(capsys, *head, f"{option}={value}")
+    assert spaced[0] != 2, spaced
+
+
 def test_protocol_montecarlo_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

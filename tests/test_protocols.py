@@ -17,23 +17,29 @@ def test_controller_bases_orthonormal(theta):
     protocols.qutrit_controller_basis(theta)
 
 
+def test_measurement_basis_is_a_read_only_array():
+    basis = protocols.qutrit_controller_basis(1.1)
+    assert basis.vectors.shape == (3, 3) and not basis.vectors.flags.writeable
+    with pytest.raises(DomainError, match="not orthonormal"):
+        protocols.MeasurementBasis(0.0, [[1.0, 0.0], [1.0, 1e-6]], ("+", "-"))
+
+
+def _outcome_probabilities(psi, subsystem, basis) -> list:
+    """Born probability of each basis vector on one subsystem of psi."""
+    rests = protocols._project(psi.vector[None], psi.dims, subsystem, basis.vectors)
+    return [np.vdot(rest, rest).real for rest in rests]
+
+
 def test_controller_outcome_probabilities_sum_to_one():
     for psi in (statezoo.ghz3(), statezoo.pati(2.5), statezoo.w3_prototype()):
-        basis = protocols.controller_basis(0.6)
-        probs = [protocols._project_out(psi.vector, psi.dims, 2, v)[0]
-                 for v in basis.vectors]
+        probs = _outcome_probabilities(psi, 2, protocols.controller_basis(0.6))
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
-    xi = statezoo.qutrit_ghz3()
     basis = protocols.qutrit_controller_basis(1.1)
-    probs = [protocols._project_out(xi.vector, xi.dims, 2, v)[0]
-             for v in basis.vectors]
+    probs = _outcome_probabilities(statezoo.qutrit_ghz3(), 2, basis)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
-    ghz4 = statezoo.ghz4()
-    basis = protocols.controller_basis(0.5)
-    probs = [protocols._project_out(ghz4.vector, ghz4.dims, 3, v)[0]
-             for v in basis.vectors]
+    probs = _outcome_probabilities(statezoo.ghz4(), 3, protocols.controller_basis(0.5))
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
