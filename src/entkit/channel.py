@@ -21,6 +21,7 @@ from .qcore import (
     Y,
     Z,
     _reduced_matrix,
+    _shaped,
     tensor,
 )
 
@@ -209,89 +210,85 @@ def closed_forms(family: str, **params) -> dict:
     reproduce; each entry states its own validity domain through the family
     parameter ranges.  werner takes F or, on its entangled side, its
     concurrence C = 2F - 1; wei without a and b is the x = y = 0 slice
-    a = b = (1 - gamma)/2.
+    a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has their shape,
+    and is NaN where it has no closed form (nmems singlet_fraction, p >= 1/4).
     """
     if family == "werner":
         F = params["F"] if "F" in params else (1.0 + params["C"]) / 2.0
-        n = abs(4.0 * F - 1.0)
-        return {
-            "concurrence": max(0.0, 2.0 * F - 1.0),
+        n, c = abs(4.0 * F - 1.0), 2.0 * F - 1.0
+        return _shaped({
+            "concurrence": np.where(c > 0.0, c, 0.0),
             "n_value": n,
-            "m_value": 2.0 * (4.0 * F - 1.0) ** 2 / 9.0,
+            "m_value": 2.0 * np.float_power(4.0 * F - 1.0, 2.0) / 9.0,
             "fidelity_opt": 0.5 * (1.0 + n / 3.0),
-            "linear_entropy": 4.0 / 3.0 * (1.0 - F * F - (1.0 - F) ** 2 / 3.0),
+            "linear_entropy": 4.0 / 3.0 * (1.0 - F * F - np.float_power(1.0 - F, 2.0) / 3.0),
             "singlet_fraction": F,
-        }
+        }, F)
     if family == "mjwk":
         C = params["C"]
         h = statezoo.mjwk_h(C)
-        n = 2.0 * C + abs(4.0 * h - 1.0)
-        u = sorted([C * C, C * C, (4.0 * h - 1.0) ** 2], reverse=True)
-        if C >= 2.0 / 3.0:
-            s_l = 8.0 / 3.0 * (C - C * C)
-        else:
-            s_l = 2.0 / 3.0 * (4.0 / 3.0 - C * C)
-        return {
+        tz2, high = np.float_power(4.0 * h - 1.0, 2.0), C >= 2.0 / 3.0
+        return _shaped({
             "concurrence": C,
-            "n_value": n,
-            "m_value": u[0] + u[1],
-            "fidelity_opt": (2.0 * C + 1.0) / 3.0 if C >= 2.0 / 3.0 else (5.0 + 3.0 * C) / 9.0,
-            "linear_entropy": s_l,
+            "n_value": 2.0 * C + abs(4.0 * h - 1.0),
+            # the two largest of (C^2, C^2, tz^2)
+            "m_value": np.where(tz2 > C * C, tz2 + C * C, C * C + C * C),
+            "fidelity_opt": np.where(high, (2.0 * C + 1.0) / 3.0, (5.0 + 3.0 * C) / 9.0),
+            "linear_entropy": np.where(high, 8.0 / 3.0 * (C - C * C),
+                                       2.0 / 3.0 * (4.0 / 3.0 - C * C)),
             "singlet_fraction": h + C / 2.0,
-        }
+        }, C)
     if family == "wei":
         gamma = params["gamma"]
         a = params.get("a", (1.0 - gamma) / 2.0)
         b = params.get("b", (1.0 - gamma) / 2.0)
         tz = 1.0 - 2.0 * (a + b)
         n = 2.0 * gamma + abs(tz)
-        u = sorted([gamma * gamma, gamma * gamma, tz * tz], reverse=True)
-        return {
-            "concurrence": max(0.0, gamma - 2.0 * np.sqrt(a * b)),
+        g2, c = gamma * gamma, gamma - 2.0 * np.sqrt(a * b)
+        return _shaped({
+            "concurrence": np.where(c > 0.0, c, 0.0),
             "n_value": n,
-            "m_value": u[0] + u[1],
+            "m_value": np.where(tz * tz > g2, tz * tz + g2, g2 + g2),
             "fidelity_opt": 0.5 * (1.0 + n / 3.0),
-        }
+        }, gamma, a, b)
     if family == "werner_derivative":
         F, a = params["F"], params["a"]
         root = np.sqrt(a * (1.0 - a))
         n = (4.0 * F - 1.0) * (1.0 + 4.0 * root) / 3.0
-        return {
+        return _shaped({
             "n_value": n,
-            "m_value": (1.0 + 4.0 * a - 4.0 * a * a) * (4.0 * F - 1.0) ** 2 / 9.0,
+            "m_value": (1.0 + 4.0 * a - 4.0 * a * a) * np.float_power(4.0 * F - 1.0, 2.0) / 9.0,
             "fidelity_opt": (9.0 + (4.0 * F - 1.0) * (1.0 + 4.0 * root)) / 18.0,
             "entangled_a_bound": statezoo.werner_derivative_entangled_bound(F),
-        }
+        }, F, a)
     if family == "nmems":
         p = params["p"]
-        n = (5.0 - 8.0 * p) / 3.0 if p < 0.25 else 1.0
-        if p < 0.5:
-            m = (8.0 + 8.0 * p * p - 16.0 * p) / 9.0
-        else:
-            m = (20.0 * p * p - 16.0 * p + 5.0) / 9.0
-        return {
-            "concurrence": 2.0 * max((1.0 - p) / 3.0 - np.sqrt(p * (p + 2.0) / 12.0), 0.0),
-            "n_value": n,
-            "m_value": m,
-            "fidelity_opt": (7.0 - 4.0 * p) / 9.0 if p < 0.25 else 2.0 / 3.0,
+        low, c = p < 0.25, (1.0 - p) / 3.0 - np.sqrt(p * (p + 2.0) / 12.0)
+        return _shaped({
+            "concurrence": 2.0 * np.where(c < 0.0, 0.0, c),
+            "n_value": np.where(low, (5.0 - 8.0 * p) / 3.0, 1.0),
+            "m_value": np.where(p < 0.5, (8.0 + 8.0 * p * p - 16.0 * p) / 9.0,
+                                (20.0 * p * p - 16.0 * p + 5.0) / 9.0),
+            "fidelity_opt": np.where(low, (7.0 - 4.0 * p) / 9.0, 2.0 / 3.0),
             "linear_entropy": 2.0 / 27.0 * (8.0 + 14.0 * p - 13.0 * p * p),
-            "singlet_fraction": 2.0 * (1.0 - p) / 3.0 if p < 0.25 else None,
-        }
+            "singlet_fraction": np.where(low, 2.0 * (1.0 - p) / 3.0, np.nan),
+        }, p)
     raise DomainError(f"no closed forms for family {family!r}")
 
 
-def fidelity_from_linear_entropy(family: str, s: float) -> float:
+def fidelity_from_linear_entropy(family: str, s):
     """Optimal teleportation fidelity of the werner (F >= 1/2) or mjwk state
-    whose linear entropy is s, for s in [0, 8/9]; the mjwk branch switches at
-    s = 16/27 (C = 2/3)."""
-    if not 0.0 <= s <= 8.0 / 9.0:
+    whose linear entropy is s, for s in [0, 8/9] (a scalar or an array); the
+    mjwk branch switches at s = 16/27 (C = 2/3)."""
+    if not np.all((0.0 <= s) & (s <= 8.0 / 9.0)):
         raise DomainError(f"linear entropy must lie in [0, 8/9], got {s}")
     if family == "werner":
         return (1.0 + np.sqrt(1.0 - s)) / 2.0
     if family == "mjwk":
-        if s <= 16.0 / 27.0:
-            return 2.0 / 3.0 + np.sqrt(2.0 - 3.0 * s) / (3.0 * np.sqrt(2.0))
-        return 5.0 / 9.0 + np.sqrt(8.0 - 9.0 * s) / (3.0 * np.sqrt(6.0))
+        # 2 - 3s >= 2/9 where its branch is taken; the clamp keeps the other quiet
+        return np.where(s <= 16.0 / 27.0,
+                        2.0 / 3.0 + np.sqrt(np.maximum(2.0 - 3.0 * s, 0.0)) / (3.0 * np.sqrt(2.0)),
+                        5.0 / 9.0 + np.sqrt(8.0 - 9.0 * s) / (3.0 * np.sqrt(6.0)))[()]
     raise DomainError(f"no fidelity-entropy closed form for family {family!r}")
 
 

@@ -4,12 +4,16 @@ Output contract: numbers are printed with 12 significant digits, CSV files
 have a header row and LF line endings, and re-running a command with the same
 flags (seed included) reproduces the output byte for byte.  Exit codes:
 0 success, 2 usage or parse failure, 3 domain error.
+
+A figure is a table built a column at a time: `Figure.values` takes the axis
+columns (one entry per row) and returns the value columns; the library closed
+forms accept arrays, so most columns are one call over the whole grid.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -25,8 +29,11 @@ class ParseFailure(ValueError):
     """Command-line value that does not parse (exit code 2)."""
 
 
+NUMBER = "%.12g"     # every printed number: a measure value, a CSV figure cell
+
+
 def fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return NUMBER % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +146,23 @@ def cmd_measure(args) -> int:
 
 # ---------------------------------------------------------------------------
 # figure command: each figure is a grid over its axes and a library function
-# giving the remaining columns at one grid point
+# giving the remaining columns over the whole grid
 # ---------------------------------------------------------------------------
 
 class Figure(NamedTuple):
     columns: tuple
     axes: tuple                 # one (lo, hi) per swept axis
     points: int                 # default grid points per axis
-    values: Callable            # grid point -> the columns after the axes
+    values: Callable            # axis columns -> the columns after the axes
 
 
 def _pick(forms: dict, *keys) -> tuple:
     return tuple(map(forms.__getitem__, keys))
+
+
+def _each(point: Callable) -> Callable:
+    """Figure.values of a library call made at one grid point at a time."""
+    return lambda *axes: tuple(zip(*map(point, *axes)))
 
 
 def _cloned_and_distilled(d: float) -> tuple:
@@ -183,12 +195,14 @@ FIGURES = {
                   lambda s: (channel.fidelity_from_linear_entropy("werner", s),
                              channel.fidelity_from_linear_entropy("mjwk", s))),
     "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
-                  lambda d: (cloning.dense_coding_advantage(
-                      cloning.qutrit_cloned_pair(d).joint),)),
+                  _each(lambda d: (cloning.dense_coding_advantage(
+                      cloning.qutrit_cloned_pair(d).joint),))),
     "4.2": Figure(("d", "bell_enumeration_distilled"), (_DISTILLABLE,), 33,
-                  lambda d: (measures.singlet_fraction(_cloned_and_distilled(d)[1], restarts=0),)),
+                  _each(lambda d: (measures.singlet_fraction(
+                      _cloned_and_distilled(d)[1], restarts=0),))),
     "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), (_DISTILLABLE,), 33,
-                  lambda d: tuple(map(cloning.dense_coding_capacity, _cloned_and_distilled(d)))),
+                  _each(lambda d: tuple(map(cloning.dense_coding_capacity,
+                                            _cloned_and_distilled(d))))),
     "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), ((0.0, _PI_2),), 201,
                   lambda t: (protocols.cdc_closed_forms("ghz", theta=t)["bits"],
                              protocols.cdc_closed_forms("qutrit_ghz", theta=t)["bits"])),
@@ -213,25 +227,24 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _rows(figure: Figure, points: int) -> list:
-    """Rows (axis values..., column values...) over the product of the axis grids."""
+def _table(figure: Figure, points: int) -> np.ndarray:
+    """The axis columns over the product of the axis grids, then the value columns."""
     grids = [_grid(lo, hi, points) for lo, hi in figure.axes]
-    return [(*x, *figure.values(*x)) for x in itertools.product(*grids)]
+    axes = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
+    return np.column_stack([*axes, *figure.values(*axes)])
 
 
 def cmd_figure(args) -> int:
     if args.figure_id not in FIGURES:
         raise ParseFailure(f"unknown figure id {args.figure_id!r}; known: {sorted(FIGURES)}")
     figure = FIGURES[args.figure_id]
-    rows = _rows(figure, figure.points if args.points is None else args.points)
+    table = _table(figure, figure.points if args.points is None else args.points)
     if args.format == "csv":
-        lines = [",".join(figure.columns)]
-        lines += [",".join(map(fmt, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        rows = "\n".join([",".join([NUMBER] * table.shape[1])] * len(table))
+        text = f"{','.join(figure.columns)}\n{rows % tuple(table.ravel().tolist())}\n"
     else:
         text = json.dumps({"figure": args.figure_id, "columns": list(figure.columns),
-                           "rows": [[float(x) for x in row] for row in rows]},
-                          indent=None, separators=(",", ":")) + "\n"
+                           "rows": table.tolist()}, indent=None, separators=(",", ":")) + "\n"
     return _emit(text, args.out)
 
 
@@ -265,6 +278,7 @@ def cmd_protocol(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
@@ -306,13 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=cmd_protocol)
+    # command -> its float options' names, read by _join_float_values
+    parser.float_options = {name: [o for a in cmd._actions if a.type is float
+                                   for o in a.option_strings]
+                            for name, cmd in sub.choices.items()}
     return parser
-
-
-# argparse reads a spaced value such as -1e-3 or -inf as an option (only
-# plain negative numbers like -1 pass), so main joins each of these options
-# with a following token that float() accepts, as the --option=value form
-_FLOAT_OPTIONS = frozenset({"--base", "--theta", "--epsilon", "--l", "--c2"})
 
 
 def _is_float(token: str) -> bool:
@@ -323,11 +335,15 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _join_float_values(argv: list) -> list:
+def _join_float_values(argv: list, float_options: dict) -> list:
+    """Join each float option, named in full or by a prefix, to a following float
+    token as --option=value: argparse reads a spaced -1e-3 or -inf as an option."""
+    names = float_options.get(argv[0], ()) if argv else ()
     out = []
     for token in argv:
-        if out and out[-1] in _FLOAT_OPTIONS and _is_float(token):
-            out[-1] = f"{out[-1]}={token}"
+        option = out[-1] if out else ""
+        if len(option) > 2 and any(n.startswith(option) for n in names) and _is_float(token):
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
     return out
@@ -335,8 +351,9 @@ def _join_float_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_float_values(argv, parser.float_options))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

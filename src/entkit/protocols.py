@@ -37,6 +37,7 @@ from .qcore import (
     Y,
     Z,
     _reduced_matrix,
+    _shaped,
     ket,
     psd_spectrum,
     tensor,
@@ -53,7 +54,6 @@ SQRT2 = np.sqrt(2.0)
 class MeasurementBasis:
     """Orthonormal basis of a controller: the rows of a read-only (k, d) array."""
 
-    angle: float
     vectors: np.ndarray
     labels: tuple
 
@@ -68,14 +68,13 @@ class MeasurementBasis:
 def controller_basis(theta: float) -> MeasurementBasis:
     """{|+> = cos t|0> + sin t|1>,  |-> = sin t|0> - cos t|1>}."""
     c, s = np.cos(theta), np.sin(theta)
-    return MeasurementBasis(theta, [[c, s], [s, -c]], ("+", "-"))
+    return MeasurementBasis([[c, s], [s, -c]], ("+", "-"))
 
 
 def qutrit_controller_basis(theta: float) -> MeasurementBasis:
     """{up = sin t|0> + cos t|2>,  side = |1>,  down = cos t|0> - sin t|2>}."""
     c, s = np.cos(theta), np.sin(theta)
-    return MeasurementBasis(theta, [[s, 0.0, c], [0.0, 1.0, 0.0], [c, 0.0, -s]],
-                            ("up", "side", "down"))
+    return MeasurementBasis([[s, 0.0, c], [0.0, 1.0, 0.0], [c, 0.0, -s]], ("up", "side", "down"))
 
 
 # ---------------------------------------------------------------------------
@@ -243,51 +242,52 @@ _GHZ_CLASS_SIN = {1, 4, 6}      # bits 1 + 2 sin^2(theta), operated on (0, pi/4]
 _GHZ_CLASS_COS = {2, 3, 5, 7}   # bits 1 + 2 cos^2(theta), operated on [pi/4, pi/2)
 
 
-def cdc_closed_forms(family: str, theta: float | None = None,
-                     epsilon: float | None = None, l: float | None = None,
+def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
                      n: int | None = None, class_index: int | None = None) -> dict:
-    """Published closed-form success/bits/concurrence values per CDC family."""
+    """Published closed-form success/bits/concurrence values per CDC family; theta,
+    epsilon, l and n may be scalars or arrays, and each entry has their broadcast shape."""
     if family == "ghz":
-        s2 = np.sin(theta) ** 2
-        return {"success": 2.0 * s2, "bits": 1.0 + 2.0 * s2,
-                "concurrence": abs(np.sin(2.0 * theta))}
+        s2 = np.float_power(np.sin(theta), 2.0)
+        return _shaped({"success": 2.0 * s2, "bits": 1.0 + 2.0 * s2,
+                        "concurrence": abs(np.sin(2.0 * theta))}, theta)
     if family == "ghz_class":
         if class_index in _GHZ_CLASS_SIN:
-            m = np.sin(theta) ** 2
+            m = np.float_power(np.sin(theta), 2.0)
         elif class_index in _GHZ_CLASS_COS:
-            m = np.cos(theta) ** 2
+            m = np.float_power(np.cos(theta), 2.0)
         else:
             raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
-        return {"success": 2.0 * m, "bits": 1.0 + 2.0 * m,
-                "concurrence": abs(np.sin(2.0 * theta))}
+        return _shaped({"success": 2.0 * m, "bits": 1.0 + 2.0 * m,
+                        "concurrence": abs(np.sin(2.0 * theta))}, theta)
     if family == "pati":
-        if l is None or l < 0:
+        if l is None or np.count_nonzero(l < 0):
             raise DomainError("pati needs l >= 0")
         # published for l <= 1; beyond l = 1 the discrimination succeeds with
         # the weight of the smaller Schmidt component instead
-        success = 2.0 * min(l * l, 1.0) / (1.0 + l * l)
-        return {"success": success, "bits": 1.0 + success,
-                "concurrence": 2.0 * l / (1.0 + l * l),
-                "theta": np.arctan2(1.0, l)}
+        success = 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l)
+        return _shaped({"success": success, "bits": 1.0 + success,
+                        "concurrence": 2.0 * l / (1.0 + l * l),
+                        "theta": np.arctan2(1.0, l)}, l)
     if family in ("ghz4", "w4") and epsilon is None:
         raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
     if family == "ghz4":
-        c1 = 2.0 * np.sin(theta) ** 2 * np.sin(epsilon) ** 2
-        return {"concurrence": c1, "success": c1, "bits": 1.0 + c1}
+        c1 = 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
+        return _shaped({"concurrence": c1, "success": c1, "bits": 1.0 + c1}, theta, epsilon)
     if family == "w3":
-        return {"concurrence": SQRT2 * abs(np.sin(theta) * np.cos(theta)),
-                "success": 0.0, "bits": 1.0}
+        return _shaped({"concurrence": SQRT2 * abs(np.sin(theta) * np.cos(theta)),
+                        "success": 0.0, "bits": 1.0}, theta)
     if family == "w4":
-        return {"concurrence": abs(np.sin(2.0 * theta)) * np.cos(epsilon) ** 2,
-                "success": 0.0, "bits": 1.0}
+        return _shaped({"concurrence": abs(np.sin(2.0 * theta))
+                        * np.float_power(np.cos(epsilon), 2.0),
+                        "success": 0.0, "bits": 1.0}, theta, epsilon)
     if family == "liqiu_w":
-        if n is None or n < 1:
+        if n is None or np.count_nonzero(n < 1):
             raise DomainError("liqiu_w needs n >= 1")
-        return {"concurrence": 2.0 * np.sqrt(n) / (n + 1.0),
-                "success": 2.0 / (n + 1.0), "bits": 1.0 + 2.0 / (n + 1.0)}
+        return _shaped({"concurrence": 2.0 * np.sqrt(n) / (n + 1.0),
+                        "success": 2.0 / (n + 1.0), "bits": 1.0 + 2.0 / (n + 1.0)}, n)
     if family == "qutrit_ghz":
-        c2 = np.cos(theta) ** 2
-        return {"success": 2.0 * c2, "bits": 1.0 + 2.0 * c2, "concurrence": 1.0}
+        c2 = np.float_power(np.cos(theta), 2.0)
+        return _shaped({"success": 2.0 * c2, "bits": 1.0 + 2.0 * c2, "concurrence": 1.0}, theta)
     raise DomainError(f"unknown CDC family {family!r}")
 
 
@@ -395,7 +395,7 @@ _FAMILIES = {
     "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _two_tilted, _balanced,
                   convention="published", **_TWO_CONTROLLERS),
     "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]),
-                       lambda p: [(2, MeasurementBasis(0.0, np.eye(2), ("+", "-")))],
+                       lambda p: [(2, MeasurementBasis(np.eye(2), ("+", "-")))],
                        lambda p, o, v: None, convention="published",
                        spellings={"0": "+", "1": "-"}),
     "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_controller,

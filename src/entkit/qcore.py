@@ -34,6 +34,12 @@ def _as_vector(a) -> np.ndarray:
     return v if v.ndim == 1 else v.reshape(-1)
 
 
+def _shaped(forms: dict, *params) -> dict:
+    """Closed-form entries broadcast to their parameters' shape; scalars for scalars."""
+    shape = np.broadcast(*params).shape
+    return {k: np.full(shape, v) if shape else float(v) for k, v in forms.items()}
+
+
 def ket(index: int, dim: int) -> np.ndarray:
     """Computational basis ket |index> of a dim-level system."""
     if not 0 <= index < dim:

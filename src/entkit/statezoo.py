@@ -162,9 +162,9 @@ def werner(F: float) -> DensityMatrix:
     return DensityMatrix((2, 2), m)
 
 
-def mjwk_h(C: float) -> float:
-    """Corner weight h(C) of the Munro-James-White-Kwiat MEMS."""
-    return C / 2.0 if C >= 2.0 / 3.0 else 1.0 / 3.0
+def mjwk_h(C):
+    """Corner weight h(C) of the Munro-James-White-Kwiat MEMS; C a scalar or an array."""
+    return np.where(C >= 2.0 / 3.0, C / 2.0, 1.0 / 3.0)[()]
 
 
 def mjwk(C: float) -> DensityMatrix:

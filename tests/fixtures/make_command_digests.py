@@ -9,14 +9,19 @@ c^2.  These bytes are the CLI's output contract, so regenerate the fixture
 only when a change of measure or protocol output is intended:
 
     PYTHONPATH=src python tests/fixtures/make_command_digests.py
+
+With --check the script writes nothing: it lists the commands whose digest
+moved and exits 1 if any did.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -113,12 +118,24 @@ def digests() -> dict:
                 for argv in commands()}
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute the digests, print each id whose digest moved and "
+                             "exit 1 if any did; write nothing")
+    args = parser.parse_args(argv)
     table = digests()
     path = pathlib.Path(__file__).with_name("command_digests.json")
+    if args.check:
+        pinned = json.loads(path.read_text())
+        moved = sorted(key for key in pinned.keys() | table.keys()
+                       if pinned.get(key) != table.get(key))
+        print("\n".join(moved + [f"{len(moved)} of {len(table)} commands moved"]))
+        return 1 if moved else 0
     path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} commands to {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import channel, measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError
-from util import bisect_predicate, fef_closed_form, random_density
+from util import assert_columns_match_points, bisect_predicate, fef_closed_form, random_density
 
 WERNER_BELL_BOUNDARY = (3.0 + np.sqrt(2.0)) / (4.0 * np.sqrt(2.0))
 
@@ -205,7 +207,7 @@ def test_chsh_supremum_cirelson_random():
 def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
     for value, report, forms in channel.analyze_family(family, grid, **fixed):
         for key, expected in forms.items():
-            if expected is None or key == "entangled_a_bound":
+            if expected is None or np.isnan(expected) or key == "entangled_a_bound":
                 continue
             got = getattr(report, key, None)
             if got is None:
@@ -234,6 +236,48 @@ def test_closed_form_parametrisations_of_the_concurrence_figures():
             assert report.m_value == pytest.approx(forms["m_value"], abs=1e-9)
 
 
+UNIT = st.floats(0.0, 1.0)
+HALF = st.floats(0.0, 0.5)
+# F where x**2 on an array (x * x) and on a scalar (libm pow) differ: 4F - 1, 1 - F
+SQUARE_ROUNDING = [(0.8806810498196802,), (0.014771592753210161,)]
+
+# name -> (closed form of its argument columns, one strategy per argument, the
+# rows always evaluated: domain ends, signed zeros, branch points, SQUARE_ROUNDING)
+CLOSED_FORMS = {
+    "werner_by_F": (lambda F: channel.closed_forms("werner", F=F), [UNIT],
+                    [(-0.0,), (0.0,), (0.25,), (0.5,), (1.0,), *SQUARE_ROUNDING]),
+    "werner_by_C": (lambda C: channel.closed_forms("werner", C=C), [UNIT],
+                    [(-0.0,), (0.0,), (1.0,)]),
+    "mjwk": (lambda C: channel.closed_forms("mjwk", C=C), [UNIT],
+             [(-0.0,), (0.0,), (2.0 / 3.0,), (np.nextafter(2.0 / 3.0, 0.0),), (1.0,),
+              (0.6746296046596039,)]),         # (4h - 1)**2 = (2C - 1)**2 rounds apart
+    "mjwk_h": (statezoo.mjwk_h, [UNIT], [(0.0,), (2.0 / 3.0,), (1.0,)]),
+    "wei": (lambda g: channel.closed_forms("wei", gamma=g), [UNIT],
+            [(0.0,), (1.0 / 3.0,), (1.0,)]),
+    "wei_with_a_b": (lambda g, a, b: channel.closed_forms("wei", gamma=g, a=a, b=b),
+                     [UNIT, HALF, HALF],
+                     [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5)]),
+    "werner_derivative": (lambda F, a: channel.closed_forms("werner_derivative", F=F, a=a),
+                          [st.floats(0.5, 1.0), st.floats(0.5, 1.0)],
+                          [(0.5, 0.5), (0.8, 0.75), (1.0, 1.0), (0.8806810498196802, 0.6)]),
+    "nmems": (lambda p: channel.closed_forms("nmems", p=p), [UNIT],
+              [(-0.0,), (0.0,), (0.25,), (0.5,), (1.0,)]),
+    "fidelity_werner": (lambda s: channel.fidelity_from_linear_entropy("werner", s),
+                        [st.floats(0.0, 8.0 / 9.0)], [(0.0,), (16.0 / 27.0,), (8.0 / 9.0,)]),
+    "fidelity_mjwk": (lambda s: channel.fidelity_from_linear_entropy("mjwk", s),
+                      [st.floats(0.0, 8.0 / 9.0)], [(0.0,), (16.0 / 27.0,), (8.0 / 9.0,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_forms_over_arrays_match_them_point_by_point(name, data):
+    form, arguments, always = CLOSED_FORMS[name]
+    drawn = data.draw(st.lists(st.tuples(*arguments), max_size=20))
+    assert_columns_match_points(form, always + drawn)
+
+
 @pytest.mark.parametrize("family,param,grid", [
     ("werner", "F", np.linspace(0.5, 1.0, 101)),
     # both sides of the mjwk branch point C = 2/3 (S_L = 16/27)
@@ -250,6 +294,7 @@ def test_fidelity_from_linear_entropy_round_trips_closed_forms(family, param, gr
 @pytest.mark.parametrize("family,s", [
     ("werner", -1e-12), ("mjwk", -1e-12), ("werner", 8.0 / 9.0 + 1e-12),
     ("mjwk", 8.0 / 9.0 + 1e-12), ("mjwk", float("nan")), ("nmems", 0.5),
+    ("werner", np.array([0.5, -1e-12])), ("mjwk", np.array([0.5, 8.0 / 9.0 + 1e-12])),
 ])
 def test_fidelity_from_linear_entropy_domain(family, s):
     with pytest.raises(DomainError):

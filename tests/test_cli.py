@@ -1,4 +1,5 @@
 """CLI contract tests: values, exit codes, file formats, reproducibility."""
+import argparse
 import json
 import pathlib
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entkit import channel, cli, statezoo
+from entkit import channel, cli, protocols, statezoo
 from entkit.qcore import DomainError
 from fixtures import make_command_digests, make_figure_digests
 
@@ -264,6 +265,35 @@ def test_every_figure_renders(tmp_path, capsys, fig):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("module,name,figure_id", [
+    (channel, "closed_forms", "3.1"), (protocols, "cdc_closed_forms", "5.4")])
+def test_closed_form_figure_calls_its_closed_form_once(monkeypatch, tmp_path, module, name,
+                                                       figure_id):
+    calls, form = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    assert cli.main(["figure", figure_id, "--out", str(tmp_path / "fig.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "measure", "--state", "bell:1", "--kind", "negativity")[0] == 0
+    assert run_cli(capsys, "figure", "5.2", "--points", "3")[0] == 0
+    assert built.count("entkit") == 1
+
+
 def test_figure_bytes_match_pinned_digests():
     assert make_figure_digests.digests() == PINNED_FIGURE_DIGESTS
 
@@ -340,6 +370,19 @@ def test_float_option_value_spaced_or_joined_gives_the_same_bytes(capsys, head, 
     spaced = _run_without_runtime_warnings(capsys, *head, option, value)
     assert spaced == _run_without_runtime_warnings(capsys, *head, f"{option}={value}")
     assert spaced[0] != 2, spaced
+
+
+@pytest.mark.parametrize("head,option,value,code", [
+    (["protocol", "cdc"], "--the", "-1e-3", 0),
+    (["protocol", "cdc", "--family", "ghz4", "--theta", "0.6"], "--eps", "-1e-3", 0),
+    # ambiguous: --c2, --class-index and --charlie-bit
+    (["protocol", "cdc"], "--c", "-0.5", 2),
+])
+def test_float_option_prefix_spaced_or_joined_gives_the_same_bytes(capsys, head, option, value,
+                                                                   code):
+    spaced = _run_without_runtime_warnings(capsys, *head, option, value)
+    assert spaced == _run_without_runtime_warnings(capsys, *head, f"{option}={value}")
+    assert spaced[0] == code, spaced
 
 
 def test_protocol_montecarlo_deterministic(tmp_path, capsys):

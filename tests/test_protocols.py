@@ -1,10 +1,13 @@
 """Protocol tests: collective unitaries, CDC runs, secret sharing, Monte Carlo."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError, is_unitary
+from util import assert_columns_match_points
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +24,7 @@ def test_measurement_basis_is_a_read_only_array():
     basis = protocols.qutrit_controller_basis(1.1)
     assert basis.vectors.shape == (3, 3) and not basis.vectors.flags.writeable
     with pytest.raises(DomainError, match="not orthonormal"):
-        protocols.MeasurementBasis(0.0, [[1.0, 0.0], [1.0, 1e-6]], ("+", "-"))
+        protocols.MeasurementBasis([[1.0, 0.0], [1.0, 1e-6]], ("+", "-"))
 
 
 def _outcome_probabilities(psi, subsystem, basis) -> list:
@@ -161,6 +164,62 @@ def test_pati_concurrence_angle_relation():
         forms = protocols.cdc_closed_forms("pati", l=l)
         assert forms["concurrence"] == pytest.approx(
             abs(np.sin(2 * forms["theta"])), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over arrays
+# ---------------------------------------------------------------------------
+
+ANGLE = st.floats(0.0, np.pi / 2)
+# where sin(t)**2 and cos(t)**2 on an array (x * x) and on a scalar (libm pow) differ
+SIN2, COS2 = 0.33819703275213564, 0.5015497556299001
+# angle rows always evaluated: the ends of the domain, a signed zero, pi/4, SIN2 and COS2
+ANGLES = [(0.0,), (-0.0,), (np.pi / 4,), (np.pi / 2,), (SIN2,), (COS2,)]
+ANGLE_PAIRS = [(0.0, 0.0), (np.pi / 4, np.pi / 4), (np.pi / 2, np.pi / 4), (np.pi / 2, np.pi / 2),
+               (SIN2, COS2), (COS2, SIN2)]
+
+# name -> (closed forms of the argument columns, one strategy per argument,
+# the rows always evaluated)
+CDC_CLOSED_FORMS = {
+    "ghz": (lambda t: protocols.cdc_closed_forms("ghz", theta=t), [ANGLE], ANGLES),
+    "ghz_class_sin": (lambda t: protocols.cdc_closed_forms("ghz_class", theta=t, class_index=1),
+                      [ANGLE], ANGLES),
+    "ghz_class_cos": (lambda t: protocols.cdc_closed_forms("ghz_class", theta=t, class_index=2),
+                      [ANGLE], ANGLES),
+    "pati": (lambda l: protocols.cdc_closed_forms("pati", l=l), [st.floats(0.0, 5.0)],
+             [(0.0,), (1.0,), (np.nextafter(1.0, 2.0),), (5.0,)]),
+    "ghz4": (lambda t, e: protocols.cdc_closed_forms("ghz4", theta=t, epsilon=e),
+             [ANGLE, ANGLE], ANGLE_PAIRS),
+    "w3": (lambda t: protocols.cdc_closed_forms("w3", theta=t), [ANGLE], ANGLES),
+    "w4": (lambda t, e: protocols.cdc_closed_forms("w4", theta=t, epsilon=e),
+           [ANGLE, ANGLE], ANGLE_PAIRS),
+    "liqiu_w": (lambda n: protocols.cdc_closed_forms("liqiu_w", n=n), [st.integers(1, 1000)],
+                [(1,), (2,), (1000,)]),
+    "qutrit_ghz": (lambda t: protocols.cdc_closed_forms("qutrit_ghz", theta=t), [ANGLE], ANGLES),
+}
+
+
+@pytest.mark.parametrize("family,kwargs,message", [
+    ("pati", {"l": np.array([0.5, -1e-3])}, "pati needs l >= 0"),
+    ("liqiu_w", {"n": np.array([2, 0])}, "liqiu_w needs n >= 1"),
+])
+def test_cdc_closed_form_domain_checks_cover_every_element(family, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        protocols.cdc_closed_forms(family, **kwargs)
+
+
+def test_cdc_closed_form_cases_cover_every_family():
+    assert {name.removesuffix("_sin").removesuffix("_cos") for name in CDC_CLOSED_FORMS} \
+        == set(protocols._FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(CDC_CLOSED_FORMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cdc_closed_forms_over_arrays_match_them_point_by_point(name, data):
+    form, arguments, always = CDC_CLOSED_FORMS[name]
+    drawn = data.draw(st.lists(st.tuples(*arguments), max_size=20))
+    assert_columns_match_points(form, always + drawn)
 
 
 # ---------------------------------------------------------------------------

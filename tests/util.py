@@ -50,3 +50,24 @@ def bisect_predicate(pred, true_end: float, false_end: float, tol: float = 1e-9)
         else:
             false_end = mid
     return 0.5 * (true_end + false_end)
+
+
+def assert_columns_match_points(f, rows) -> None:
+    """f over whole columns equals f at each row alone, bit for bit (signed
+    zeros and NaNs included), and f at one row returns scalars.
+
+    rows is a list of argument tuples; f returns a dict of entries or one value.
+    """
+    def entries(out):
+        return out if isinstance(out, dict) else {None: out}
+
+    whole = entries(f(*map(np.array, zip(*rows))))
+    points = [entries(f(*row)) for row in rows]
+    for key, column in whole.items():
+        at_points = [point[key] for point in points]
+        for value in at_points:
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray), (key, value)
+        assert np.shape(column) == (len(rows),), key
+        got = np.asarray(column, dtype=float).view(np.int64)
+        want = np.array(at_points, dtype=float).view(np.int64)
+        assert (got == want).all(), (key, [rows[i] for i in np.flatnonzero(got != want)])
