@@ -1,4 +1,6 @@
 """Channel analysis tests: correlation matrices, N/M, teleportation, CHSH."""
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -9,7 +11,11 @@ from numpy.testing import assert_allclose
 
 from entkit import channel, measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError
+from fixtures import make_channel_reports
 from util import assert_columns_match_points, bisect_predicate, fef_closed_form, random_density
+
+PINNED_CHANNEL_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "channel_reports.json").read_text())
 
 WERNER_BELL_BOUNDARY = (3.0 + np.sqrt(2.0)) / (4.0 * np.sqrt(2.0))
 
@@ -213,6 +219,10 @@ def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
             if got is None:
                 continue
             assert got == pytest.approx(expected, abs=1e-12), (family, value, key)
+
+
+def test_channel_reports_match_pinned_bits():
+    assert make_channel_reports.moved(PINNED_CHANNEL_REPORTS, make_channel_reports.table()) == []
 
 
 def test_wei_sweep_reaches_the_closed_end_of_its_domain():
