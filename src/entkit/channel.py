@@ -4,6 +4,14 @@ The central objects are the Pauli correlation matrix T with entries
 t_nm = Tr(rho sigma_n x sigma_m), the quantity N(rho) = sum_i sqrt(u_i)
 (u_i the eigenvalues of T^dag T) deciding teleportation usefulness, and
 M(rho) = max_{i>j} (u_i + u_j) deciding Bell-CHSH violation.
+
+The analysis works on stacks.  analyze_family validates each grid state with
+its statezoo constructor, then runs T, N and M, the concurrence, the Bell
+enumeration and the linear entropy once over the (N, 4, 4) stack of their
+matrices, one stacked eigh or svd per step, and the closed forms once over
+the grid.  analyze_channel and the single-state functions are the same
+kernels applied to a one-state stack, so a state gets the same bits alone as
+in a grid.  Only the Nelder-Mead refinement (restarts > 0) runs state by state.
 """
 from __future__ import annotations
 
@@ -34,31 +42,42 @@ _PAULI_PAIRS = np.array([[tensor(sn, sm) for sm in PAULIS] for sn in PAULIS])
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 real matrix t_nm = Tr(rho sigma_n x sigma_m), Pauli order (x, y, z)."""
     measures._require_two_qubits(rho, "correlation matrix")
-    t = np.einsum("ij,nmji->nm", rho.matrix, _PAULI_PAIRS)
+    return _correlation_matrices(rho.matrix[None])[0]
+
+
+def tt_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of T^dag T (squared singular values of T), descending."""
+    return _tt_eigenvalues(correlation_matrix(rho)[None])[0]
+
+
+def n_value(rho: DensityMatrix) -> float:
+    """N(rho) = sum_i sqrt(u_i); the channel is teleportation-useful iff N > 1."""
+    return float(_n_and_m(tt_eigenvalues(rho)[None])[0][0])
+
+
+def m_value(rho: DensityMatrix) -> float:
+    """M(rho) = largest pair sum of the u_i; Bell-CHSH is violated iff M > 1."""
+    return float(_n_and_m(tt_eigenvalues(rho)[None])[1][0])
+
+
+def _correlation_matrices(matrices: np.ndarray) -> np.ndarray:
+    """The correlation matrix of each two-qubit matrix in an (N, 4, 4) stack."""
+    t = np.einsum("kij,nmji->knm", matrices, _PAULI_PAIRS)
     residue = np.max(np.abs(t.imag))
     if residue > 1e-12:
         raise DomainError(f"correlation entry has imaginary residue {residue:.3e}")
     return t.real
 
 
-def tt_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of T^dag T (squared singular values of T), descending."""
-    s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
-    return np.sort(s * s)[::-1]
-
-
-def n_value(rho: DensityMatrix) -> float:
-    """N(rho) = sum_i sqrt(u_i); the channel is teleportation-useful iff N > 1."""
-    return _n_and_m(tt_eigenvalues(rho))[0]
-
-
-def m_value(rho: DensityMatrix) -> float:
-    """M(rho) = largest pair sum of the u_i; Bell-CHSH is violated iff M > 1."""
-    return _n_and_m(tt_eigenvalues(rho))[1]
+def _tt_eigenvalues(ts: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of T^dag T for each T in an (N, 3, 3) stack."""
+    s = np.linalg.svd(ts, compute_uv=False)
+    return np.sort(s * s, axis=-1)[:, ::-1]
 
 
 def _n_and_m(u: np.ndarray) -> tuple:
-    return float(np.sum(np.sqrt(u))), float(u[0] + u[1])
+    """The columns N and M for an (N, 3) stack of descending u_i."""
+    return np.sum(np.sqrt(u), axis=-1), u[:, 0] + u[:, 1]
 
 
 def optimal_fidelity(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
@@ -187,20 +206,30 @@ class ChannelReport:
 
 def analyze_channel(rho: DensityMatrix, restarts: int = 32) -> ChannelReport:
     measures._require_two_qubits(rho, "channel analysis")
-    n, m = _n_and_m(tt_eigenvalues(rho))
-    # exactly-critical channels (N = 1 up to float noise) are flagged boundary
-    # and reported not useful; the same band guards the Bell flag
-    return ChannelReport(
-        concurrence=measures.concurrence(rho),
-        n_value=n,
-        m_value=m,
-        singlet_fraction=measures.singlet_fraction(rho, restarts=restarts),
-        fidelity_opt=0.5 * (1.0 + n / 3.0),
-        useful_for_teleportation=n > 1.0 + BOUNDARY_BAND,
-        violates_bell_chsh=m > 1.0 + BOUNDARY_BAND,
-        linear_entropy=measures.entropy(rho, "linear"),
-        boundary=abs(n - 1.0) <= BOUNDARY_BAND,
-    )
+    return _reports([rho], restarts)[0]
+
+
+def _reports(states: list, restarts: int) -> list:
+    """The ChannelReport of each two-qubit state in a list, each quantity
+    computed for the whole list at once: one stacked eigh or svd per step."""
+    matrices = np.array([rho.matrix for rho in states])
+    n, m = _n_and_m(_tt_eigenvalues(_correlation_matrices(matrices)))
+    columns = {
+        "concurrence": measures._concurrences(matrices),
+        "n_value": n,
+        "m_value": m,
+        "singlet_fraction": measures._singlet_fractions(matrices, 2, 0, restarts),
+        "fidelity_opt": 0.5 * (1.0 + n / 3.0),
+        # exactly-critical channels (N = 1 up to float noise) are flagged boundary
+        # and reported not useful; the same band guards the Bell flag
+        "useful_for_teleportation": n > 1.0 + BOUNDARY_BAND,
+        "violates_bell_chsh": m > 1.0 + BOUNDARY_BAND,
+        "linear_entropy": measures._linear_entropies(
+            matrices, np.array([rho.spectrum for rho in states])),
+        "boundary": np.abs(n - 1.0) <= BOUNDARY_BAND,
+    }
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    return [ChannelReport(**dict(zip(columns, row))) for row in rows]
 
 
 def closed_forms(family: str, **params) -> dict:
@@ -292,16 +321,14 @@ def fidelity_from_linear_entropy(family: str, s):
     raise DomainError(f"no fidelity-entropy closed form for family {family!r}")
 
 
-# family -> (sweep parameter, builder(value, fixed parameters))
+# family -> (sweep parameter, fixed parameters, builder(value, **fixed))
 _FAMILIES = {
-    "werner": ("F", lambda v, fixed: statezoo.werner(v)),
-    "mjwk": ("C", lambda v, fixed: statezoo.mjwk(v)),
-    "nmems": ("p", lambda v, fixed: statezoo.nmems(v)),
-    "werner_derivative": ("a", lambda v, fixed: statezoo.werner_derivative(fixed["F"], v)),
-    "wei": ("gamma", lambda v, fixed: statezoo.wei(
-        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
-        (1.0 - v - fixed["a"] - fixed["b"]) / 2.0,
-        fixed["a"], fixed["b"], v)),
+    "werner": ("F", (), statezoo.werner),
+    "mjwk": ("C", (), statezoo.mjwk),
+    "nmems": ("p", (), statezoo.nmems),
+    "werner_derivative": ("a", ("F",), lambda v, F: statezoo.werner_derivative(F, v)),
+    "wei": ("gamma", ("a", "b"), lambda v, a, b: statezoo.wei(
+        (1.0 - v - a - b) / 2.0, (1.0 - v - a - b) / 2.0, a, b, v)),
 }
 
 
@@ -311,13 +338,26 @@ def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
     Returns (value, ChannelReport, closed_forms) triples sorted by the grid
     value.  The sweep parameter is F (werner), C (mjwk), p (nmems),
     a (werner_derivative, with F fixed) or gamma (wei, with a and b fixed,
-    the remaining weight split evenly between x and y).
+    the remaining weight split evenly between x and y).  Each grid state is
+    built and validated by its statezoo constructor; the analysis and the
+    closed forms then run once over the whole grid.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    param, build = _FAMILIES[family]
-    rows = []
-    for v in sorted(float(x) for x in values):
-        report = analyze_channel(build(v, fixed), restarts=restarts)
-        rows.append((v, report, closed_forms(family, **{param: v}, **fixed)))
-    return rows
+    param, names, build = _FAMILIES[family]
+    if param in fixed:
+        raise DomainError(f"{family} sweeps {param}; it cannot also be fixed")
+    unknown = sorted(fixed.keys() - set(names))
+    if unknown:
+        raise DomainError(f"{family} has no fixed parameter {unknown[0]}")
+    missing = [name for name in names if name not in fixed]
+    if missing:
+        raise DomainError(f"{family} needs the fixed parameter {missing[0]}")
+    measures._require_restarts(restarts)
+    grid = sorted(float(x) for x in values)
+    if not grid:
+        return []
+    reports = _reports([build(v, **fixed) for v in grid], restarts)
+    columns = closed_forms(family, **{param: np.array(grid)}, **fixed)
+    forms = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    return list(zip(grid, reports, forms))

@@ -52,11 +52,19 @@ def concurrence(rho: DensityMatrix) -> float:
     C >= 2/3, pure states) into square roots of ~3e-9.
     """
     _require_two_qubits(rho, "concurrence")
-    yy = tensor(Y, Y)
-    rho_tilde = yy @ rho.matrix.conj() @ yy
-    roots = np.linalg.svd(psd_sqrt(rho.matrix) @ psd_sqrt(rho_tilde),
-                          compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+_YY = tensor(Y, Y)
+
+
+def _concurrences(matrices: np.ndarray) -> np.ndarray:
+    """Concurrence of each two-qubit density matrix in an (N, 4, 4) stack,
+    with one stacked eigh per square root and one stacked svd."""
+    tilde = _YY @ matrices.conj() @ _YY
+    roots = np.linalg.svd(psd_sqrt(matrices) @ psd_sqrt(tilde), compute_uv=False)
+    c = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -118,13 +126,21 @@ def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) ->
         raise DomainError(f"entropy base must be > 1, got {base}")
     if kind not in ("von_neumann", "linear"):
         raise DomainError(f"unknown entropy kind {kind!r}")
+    if kind == "linear":
+        return float(_linear_entropies(rho.matrix[None], rho.spectrum[None])[0])
     evals = rho.spectrum[rho.spectrum > 0.0]
     if evals.size == 1:
         return 0.0
-    if kind == "von_neumann":
-        return float(-np.sum(evals * np.log(evals)) / np.log(base))
-    n = rho.dim
-    return float(n / (n - 1.0) * (1.0 - rho.purity()))
+    return float(-np.sum(evals * np.log(evals)) / np.log(base))
+
+
+def _linear_entropies(matrices: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Linear entropy of each n x n density matrix in an (N, n, n) stack,
+    given the rows of their ranked spectra; 0.0 at rank 1."""
+    n = matrices.shape[-1]
+    purity = np.trace(matrices @ matrices, axis1=-2, axis2=-1).real
+    pure = np.count_nonzero(spectra > 0.0, axis=-1) == 1
+    return np.where(pure, 0.0, n / (n - 1.0) * (1.0 - purity))
 
 
 def entropy_of_entanglement(psi) -> float:
@@ -214,11 +230,27 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
+    return _singlet_fractions(rho.matrix[None], rho.dims[0], seed, restarts)[0]
+
+
+def _require_restarts(restarts: int):
     if restarts < 0:
         raise DomainError(f"restarts must be >= 0, got {restarts}")
-    n = rho.dims[0]
+
+
+def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
+    """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
+    list of floats: the enumeration runs over the whole stack, the
+    Nelder-Mead refinement state by state."""
+    _require_restarts(restarts)
     bases = maximally_entangled_bases(n)
-    best = max(float(np.real(v.conj() @ rho.matrix @ v)) for v in bases)
+    # <v|rho|v> as a vector-matrix then a vector-vector product per state,
+    # the arithmetic of one state's v.conj() @ rho @ v, so every bit is kept
+    overlaps = [((v.conj() @ matrices)[:, None, :] @ v)[:, 0].real for v in bases]
+    best = overlaps[0]
+    for overlap in overlaps[1:]:
+        best = np.where(overlap > best, overlap, best)   # the first of equal maxima
+    best = best.tolist()
     if restarts == 0:
         return best
 
@@ -227,23 +259,24 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
 
     gens = _traceless_hermitian_basis(n)
     npar = len(gens)
-    rng = np.random.default_rng(seed)
 
-    def objective(params, base):
+    def objective(params, base, matrix):
         ua, ub = _local_unitaries(params, gens)
         v = (ua @ base @ ub.T).reshape(-1)   # = tensor(ua, ub) @ base.reshape(-1)
-        return -float(np.real(v.conj() @ rho.matrix @ v))
+        return -float(np.real(v.conj() @ matrix @ v))
 
-    for r in range(restarts):
-        base = bases[r % len(bases)].reshape(n, n)
-        if r < len(bases):
-            start = np.zeros(2 * npar)
-        else:
-            start = rng.uniform(-np.pi, np.pi, size=2 * npar)
-        res = optimize.minimize(
-            objective, start, args=(base,), method="Nelder-Mead",
-            options={"fatol": 1e-12, "xatol": 1e-9, "maxiter": 300 * npar})
-        best = max(best, -float(res.fun))
+    for k, matrix in enumerate(matrices):
+        rng = np.random.default_rng(seed)
+        for r in range(restarts):
+            base = bases[r % len(bases)].reshape(n, n)
+            if r < len(bases):
+                start = np.zeros(2 * npar)
+            else:
+                start = rng.uniform(-np.pi, np.pi, size=2 * npar)
+            res = optimize.minimize(
+                objective, start, args=(base, matrix), method="Nelder-Mead",
+                options={"fatol": 1e-12, "xatol": 1e-9, "maxiter": 300 * npar})
+            best[k] = max(best[k], -float(res.fun))
     return best
 
 

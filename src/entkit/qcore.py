@@ -205,25 +205,28 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 def psd_spectrum(evals) -> np.ndarray:
     """Eigenvalues of a positive-semidefinite operator with its rank decided.
 
-    Takes eigenvalues already computed by the caller's own routine and keeps
-    their order.  Raises DomainError below -TOL_PSD; every value at or below
-    TOL_RANK times the largest becomes exactly 0.0.  This is the package's one
+    Takes eigenvalues already computed by the caller's own routine, one
+    operator per row of the last axis, and keeps their order.  Raises
+    DomainError below -TOL_PSD; every value at or below TOL_RANK times the
+    largest of its own row becomes exactly 0.0.  This is the package's one
     definition of which PSD eigenvalues are zero.
     """
     evals = np.asarray(evals, dtype=float)
     lowest = evals.min()
     if not lowest >= -TOL_PSD:
         raise DomainError(f"operator is not PSD (eigenvalue {lowest:.3e})")
-    return np.where(evals <= TOL_RANK * evals.max(), 0.0, evals)
+    return np.where(evals <= TOL_RANK * evals.max(axis=-1, keepdims=True), 0.0, evals)
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a positive-semidefinite matrix."""
+    """Principal square root of a positive-semidefinite matrix, or of each
+    matrix in a stack along the leading axes."""
     evals, evecs = np.linalg.eigh(m)
     # summed from the largest eigenvalue down: the order sets the last bits,
     # and with them the rounding noise printed for a zero concurrence
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    return (evecs * np.sqrt(psd_spectrum(evals))) @ evecs.conj().T
+    evals, evecs = evals[..., ::-1], evecs[..., ::-1]
+    roots = np.sqrt(psd_spectrum(evals))[..., None, :]
+    return (evecs * roots) @ evecs.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -149,6 +149,10 @@ def generalized_max_entangled(n: int) -> PureState:
 # mixed families
 # ---------------------------------------------------------------------------
 
+# |Phi-><Phi-|, the matrix of bell(4).density(), built once and read-only
+_SINGLET = bell(4).density().matrix
+
+
 def werner(F: float) -> DensityMatrix:
     """Werner state (1-F)/3 I + (4F-1)/3 |Phi-><Phi-| with singlet fraction F.
 
@@ -157,8 +161,7 @@ def werner(F: float) -> DensityMatrix:
     """
     if not 0.25 < F <= 1.0:
         raise DomainError(f"werner F must lie in (1/4, 1], got {F}")
-    singlet = bell(4).density().matrix
-    m = (1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * singlet
+    m = (1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * _SINGLET
     return DensityMatrix((2, 2), m)
 
 
@@ -251,7 +254,7 @@ def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
         raise DomainError(f"ih_mems weights must sum to 1, got {sum(ps)}")
     if not p1 >= p2 >= p3 >= p4:
         raise DomainError(f"ih_mems weights must be ordered p1 >= p2 >= p3 >= p4, got {ps}")
-    m = (p1 * bell(4).density().matrix
+    m = (p1 * _SINGLET
          + p2 * np.outer(basis_ket((0, 0), (2, 2)), basis_ket((0, 0), (2, 2)))
          + p3 * bell(3).density().matrix
          + p4 * np.outer(basis_ket((1, 1), (2, 2)), basis_ket((1, 1), (2, 2))))

@@ -225,6 +225,69 @@ def test_channel_reports_match_pinned_bits():
     assert make_channel_reports.moved(PINNED_CHANNEL_REPORTS, make_channel_reports.table()) == []
 
 
+@pytest.mark.parametrize("family,values,kwargs,name", [
+    ("wei", [0.5], {}, "a"),
+    ("wei", [0.5], {"a": 0.1}, "b"),
+    ("werner_derivative", [0.7], {}, "F"),
+    ("werner", [0.5], {"F": 0.8}, "F"),
+    ("werner_derivative", [0.7], {"F": 0.8, "a": 0.6}, "a"),
+    ("werner", [0.5], {"bogus": 1.0}, "bogus"),
+    ("wei", [0.5], {"a": 0.1, "b": 0.1, "x": 0.2}, "x"),
+    ("werner", [], {"restarts": -1}, "restarts"),
+])
+def test_analyze_family_argument_errors_name_the_parameter(family, values, kwargs, name):
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        channel.analyze_family(family, values, **kwargs)
+
+
+# family -> (fixed parameters, sweep interval ends) for the counter test
+COUNTED_FAMILIES = {
+    "werner": ({}, 0.3, 1.0),
+    "mjwk": ({}, 0.0, 1.0),
+    "nmems": ({}, 0.0, 1.0),
+    "werner_derivative": ({"F": 0.8}, 0.5, 1.0),
+    "wei": ({"a": 0.05, "b": 0.05}, 0.0, 0.9),
+}
+
+
+@pytest.mark.parametrize("family", sorted(COUNTED_FAMILIES))
+def test_analyze_family_analyzes_the_whole_grid_at_once(family, monkeypatch):
+    fixed, lo, hi = COUNTED_FAMILIES[family]
+    calls = []
+    closed_forms, svd = channel.closed_forms, np.linalg.svd
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(channel, "closed_forms", counted("closed_forms", closed_forms))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    counts = []
+    for points in (5, 50):
+        calls.clear()
+        rows = channel.analyze_family(family, np.linspace(lo, hi, points), **fixed)
+        assert len(rows) == points
+        counts.append((calls.count("closed_forms"), calls.count("svd")))
+    assert counts[0][0] == counts[1][0] == 1
+    assert counts[0][1] == counts[1][1] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4)),
+                      min_size=1, max_size=6),
+       data=st.data())
+def test_stacked_reports_equal_each_state_alone(drawn, data):
+    states = [random_density(np.random.default_rng(seed), (2, 2), rank=rank)
+              for seed, rank in drawn]
+    order = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=12))
+    stacked = channel._reports([states[i] for i in order], restarts=0)
+    bits = make_channel_reports._report
+    alone = [bits(channel.analyze_channel(rho, restarts=0)) for rho in states]
+    assert [bits(report) for report in stacked] == [alone[i] for i in order]
+
+
 def test_wei_sweep_reaches_the_closed_end_of_its_domain():
     # x = y = (1 - gamma - a - b)/2 rounds to -1.4e-17 here
     [(gamma, report, forms)] = channel.analyze_family("wei", [0.9], a=0.05, b=0.05)

@@ -260,6 +260,26 @@ def test_psd_spectrum_zeroes_only_up_to_the_rank_tolerance():
         psd_spectrum(np.array([1.0, -2e-9]))
 
 
+def test_psd_spectrum_ranks_each_row_by_its_own_maximum():
+    tiny = np.array([1e-15, 2e-15, 3e-15, 4e-15])
+    stacked = psd_spectrum(np.array([tiny, [0.1, 0.2, 0.3, 0.4]]))
+    assert np.array_equal(stacked[0], tiny)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
+                          st.floats(-15.0, 0.0)), min_size=1, max_size=6))
+def test_psd_spectrum_and_psd_sqrt_of_a_stack_equal_each_row_alone(rows):
+    # states of every rank, each scaled by its own power of ten
+    matrices = np.array([random_density(np.random.default_rng(seed), (2, 2), rank=rank).matrix
+                         * 10.0 ** exponent for seed, rank, exponent in rows])
+    evals = np.linalg.eigvalsh(matrices)
+    for stacked, row in zip(psd_spectrum(evals), evals):
+        assert np.array_equal(stacked, psd_spectrum(row))
+    for stacked, m in zip(psd_sqrt(matrices), matrices):
+        assert np.array_equal(stacked, psd_sqrt(m))
+
+
 def test_psd_sqrt_squares_back(rng=np.random.default_rng(4)):
     m = random_density(rng, (2, 2)).matrix
     root = psd_sqrt(m)
