@@ -1,0 +1,130 @@
+"""Write fef_values.json: the pinned float bits of the fully entangled fraction.
+
+The fixture pins `measures.singlet_fraction` with its Nelder-Mead refinement
+on
+- the nine states of the perfbench `fef` workload (Ginibre states drawn from
+  `default_rng(1)`) at the restarts it runs them with,
+- the eight Nelder-Mead floor states of the qutrit clone analysis at
+  `seed=1, restarts=6`,
+- seeded random n x n states, n = 2 and 3, of every rank at 1 to 8 restarts,
+and every field of `channel.analyze_channel(restarts=4)` on a few two-qubit
+states.  The states that share n, seed and restarts are refined as one
+stack, `measures._singlet_fractions`, which gives each state the bits of
+`singlet_fraction` alone.  A float is pinned as its IEEE-754 bits (`.view(np.int64)`), so a
+move of one ulp shows.  Regenerate it only when a change of FEF value is
+intended:
+
+    PYTHONPATH=src python tests/fixtures/make_fef_values.py
+
+With --check the script writes nothing: it lists the entries whose bits
+moved and exits 1 if any did.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+
+import util  # noqa: E402  (tests/util.py: the Ginibre state generator)
+from entkit import channel, cloning, measures, statezoo  # noqa: E402
+from fixtures import make_channel_reports  # noqa: E402
+
+# (n, rank, seed) of each random state; seed draws the state and seeds its
+# refinement, which runs RESTARTS[n] + seed restarts
+RANDOM_STATES = (*((2, rank, seed) for rank in range(1, 5) for seed in range(5)),
+                 *((3, rank, seed) for rank in range(1, 10) for seed in (rank % 5, (rank + 2) % 5)))
+RESTARTS = {2: 4, 3: 1}
+
+# name -> d of each qutrit clone pair whose FEF floor is pinned, with its distilled pair
+CLONE_DS = {"sqrt(1/8)": np.sqrt(1.0 / 8.0), "0.45": 0.45, "0.5": 0.5}
+
+
+def workload_states() -> dict:
+    """name -> (state, restarts) of the perfbench `fef` workload at seed 1."""
+    rng = np.random.default_rng(1)
+    pair = cloning.qutrit_cloned_pair(0.5).joint
+    return {
+        "fef2:ginibre-full": (util.random_density(rng, (2, 2)), 32),
+        "fef2:ginibre-rank2": (util.random_density(rng, (2, 2), rank=2), 32),
+        "fef2:werner-0.8": (statezoo.werner(0.8), 32),
+        "fef2:mjwk-0.5": (statezoo.mjwk(0.5), 32),
+        "fef3:ginibre-full": (util.random_density(rng, (3, 3)), 6),
+        "fef3:ginibre-rank3": (util.random_density(rng, (3, 3), rank=3), 6),
+        "fef3:clone-d0.45": (cloning.qutrit_cloned_pair(0.45).joint, 6),
+        "fef3:clone-d0.5": (pair, 6),
+        "fef3:distilled-d0.5": (cloning.distill(pair, cloning.distillation_filter(pair)), 6),
+    }
+
+
+def floor_states() -> dict:
+    """name -> state of the Nelder-Mead floors pinned at seed=1, restarts=6."""
+    workload = workload_states()
+    states = {name: workload[f"fef3:{name}"][0] for name in ("ginibre-full", "ginibre-rank3")}
+    for name, d in CLONE_DS.items():
+        pair = cloning.qutrit_cloned_pair(d).joint
+        states[f"clone-d={name}"] = pair
+        states[f"distilled-d={name}"] = cloning.distill(pair, cloning.distillation_filter(pair))
+    return states
+
+
+def _bits(value: float) -> int:
+    if type(value) is not float:
+        raise TypeError(f"unexpected {type(value).__name__} {value!r}")
+    return int(np.float64(value).view(np.int64))
+
+
+def _fractions(entries) -> dict:
+    """key -> bits of singlet_fraction(rho, seed, restarts) for each entry
+    (key, rho, seed, restarts), one stack per (n, seed, restarts)."""
+    groups = {}
+    for key, rho, seed, restarts in entries:
+        groups.setdefault((rho.dims[0], seed, restarts), []).append((key, rho))
+    bits = {}
+    for (n, seed, restarts), members in groups.items():
+        matrices = np.array([rho.matrix for _, rho in members])
+        values = measures._singlet_fractions(matrices, n, seed, restarts)
+        bits.update((key, _bits(value)) for (key, _), value in zip(members, values))
+    return bits
+
+
+def table() -> dict:
+    workload = _fractions((name, rho, 0, restarts)
+                          for name, (rho, restarts) in workload_states().items())
+    floors = _fractions((name, rho, 1, 6) for name, rho in floor_states().items())
+    random = _fractions(
+        (f"n={n},rank={rank},seed={seed}",
+         util.random_density(np.random.default_rng(seed), (n, n), rank=rank),
+         seed, RESTARTS[n] + seed)
+        for n, rank, seed in RANDOM_STATES)
+    channels = {f"seed={seed},rank={rank}": make_channel_reports._report(channel.analyze_channel(
+                    make_channel_reports.random_state(seed, rank), restarts=4))
+                for seed, rank in ((0, 1), (1, 2), (2, 3), (3, 4))}
+    return {"workload": workload, "floors": floors, "random": random,
+            "analyze_channel": channels}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute the bits, print each entry whose bits moved and "
+                             "exit 1 if any did; write nothing")
+    args = parser.parse_args(argv)
+    got = table()
+    path = pathlib.Path(__file__).with_name("fef_values.json")
+    count = sum(len(section) for section in got.values())
+    if args.check:
+        names = make_channel_reports.moved(json.loads(path.read_text()), got)
+        print("\n".join(names + [f"{len(names)} of {count} entries moved"]))
+        return 1 if names else 0
+    path.write_text(json.dumps(got, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {count} entries to {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

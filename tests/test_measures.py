@@ -1,4 +1,5 @@
 """Entanglement/mixedness/distance measure tests with independent oracles."""
+import json
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError, PureState, Y, partial_transpose, tensor
+from fixtures import make_channel_reports, make_fef_values
 from util import fef_closed_form, random_density, random_pure, random_unitary
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
@@ -234,6 +236,14 @@ def test_singlet_fraction_deterministic_for_fixed_seed():
     a = measures.singlet_fraction(rho, seed=5, restarts=6)
     b = measures.singlet_fraction(rho, seed=5, restarts=6)
     assert a == b
+
+
+PINNED_FEF_VALUES = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "fef_values.json").read_text())
+
+
+def test_fef_values_match_pinned_bits():
+    assert make_channel_reports.moved(PINNED_FEF_VALUES, make_fef_values.table()) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
