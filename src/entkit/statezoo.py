@@ -149,8 +149,10 @@ def generalized_max_entangled(n: int) -> PureState:
 # mixed families
 # ---------------------------------------------------------------------------
 
-# |Phi-><Phi-|, the matrix of bell(4).density(), built once and read-only
+# |Phi-><Phi-| and |Phi+><Phi+|, the matrices of bell(4).density() and
+# bell(3).density(), built once and read-only
 _SINGLET = bell(4).density().matrix
+_PHI_PLUS = bell(3).density().matrix
 
 
 def werner(F: float) -> DensityMatrix:
@@ -256,7 +258,7 @@ def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
         raise DomainError(f"ih_mems weights must be ordered p1 >= p2 >= p3 >= p4, got {ps}")
     m = (p1 * _SINGLET
          + p2 * np.outer(basis_ket((0, 0), (2, 2)), basis_ket((0, 0), (2, 2)))
-         + p3 * bell(3).density().matrix
+         + p3 * _PHI_PLUS
          + p4 * np.outer(basis_ket((1, 1), (2, 2)), basis_ket((1, 1), (2, 2))))
     return DensityMatrix((2, 2), m)
 

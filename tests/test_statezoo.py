@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
-from entkit.qcore import DomainError, basis_ket
+from entkit.qcore import DensityMatrix, DomainError, basis_ket
 
 
 def test_bell_indexing():
@@ -183,6 +183,23 @@ def test_ih_mems_ordering_enforced():
         statezoo.ih_mems(0.2, 0.4, 0.3, 0.1)
     rho = statezoo.ih_mems(0.4, 0.3, 0.2, 0.1)
     assert rho.matrix[1, 1].real == pytest.approx(0.4 / 2 + 0.2 / 2)
+
+
+def test_ih_mems_validates_only_the_state_it_returns(monkeypatch):
+    # its Bell projectors are module constants, not states built per call
+    built, validate = [], DensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.dims)
+        validate(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    rho = statezoo.ih_mems(0.4, 0.3, 0.2, 0.1)
+    assert built == [(2, 2)]
+    assert np.array_equal(rho.matrix, 0.4 * statezoo.bell(4).density().matrix
+                          + 0.3 * np.outer(basis_ket((0, 0), (2, 2)), basis_ket((0, 0), (2, 2)))
+                          + 0.2 * statezoo.bell(3).density().matrix
+                          + 0.1 * np.outer(basis_ket((1, 1), (2, 2)), basis_ket((1, 1), (2, 2))))
 
 
 def test_cloned_mems_is_werner_family_member_at_two_thirds():
