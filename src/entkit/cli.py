@@ -263,7 +263,7 @@ def cmd_protocol(args) -> int:
             payload["montecarlo"] = protocols.monte_carlo_cdc(
                 args.family, args.theta, args.montecarlo, args.seed, **kwargs)
     else:
-        if args.c2 < 0.0:
+        if not 1.0 / 3.0 < args.c2 <= 1.0:
             raise DomainError(f"cloning c^2 must lie in (1/3, 1], got {args.c2}")
         c = np.sqrt(args.c2)
         report = protocols.secret_share_run(c, args.charlie_bit, args.alice_outcome)
@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--kind", required=True, choices=tuple(MEASURES))
     m.add_argument("--base", type=float, default=2.0, help="entropy base (default 2)")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--restarts", type=int, default=32, help="local-unitary ascent restarts "
-                   "for singlet_fraction (0: Bell-basis enumeration only)")
+    m.add_argument("--restarts", type=int, default=32, help="Haar starts of the polar ascent "
+                   "for singlet_fraction, besides the n^2 Bell starts "
+                   "(0: Bell-basis enumeration only)")
     m.set_defaults(func=cmd_measure)
 
     f = sub.add_parser("figure", help="write one figure's data as CSV/JSON")

@@ -275,7 +275,9 @@ def dense_coding_capacity(rho: DensityMatrix) -> float:
 
 
 def teleportation_witness_qutrit(rho: DensityMatrix) -> float:
-    """Tr(W rho) for W = I/3 - |phi+><phi+|; >= 0 flags 'not useful' via this witness."""
+    """Tr(W rho) for W = I/3 - |phi+><phi+|; < 0 flags useful for teleportation,
+    >= 0 is inconclusive: a FEF above 1/3 may sit on another maximally
+    entangled state (the d = 1/2 clone pair reads >= 0 at F = 16/27)."""
     if rho.dims != (3, 3):
         raise DomainError(f"qutrit witness needs a 3x3 state, got dims {rho.dims}")
     phi = measures.maximally_entangled_bases(3)[0]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -185,41 +186,18 @@ def maximally_entangled_bases(n: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _traceless_hermitian_basis(n: int) -> np.ndarray:
-    """The n^2 - 1 generalised Gell-Mann matrices as one read-only
-    (n^2 - 1, n, n) array, built once per n; Tr(G_i G_j) = 2 delta_ij."""
-    basis = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = s[k, j] = 1.0
-            basis.append(s)
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = -1j
-            a[k, j] = 1j
-            basis.append(a)
-    for j in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        d[:j, :j] = np.eye(j)
-        d[j, j] = -j
-        basis.append(d * np.sqrt(2.0 / (j * (j + 1))))
-    out = np.array(basis)
-    out.flags.writeable = False
-    return out
-
-
 def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
     """Maximal overlap of rho with a maximally entangled state.
 
-    The generalised Bell basis is enumerated exactly, then refined by a
-    gradient-free ascent over local unitaries U_A x U_B (Nelder-Mead,
-    multi-start, deterministic for a given seed): restart r starts from the
-    basis vector r mod n^2, at U_A = U_B = I for the first n^2 restarts and
-    at seeded random generators after.  All restarts run in lockstep, in
-    numpy alone.  The returned value is the best overlap found and is always
-    a valid lower bound on the true maximum.  restarts=0 returns the
-    enumeration alone.
+    Every maximally entangled state is (I x W)|Phi+> for a unitary W, since
+    (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex in
+    vec W.  The generalised Bell basis is enumerated exactly, then refined by
+    the polar ascent W <- polar(mat(rho vec W)), which never lowers the
+    overlap: restarts > 0 ascends from the n^2 generalised Bell unitaries and
+    from `restarts` Haar unitaries drawn from default_rng(seed), each a fixed
+    number of steps.  The returned value is the best overlap found, never
+    below the enumeration and never lowered by one more restart, and is a
+    lower bound on the true maximum.  restarts=0 returns the enumeration alone.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
@@ -231,11 +209,16 @@ def _require_restarts(restarts: int):
         raise DomainError(f"restarts must be >= 0, got {restarts}")
 
 
+# polar steps of every (state, start) row; no stopping test, so the cost of a
+# call does not depend on its state
+_POLAR_STEPS = 500
+
+
 def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
     """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
-    list of floats: the enumeration runs over the whole stack, and the
-    Nelder-Mead refinement advances every (state, restart) simplex together,
-    so each state gets the bits it gets alone."""
+    list of floats: the enumeration runs over the whole stack, and each polar
+    step is one stacked svd over every (state, start) row, each product taken
+    row by row, so each state gets the bits it gets alone."""
     _require_restarts(restarts)
     bases = maximally_entangled_bases(n)
     # <v|rho|v> as a vector-matrix then a vector-vector product per state,
@@ -247,122 +230,29 @@ def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -
     if restarts == 0:
         return best.tolist()
 
-    gens = _traceless_hermitian_basis(n)
-    npar = len(gens)
-    rng = np.random.default_rng(seed)
-    starts = np.array([np.zeros(2 * npar) if r < len(bases)
-                       else rng.uniform(-np.pi, np.pi, size=2 * npar) for r in range(restarts)])
-    # row i refines state i // restarts from restart i % restarts
-    state, restart = np.divmod(np.arange(len(matrices) * restarts), restarts)
-    row_bases = np.array(bases).reshape(-1, n, n)[restart % len(bases)]
-    row_matrices = matrices[state]
-
-    def objective(points, rows):
-        return -_overlaps(points, row_bases[rows], row_matrices[rows], gens)
-
-    found = -_nelder_mead(objective, starts[restart], 300 * npar, xatol=1e-9, fatol=1e-12)
-    for value in found.reshape(len(matrices), restarts).T:
-        best = np.where(value > best, value, best)   # max(best, value), restart by restart
-    return best.tolist()
+    # Haar unitaries, the phase-fixed QR factors of Ginibre matrices; drawn in
+    # one (restarts, 2, n, n) block, so restarts + 1 keeps the first restarts
+    z = np.random.default_rng(seed).normal(size=(restarts, 2, n, n))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    haar = (q * (d / np.abs(d))[:, None, :]).reshape(restarts, n * n)
+    w = np.concatenate([np.sqrt(n) * np.array(bases), haar])[..., None]   # vec W per start
+    rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
+    for _ in range(_POLAR_STEPS):
+        w = _polar_step(rows, w)
+    found = (w.conj().swapaxes(-1, -2) @ (rows @ w))[..., 0, 0].real / n
+    return np.maximum(best, found.max(axis=1)).tolist()
 
 
-def _overlaps(params: np.ndarray, bases: np.ndarray, matrices: np.ndarray,
-              gens: np.ndarray) -> np.ndarray:
-    """<v|rho|v> for v = (U_A x U_B)|base>, one row per (params, base, rho) of
-    an (M, 2 npar) stack, an (M, n, n) stack of bases and an (M, n^2, n^2)
-    stack of states: U_A = exp(i H_A) and U_B = exp(i H_B), for H_A and H_B
-    the combinations of gens with the two halves of the row's params.  One
-    matmul forms every generator, one stacked eigh exponentiates them, and
-    U_A x U_B acts on vec(base) as vec(U_A base U_B^T)."""
-    m, npar, n = len(params), len(gens), gens.shape[-1]
-    h = (params.reshape(m, 2, npar) @ gens.reshape(npar, n * n)).reshape(m, 2, n, n)
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-    v = (u[:, 0] @ bases @ u[:, 1].swapaxes(-1, -2)).reshape(m, n * n)
-    return ((v.conj()[:, None, :] @ matrices) @ v[:, :, None])[:, 0, 0].real
-
-
-# Nelder-Mead coefficients of reflection, expansion, contraction and shrink
-_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
-
-
-def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
-    """Least value Nelder-Mead finds from each row of an (M, dim) x0, every
-    row's simplex advanced in lockstep; f(points, rows) returns the objective
-    of row rows[i] at points[i] for a stack of points.
-
-    Each row follows the unbounded, non-adaptive method alone: the initial
-    simplex steps each nonzero entry by 5 % and each zero one to 0.00025, the
-    simplex is sorted twice before the first step (an unstable sort may move
-    ties) and after every step, and a row stops once every vertex lies within
-    xatol and every value within fatol of the best, or after maxiter - 1
-    steps.  A step evaluates f once per branch (reflection, expansion,
-    contraction, shrink), on all the rows that take it.
-    """
-    m, dim = x0.shape
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    k = np.arange(dim)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = f(sim.reshape(-1, dim), np.repeat(np.arange(m), dim + 1)).reshape(m, dim + 1)
-    sim, fsim = _sorted(*_sorted(sim, fsim))
-    rows, least = np.arange(m), np.empty(m)
-    for _ in range(maxiter - 1):
-        stop = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
-        if stop.any():
-            least[rows[stop]] = fsim[stop].min(axis=1)
-            rows, sim, fsim = rows[~stop], sim[~stop], fsim[~stop]
-            if not rows.size:
-                return least
-        _nelder_mead_step(f, rows, sim, fsim)
-        sim, fsim = _sorted(sim, fsim)
-    least[rows] = fsim.min(axis=1)
-    return least
-
-
-def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple:
-    """Each row's simplex and values ordered by ascending value."""
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
-
-
-def _nelder_mead_step(f, rows: np.ndarray, sim: np.ndarray, fsim: np.ndarray):
-    """One Nelder-Mead step of each sorted simplex in an (M, dim + 1, dim)
-    stack, in place: the worst vertex moves to the reflected, expanded or
-    contracted point, or the simplex shrinks toward its best vertex."""
-    dim = sim.shape[-1]
-    xbar = np.add.reduce(sim[:, :-1], 1) / dim
-    worst = sim[:, -1]
-    xr = (1 + _REFLECT) * xbar - _REFLECT * worst
-    fxr = f(xr, rows)
-    x_new, f_new = xr, fxr.copy()
-    expanding = fxr < fsim[:, 0]
-    expand = expanding.nonzero()[0]
-    if expand.size:
-        xe = (1 + _REFLECT * _EXPAND) * xbar[expand] - _REFLECT * _EXPAND * worst[expand]
-        fxe = f(xe, rows[expand])
-        take = fxe < fxr[expand]
-        x_new[expand[take]], f_new[expand[take]] = xe[take], fxe[take]
-    shrink = np.zeros(len(rows), dtype=bool)
-    contract = (~expanding & ~(fxr < fsim[:, -2])).nonzero()[0]
-    if contract.size:
-        # outside the simplex when the reflected point beats the worst vertex
-        outside = fxr[contract] < fsim[contract, -1]
-        xb, xw = xbar[contract], worst[contract]
-        xc = np.where(outside[:, None],
-                      (1 + _CONTRACT * _REFLECT) * xb - _CONTRACT * _REFLECT * xw,
-                      (1 - _CONTRACT) * xb + _CONTRACT * xw)
-        fxc = f(xc, rows[contract])
-        take = np.where(outside, fxc <= fxr[contract], fxc < fsim[contract, -1])
-        x_new[contract[take]], f_new[contract[take]] = xc[take], fxc[take]
-        shrink[contract[~take]] = True
-    sim[~shrink, -1], fsim[~shrink, -1] = x_new[~shrink], f_new[~shrink]
-    if shrink.any():
-        best = sim[shrink, :1]
-        sim[shrink, 1:] = best + _SHRINK * (sim[shrink, 1:] - best)
-        fsim[shrink, 1:] = f(sim[shrink, 1:].reshape(-1, dim),
-                             np.repeat(rows[shrink], dim)).reshape(-1, dim)
+def _polar_step(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One step W <- polar(mat(rho vec W)) = U V^dag, for U S V^dag the svd,
+    of every row: w is a stack of (n^2, 1) columns vec W and rows a stack of
+    (n^2, n^2) states that broadcasts against it.  The overlap is convex in
+    vec W, so no row's overlap drops."""
+    g = rows @ w
+    n = math.isqrt(g.shape[-2])
+    u, _, vh = np.linalg.svd(g.reshape(*g.shape[:-2], n, n))
+    return (u @ vh).reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Write fef_values.json: the pinned float bits of the fully entangled fraction.
 
-The fixture pins `measures.singlet_fraction` with its Nelder-Mead refinement
-on
+The fixture pins `measures.singlet_fraction` with its polar-ascent
+refinement on
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`) at the restarts it runs them with,
-- the eight Nelder-Mead floor states of the qutrit clone analysis at
+- the eight floor states of the qutrit clone analysis at
   `seed=1, restarts=6`,
 - seeded random n x n states, n = 2 and 3, of every rank at 1 to 8 restarts,
 and every field of `channel.analyze_channel(restarts=4)` on a few two-qubit
@@ -35,7 +35,7 @@ from entkit import channel, cloning, measures, statezoo  # noqa: E402
 from fixtures import make_channel_reports  # noqa: E402
 
 # (n, rank, seed) of each random state; seed draws the state and seeds its
-# refinement, which runs RESTARTS[n] + seed restarts
+# refinement, which runs RESTARTS[n] + seed restarts (Haar starts)
 RANDOM_STATES = (*((2, rank, seed) for rank in range(1, 5) for seed in range(5)),
                  *((3, rank, seed) for rank in range(1, 10) for seed in (rank % 5, (rank + 2) % 5)))
 RESTARTS = {2: 4, 3: 1}
@@ -62,7 +62,7 @@ def workload_states() -> dict:
 
 
 def floor_states() -> dict:
-    """name -> state of the Nelder-Mead floors pinned at seed=1, restarts=6."""
+    """name -> state of the FEF floors pinned at seed=1, restarts=6."""
     workload = workload_states()
     states = {name: workload[f"fef3:{name}"][0] for name in ("ginibre-full", "ginibre-rank3")}
     for name, d in CLONE_DS.items():

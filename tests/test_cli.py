@@ -349,7 +349,8 @@ def test_protocol_unknown_name_is_a_usage_error(capsys):
     assert "invalid choice: 'bogus'" in err
 
 
-@pytest.mark.parametrize("c2,named", [("-1", "got -1.0"), ("-inf", "got -inf"), ("nan", "got nan")])
+@pytest.mark.parametrize("c2,named", [("-1", "got -1.0"), ("-inf", "got -inf"), ("nan", "got nan"),
+                                      ("0.3", "c^2 must lie in (1/3, 1], got 0.3")])
 def test_secret_share_c2_outside_its_domain_is_a_domain_error_naming_it(capsys, c2, named):
     code, out, err = _run_without_runtime_warnings(capsys, "protocol", "secret-share", f"--c2={c2}")
     assert code == 3

@@ -329,11 +329,12 @@ def test_distillation_never_lowers_the_bell_basis_enumeration_on_the_worked_case
         assert f_out >= f_in - 1e-10
 
 
-def test_fef_of_the_half_clone_pair_keeps_its_nelder_mead_floor():
-    # what the Nelder-Mead refinement returns at seed 1, 6 restarts; a FEF
-    # maximiser that replaces it must not return less
+def test_fef_of_the_half_clone_pair_is_16_27():
+    # the d = 1/2 pair's FEF, reached at (I x W)|Phi+> with the real
+    # reflection W = I - (2/3) J, J the all-ones matrix
     joint = cloning.qutrit_cloned_pair(0.5).joint
-    assert measures.singlet_fraction(joint, seed=1, restarts=6) >= 0.5907969539330424 - 1e-12
+    assert measures.singlet_fraction(joint, seed=1, restarts=6) == pytest.approx(
+        16.0 / 27.0, abs=1e-12)
 
 
 # d on figure 4.2's grid, where the lowest reduction eigenvalue is simple, and
