@@ -8,9 +8,9 @@ M(rho) = max_{i>j} (u_i + u_j) deciding Bell-CHSH violation.
 The analysis works on stacks.  analyze_family validates each grid state with
 its statezoo constructor, then runs T, N and M, the concurrence, the Bell
 enumeration and the linear entropy once over the (N, 4, 4) stack of their
-matrices, one stacked eigh or svd per step, the polar-ascent refinement
-(restarts > 0) of every state and start in one stacked svd per step, and
-the closed forms once over the grid.  analyze_channel and the single-state
+matrices, one stacked eigh or svd per step, the exact magic-basis fully
+entangled fraction (restarts > 0) in one stacked eigvalsh, and the closed
+forms once over the grid.  analyze_channel and the single-state
 functions are the same kernels applied to a one-state stack, so a state gets
 the same bits alone as in a grid.
 """

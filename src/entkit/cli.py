@@ -291,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--kind", required=True, choices=tuple(MEASURES))
     m.add_argument("--base", type=float, default=2.0, help="entropy base (default 2)")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--restarts", type=int, default=32, help="Haar starts of the polar ascent "
-                   "for singlet_fraction, besides the n^2 Bell starts "
-                   "(0: Bell-basis enumeration only)")
+    m.add_argument("--restarts", type=int, default=32, help="singlet_fraction: 0 is the "
+                   "Bell-basis enumeration only; above 0 a two-qubit state is exact and "
+                   "reads no seed, and an n x n state (n >= 3) runs the polar ascent from "
+                   "this many Haar starts besides the n^2 Bell starts")
     m.set_defaults(func=cmd_measure)
 
     f = sub.add_parser("figure", help="write one figure's data as CSV/JSON")

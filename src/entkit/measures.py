@@ -9,6 +9,7 @@ import numpy as np
 from . import statezoo
 from .qcore import (
     TOL_HERM,
+    TOL_RANK,
     DensityMatrix,
     DomainError,
     PureState,
@@ -50,7 +51,8 @@ def concurrence(rho: DensityMatrix) -> float:
     sqrt(rho) sqrt(rho~), so no square root of eigenvalue noise is taken:
     psd_sqrt zeroes every eigenvalue that psd_spectrum ranks as zero, where a
     clip at 0 would turn noise of ~1e-17 on a rank-deficient rho (MJWK for
-    C >= 2/3, pure states) into square roots of ~3e-9.
+    C >= 2/3, pure states) into square roots of ~3e-9.  A difference at or
+    below TOL_RANK times the largest root is rounding, and is returned as 0.
     """
     _require_two_qubits(rho, "concurrence")
     return float(_concurrences(rho.matrix[None])[0])
@@ -65,7 +67,7 @@ def _concurrences(matrices: np.ndarray) -> np.ndarray:
     tilde = _YY @ matrices.conj() @ _YY
     roots = np.linalg.svd(psd_sqrt(matrices) @ psd_sqrt(tilde), compute_uv=False)
     c = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
-    return np.where(c > 0.0, c, 0.0)
+    return np.where(c > TOL_RANK * roots[:, 0], c, 0.0)
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -166,8 +168,8 @@ def entropy_of_entanglement(psi) -> float:
 
 @functools.lru_cache(maxsize=None)
 def maximally_entangled_bases(n: int) -> tuple:
-    """Reference maximally entangled vectors the optimizer starts from, built
-    once per n and returned as read-only arrays.
+    """Reference maximally entangled vectors, the basis the fully entangled
+    fraction enumerates, built once per n and returned as read-only arrays.
 
     n = 2: the four Bell states.  n >= 3: the generalised Bell family
     |phi_{x,y}> = sum_j xi^{jy} |j, j+x> / sqrt(n) with xi = exp(2 pi i / n).
@@ -189,15 +191,23 @@ def maximally_entangled_bases(n: int) -> tuple:
 def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
     """Maximal overlap of rho with a maximally entangled state.
 
-    Every maximally entangled state is (I x W)|Phi+> for a unitary W, since
-    (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex in
-    vec W.  The generalised Bell basis is enumerated exactly, then refined by
-    the polar ascent W <- polar(mat(rho vec W)), which never lowers the
-    overlap: restarts > 0 ascends from the n^2 generalised Bell unitaries and
-    from `restarts` Haar unitaries drawn from default_rng(seed), each a fixed
-    number of steps.  The returned value is the best overlap found, never
-    below the enumeration and never lowered by one more restart, and is a
-    lower bound on the true maximum.  restarts=0 returns the enumeration alone.
+    The generalised Bell basis is enumerated exactly; restarts=0 returns the
+    enumeration alone.  With restarts > 0:
+
+    n = 2: a pure state is maximally entangled exactly when its coefficients
+    in the magic basis (Phi+, i Phi-, i Psi+, Psi-) are real up to a global
+    phase (Bennett, DiVincenzo, Smolin & Wootters 1996), so the value is
+    lambda_max(Re(M^dag rho M)), exact and read without a seed.
+
+    n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
+    since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
+    in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
+    It ascends from the n^2 generalised Bell unitaries and from `restarts`
+    Haar unitaries drawn from default_rng(seed), each a fixed number of steps,
+    and the value is a lower bound on the true maximum.
+
+    Either way the value is never below the enumeration and never lowered by
+    one more restart.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
@@ -209,6 +219,10 @@ def _require_restarts(restarts: int):
         raise DomainError(f"restarts must be >= 0, got {restarts}")
 
 
+# the magic basis, columns Phi+, i Phi-, i Psi+, Psi- (see singlet_fraction)
+_MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
+_MAGIC.flags.writeable = False
+
 # polar steps of every (state, start) row; no stopping test, so the cost of a
 # call does not depend on its state
 _POLAR_STEPS = 500
@@ -216,9 +230,10 @@ _POLAR_STEPS = 500
 
 def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
     """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
-    list of floats: the enumeration runs over the whole stack, and each polar
-    step is one stacked svd over every (state, start) row, each product taken
-    row by row, so each state gets the bits it gets alone."""
+    list of floats: the enumeration, and with restarts > 0 the magic-basis
+    eigenvalue (n = 2) or the polar ascent (n >= 3), each run once over the
+    whole stack with every product taken state by state, so each state gets
+    the bits it gets alone."""
     _require_restarts(restarts)
     bases = maximally_entangled_bases(n)
     # <v|rho|v> as a vector-matrix then a vector-vector product per state,
@@ -229,19 +244,31 @@ def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -
         best = np.where(overlap > best, overlap, best)   # the first of equal maxima
     if restarts == 0:
         return best.tolist()
+    if n == 2:
+        # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
+        found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
+    else:
+        found = _polar_ascent(matrices, n, seed, restarts)
+    return np.maximum(best, found).tolist()
 
+
+def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> np.ndarray:
+    """Best overlap of each n x n state in an (N, n^2, n^2) stack over the
+    polar ascents from the n^2 generalised Bell unitaries and `restarts` Haar
+    unitaries; each step is one stacked svd over every (state, start) row."""
     # Haar unitaries, the phase-fixed QR factors of Ginibre matrices; drawn in
     # one (restarts, 2, n, n) block, so restarts + 1 keeps the first restarts
     z = np.random.default_rng(seed).normal(size=(restarts, 2, n, n))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     haar = (q * (d / np.abs(d))[:, None, :]).reshape(restarts, n * n)
-    w = np.concatenate([np.sqrt(n) * np.array(bases), haar])[..., None]   # vec W per start
+    bases = np.array(maximally_entangled_bases(n))
+    w = np.concatenate([np.sqrt(n) * bases, haar])[..., None]   # vec W per start
     rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
     for _ in range(_POLAR_STEPS):
         w = _polar_step(rows, w)
     found = (w.conj().swapaxes(-1, -2) @ (rows @ w))[..., 0, 0].real / n
-    return np.maximum(best, found.max(axis=1)).tolist()
+    return found.max(axis=1)
 
 
 def _polar_step(rows: np.ndarray, w: np.ndarray) -> np.ndarray:

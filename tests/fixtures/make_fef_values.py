@@ -1,7 +1,7 @@
 """Write fef_values.json: the pinned float bits of the fully entangled fraction.
 
-The fixture pins `measures.singlet_fraction` with its polar-ascent
-refinement on
+The fixture pins `measures.singlet_fraction` with restarts > 0, so the
+magic-basis eigenvalue for n = 2 and the polar-ascent refinement for n = 3, on
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`) at the restarts it runs them with,
 - the eight floor states of the qutrit clone analysis at
@@ -16,8 +16,8 @@ intended:
 
     PYTHONPATH=src python tests/fixtures/make_fef_values.py
 
-With --check the script writes nothing: it lists the entries whose bits
-moved and exits 1 if any did.
+With --check the script writes nothing: it prints each entry whose bits
+moved, with new - old, and exits 1 if any did.
 """
 from __future__ import annotations
 
@@ -108,17 +108,44 @@ def table() -> dict:
             "analyze_channel": channels}
 
 
+def _entries(table: dict) -> dict:
+    """section:key[:field] -> pinned bits, one entry per analyze_channel field."""
+    out = {}
+    for section, entries in table.items():
+        for key, bits in entries.items():
+            fields = bits.items() if isinstance(bits, dict) else [("", bits)]
+            out.update((":".join(filter(None, (section, key, field))), b) for field, b in fields)
+    return out
+
+
+def moved(pinned: dict, got: dict) -> list:
+    """One line per entry whose bits moved: its name and new - old, or its old
+    and new values where either is not a pinned float."""
+    old, new = _entries(pinned), _entries(got)
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        if type(a) is int and type(b) is int:
+            change = f"new - old = {np.int64(b).view(np.float64) - np.int64(a).view(np.float64):+.3g}"
+        else:
+            change = f"{a} -> {b}"
+        lines.append(f"{name} {change}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="recompute the bits, print each entry whose bits moved and "
-                             "exit 1 if any did; write nothing")
+                        help="recompute the bits, print each entry whose bits moved, with "
+                             "new - old, and exit 1 if any did; write nothing")
     args = parser.parse_args(argv)
     got = table()
     path = pathlib.Path(__file__).with_name("fef_values.json")
-    count = sum(len(section) for section in got.values())
+    count = len(_entries(got))
     if args.check:
-        names = make_channel_reports.moved(json.loads(path.read_text()), got)
+        names = moved(json.loads(path.read_text()), got)
         print("\n".join(names + [f"{len(names)} of {count} entries moved"]))
         return 1 if names else 0
     path.write_text(json.dumps(got, indent=0, sort_keys=True) + "\n")

@@ -63,6 +63,13 @@ def test_nmems_concurrence_vanishes_at_exact_root():
     assert measures.concurrence(statezoo.nmems(0.0)) == pytest.approx(2 / 3, abs=1e-12)
 
 
+def test_separable_wei_state_has_exactly_zero_concurrence():
+    # the closed form gamma - 2 sqrt(ab) is 0.4 - 2 (0.2) = 0 exactly, not rounding noise
+    rho = statezoo.wei(0.1, 0.1, 0.2, 0.2, 0.4)
+    assert measures.concurrence(rho) == 0.0
+    assert measures.tangle(rho) == 0.0
+
+
 def test_concurrence_requires_two_qubits():
     with pytest.raises(DomainError):
         measures.concurrence(random_density(np.random.default_rng(0), (3, 3)))
@@ -224,12 +231,31 @@ def test_singlet_fraction_never_below_bell_basis_enumeration():
 
 
 def test_singlet_fraction_ascent_agrees_with_algebraic_oracle():
+    # three routes to the two-qubit FEF: the polar ascent, the T-matrix
+    # closed form and the magic-basis eigenvalue singlet_fraction returns
     rng = np.random.default_rng(13)
     for i in range(5):
         for rank in range(1, 5):
             rho = random_density(rng, (2, 2), rank=rank)
-            assert measures.singlet_fraction(rho, seed=i, restarts=12) == pytest.approx(
-                fef_closed_form(rho), abs=1e-12)
+            ascent = measures._polar_ascent(rho.matrix[None], 2, i, 12)[0]
+            closed = fef_closed_form(rho)
+            value = measures.singlet_fraction(rho, seed=i, restarts=12)
+            assert ascent == pytest.approx(closed, abs=1e-12)
+            assert value == pytest.approx(closed, abs=1e-12)
+            assert value == pytest.approx(ascent, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
+def test_two_qubit_singlet_fraction_is_bounded_and_reads_no_seed(seed, rank, other, restarts):
+    rho = random_density(np.random.default_rng(seed), (2, 2), rank=rank)
+    value = measures.singlet_fraction(rho, seed=seed, restarts=1)
+    assert value >= measures.singlet_fraction(rho, restarts=0)
+    pt_norm = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 1))))
+    assert value <= min(rho.spectrum[-1], pt_norm / 2.0) + 1e-12
+    again = measures.singlet_fraction(rho, seed=other, restarts=restarts)
+    assert np.float64(again).view(np.int64) == np.float64(value).view(np.int64)
 
 
 def test_singlet_fraction_deterministic_for_fixed_seed():
@@ -470,8 +496,9 @@ def test_refining_a_stack_gives_each_state_its_bits_alone(seed, restarts, n):
 
 
 @settings(max_examples=6, deadline=None)
-@given(SEEDS, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=7))
-def test_one_more_restart_never_lowers_the_singlet_fraction(seed, rank, k):
-    rho = random_density(np.random.default_rng(seed), (2, 2), rank=rank)
+@given(SEEDS, st.sampled_from([2, 3]), st.integers(min_value=0, max_value=7))
+def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
     assert (measures.singlet_fraction(rho, seed=seed, restarts=k + 1)
             >= measures.singlet_fraction(rho, seed=seed, restarts=k))
