@@ -40,6 +40,9 @@ def fmt(x: float) -> str:
 # state-spec mini grammar:  family:key=value,...  |  bell:K  |  matrix:FILE
 # ---------------------------------------------------------------------------
 
+# bell:K is statezoo.bell(K): K = 1..4 gives Phi+, Phi-, Psi+, Psi-, that is
+# (|00> + |11>, |00> - |11>, |01> + |10>, |01> - |10>)/sqrt(2)
+
 # the keys of family:key=value,... are the parameters of the statezoo builder
 _STATE_FAMILIES = {**statezoo.PURE_FAMILIES, **statezoo.MIXED_FAMILIES}
 _STATE_ALIASES = {"gme": "generalized_max_entangled"}

@@ -548,7 +548,7 @@ def qutrit_projected_states(shared: np.ndarray) -> list:
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
-# Optimal two-qubit entanglement witness with Psi+ corner structure.
+# Optimal two-qubit entanglement witness with Phi+ corner structure.
 W_A1 = np.array(
     [[0.0, 0.0, 0.0, -INV_SQRT3],
      [0.0, INV_SQRT3, 0.0, 0.0],
@@ -627,7 +627,7 @@ def _cloning_machine(c: float) -> cloning.CloningParams:
 
 def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
     """Non-local two-qubit state Alice and Bob share after Cliff clones both
-    qubits of Charlie's |Psi+> (bit 0) or |Psi-> (bit 1)."""
+    qubits of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1)."""
     params = _cloning_machine(c)
     if charlie_bit not in (0, 1):
         raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
@@ -637,7 +637,7 @@ def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
 
 
 def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -> SecretShareReport:
-    """Run the protocol: Charlie encodes a bit in |Psi+/-|, Cliff clones both
+    """Run the protocol: Charlie encodes a bit in |Phi+/->, Cliff clones both
     qubits, Alice measures in the Hadamard basis, Bob applies the three-element
     discrimination and succeeds with probability Q = 4 c^2 d^2."""
     channels = {charlie_bit: secret_share_channel(c, charlie_bit)}

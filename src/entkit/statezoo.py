@@ -1,11 +1,12 @@
 """Constructors for the named pure and mixed state families used in the package.
 
-Bell-state indexing used everywhere in this package (and documented once, here):
+Bell-state indexing used everywhere in this package, with the standard
+names (documented once, here):
 
-    bell(1) = |Psi+> = (|00> + |11>)/sqrt(2)
-    bell(2) = |Psi-> = (|00> - |11>)/sqrt(2)
-    bell(3) = |Phi+> = (|01> + |10>)/sqrt(2)
-    bell(4) = |Phi-> = (|01> - |10>)/sqrt(2)   (the singlet)
+    bell(1) = |Phi+> = (|00> + |11>)/sqrt(2)
+    bell(2) = |Phi-> = (|00> - |11>)/sqrt(2)
+    bell(3) = |Psi+> = (|01> + |10>)/sqrt(2)
+    bell(4) = |Psi-> = (|01> - |10>)/sqrt(2)   (the singlet)
 
 All amplitudes are real unless a family definition carries an explicit phase.
 """
@@ -31,7 +32,7 @@ SQRT2 = np.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 def bell(k: int) -> PureState:
-    """Bell state k in the 1..4 = (Psi+, Psi-, Phi+, Phi-) indexing."""
+    """Bell state k in the 1..4 = (Phi+, Phi-, Psi+, Psi-) indexing."""
     table = {
         1: (0, 3, +1.0),   # (|00> + |11>)/sqrt2
         2: (0, 3, -1.0),   # (|00> - |11>)/sqrt2
@@ -149,14 +150,14 @@ def generalized_max_entangled(n: int) -> PureState:
 # mixed families
 # ---------------------------------------------------------------------------
 
-# |Phi-><Phi-| and |Phi+><Phi+|, the matrices of bell(4).density() and
+# |Psi-><Psi-| and |Psi+><Psi+|, the matrices of bell(4).density() and
 # bell(3).density(), built once and read-only
 _SINGLET = bell(4).density().matrix
-_PHI_PLUS = bell(3).density().matrix
+_PSI_PLUS = bell(3).density().matrix
 
 
 def werner(F: float) -> DensityMatrix:
-    """Werner state (1-F)/3 I + (4F-1)/3 |Phi-><Phi-| with singlet fraction F.
+    """Werner state (1-F)/3 I + (4F-1)/3 |Psi-><Psi-| with singlet fraction F.
 
     Accepts F in (1/4, 1]; the teleportation analysis of the family is only
     interesting on (1/2, 1], where the state is entangled.
@@ -185,7 +186,7 @@ def mjwk(C: float) -> DensityMatrix:
 
 
 def wei(x: float, y: float, a: float, b: float, gamma: float) -> DensityMatrix:
-    """Wei et al. MEMS: Psi+ coherence gamma over a diagonal background."""
+    """Wei et al. MEMS: Phi+ coherence gamma over a diagonal background."""
     params = {"x": x, "y": y, "a": a, "b": b, "gamma": gamma}
     for name, val in params.items():
         # a weight computed at the closed end of the domain may round below 0
@@ -245,7 +246,7 @@ def nmems_from_reductions(p: float) -> DensityMatrix:
 
 
 def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
-    """Ishizaka-Hiroshima MEMS p1|Phi-><Phi-| + p2|00><00| + p3|Phi+><Phi+| + p4|11><11|.
+    """Ishizaka-Hiroshima MEMS p1|Psi-><Psi-| + p2|00><00| + p3|Psi+><Psi+| + p4|11><11|.
 
     The weights must already be ordered p1 >= p2 >= p3 >= p4.
     """
@@ -258,7 +259,7 @@ def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
         raise DomainError(f"ih_mems weights must be ordered p1 >= p2 >= p3 >= p4, got {ps}")
     m = (p1 * _SINGLET
          + p2 * np.outer(basis_ket((0, 0), (2, 2)), basis_ket((0, 0), (2, 2)))
-         + p3 * _PHI_PLUS
+         + p3 * _PSI_PLUS
          + p4 * np.outer(basis_ket((1, 1), (2, 2)), basis_ket((1, 1), (2, 2))))
     return DensityMatrix((2, 2), m)
 
@@ -266,10 +267,10 @@ def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:
 def cloned_mems(c2: float) -> DensityMatrix:
     """Non-local two-qubit output of cloning both halves of a Bell pair.
 
-    Symmetric cloning of each qubit of |Psi+> with machine amplitude c
+    Symmetric cloning of each qubit of |Phi+> with machine amplitude c
     (c^2 + 2 d^2 = 1) leaves the distant pair in
     (P+S)/2 (|00><00| + |11><11|) + Q/2 (|00><11| + h.c.) + R (|01><01| + |10><10|).
-    At c^2 = 2/3 this is the Werner-family state 4/9 |Psi+><Psi+| + 5/36 I.
+    At c^2 = 2/3 this is the Werner-family state 4/9 |Phi+><Phi+| + 5/36 I.
     """
     if not 0.0 <= c2 <= 1.0:
         raise DomainError(f"cloned_mems c2 must lie in [0, 1], got {c2}")

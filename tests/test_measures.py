@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -305,7 +305,7 @@ def test_polar_step_never_lowers_any_row_overlap(seed, n):
 
     before = overlaps(w)
     for _ in range(8):
-        w = measures._polar_step(rows, w)
+        w = measures._polar_step(rows @ w)
         after = overlaps(w)
         assert w.shape == (3, 4, n * n, 1)
         unitaries = w.reshape(3, 4, n, n)
@@ -428,6 +428,10 @@ def test_scipy_is_never_imported():
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
+# name -> the qutrit clone pair or its distilled pair at d = 1/sqrt(8), 0.45 and 1/2
+QUTRIT_PAIRS = {name: rho for name, rho in make_fef_values.floor_states().items()
+                if not name.startswith("ginibre")}
+
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=4))
@@ -480,14 +484,18 @@ def test_eof_is_monotone_in_the_concurrence(seed):
     assert all(e1 <= e2 for (_, e1), (_, e2) in zip(pairs, pairs[1:]))
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=8), st.sampled_from([2, 3]))
 def test_refining_a_stack_gives_each_state_its_bits_alone(seed, restarts, n):
-    # two states in random order with repeats
+    # two states of random rank and, at n = 3, the d = 1/2 clone pair, whose
+    # rows stop within about 20 steps, and a full-rank state, whose rows run
+    # hundreds; each state at least once, in random order with repeats
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
-    order = rng.integers(0, len(states), size=4)
+    if n == 3:
+        states += [QUTRIT_PAIRS["clone-d=0.5"], random_density(rng, (3, 3))]
+    order = rng.permutation(np.r_[np.arange(len(states)), rng.integers(0, len(states), 2)])
     stack = np.array([states[i].matrix for i in order])
     alone = [measures.singlet_fraction(rho, seed=seed, restarts=restarts) for rho in states]
     got = measures._singlet_fractions(stack, n, seed, restarts)
@@ -502,3 +510,24 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
     rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
     assert (measures.singlet_fraction(rho, seed=seed, restarts=k + 1)
             >= measures.singlet_fraction(rho, seed=seed, restarts=k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS, st.sampled_from([*range(1, 10), *QUTRIT_PAIRS]))
+@example(1, "clone-d=sqrt(1/8)")
+@example(1, "clone-d=0.45")
+@example(1, "clone-d=0.5")
+@example(1, "distilled-d=sqrt(1/8)")
+@example(1, "distilled-d=0.45")
+@example(1, "distilled-d=0.5")
+def test_stopping_early_loses_nothing_against_the_full_step_budget(seed, state):
+    # a random state of rank `state`, or the named qutrit pair; every start
+    # run for all _POLAR_STEPS polar steps, with no stopping test, reaches no
+    # higher than the ascent, whose rows stop once they converge
+    rho = (QUTRIT_PAIRS[state] if state in QUTRIT_PAIRS
+           else random_density(np.random.default_rng(seed), (3, 3), rank=state))
+    w = measures._polar_starts(3, seed, 6)
+    for _ in range(measures._POLAR_STEPS):
+        w = measures._polar_step(rho.matrix @ w)
+    fixed = measures._overlaps(w, rho.matrix @ w, 3).max()
+    assert measures.singlet_fraction(rho, seed=seed, restarts=6) >= fixed - 1e-12
