@@ -1,8 +1,8 @@
 """Write fef_values.json: the pinned float bits of the fully entangled fraction.
 
 The fixture pins `measures.singlet_fraction` with restarts > 0, so the
-magic-basis eigenvalue for n = 2 and, for n = 3, the polar ascent run until
-each start converges (or for its full step budget), on
+magic-basis eigenvalue for n = 2 and, for n = 3, the extrapolated polar
+ascent run for its fixed step count from every start, on
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`) at the restarts it runs them with,
 - the eight floor states of the qutrit clone analysis at

@@ -484,12 +484,11 @@ def test_eof_is_monotone_in_the_concurrence(seed):
     assert all(e1 <= e2 for (_, e1), (_, e2) in zip(pairs, pairs[1:]))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=8), st.sampled_from([2, 3]))
 def test_refining_a_stack_gives_each_state_its_bits_alone(seed, restarts, n):
-    # two states of random rank and, at n = 3, the d = 1/2 clone pair, whose
-    # rows stop within about 20 steps, and a full-rank state, whose rows run
-    # hundreds; each state at least once, in random order with repeats
+    # two states of random rank and, at n = 3, the d = 1/2 clone pair and a
+    # full-rank state; each state at least once, in random order with repeats
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
@@ -512,7 +511,7 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
             >= measures.singlet_fraction(rho, seed=seed, restarts=k))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(SEEDS, st.sampled_from([*range(1, 10), *QUTRIT_PAIRS]))
 @example(1, "clone-d=sqrt(1/8)")
 @example(1, "clone-d=0.45")
@@ -520,14 +519,15 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
 @example(1, "distilled-d=sqrt(1/8)")
 @example(1, "distilled-d=0.45")
 @example(1, "distilled-d=0.5")
-def test_stopping_early_loses_nothing_against_the_full_step_budget(seed, state):
+@example(108, 6)       # converges slowly: 300 plain steps fall 2e-8 short, 500 fall 8e-10
+def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
     # a random state of rank `state`, or the named qutrit pair; every start
-    # run for all _POLAR_STEPS polar steps, with no stopping test, reaches no
-    # higher than the ascent, whose rows stop once they converge
+    # run for 1,000 plain polar steps reaches no higher than the ascent's
+    # _POLAR_STEPS with extrapolation, beyond rounding
     rho = (QUTRIT_PAIRS[state] if state in QUTRIT_PAIRS
            else random_density(np.random.default_rng(seed), (3, 3), rank=state))
     w = measures._polar_starts(3, seed, 6)
-    for _ in range(measures._POLAR_STEPS):
+    for _ in range(1000):
         w = measures._polar_step(rho.matrix @ w)
-    fixed = measures._overlaps(w, rho.matrix @ w, 3).max()
-    assert measures.singlet_fraction(rho, seed=seed, restarts=6) >= fixed - 1e-12
+    longer = measures._overlaps(w, rho.matrix @ w, 3).max()
+    assert measures.singlet_fraction(rho, seed=seed, restarts=6) >= longer - 1e-12
