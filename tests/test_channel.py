@@ -240,6 +240,34 @@ def test_analyze_family_argument_errors_name_the_parameter(family, values, kwarg
         channel.analyze_family(family, values, **kwargs)
 
 
+def _wei(gamma, a, b):
+    """The wei state analyze_family builds at gamma: x = y take the rest."""
+    return statezoo.wei((1.0 - gamma - a - b) / 2.0, (1.0 - gamma - a - b) / 2.0, a, b, gamma)
+
+
+# (family, fixed parameters, grid with out-of-domain values, the scalar
+# constructor call at the first bad value in sorted order)
+@pytest.mark.parametrize("family,fixed,values,first_bad", [
+    ("werner", {}, [0.9, 0.2, 0.1], lambda: statezoo.werner(0.1)),
+    ("werner", {}, [1.5, 0.7, 1.2], lambda: statezoo.werner(1.2)),
+    ("mjwk", {}, [0.5, 1.2, -0.1], lambda: statezoo.mjwk(-0.1)),
+    ("nmems", {}, [2.0, 0.5, 1.5], lambda: statezoo.nmems(1.5)),
+    ("werner_derivative", {"F": 0.8}, [0.7, 1.2, 0.4],
+     lambda: statezoo.werner_derivative(0.8, 0.4)),
+    ("werner_derivative", {"F": 0.4}, [0.7, 0.6], lambda: statezoo.werner_derivative(0.4, 0.6)),
+    # a negative gamma sorts before the x = y < 0 it leaves at 0.95
+    ("wei", {"a": 0.05, "b": 0.05}, [0.95, 0.5, -0.1], lambda: _wei(-0.1, 0.05, 0.05)),
+    ("wei", {"a": 0.05, "b": 0.05}, [0.97, 0.3, 0.95], lambda: _wei(0.95, 0.05, 0.05)),
+    ("wei", {"a": -0.1, "b": 0.05}, [0.5, 0.3], lambda: _wei(0.3, -0.1, 0.05)),
+])
+def test_analyze_family_raises_the_first_bad_sorted_value(family, fixed, values, first_bad):
+    with pytest.raises(DomainError) as alone:
+        first_bad()
+    with pytest.raises(DomainError) as grid:
+        channel.analyze_family(family, values, **fixed)
+    assert str(grid.value) == str(alone.value)
+
+
 # family -> (fixed parameters, sweep interval ends) for the counter test
 COUNTED_FAMILIES = {
     "werner": ({}, 0.3, 1.0),
