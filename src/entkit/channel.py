@@ -5,14 +5,14 @@ t_nm = Tr(rho sigma_n x sigma_m), the quantity N(rho) = sum_i sqrt(u_i)
 (u_i the eigenvalues of T^dag T) deciding teleportation usefulness, and
 M(rho) = max_{i>j} (u_i + u_j) deciding Bell-CHSH violation.
 
-The analysis works on stacks.  analyze_family validates each grid state with
-its statezoo constructor, then runs T, N and M, the concurrence, the Bell
-enumeration and the linear entropy once over the (N, 4, 4) stack of their
-matrices, one stacked eigh or svd per step, the exact magic-basis fully
-entangled fraction (restarts > 0) in one stacked eigvalsh, and the closed
-forms once over the grid.  analyze_channel and the single-state
-functions are the same kernels applied to a one-state stack, so a state gets
-the same bits alone as in a grid.
+The analysis works on stacks.  analyze_family builds a family's whole grid
+as one (N, 4, 4) stack from its statezoo matrix formula and validates it once
+(one stacked eigvalsh), then runs T, N and M, the concurrence, the Bell
+enumeration and the linear entropy once over the stack, one stacked eigh or
+svd per step, the exact magic-basis fully entangled fraction (restarts > 0)
+in one stacked eigvalsh, and the closed forms once over the grid.
+analyze_channel and the single-state functions are the same kernels applied
+to a one-state stack, so a state gets the same bits alone as in a grid.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .qcore import (
     X,
     Y,
     Z,
+    _density_spectra,
     _reduced_matrix,
     _shaped,
     tensor,
@@ -207,13 +208,13 @@ class ChannelReport:
 
 def analyze_channel(rho: DensityMatrix, restarts: int = 32) -> ChannelReport:
     measures._require_two_qubits(rho, "channel analysis")
-    return _reports([rho], restarts)[0]
+    return _reports(rho.matrix[None], rho.spectrum[None], restarts)[0]
 
 
-def _reports(states: list, restarts: int) -> list:
-    """The ChannelReport of each two-qubit state in a list, each quantity
-    computed for the whole list at once: one stacked eigh or svd per step."""
-    matrices = np.array([rho.matrix for rho in states])
+def _reports(matrices: np.ndarray, spectra: np.ndarray, restarts: int) -> list:
+    """The ChannelReport of each validated two-qubit state in an (N, 4, 4) stack
+    with (N, 4) spectra, each quantity computed at once: one stacked eigh or
+    svd per step."""
     n, m = _n_and_m(_tt_eigenvalues(_correlation_matrices(matrices)))
     columns = {
         "concurrence": measures._concurrences(matrices),
@@ -225,8 +226,7 @@ def _reports(states: list, restarts: int) -> list:
         # and reported not useful; the same band guards the Bell flag
         "useful_for_teleportation": n > 1.0 + BOUNDARY_BAND,
         "violates_bell_chsh": m > 1.0 + BOUNDARY_BAND,
-        "linear_entropy": measures._linear_entropies(
-            matrices, np.array([rho.spectrum for rho in states])),
+        "linear_entropy": measures._linear_entropies(matrices, spectra),
         "boundary": np.abs(n - 1.0) <= BOUNDARY_BAND,
     }
     rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
@@ -322,7 +322,7 @@ def fidelity_from_linear_entropy(family: str, s):
     raise DomainError(f"no fidelity-entropy closed form for family {family!r}")
 
 
-# family -> (sweep parameter, fixed parameters, builder(value, **fixed))
+# family -> (sweep parameter, fixed parameters, builder(grid array, **fixed))
 _FAMILIES = {
     "werner": ("F", (), statezoo.werner),
     "mjwk": ("C", (), statezoo.mjwk),
@@ -339,9 +339,9 @@ def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
     Returns (value, ChannelReport, closed_forms) triples sorted by the grid
     value.  The sweep parameter is F (werner), C (mjwk), p (nmems),
     a (werner_derivative, with F fixed) or gamma (wei, with a and b fixed,
-    the remaining weight split evenly between x and y).  Each grid state is
-    built and validated by its statezoo constructor; the analysis and the
-    closed forms then run once over the whole grid.
+    the remaining weight split evenly between x and y).  The statezoo
+    constructor builds the grid as one stack, validated at once, and raises
+    for its first bad value; the analysis and closed forms run once over it.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}")
@@ -358,7 +358,8 @@ def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
     grid = sorted(float(x) for x in values)
     if not grid:
         return []
-    reports = _reports([build(v, **fixed) for v in grid], restarts)
+    matrices = build(np.array(grid), **fixed)
+    reports = _reports(matrices, _density_spectra((2, 2), matrices), restarts)
     columns = closed_forms(family, **{param: np.array(grid)}, **fixed)
     forms = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     return list(zip(grid, reports, forms))

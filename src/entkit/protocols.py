@@ -38,7 +38,6 @@ from .qcore import (
     Z,
     _reduced_matrix,
     _shaped,
-    ket,
     psd_spectrum,
     tensor,
 )
@@ -517,29 +516,6 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
         # a run that cannot succeed never ends maximally entangled
         maximally_entangled=bool(success > 0.0 and abs(conc - 1.0) <= 1e-9),
         shared_state=PureState((d, d), shared))
-
-
-def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
-    """Aux-0 branch amplitudes (|00>, |01>, |10>, |11>) of the four-party W run.
-
-    These carry the published tangent scaling of the sender's |0> components;
-    the closed-form concurrence |sin 2t| cos^2(e) is 2|ad - bc| of this vector.
-    """
-    s, c = np.sin(theta), np.cos(theta)
-    se, ce = np.sin(epsilon), np.cos(epsilon)
-    return np.array([s * se + s * s * ce / c, s * ce, c * ce, 0.0])
-
-
-def qutrit_projected_states(shared: np.ndarray) -> list:
-    """The four encoded states obtained from the balanced qutrit pair by the
-    sender's operators {|0><0|+|2><2|, |0><2|+|2><0|, |0><2|-|2><0|, |0><0|-|2><2|}."""
-    ops = [
-        np.outer(ket(0, 3), ket(0, 3)) + np.outer(ket(2, 3), ket(2, 3)),
-        np.outer(ket(0, 3), ket(2, 3)) + np.outer(ket(2, 3), ket(0, 3)),
-        np.outer(ket(0, 3), ket(2, 3)) - np.outer(ket(2, 3), ket(0, 3)),
-        np.outer(ket(0, 3), ket(0, 3)) - np.outer(ket(2, 3), ket(2, 3)),
-    ]
-    return [w / np.linalg.norm(w) for w in (tensor(op, np.eye(3)) @ shared for op in ops)]
 
 
 # ---------------------------------------------------------------------------

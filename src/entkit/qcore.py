@@ -96,23 +96,13 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
         m = np.array(self.matrix, dtype=complex)
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        d = math.prod(dims)
-        if m.shape != (d, d):
-            raise DomainError(f"matrix shape {m.shape} does not match dims {dims}")
-        if not np.isfinite(m).all():
-            raise DomainError(f"density matrix has a non-finite entry {m[~np.isfinite(m)][0]}")
-        if np.abs(m - m.conj().T).max() > TOL_HERM:
-            raise DomainError("density matrix is not hermitian")
-        tr = m.trace().real
-        if abs(tr - 1.0) > TOL_NORM:
-            raise DomainError(f"density matrix trace {tr} != 1")
-        spectrum = psd_spectrum(np.linalg.eigvalsh(m))
-        spectrum.flags.writeable = False
+        spectrum = _density_spectra(dims, m[None])[0]
+        spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
 
     @property
@@ -124,6 +114,24 @@ class DensityMatrix:
 
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) <= 1e-9
+
+
+def _density_spectra(dims: tuple, matrices: np.ndarray) -> np.ndarray:
+    """DensityMatrix's checks, each made once over an (N, d, d) complex stack on
+    subsystems dims; returns the (N, d) ascending spectra, ranked by psd_spectrum.
+    One bad matrix raises what it raises alone; each row has its bits alone."""
+    d = math.prod(dims)
+    if matrices.shape[1:] != (d, d):
+        raise DomainError(f"matrix shape {matrices.shape[1:]} does not match dims {dims}")
+    finite = np.isfinite(matrices)
+    if not finite.all():
+        raise DomainError(f"density matrix has a non-finite entry {matrices[~finite][0]}")
+    if np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max() > TOL_HERM:
+        raise DomainError("density matrix is not hermitian")
+    for tr in matrices.trace(axis1=-2, axis2=-1).real.tolist():
+        if abs(tr - 1.0) > TOL_NORM:
+            raise DomainError(f"density matrix trace {tr} != 1")
+    return psd_spectrum(np.linalg.eigvalsh(matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .qcore import (
     PureState,
     basis_ket,
     ket,
-    partial_trace,
     tensor,
 )
 
@@ -155,17 +154,41 @@ def generalized_max_entangled(n: int) -> PureState:
 _SINGLET = bell(4).density().matrix
 _PSI_PLUS = bell(3).density().matrix
 
+# werner, mjwk, wei, werner_derivative and nmems take scalars, for the
+# DensityMatrix, or arrays, for the (N, 4, 4) complex stack of its matrices
+# that the caller validates at once; a bad array raises what the scalar call
+# raises at its first bad entry.
 
-def werner(F: float) -> DensityMatrix:
-    """Werner state (1-F)/3 I + (4F-1)/3 |Psi-><Psi-| with singlet fraction F.
+
+def _require(*checks) -> None:
+    """Raise the scalar constructor's DomainError at the first entry that fails
+    a check.  Each check is (ok, message, value) in the scalar call's order:
+    ok and value a scalar or an array, message naming the value with {}."""
+    oks = np.broadcast_arrays(*(ok for ok, _, _ in checks))
+    passed = np.logical_and.reduce(oks).ravel()
+    if not passed.all():
+        i = passed.argmin()
+        for ok, (_, message, value) in zip(oks, checks):
+            if not ok.flat[i]:
+                bad = value if np.ndim(value) == 0 else np.broadcast_to(value, ok.shape).flat[i]
+                raise DomainError(message.format(bad))
+
+
+def _state(m: np.ndarray):
+    """The DensityMatrix of one 4x4 matrix, or a grid's complex matrix stack."""
+    return DensityMatrix((2, 2), m) if m.ndim == 2 else m.astype(complex, copy=False)
+
+
+def werner(F):
+    """Werner state (1-F)/3 I + (4F-1)/3 |Psi-><Psi-| with singlet fraction F,
+    a scalar or an array.
 
     Accepts F in (1/4, 1]; the teleportation analysis of the family is only
     interesting on (1/2, 1], where the state is entangled.
     """
-    if not 0.25 < F <= 1.0:
-        raise DomainError(f"werner F must lie in (1/4, 1], got {F}")
-    m = (1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * _SINGLET
-    return DensityMatrix((2, 2), m)
+    _require(((0.25 < F) & (F <= 1.0), "werner F must lie in (1/4, 1], got {}", F))
+    F = np.asarray(F, dtype=float)[..., None, None]
+    return _state((1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * _SINGLET)
 
 
 def mjwk_h(C):
@@ -173,50 +196,48 @@ def mjwk_h(C):
     return np.where(C >= 2.0 / 3.0, C / 2.0, 1.0 / 3.0)[()]
 
 
-def mjwk(C: float) -> DensityMatrix:
-    """Munro-James-White-Kwiat maximally entangled mixed state of concurrence C."""
-    if not 0.0 <= C <= 1.0:
-        raise DomainError(f"mjwk concurrence must lie in [0, 1], got {C}")
+def mjwk(C):
+    """Munro-James-White-Kwiat maximally entangled mixed state of concurrence C,
+    a scalar or an array."""
+    _require(((0.0 <= C) & (C <= 1.0), "mjwk concurrence must lie in [0, 1], got {}", C))
     h = mjwk_h(C)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = h
-    m[1, 1] = 1.0 - 2.0 * h
-    m[0, 3] = m[3, 0] = C / 2.0
-    return DensityMatrix((2, 2), m)
+    m = np.zeros(np.shape(C) + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = h
+    m[..., 1, 1] = 1.0 - 2.0 * h
+    m[..., 0, 3] = m[..., 3, 0] = C / 2.0
+    return _state(m)
 
 
-def wei(x: float, y: float, a: float, b: float, gamma: float) -> DensityMatrix:
-    """Wei et al. MEMS: Phi+ coherence gamma over a diagonal background."""
+def wei(x, y, a, b, gamma):
+    """Wei et al. MEMS: Phi+ coherence gamma over a diagonal background; each
+    weight a scalar or an array."""
     params = {"x": x, "y": y, "a": a, "b": b, "gamma": gamma}
-    for name, val in params.items():
-        # a weight computed at the closed end of the domain may round below 0
-        if not val >= -1e-12:
-            raise DomainError(f"wei parameter {name} must be >= 0, got {val}")
-    x, y, a, b, gamma = (max(val, 0.0) for val in params.values())
+    # a weight computed at the closed end of the domain may round below 0
+    x, y, a, b, gamma = (np.where(val < 0.0, 0.0, val) for val in params.values())
     total = x + y + a + b + gamma
-    if abs(total - 1.0) > 1e-10:
-        raise DomainError(f"wei parameters must sum to 1, got {total}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = x + gamma / 2.0
-    m[1, 1] = a
-    m[2, 2] = b
-    m[3, 3] = y + gamma / 2.0
-    m[0, 3] = m[3, 0] = gamma / 2.0
-    return DensityMatrix((2, 2), m)
+    _require(*((val >= -1e-12, f"wei parameter {name} must be >= 0, got {{}}", val)
+               for name, val in params.items()),
+             (abs(total - 1.0) <= 1e-10, "wei parameters must sum to 1, got {}", total))
+    m = np.zeros(total.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = x + gamma / 2.0
+    m[..., 1, 1] = a
+    m[..., 2, 2] = b
+    m[..., 3, 3] = y + gamma / 2.0
+    m[..., 0, 3] = m[..., 3, 0] = gamma / 2.0
+    return _state(m)
 
 
-def werner_derivative(F: float, a: float) -> DensityMatrix:
+def werner_derivative(F, a):
     """Werner state rotated by a non-local unitary: (1-F)/3 I + (4F-1)/3 |psi><psi|,
-    |psi> = sqrt(a)|00> + sqrt(1-a)|11>."""
-    if not 0.5 < F <= 1.0:
-        raise DomainError(f"werner_derivative F must lie in (1/2, 1], got {F}")
-    if not 0.5 <= a <= 1.0:
-        raise DomainError(f"werner_derivative a must lie in [1/2, 1], got {a}")
-    psi = np.zeros(4)
-    psi[0] = np.sqrt(a)
-    psi[3] = np.sqrt(1.0 - a)
-    m = (1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * np.outer(psi, psi)
-    return DensityMatrix((2, 2), m)
+    |psi> = sqrt(a)|00> + sqrt(1-a)|11>; F and a scalars or arrays."""
+    _require(((0.5 < F) & (F <= 1.0), "werner_derivative F must lie in (1/2, 1], got {}", F),
+             ((0.5 <= a) & (a <= 1.0), "werner_derivative a must lie in [1/2, 1], got {}", a))
+    psi = np.zeros(np.broadcast(F, a).shape + (4,))
+    psi[..., 0] = np.sqrt(a)
+    psi[..., 3] = np.sqrt(1.0 - a)
+    F = np.asarray(F, dtype=float)[..., None, None]
+    outer = psi[..., :, None] * psi[..., None, :]
+    return _state((1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * outer)
 
 
 def werner_derivative_entangled_bound(F: float) -> float:
@@ -224,25 +245,15 @@ def werner_derivative_entangled_bound(F: float) -> float:
     return 0.5 * (1.0 + np.sqrt(3.0 * (4.0 * F * F - 1.0)) / (4.0 * F - 1.0))
 
 
-def nmems(p: float) -> DensityMatrix:
-    """Convex mixture p * Tr_C|GHZ><GHZ| + (1-p) * Tr_C|W><W| in closed form."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"nmems p must lie in [0, 1], got {p}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (p + 2.0) / 6.0
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = (1.0 - p) / 3.0
-    m[3, 3] = p / 2.0
-    return DensityMatrix((2, 2), m)
-
-
-def nmems_from_reductions(p: float) -> DensityMatrix:
-    """Same state as nmems(p), built by actually tracing the third qubit out of
-    the GHZ and W states and mixing; structural cross-check of the closed form."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"nmems p must lie in [0, 1], got {p}")
-    rho_g = partial_trace(ghz3().density(), keep=(0, 1)).matrix
-    rho_w = partial_trace(w3_prototype().density(), keep=(0, 1)).matrix
-    return DensityMatrix((2, 2), p * rho_g + (1.0 - p) * rho_w)
+def nmems(p):
+    """Convex mixture p * Tr_C|GHZ><GHZ| + (1-p) * Tr_C|W><W| in closed form;
+    p a scalar or an array."""
+    _require(((0.0 <= p) & (p <= 1.0), "nmems p must lie in [0, 1], got {}", p))
+    m = np.zeros(np.shape(p) + (4, 4), dtype=complex)
+    m[..., 0, 0] = (p + 2.0) / 6.0
+    m[..., 1, 1] = m[..., 2, 2] = m[..., 1, 2] = m[..., 2, 1] = (1.0 - p) / 3.0
+    m[..., 3, 3] = p / 2.0
+    return _state(m)
 
 
 def ih_mems(p1: float, p2: float, p3: float, p4: float) -> DensityMatrix:

@@ -282,7 +282,6 @@ COUNTED_FAMILIES = {
 def test_analyze_family_analyzes_the_whole_grid_at_once(family, monkeypatch):
     fixed, lo, hi = COUNTED_FAMILIES[family]
     calls = []
-    closed_forms, svd = channel.closed_forms, np.linalg.svd
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -290,16 +289,22 @@ def test_analyze_family_analyzes_the_whole_grid_at_once(family, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(channel, "closed_forms", counted("closed_forms", closed_forms))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(channel, "closed_forms", counted("closed_forms", channel.closed_forms))
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        counted("DensityMatrix", DensityMatrix.__post_init__))
     counts = []
     for points in (5, 50):
         calls.clear()
         rows = channel.analyze_family(family, np.linspace(lo, hi, points), **fixed)
         assert len(rows) == points
-        counts.append((calls.count("closed_forms"), calls.count("svd")))
-    assert counts[0][0] == counts[1][0] == 1
-    assert counts[0][1] == counts[1][1] > 0
+        counts.append({name: calls.count(name)
+                       for name in ("closed_forms", "svd", "eigvalsh", "DensityMatrix")})
+    assert counts[0] == counts[1]
+    assert counts[0]["closed_forms"] == counts[0]["eigvalsh"] == 1
+    assert counts[0]["svd"] > 0
+    assert counts[0]["DensityMatrix"] == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,7 +315,9 @@ def test_stacked_reports_equal_each_state_alone(drawn, data):
     states = [random_density(np.random.default_rng(seed), (2, 2), rank=rank)
               for seed, rank in drawn]
     order = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=12))
-    stacked = channel._reports([states[i] for i in order], restarts=0)
+    chosen = [states[i] for i in order]
+    stacked = channel._reports(np.array([rho.matrix for rho in chosen]),
+                               np.array([rho.spectrum for rho in chosen]), restarts=0)
     bits = make_channel_reports._report
     alone = [bits(channel.analyze_channel(rho, restarts=0)) for rho in states]
     assert [bits(report) for report in stacked] == [alone[i] for i in order]

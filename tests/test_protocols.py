@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError, is_unitary
-from util import assert_columns_match_points
+from util import assert_columns_match_points, qutrit_projected_states, w4_branch_amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_w3_concurrence_curve_peaks_below_one():
 def test_w4_convention_identity():
     for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.05, 6):
         for eps in np.linspace(np.pi / 4, np.pi / 2 - 0.05, 6):
-            amps = protocols.w4_branch_amplitudes(theta, eps)
+            amps = w4_branch_amplitudes(theta, eps)
             raw = 2 * abs(amps[0] * 0.0 - amps[1] * amps[2])
             closed = protocols.cdc_closed_forms("w4", theta=theta, epsilon=eps)["concurrence"]
             assert raw == pytest.approx(closed, abs=1e-12)
@@ -366,7 +366,7 @@ def test_qutrit_domain_error_below_quarter_pi():
 def test_qutrit_projected_states():
     r = protocols.cdc_run("qutrit_ghz", np.pi / 4, controller_outcome="up", aux_outcome=0)
     shared = r.shared_state.vector
-    states = protocols.qutrit_projected_states(shared)
+    states = qutrit_projected_states(shared)
     expected_supports = [(0, 8), (2, 6), (2, 6), (0, 8)]
     for v, support in zip(states, expected_supports):
         assert tuple(np.flatnonzero(np.abs(v) > 1e-9)) == support

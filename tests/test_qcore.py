@@ -444,6 +444,68 @@ def test_intermediate_states_build_no_density_matrix(monkeypatch):
     assert len(outcomes) == 4
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a).view(np.int64)
+
+
+VALIDATED_DIMS = st.sampled_from([(2, 2), (3, 3)])
+
+
+def _states_of_every_rank(dims, data) -> list:
+    d = int(np.prod(dims))
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, d)),
+                               min_size=1, max_size=5))
+    return [random_density(np.random.default_rng(seed), dims, rank=rank).matrix
+            for seed, rank in drawn]
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALIDATED_DIMS, st.data())
+def test_stacked_validation_gives_each_state_its_bits_alone(dims, data):
+    matrices = _states_of_every_rank(dims, data)
+    order = data.draw(st.lists(st.integers(0, len(matrices) - 1), min_size=1, max_size=10))
+    stack = np.array([matrices[i] for i in order])
+    spectra = qcore._density_spectra(dims, stack)
+    for m, row in zip(stack, spectra):
+        alone = DensityMatrix(dims, m)
+        assert (_bits(m) == _bits(alone.matrix)).all()
+        assert (_bits(row) == _bits(alone.spectrum)).all()
+        assert (_bits(row) == _bits(psd_spectrum(np.linalg.eigvalsh(m)))).all()
+
+
+def _spoiled(m: np.ndarray, fault: str, data) -> np.ndarray:
+    """m made non-finite, non-hermitian, of trace != 1 or non-PSD."""
+    d = len(m)
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    m = m.copy()
+    if fault == "non-finite":
+        m[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan)]))
+    elif fault == "non-hermitian":
+        m[i, (i + 1 + j % (d - 1)) % d] += 0.01
+    elif fault == "trace":
+        m *= 1.01
+    else:
+        m[i, i] += 2.0
+        m[(i + 1) % d, (i + 1) % d] -= 2.0
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(VALIDATED_DIMS, st.sampled_from(["non-finite", "non-hermitian", "trace", "non-PSD"]),
+       st.data())
+def test_a_stack_with_one_bad_matrix_raises_what_it_raises_alone(dims, fault, data):
+    good = _states_of_every_rank(dims, data)
+    bad = _spoiled(good.pop(), fault, data)
+    at = data.draw(st.integers(0, len(good)))
+    with pytest.raises(DomainError) as alone:
+        DensityMatrix(dims, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError) as stacked:
+            qcore._density_spectra(dims, np.array(good[:at] + [bad] + good[at:]))
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_pure_state_validation():
     psi = PureState([2, 2], np.array([1.0, 0.0, 0.0, 0.0]))        # dims stored as python ints
     assert psi.dims == (2, 2) and all(type(d) is int for d in psi.dims)

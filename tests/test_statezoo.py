@@ -4,7 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
-from entkit.qcore import DensityMatrix, DomainError, basis_ket
+from entkit.qcore import DensityMatrix, DomainError, _density_spectra, basis_ket
+from util import nmems_from_reductions
 
 
 def test_bell_indexing():
@@ -161,10 +162,14 @@ def test_nmems_corner_entry():
 
 
 def test_nmems_equals_reduction_construction_on_grid():
-    for p in np.linspace(0.0, 1.0, 101):
+    grid = np.linspace(0.0, 1.0, 101)
+    stack = statezoo.nmems(grid)
+    _density_spectra((2, 2), stack)
+    for p, c in zip(grid, stack):
         a = statezoo.nmems(p).matrix
-        b = statezoo.nmems_from_reductions(p).matrix
+        b = nmems_from_reductions(p).matrix
         assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(c - b)) <= 1e-12
 
 
 def test_nmems_range():
@@ -267,3 +272,57 @@ def test_generalized_max_entangled():
     assert psi.vector[4].real == pytest.approx(1 / np.sqrt(3))
     assert psi.vector[8].real == pytest.approx(1 / np.sqrt(3))
 
+
+
+# ---------------------------------------------------------------------------
+# the family constructors over an array of parameter values
+# ---------------------------------------------------------------------------
+
+def _wei_slice(gamma, a=0.05, b=0.05):
+    return statezoo.wei((1.0 - gamma - a - b) / 2.0, (1.0 - gamma - a - b) / 2.0, a, b, gamma)
+
+
+# family -> (constructor of one grid value or an array of them, in-domain grid)
+ARRAY_FAMILIES = {
+    "werner": (statezoo.werner, np.linspace(0.25, 1.0, 31)[1:]),
+    "mjwk": (statezoo.mjwk, np.r_[np.linspace(0.0, 1.0, 31), 2.0 / 3.0,
+                                  np.nextafter(2.0 / 3.0, 0.0)]),
+    "nmems": (statezoo.nmems, np.linspace(0.0, 1.0, 31)),
+    "werner_derivative": (lambda a: statezoo.werner_derivative(0.8, a), np.linspace(0.5, 1.0, 31)),
+    "wei": (_wei_slice, np.linspace(0.0, 0.9, 31)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ARRAY_FAMILIES))
+def test_constructor_over_an_array_gives_each_value_its_bits(family):
+    build, grid = ARRAY_FAMILIES[family]
+    stack = build(grid)
+    assert stack.dtype == complex and stack.shape == (len(grid), 4, 4)
+    alone = [build(float(v)) for v in grid]
+    bits = np.array([rho.matrix for rho in alone]).view(np.int64)
+    assert (stack.view(np.int64) == bits).all()
+    spectra = np.array([rho.spectrum for rho in alone]).view(np.int64)
+    assert (_density_spectra((2, 2), stack).view(np.int64) == spectra).all()
+
+
+# (constructor, array arguments, the scalar call at the first bad entry)
+@pytest.mark.parametrize("build,args,first_bad", [
+    (statezoo.werner, ([0.5, 1.2, 0.1],), lambda: statezoo.werner(1.2)),
+    (statezoo.mjwk, ([0.5, -0.1, 1.5],), lambda: statezoo.mjwk(-0.1)),
+    (statezoo.nmems, ([0.5, 0.2, 1.5],), lambda: statezoo.nmems(1.5)),
+    (statezoo.werner_derivative, ([0.8, 0.9, 0.4], [0.7, 0.3, 0.7]),
+     lambda: statezoo.werner_derivative(0.9, 0.3)),
+    (statezoo.werner_derivative, ([0.8, 0.4, 0.9], [0.7, 0.3, 0.3]),
+     lambda: statezoo.werner_derivative(0.4, 0.3)),
+    # a sum != 1 at the second entry, a negative y at the third
+    (statezoo.wei, ([0.1, 0.3, 0.1], [0.1, 0.3, -0.1], 0.1, 0.1, [0.6, 0.3, 0.8]),
+     lambda: statezoo.wei(0.3, 0.3, 0.1, 0.1, 0.3)),
+    (statezoo.wei, ([0.1, 0.3, 0.1], [0.1, -0.1, 0.3], 0.1, 0.1, [0.6, 0.6, 0.6]),
+     lambda: statezoo.wei(0.3, -0.1, 0.1, 0.1, 0.6)),
+])
+def test_constructor_over_an_array_raises_for_its_first_bad_entry(build, args, first_bad):
+    with pytest.raises(DomainError) as alone:
+        first_bad()
+    with pytest.raises(DomainError) as grid:
+        build(*(np.array(arg) if isinstance(arg, list) else arg for arg in args))
+    assert str(grid.value) == str(alone.value)

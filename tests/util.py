@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from entkit import channel
-from entkit.qcore import DensityMatrix, PureState
+from entkit import channel, statezoo
+from entkit.qcore import DensityMatrix, PureState, ket, partial_trace, tensor
 
 
 def random_density(rng, dims, rank=None) -> DensityMatrix:
@@ -71,3 +71,35 @@ def assert_columns_match_points(f, rows) -> None:
         got = np.asarray(column, dtype=float).view(np.int64)
         want = np.array(at_points, dtype=float).view(np.int64)
         assert (got == want).all(), (key, [rows[i] for i in np.flatnonzero(got != want)])
+
+
+def nmems_from_reductions(p: float) -> DensityMatrix:
+    """Same state as statezoo.nmems(p), built by actually tracing the third
+    qubit out of the GHZ and W states and mixing; structural cross-check of
+    the closed form."""
+    rho_g = partial_trace(statezoo.ghz3().density(), keep=(0, 1)).matrix
+    rho_w = partial_trace(statezoo.w3_prototype().density(), keep=(0, 1)).matrix
+    return DensityMatrix((2, 2), p * rho_g + (1.0 - p) * rho_w)
+
+
+def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
+    """Aux-0 branch amplitudes (|00>, |01>, |10>, |11>) of the four-party W run.
+
+    These carry the published tangent scaling of the sender's |0> components;
+    the closed-form concurrence |sin 2t| cos^2(e) is 2|ad - bc| of this vector.
+    """
+    s, c = np.sin(theta), np.cos(theta)
+    se, ce = np.sin(epsilon), np.cos(epsilon)
+    return np.array([s * se + s * s * ce / c, s * ce, c * ce, 0.0])
+
+
+def qutrit_projected_states(shared: np.ndarray) -> list:
+    """The four encoded states obtained from the balanced qutrit pair by the
+    sender's operators {|0><0|+|2><2|, |0><2|+|2><0|, |0><2|-|2><0|, |0><0|-|2><2|}."""
+    ops = [
+        np.outer(ket(0, 3), ket(0, 3)) + np.outer(ket(2, 3), ket(2, 3)),
+        np.outer(ket(0, 3), ket(2, 3)) + np.outer(ket(2, 3), ket(0, 3)),
+        np.outer(ket(0, 3), ket(2, 3)) - np.outer(ket(2, 3), ket(0, 3)),
+        np.outer(ket(0, 3), ket(0, 3)) - np.outer(ket(2, 3), ket(2, 3)),
+    ]
+    return [w / np.linalg.norm(w) for w in (tensor(op, np.eye(3)) @ shared for op in ops)]
