@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 from entkit import channel, measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError
 from fixtures import make_channel_reports
-from util import assert_columns_match_points, bisect_predicate, fef_closed_form, random_density
+from util import (assert_columns_match_points, bisect_predicate, fef_closed_form, random_density,
+                  wei_slice)
 
 PINNED_CHANNEL_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "channel_reports.json").read_text())
@@ -240,11 +241,6 @@ def test_analyze_family_argument_errors_name_the_parameter(family, values, kwarg
         channel.analyze_family(family, values, **kwargs)
 
 
-def _wei(gamma, a, b):
-    """The wei state analyze_family builds at gamma: x = y take the rest."""
-    return statezoo.wei((1.0 - gamma - a - b) / 2.0, (1.0 - gamma - a - b) / 2.0, a, b, gamma)
-
-
 # (family, fixed parameters, grid with out-of-domain values, the scalar
 # constructor call at the first bad value in sorted order)
 @pytest.mark.parametrize("family,fixed,values,first_bad", [
@@ -256,9 +252,9 @@ def _wei(gamma, a, b):
      lambda: statezoo.werner_derivative(0.8, 0.4)),
     ("werner_derivative", {"F": 0.4}, [0.7, 0.6], lambda: statezoo.werner_derivative(0.4, 0.6)),
     # a negative gamma sorts before the x = y < 0 it leaves at 0.95
-    ("wei", {"a": 0.05, "b": 0.05}, [0.95, 0.5, -0.1], lambda: _wei(-0.1, 0.05, 0.05)),
-    ("wei", {"a": 0.05, "b": 0.05}, [0.97, 0.3, 0.95], lambda: _wei(0.95, 0.05, 0.05)),
-    ("wei", {"a": -0.1, "b": 0.05}, [0.5, 0.3], lambda: _wei(0.3, -0.1, 0.05)),
+    ("wei", {"a": 0.05, "b": 0.05}, [0.95, 0.5, -0.1], lambda: wei_slice(-0.1, 0.05, 0.05)),
+    ("wei", {"a": 0.05, "b": 0.05}, [0.97, 0.3, 0.95], lambda: wei_slice(0.95, 0.05, 0.05)),
+    ("wei", {"a": -0.1, "b": 0.05}, [0.5, 0.3], lambda: wei_slice(0.3, -0.1, 0.05)),
 ])
 def test_analyze_family_raises_the_first_bad_sorted_value(family, fixed, values, first_bad):
     with pytest.raises(DomainError) as alone:

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError, _density_spectra, basis_ket
-from util import nmems_from_reductions
+from util import nmems_from_reductions, wei_slice
 
 
 def test_bell_indexing():
@@ -273,14 +273,9 @@ def test_generalized_max_entangled():
     assert psi.vector[8].real == pytest.approx(1 / np.sqrt(3))
 
 
-
 # ---------------------------------------------------------------------------
 # the family constructors over an array of parameter values
 # ---------------------------------------------------------------------------
-
-def _wei_slice(gamma, a=0.05, b=0.05):
-    return statezoo.wei((1.0 - gamma - a - b) / 2.0, (1.0 - gamma - a - b) / 2.0, a, b, gamma)
-
 
 # family -> (constructor of one grid value or an array of them, in-domain grid)
 ARRAY_FAMILIES = {
@@ -289,7 +284,7 @@ ARRAY_FAMILIES = {
                                   np.nextafter(2.0 / 3.0, 0.0)]),
     "nmems": (statezoo.nmems, np.linspace(0.0, 1.0, 31)),
     "werner_derivative": (lambda a: statezoo.werner_derivative(0.8, a), np.linspace(0.5, 1.0, 31)),
-    "wei": (_wei_slice, np.linspace(0.0, 0.9, 31)),
+    "wei": (lambda gamma: wei_slice(gamma, 0.05, 0.05), np.linspace(0.0, 0.9, 31)),
 }
 
 

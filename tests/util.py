@@ -82,6 +82,12 @@ def nmems_from_reductions(p: float) -> DensityMatrix:
     return DensityMatrix((2, 2), p * rho_g + (1.0 - p) * rho_w)
 
 
+def wei_slice(gamma, a, b):
+    """The wei state channel.analyze_family builds at gamma (a scalar or an
+    array) with a and b fixed: x = y take the remaining weight."""
+    return statezoo.wei((1.0 - gamma - a - b) / 2.0, (1.0 - gamma - a - b) / 2.0, a, b, gamma)
+
+
 def w4_branch_amplitudes(theta: float, epsilon: float) -> np.ndarray:
     """Aux-0 branch amplitudes (|00>, |01>, |10>, |11>) of the four-party W run.
 
