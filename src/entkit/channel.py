@@ -240,8 +240,7 @@ def closed_forms(family: str, **params) -> dict:
     reproduce; each entry states its own validity domain through the family
     parameter ranges.  werner takes F or, on its entangled side, its
     concurrence C = 2F - 1; wei without a and b is the x = y = 0 slice
-    a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has their shape,
-    and is NaN where it has no closed form (nmems singlet_fraction, p >= 1/4).
+    a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has their shape.
     """
     if family == "werner":
         F = params["F"] if "F" in params else (1.0 + params["C"]) / 2.0
@@ -301,7 +300,7 @@ def closed_forms(family: str, **params) -> dict:
                                 (20.0 * p * p - 16.0 * p + 5.0) / 9.0),
             "fidelity_opt": np.where(low, (7.0 - 4.0 * p) / 9.0, 2.0 / 3.0),
             "linear_entropy": 2.0 / 27.0 * (8.0 + 14.0 * p - 13.0 * p * p),
-            "singlet_fraction": np.where(low, 2.0 * (1.0 - p) / 3.0, np.nan),
+            "singlet_fraction": np.where(p < 0.5, 2.0 * (1.0 - p) / 3.0, (1.0 + 2.0 * p) / 6.0),
         }, p)
     raise DomainError(f"no closed forms for family {family!r}")
 

@@ -145,6 +145,28 @@ def nonopt_filter_r(d: float) -> float:
     return (11.0 * d * d - 2.0 * t2 + np.sqrt(inner)) / (4.0 * d * d)
 
 
+def clone_pair_fef(d):
+    """Fully entangled fraction of the qutrit clone pair, d in (0, 1/2] (a
+    scalar or an array): max((1 - 4d^2)/3, (1 + 60d^2 - 16d sqrt(1 - 4d^2))/27).
+
+    With c = sqrt(1 - 4d^2), the pair is sum_m |phi_m><phi_m| over the
+    machine states m, |phi_m> = (c|mm> + d sum_{i != m} (|im> + |mi>))/sqrt(3).
+    For psi = (I x W)|Phi+>, <psi|phi_m> = (c W*_mm + d sum_{i != m}
+    (W*_im + W*_mi))/3.  W = I gives c/3 for every m, so F = c^2/3, the
+    first branch.  W = I - (2/3)J, J the all-ones matrix (a reflection, so
+    unitary), gives (c/3 - 8d/3)/3 for every m, so
+    F = (c - 8d)^2/27 = (1 + 60d^2 - 16dc)/27, the second branch.  The
+    branches meet at 1/6 at d = 1/sqrt(8), and the second is the larger
+    above it: 1/3 at NONOPT_FILTER_D_MIN, 16/27 at d = 1/2.
+    That no other W does better is certified by measures.fef_bounds on a d
+    grid (tests/test_cloning.py).
+    """
+    if not np.all((0.0 < d) & (d <= 0.5)):
+        raise DomainError(f"machine parameter d must lie in (0, 1/2], got {d}")
+    c = np.sqrt(1.0 - 4.0 * d * d)
+    return np.maximum((1.0 - 4.0 * d * d) / 3.0, (1.0 + 60.0 * d * d - 16.0 * d * c) / 27.0)
+
+
 # ---------------------------------------------------------------------------
 # reduction criterion and distillation
 # ---------------------------------------------------------------------------

@@ -203,17 +203,52 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
     It ascends from the n^2 generalised Bell unitaries and from `restarts`
-    Haar unitaries drawn from default_rng(seed), each for a fixed 250 steps
+    Haar unitaries drawn from default_rng(seed), each for a fixed 150 steps
     with an Aitken extrapolation after every 10th, kept only where it raises
     the overlap, so the cost of a call does not depend on its state.  The
-    value is a lower bound on the true maximum.
+    value is a lower bound on the true maximum; fef_bounds certifies how far
+    below it can lie.
 
     Either way the value is never below the enumeration and never lowered by
     one more restart.
     """
+    return _singlet_fractions(rho.matrix[None], _square(rho), seed, restarts)[0]
+
+
+def fef_bounds(rho: DensityMatrix) -> tuple:
+    """Certified bracket (lower, upper) on the fully entangled fraction F.
+
+    lower is singlet_fraction(rho) at its defaults, bit for bit.  n = 2: the
+    bracket is [F, F], since that value is exact.
+
+    n >= 3: take the ascent's best unitary W, psi = (I x W)|Phi+>,
+    G = mat(rho vec W) and H = Herm(G W^dag).  For every hermitian Z,
+    X = H/2 + Z and Y = (W^dag (H/2 - Z) W)^T give K(Z) = rho - X x I - I x Y
+    with K psi = 0 at the ascent's fixed point and
+    Tr X + Tr Y = n <psi|rho|psi> <= n lower.  For any state sigma with
+    maximally mixed marginals,
+    Tr(rho sigma) <= lambda_max(K) + (Tr X + Tr Y)/n, so upper =
+    lower + max(lambda_max(K(Z)), 0) plus a rounding margin of
+    8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0 closes most states (one
+    eigvalsh); the states it leaves open run _DUAL_STEPS (200) steps of a
+    smoothed descent over Z, one stacked eigh per step.
+
+    The bound is on the relaxation over states with maximally mixed
+    marginals, which can exceed F for n >= 3: unital channels that are not
+    mixed-unitary exist there (Landau & Streater 1993).  A rank-6 state (the
+    118th drawn from seed 7 in tests/test_measures.py) stays open at about
+    9e-4 however long the descent runs, and the 150th drawn from seed 11 is
+    still 1.4e-3 open after those 200 steps.  The clone pair at
+    d = 1/sqrt(8) is the slowest of the states that close.
+    """
+    lower, upper = _fef_brackets(rho.matrix[None], _square(rho), 0, 32)
+    return float(lower[0]), float(upper[0])
+
+
+def _square(rho: DensityMatrix) -> int:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
-    return _singlet_fractions(rho.matrix[None], rho.dims[0], seed, restarts)[0]
+    return rho.dims[0]
 
 
 def _require_restarts(restarts: int):
@@ -227,19 +262,27 @@ _MAGIC.flags.writeable = False
 
 # polar steps of every (state, start) row, every _AITKEN_EVERY-th followed by
 # an extrapolation; no stopping test, so the cost of a call does not depend on
-# its state.  On 1,350 random 3x3 states of ranks 1-9, 100 steps came within
-# 1e-15 of 3,000 plain steps (500 plain steps: up to 8e-10 short); 250 leave
-# room for states that converge more slowly still
-_POLAR_STEPS = 250
+# its state.  On 1,418 3x3 states (1,350 random ones of ranks 1-9 from seeds
+# 0-149, the floor, fixture and perfbench fef3 states, the slow seed-89 and
+# seed-108 states) every state came within 1e-15 of a 3,000-step plain ascent
+# by step 70 (the seed-89 state by 32, the seed-108 one by 40); 150 keeps more
+# than twice that
+_POLAR_STEPS = 150
 _AITKEN_EVERY = 10
 
 
 def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
     """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
-    list of floats: the enumeration, and with restarts > 0 the magic-basis
-    eigenvalue (n = 2) or the polar ascent (n >= 3), each run once over the
-    whole stack with every product taken state by state, so each state gets
-    the bits it gets alone."""
+    list of floats, each state with the bits it gets alone."""
+    return _refine(matrices, n, seed, restarts)[0].tolist()
+
+
+def _refine(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
+    """(F, W) for an (N, n^2, n^2) stack: F the enumeration, and with
+    restarts > 0 the magic-basis eigenvalue (n = 2) or the polar ascent
+    (n >= 3), each run once over the whole stack with every product taken
+    state by state; W the (N, n, n) unitaries of the best ascent rows, or
+    None where no ascent ran."""
     _require_restarts(restarts)
     bases = maximally_entangled_bases(n)
     # <v|rho|v> as a vector-matrix then a vector-vector product per state,
@@ -249,25 +292,28 @@ def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -
     for overlap in overlaps[1:]:
         best = np.where(overlap > best, overlap, best)   # the first of equal maxima
     if restarts == 0:
-        return best.tolist()
+        return best, None
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-    else:
-        found = _polar_ascent(matrices, n, seed, restarts)
-    return np.maximum(best, found).tolist()
+        return np.maximum(best, found), None
+    found, w = _polar_ascent(matrices, n, seed, restarts)
+    return np.maximum(best, found), w
 
 
-def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> np.ndarray:
+def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
     """Best overlap of each n x n state in an (N, n^2, n^2) stack over the
     polar ascents from the n^2 generalised Bell unitaries and `restarts` Haar
-    unitaries; each step is one stacked svd over every (state, start) row.
+    unitaries, and the (N, n, n) unitary W that reached it; each step is one
+    stacked svd over every (state, start) row.
 
     The ascent converges linearly, W_k ~ W + r^k D, and slowly where the rate
     r is near 1.  So every _AITKEN_EVERY steps each row also tries the nearest
     unitary to W_k + (W_k - W_k-1) r / (1 - r), r estimated as
     |W_k - W_k-1| / |W_k-1 - W_k-2| (Aitken's extrapolation), and moves there
-    only if that raises its overlap."""
+    only if that raises its overlap.  With it, no state in the sample of the
+    _POLAR_STEPS comment needed more than 70 steps to come within 1e-15 of
+    3,000 plain steps."""
     rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
     old = w = _polar_starts(n, seed, restarts)
     g = rows @ w
@@ -281,7 +327,9 @@ def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> np.
             trial_g = rows @ trial
             up = (_overlaps(trial, trial_g, n) > _overlaps(w, g, n))[..., None, None]
             w, g = np.where(up, trial, w), np.where(up, trial_g, g)
-    return _overlaps(w, g, n).max(axis=1)
+    overlaps = _overlaps(w, g, n)
+    top, states = overlaps.argmax(axis=1), np.arange(len(matrices))
+    return overlaps[states, top], w[states, top].reshape(-1, n, n)
 
 
 def _norm2(w: np.ndarray) -> np.ndarray:
@@ -314,6 +362,96 @@ def _polar_step(g: np.ndarray) -> np.ndarray:
     n = math.isqrt(g.shape[-2])
     u, _, vh = np.linalg.svd(g.reshape(*g.shape[:-2], n, n))
     return (u @ vh).reshape(g.shape)
+
+
+# steps of the smoothed descent over Z that fef_bounds runs on the states K(0)
+# leaves open.  On 651 3x3 states (the clone pair at 51 values of d, the eight
+# floor states, 600 random ones drawn from seeds 7 and 11) all but two closed
+# within 150 steps, the clone pair at d = 1/sqrt(8) last (2e-11 open at 100)
+_DUAL_STEPS = 200
+_EPS = np.finfo(float).eps
+
+
+def _fef_brackets(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
+    """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
+    lower being singlet_fraction(rho, seed, restarts), restarts > 0."""
+    lower, w = _refine(matrices, n, seed, restarts)
+    if n == 2:
+        return lower, lower
+    half_h = (matrices @ w.reshape(-1, n * n, 1)).reshape(w.shape) @ w.conj().swapaxes(-1, -2)
+    half_h = (half_h + half_h.conj().swapaxes(-1, -2)) / 4.0
+    top, margin = _dual_tops(matrices, half_h, w, np.zeros_like(w))
+    gap = np.maximum(top, 0.0) + margin
+    open_rows = np.flatnonzero(top > margin)
+    if open_rows.size:
+        z = _descend(matrices[open_rows], half_h[open_rows], w[open_rows])
+        top, margin = _dual_tops(matrices[open_rows], half_h[open_rows], w[open_rows], z)
+        gap[open_rows] = np.minimum(gap[open_rows], np.maximum(top, 0.0) + margin)
+    return lower, lower + gap
+
+
+def _dual_matrices(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple:
+    """(K, X, Y) of each row: X = H/2 + Z, Y = (W^dag (H/2 - Z) W)^T and
+    K = rho - X x I - I x Y."""
+    n = w.shape[-1]
+    x = half_h + z
+    y = (w.conj().swapaxes(-1, -2) @ (half_h - z) @ w).swapaxes(-1, -2)
+    eye = np.eye(n)
+    kron = np.einsum("...ac,bd->...abcd", x, eye) + np.einsum("ac,...bd->...abcd", eye, y)
+    return rho - kron.reshape(rho.shape), x, y
+
+
+def _dual_tops(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple:
+    """(lambda_max(K(Z)), its rounding margin 8 n^2 eps (1 + |X|_F + |Y|_F))
+    of each row, the margin above the rounding of forming K and of eigvalsh."""
+    k, x, y = _dual_matrices(rho, half_h, w, z)
+    n = w.shape[-1]
+    scale = 1.0 + np.linalg.norm(x, axis=(-2, -1)) + np.linalg.norm(y, axis=(-2, -1))
+    return np.linalg.eigvalsh(k)[:, -1], 8 * n * n * _EPS * scale
+
+
+def _descend(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Z of each row at the lowest lambda_max(K(Z) - 2 psi psi^dag) met in
+    _DUAL_STEPS steps of a smoothed descent, one stacked eigh per step.
+
+    psi is an eigenvector of every K(Z) with eigenvalue about 0, so the
+    descent moves it to -2 and lowers the rest of the spectrum.  It
+    minimises mu log sum_i exp(lambda_i / mu), whose gradient in Z is
+    W (Tr_A P)^T W^dag - Tr_B P for P = sum_i p_i v_i v_i^dag, p the softmax
+    weights of the eigenpairs.  Each row keeps its own step, x1.5 after a
+    step that lowers the smoothed value and halved (without the move) after
+    one that does not, and its own mu, lowered to max(lambda_max, eps^2) /
+    log n^2 as lambda_max falls."""
+    n = w.shape[-1]
+    wh = w.conj().swapaxes(-1, -2)
+    psi = w.reshape(-1, n * n, 1) / math.sqrt(n)
+    away = rho - 2.0 * psi @ psi.conj().swapaxes(-1, -2)
+
+    def spectrum(z):
+        return np.linalg.eigh(_dual_matrices(away, half_h, w, z)[0])
+
+    def smoothed(lam, mu):
+        weights = np.exp((lam - lam[:, -1:]) / mu[:, None])
+        total = weights.sum(axis=1)
+        return lam[:, -1] + mu * np.log(total), weights / total[:, None]
+
+    z = best = np.zeros_like(w)
+    lam, v = spectrum(z)
+    low, mu, step = lam[:, -1], np.full(len(z), np.inf), np.ones(len(z))
+    for _ in range(_DUAL_STEPS):
+        mu = np.minimum(mu, np.maximum(lam[:, -1], _EPS * _EPS) / math.log(n * n))
+        value, p = smoothed(lam, mu)
+        pp = ((v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)).reshape(-1, n, n, n, n)
+        grad = w @ np.einsum("...jajb->...ba", pp) @ wh - np.einsum("...ajbj->...ab", pp)
+        trial = z - step[:, None, None] * grad
+        trial_lam, trial_v = spectrum(trial)
+        best = np.where((trial_lam[:, -1] < low)[:, None, None], trial, best)
+        low = np.minimum(low, trial_lam[:, -1])
+        up = smoothed(trial_lam, mu)[0] < value
+        z = np.where(up[:, None, None], trial, z)
+        lam, v = np.where(up[:, None], trial_lam, lam), np.where(up[:, None, None], trial_v, v)
+        step = np.where(up, 1.5 * step, 0.5 * step)
+    return best
 
 
 # ---------------------------------------------------------------------------

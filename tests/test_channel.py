@@ -197,8 +197,9 @@ def test_chsh_supremum_cirelson_random():
 # family analyzers and their closed forms
 # ---------------------------------------------------------------------------
 
-# the last five grids cover each family's whole domain; MJWK for C >= 2/3
-# and werner at F = 1 are rank deficient there
+# the five 401-point grids cover each family's whole domain; MJWK for
+# C >= 2/3 and werner at F = 1 are rank deficient there; the last grid is the
+# nmems singlet fraction's second branch
 @pytest.mark.parametrize("family,grid,fixed", [
     ("werner", np.linspace(0.3, 1.0, 15), {}),
     ("mjwk", np.linspace(0.0, 1.0, 15), {}),
@@ -210,6 +211,7 @@ def test_chsh_supremum_cirelson_random():
     ("nmems", np.linspace(0.0, 1.0, 401), {}),
     ("wei", np.linspace(0.0, 0.9, 401), {"a": 0.05, "b": 0.05}),
     ("werner_derivative", np.linspace(0.5, 1.0, 401), {"F": 0.8}),
+    ("nmems", np.array([0.3, 0.5, 0.7, 0.9, 1.0]), {}),
 ])
 def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
     for value, report, forms in channel.analyze_family(family, grid, **fixed):

@@ -18,7 +18,7 @@ from entkit.qcore import (
     partial_transpose,
     tensor,
 )
-from util import random_density, random_pure, random_unitary
+from util import assert_columns_match_points, random_density, random_pure, random_unitary
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "cloning_dense_coding.json").read_text())
@@ -335,6 +335,42 @@ def test_fef_of_the_half_clone_pair_is_16_27():
     joint = cloning.qutrit_cloned_pair(0.5).joint
     assert measures.singlet_fraction(joint, seed=1, restarts=6) == pytest.approx(
         16.0 / 27.0, abs=1e-12)
+
+
+# d over (0, 1/2], with the branch switch at 1/sqrt(8) and the filter's onset
+CLONE_FEF_GRID = np.r_[np.linspace(0.01, 0.5, 50), D_OPT, cloning.NONOPT_FILTER_D_MIN]
+
+
+def test_clone_pair_fef_is_the_ascent_value_inside_the_certified_bracket():
+    closed = cloning.clone_pair_fef(CLONE_FEF_GRID)
+    stack = np.array([cloning.qutrit_cloned_pair(d).joint.matrix for d in CLONE_FEF_GRID])
+    # lower is singlet_fraction(rho, seed=1, restarts=6), the floors' setting
+    lower, upper = measures._fef_brackets(stack, 3, 1, 6)
+    assert_allclose(lower, closed, rtol=0, atol=1e-12)
+    assert (closed <= upper).all()
+    assert (upper - lower <= 1e-12).all()
+
+
+def test_clone_pair_fef_branches():
+    assert cloning.clone_pair_fef(0.5) == pytest.approx(16.0 / 27.0, abs=1e-15)
+    assert cloning.clone_pair_fef(cloning.NONOPT_FILTER_D_MIN) == pytest.approx(1.0 / 3.0,
+                                                                                 abs=1e-12)
+    assert cloning.clone_pair_fef(D_OPT) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    below, above = D_OPT - 1e-3, D_OPT + 1e-3
+    assert cloning.clone_pair_fef(below) == (1.0 - 4.0 * below ** 2) / 3.0
+    assert cloning.clone_pair_fef(above) > (1.0 - 4.0 * above ** 2) / 3.0
+    # the second branch is the overlap at W = I - (2/3) J
+    w = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
+    psi = w.reshape(9) / np.sqrt(3.0)
+    rho = cloning.qutrit_cloned_pair(above).joint.matrix
+    assert cloning.clone_pair_fef(above) == pytest.approx((psi @ rho @ psi).real, abs=1e-15)
+    assert_columns_match_points(cloning.clone_pair_fef, [(d,) for d in CLONE_FEF_GRID])
+
+
+@pytest.mark.parametrize("d", [0.0, -0.1, 0.5000001, float("nan")])
+def test_clone_pair_fef_domain(d):
+    with pytest.raises(DomainError, match="machine parameter d"):
+        cloning.clone_pair_fef(d)
 
 
 # d on figure 4.2's grid, where the lowest reduction eigenvalue is simple, and

@@ -316,8 +316,11 @@ def test_polar_step_never_lowers_any_row_overlap(seed, n):
 
 
 def test_singlet_fraction_requires_square_bipartite():
+    rho = random_density(np.random.default_rng(0), (2, 3))
     with pytest.raises(DomainError):
-        measures.singlet_fraction(random_density(np.random.default_rng(0), (2, 3)))
+        measures.singlet_fraction(rho)
+    with pytest.raises(DomainError):
+        measures.fef_bounds(rho)
 
 
 def test_singlet_fraction_negative_restarts_is_domain_error():
@@ -433,6 +436,19 @@ QUTRIT_PAIRS = {name: rho for name, rho in make_fef_values.floor_states().items(
                 if not name.startswith("ginibre")}
 
 
+def drawn_states(seed: int, count: int) -> list:
+    """The first `count` states drawn from rng = default_rng(seed) as
+    random_density(rng, (3, 3), rank=int(rng.integers(1, 10)))."""
+    rng = np.random.default_rng(seed)
+    return [random_density(rng, (3, 3), rank=int(rng.integers(1, 10))) for _ in range(count)]
+
+
+# two rank-6 states: the second draw of seed 89, whose ascent converges
+# slowly, and the 118th of seed 7, where fef_bounds stays open
+SLOW_STATES = {"seed-89 draw 2": drawn_states(89, 2)[-1],
+               "seed-7 draw 118": drawn_states(7, 118)[-1]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=4))
 def test_measures_are_invariant_under_local_unitaries(seed, rank):
@@ -520,14 +536,63 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
 @example(1, "distilled-d=0.45")
 @example(1, "distilled-d=0.5")
 @example(108, 6)       # converges slowly: 300 plain steps fall 2e-8 short, 500 fall 8e-10
+@example(89, "seed-89 draw 2")
+@example(7, "seed-7 draw 118")
 def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
-    # a random state of rank `state`, or the named qutrit pair; every start
-    # run for 1,000 plain polar steps reaches no higher than the ascent's
-    # _POLAR_STEPS with extrapolation, beyond rounding
-    rho = (QUTRIT_PAIRS[state] if state in QUTRIT_PAIRS
+    # a random state of rank `state`, or the named qutrit pair or slow state;
+    # every start run for 1,000 plain polar steps reaches no higher than the
+    # ascent's _POLAR_STEPS with extrapolation, beyond rounding
+    named = {**QUTRIT_PAIRS, **SLOW_STATES}
+    rho = (named[state] if state in named
            else random_density(np.random.default_rng(seed), (3, 3), rank=state))
     w = measures._polar_starts(3, seed, 6)
     for _ in range(1000):
         w = measures._polar_step(rho.matrix @ w)
     longer = measures._overlaps(w, rho.matrix @ w, 3).max()
     assert measures.singlet_fraction(rho, seed=seed, restarts=6) >= longer - 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS, st.sampled_from([2, 3]))
+def test_fef_bounds_hold_every_maximally_entangled_overlap(seed, n):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
+    lower, upper = measures.fef_bounds(rho)
+    assert lower == measures.singlet_fraction(rho)
+    # exact at n = 2; at n >= 3 the rounding margin keeps the bracket open
+    assert upper > lower if n > 2 else upper == lower
+    for v in measures.maximally_entangled_bases(n):
+        assert (v.conj() @ rho.matrix @ v).real <= upper
+    phi_plus = np.eye(n).reshape(n * n) / np.sqrt(n)
+    for _ in range(20):
+        psi = np.kron(np.eye(n), random_unitary(rng, n)) @ phi_plus
+        assert (psi.conj() @ rho.matrix @ psi).real <= upper
+
+
+# name -> width of each state below whose fef_bounds bracket stays open
+OPEN_STATES = {"seed-7 draw 118": 8.9e-4}
+
+
+def test_fef_bounds_close_to_rounding_on_all_but_the_listed_states():
+    # the eight floor states, the perfbench fef3 Ginibre states of seeds
+    # 1-10 and the first 120 states drawn from seed 7, at the workload's 6
+    # restarts
+    states = dict(make_fef_values.floor_states())
+    for seed in range(1, 11):
+        states.update((f"seed-{seed} {name}", rho)
+                      for name, (rho, _) in make_fef_values.workload_states(seed).items()
+                      if name.startswith("fef3:ginibre"))
+    states.update((f"seed-7 draw {k}", rho) for k, rho in enumerate(drawn_states(7, 120), 1))
+    lower, upper = measures._fef_brackets(np.array([rho.matrix for rho in states.values()]),
+                                          3, 0, 6)
+    widths = dict(zip(states, (upper - lower).tolist()))
+    assert {name for name, width in widths.items() if width > 1e-12} == set(OPEN_STATES)
+    for name, width in OPEN_STATES.items():
+        assert widths[name] == pytest.approx(width, rel=0.1)
+
+
+def test_fef_bounds_stay_open_on_a_rank_6_state():
+    rho = SLOW_STATES["seed-7 draw 118"]
+    lower, upper = measures.fef_bounds(rho)
+    assert lower == measures.singlet_fraction(rho)
+    assert upper - lower > 1e-4
