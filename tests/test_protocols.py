@@ -1,4 +1,7 @@
 """Protocol tests: collective unitaries, CDC runs, secret sharing, Monte Carlo."""
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,11 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError, is_unitary
+from fixtures import make_secret_share_reports
 from util import assert_columns_match_points, qutrit_projected_states, w4_branch_amplitudes
+
+PINNED_SECRET_SHARE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "secret_share_reports.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +441,11 @@ def test_secret_share_run_clones_each_bit_once(monkeypatch):
         rep = protocols.secret_share_run(0.9, bit, "-")
         assert sorted(calls) == [-1.0, 1.0]
         assert np.array_equal(rep.channel.matrix, protocols.secret_share_channel(0.9, bit).matrix)
+
+
+def test_secret_share_reports_match_pinned_bits():
+    got = make_secret_share_reports.table()
+    assert make_secret_share_reports.moved(PINNED_SECRET_SHARE, got) == []
 
 
 def test_secret_share_channel_werner_point():
