@@ -7,8 +7,9 @@ The machine acts on basis states as
 
 with real amplitudes constrained by c^2 + 2(n-1) d^2 = 1.  This module builds
 the two-clone outputs (single input system, and both halves of a bipartite
-state), checks the reduction criterion, constructs distillation filters, and
-evaluates dense-coding capacity and a qutrit teleportation witness.
+state, for a stack of inputs at once), checks the reduction criterion,
+constructs distillation filters, and evaluates dense-coding capacity and a
+qutrit teleportation witness.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .qcore import (
     DensityMatrix,
     DomainError,
     PureState,
+    _density_spectra,
     _reduced_matrix,
     partial_trace,
     tensor,
@@ -342,29 +344,63 @@ def nonlocal_closed_form(lambda1: float, params: CloningParams) -> np.ndarray:
     return m
 
 
+# axes of the (row, 1, 3, x1, 2, 4, x2) amplitude tensor, each pair's kept
+# qubits first: local (1, 3) and non-local (1, 4), then what is traced out
+_PAIR_AXES = {"local": (0, 1, 2, 4, 5, 3, 6), "nonlocal": (0, 1, 5, 4, 2, 3, 6)}
+
+
+def clone_bipartite_stack(lambda1, signs, params: CloningParams,
+                          pairs: tuple = ("local", "nonlocal")) -> tuple:
+    """Clone both halves of sqrt(l1)|00> + sign sqrt(1 - l1)|11> for a column of
+    (l1, sign) rows, sequences of equal length, with identical qubit machines.
+
+    All rows are cloned in one einsum, every requested pair of every row is
+    taken with one stacked product, and all of them are validated with one
+    _density_spectra call.  Returns (matrices, spectra), read-only arrays of
+    shapes (len(pairs), N, 4, 4) and (len(pairs), N, 4): matrices[k, r] is pair
+    pairs[k] of row r, with its ranked spectrum.  Each row has the bits of its
+    one-row call.  An l1 outside [0, 1] raises the one-row call's DomainError
+    for the first such row.
+    """
+    lam = np.asarray(lambda1, dtype=float)
+    bad = ~((0.0 <= lam) & (lam <= 1.0))
+    if bad.any():
+        raise DomainError(f"lambda1 must lie in [0, 1], got {lambda1[int(np.argmax(bad))]}")
+    if params.n != 2:
+        raise DomainError("bipartite cloning is implemented for qubit machines (n = 2)")
+    sign = np.asarray(signs, dtype=float)
+    if sign.shape != lam.shape or not np.all(np.abs(sign) == 1.0):
+        raise DomainError(f"signs must be +1 or -1, one per lambda1, got {signs}")
+    if not set(pairs) <= _PAIR_AXES.keys():
+        raise DomainError(f"pairs must be 'local' or 'nonlocal', got {pairs}")
+    iso = cloning_isometry(params)
+    amp = np.zeros((lam.size, 2, 2))
+    amp[:, 0, 0] = np.sqrt(lam)
+    amp[:, 1, 1] = sign * np.sqrt(1.0 - lam)
+    # full[r, (1,3,x1), (2,4,x2)] = sum_ij amp_rij V[, i] V[, j]
+    full = np.einsum("ai,bj,nij->nab", iso, iso, amp).reshape((lam.size,) + (2,) * 6)
+    a = np.stack([full.transpose(_PAIR_AXES[p]) for p in pairs]).reshape(len(pairs), -1, 4, 16)
+    matrices = a @ a.conj().swapaxes(-1, -2)
+    spectra = _density_spectra((2, 2), matrices.reshape(-1, 4, 4)).reshape(matrices.shape[:-1])
+    matrices.setflags(write=False)
+    spectra.setflags(write=False)
+    return matrices, spectra
+
+
 def clone_bipartite(lambda1: float, params: CloningParams, sign: float = 1.0) -> tuple:
-    """Clone both halves of sqrt(l1)|00> + sign sqrt(l2)|11> with identical machines.
+    """Clone both halves of sqrt(l1)|00> + sign sqrt(l2)|11> with identical
+    machines: the one-row case of clone_bipartite_stack, so both pairs come
+    from one einsum and one product and are validated by one stacked eigvalsh,
+    each returned as a DensityMatrix without a second.
 
     System layout: original qubits 1 and 2, clones 3 (of 1) and 4 (of 2).
     Returns (local rho_13 = rho_24, non-local rho_14 = rho_23, (P, Q, R, S)).
     The non-local pair is entangled iff 2 sqrt(l1 l2) exceeds the critical
     concurrence (1 + c^2)/(4 c^2), which needs c > 1/sqrt(3).
     """
-    if not 0.0 <= lambda1 <= 1.0:
-        raise DomainError(f"lambda1 must lie in [0, 1], got {lambda1}")
-    if params.n != 2:
-        raise DomainError("bipartite cloning is implemented for qubit machines (n = 2)")
-    n = params.n
-    iso = cloning_isometry(params)
-    amp = np.zeros((n, n))
-    amp[0, 0] = np.sqrt(lambda1)
-    amp[1, 1] = sign * np.sqrt(1.0 - lambda1)
-    # full[(1,3,x1),(2,4,x2)] = sum_ij amp_ij V[, i] V[, j]
-    full = np.einsum("ai,bj,ij->ab", iso, iso, amp).reshape((n,) * 6)
-    # reorder (1, 3, x1, 2, 4, x2) -> (1, 2, 3, 4, x1, x2)
-    state = PureState((n,) * 6, full.transpose(0, 3, 1, 4, 2, 5))
-    local = partial_trace(state, keep=(0, 2))
-    nonlocal_ = partial_trace(state, keep=(0, 3))
+    matrices, spectra = clone_bipartite_stack((lambda1,), (sign,), params)
+    local, nonlocal_ = (DensityMatrix._validated((2, 2), m[0], s[0])
+                        for m, s in zip(matrices, spectra))
     return local, nonlocal_, pqrs(params)
 
 

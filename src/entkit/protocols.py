@@ -19,6 +19,15 @@ on the unnormalised post-measurement branch vector where that is the
 underlying convention), except for the qutrit family, which reports the
 simulated pair's; the simulated shared state itself is also returned so the
 honest value can always be recomputed.
+
+Secret sharing clones both qubits of Charlie's |Phi+> (bit 0) and |Phi->
+(bit 1) as one two-row stack, `cloning.clone_bipartite_stack` at l1 = 1/2
+with signs (+1, -1), and builds only the non-local pair Alice and Bob share.
+Bob's conditional states after Alice's Hadamard outcomes are one more stack,
+projected, traced and validated together.  A run checks c, Charlie's bit and
+Alice's outcome, in that order, before it simulates anything; it then makes
+one clone and two stacked validations, and each state it returns is a row of
+those stacks, validated once.
 """
 from __future__ import annotations
 
@@ -36,6 +45,7 @@ from .qcore import (
     X,
     Y,
     Z,
+    _density_spectra,
     _reduced_matrix,
     _shaped,
     psd_spectrum,
@@ -586,12 +596,33 @@ def _hadamard_vector(outcome: str) -> np.ndarray:
     raise DomainError(f"alice outcome must be '+' or '-', got {outcome!r}")
 
 
+# Alice's Hadamard projector |h><h| x I on the channel, per outcome
+_ALICE_PROJECTORS = {o: tensor(np.outer(h, h.conj()), I2)
+                     for o, h in ((o, _hadamard_vector(o)) for o in "+-")}
+
+
+def _bob_matrices(channels: np.ndarray, outcomes) -> np.ndarray:
+    """Bob's conditional states, unvalidated, as a (k, 2, 2) stack: row r after
+    Alice's outcome outcomes[r] on the channel matrix channels[r]."""
+    proj = np.stack([_ALICE_PROJECTORS[o] for o in outcomes])
+    sub = proj @ channels @ proj
+    prob = sub.trace(axis1=-2, axis2=-1).real
+    return _reduced_matrix(sub / prob[:, None, None], (2, 2), (1,))
+
+
 def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
-    h = _hadamard_vector(outcome)
-    proj = tensor(np.outer(h, h.conj()), I2)
-    sub = proj @ channel.matrix @ proj
-    prob = float(sub.trace().real)
-    return DensityMatrix((2,), _reduced_matrix(sub / prob, (2, 2), (1,)))
+    _hadamard_vector(outcome)           # raises for an outcome other than '+' or '-'
+    return DensityMatrix((2,), _bob_matrices(channel.matrix[None], (outcome,))[0])
+
+
+def _bob_states(channels: np.ndarray, outcomes) -> tuple:
+    """_bob_matrices validated with one _density_spectra call: the read-only
+    (k, 2, 2) stack and its spectra."""
+    matrices = _bob_matrices(channels, outcomes)
+    spectra = _density_spectra((2,), matrices)
+    matrices.setflags(write=False)
+    spectra.setflags(write=False)
+    return matrices, spectra
 
 
 def _cloning_machine(c: float) -> cloning.CloningParams:
@@ -601,40 +632,58 @@ def _cloning_machine(c: float) -> cloning.CloningParams:
     return cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
 
 
+def _charlie_bit(charlie_bit: int) -> int:
+    if charlie_bit not in (0, 1):
+        raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
+    return 0 if charlie_bit == 0 else 1
+
+
+def _channels(params: cloning.CloningParams, bits: tuple) -> tuple:
+    """The non-local pairs Alice and Bob share after Cliff clones both qubits
+    of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1), one row per bit of bits,
+    from one stacked clone: a validated (k, 4, 4) stack and its spectra."""
+    (matrices,), (spectra,) = cloning.clone_bipartite_stack(
+        (0.5,) * len(bits), tuple(1.0 - 2.0 * b for b in bits), params, pairs=("nonlocal",))
+    return matrices, spectra
+
+
 def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
     """Non-local two-qubit state Alice and Bob share after Cliff clones both
     qubits of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1)."""
     params = _cloning_machine(c)
-    if charlie_bit not in (0, 1):
-        raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
-    sign = 1.0 if charlie_bit == 0 else -1.0
-    _, nonlocal_, _ = cloning.clone_bipartite(0.5, params, sign=sign)
-    return nonlocal_
+    matrices, spectra = _channels(params, (_charlie_bit(charlie_bit),))
+    return DensityMatrix._validated((2, 2), matrices[0], spectra[0])
 
 
 def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -> SecretShareReport:
     """Run the protocol: Charlie encodes a bit in |Phi+/->, Cliff clones both
     qubits, Alice measures in the Hadamard basis, Bob applies the three-element
-    discrimination and succeeds with probability Q = 4 c^2 d^2."""
-    channels = {charlie_bit: secret_share_channel(c, charlie_bit)}
-    channels[1 - charlie_bit] = secret_share_channel(c, 1 - charlie_bit)
-    channel = channels[charlie_bit]
+    discrimination and succeeds with probability Q = 4 c^2 d^2.
+
+    Both of Charlie's bits are cloned as one two-row stack; Bob's state and his
+    two '+' states (one may be his state) come from one validated stack."""
+    params = _cloning_machine(c)
+    bit = _charlie_bit(charlie_bit)
+    _hadamard_vector(alice_outcome)
+    channels, spectra = _channels(params, (0, 1))
+    # Bob's state, then his '+' state for each bit (one may be his state)
+    wanted = [(bit, alice_outcome)] + [(b, "+") for b in (0, 1) if (b, "+") != (bit, alice_outcome)]
+    bobs, bob_spectra = _bob_states(channels[[b for b, _ in wanted]], [o for _, o in wanted])
+    bob_plus = [bobs[wanted.index((b, "+"))] for b in (0, 1)]
     d2 = (1.0 - c * c) / 2.0
     q = 4.0 * c * c * d2
-    bob = _bob_conditional(channel, alice_outcome)
     e1, e2, e3 = povm_elements(q)
-    stats = tuple(float(np.trace(e @ bob.matrix).real) for e in (e1, e2, e3))
-    # honest unambiguous-discrimination success on Bob's '+' states (one may be bob)
-    bob_plus = [bob if (bit, alice_outcome) == (charlie_bit, "+")
-                else _bob_conditional(channels[bit], "+") for bit in (0, 1)]
-    success = 0.5 * float(np.trace(e1 @ bob_plus[0].matrix).real) \
-        + 0.5 * float(np.trace(e2 @ bob_plus[1].matrix).real)
+    stats = tuple(float(np.trace(e @ bobs[0]).real) for e in (e1, e2, e3))
+    # honest unambiguous-discrimination success on Bob's '+' states
+    success = 0.5 * float(np.trace(e1 @ bob_plus[0]).real) \
+        + 0.5 * float(np.trace(e2 @ bob_plus[1]).real)
     if abs(success - q) > 1e-12:
         raise DomainError(f"success probability {success} deviates from Q = {q}")
     return SecretShareReport(
         c=c, q=q, charlie_bit=charlie_bit, alice_outcome=alice_outcome,
-        channel=channel, bob_state=bob, povm_stats=stats,
-        success_probability=success)
+        channel=DensityMatrix._validated((2, 2), channels[bit], spectra[bit]),
+        bob_state=DensityMatrix._validated((2,), bobs[0], bob_spectra[0]),
+        povm_stats=stats, success_probability=success)
 
 
 @dataclass(frozen=True, slots=True)
@@ -648,9 +697,10 @@ class WitnessCheck:
 def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
     """Witness expectations on the non-local clone output and the critical
     input concurrence (1 + c^2)/(4 c^2) above which it stays entangled."""
-    _, nonlocal_, _ = cloning.clone_bipartite(lambda1, _cloning_machine(c))
-    w1 = float(np.trace(W_A1 @ nonlocal_.matrix).real)
-    w2 = float(np.trace(W_A2 @ nonlocal_.matrix).real)
+    params = _cloning_machine(c)
+    (nonlocal_,), _ = cloning.clone_bipartite_stack((lambda1,), (1.0,), params, pairs=("nonlocal",))
+    w1 = float(np.trace(W_A1 @ nonlocal_[0]).real)
+    w2 = float(np.trace(W_A2 @ nonlocal_[0]).real)
     critical = cloning.nonlocal_critical_concurrence(c)
     c_in = 2.0 * np.sqrt(lambda1 * (1.0 - lambda1))
     return WitnessCheck(w1, w2, critical, bool(c_in > critical))
@@ -721,15 +771,15 @@ def monte_carlo_secret_share(c: float, n_samples: int, seed: int) -> dict:
     Leaves read "bit/alice outcome/result"; exact_success is the mass of the
     conclusive_correct leaves, which is Q = 4 c^2 d^2.
     """
-    channels = [secret_share_channel(c, bit) for bit in (0, 1)]
+    channels, _ = _channels(_cloning_machine(c), (0, 1))
+    bobs, _ = _bob_states(channels[[0, 0, 1, 1]], "+-+-")
     elements = povm_elements(4.0 * c * c * (1.0 - c * c) / 2.0)
     leaves = {}
-    for bit, channel in enumerate(channels):
-        alice = _reduced_matrix(channel.matrix, channel.dims, (0,))
-        for outcome in ("+", "-"):
+    for bit, alice in enumerate(_reduced_matrix(channels, (2, 2), (0,))):
+        for k, outcome in enumerate("+-"):
             h = _hadamard_vector(outcome)
             p_alice = float(np.real(h @ alice @ h))
-            bob = _bob_conditional(channel, outcome).matrix
+            bob = bobs[2 * bit + k]
             e1, e2 = "conclusive_correct", "conclusive_wrong"
             if (bit == 0) != (outcome == "+"):
                 e1, e2 = e2, e1

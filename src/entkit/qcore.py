@@ -105,6 +105,15 @@ class DensityMatrix:
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
 
+    @classmethod
+    def _validated(cls, dims: tuple, matrix: np.ndarray, spectrum: np.ndarray) -> "DensityMatrix":
+        """A row of a stack that _density_spectra has checked on dims, with the
+        spectrum it returned, both read-only: no second eigvalsh."""
+        rho = object.__new__(cls)
+        for name, value in (("dims", dims), ("matrix", matrix), ("spectrum", spectrum)):
+            object.__setattr__(rho, name, value)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -193,12 +202,15 @@ def partial_trace(rho, keep) -> DensityMatrix:
 
 def _reduced_matrix(m: np.ndarray, dims: tuple, keep) -> np.ndarray:
     """Partial trace of m, an operator on subsystems dims, onto keep (ascending):
-    partial_trace's one contraction, for callers that need no validated state."""
-    t = m.reshape(dims + dims)
+    partial_trace's one contraction, for callers that need no validated state.
+    m may also be a stack (..., d, d) of such operators, each traced alone."""
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     # trace out the complement, highest index first so axis numbers stay valid
     for s in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = t.trace(axis1=s, axis2=s + (t.ndim // 2))
-    return t.reshape(math.prod(dims[s] for s in keep), -1)
+        s += len(lead)
+        t = t.trace(axis1=s, axis2=s + (t.ndim - len(lead)) // 2)
+    return t.reshape(lead + (math.prod(dims[s] for s in keep), -1))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

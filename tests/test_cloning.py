@@ -469,6 +469,49 @@ def test_clone_bipartite_matches_closed_forms(lam, d):
     assert p + s + 2 * r == pytest.approx(1.0, abs=1e-12)       # unit trace
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from((1.0, -1.0))),
+                min_size=1, max_size=5),
+       st.floats(0.0, 0.7))
+def test_clone_bipartite_stack_rows_are_one_row_calls(rows, d):
+    params = cloning.uqcm_params(2, d)
+    lams, signs = zip(*rows)
+    matrices, spectra = cloning.clone_bipartite_stack(lams, signs, params)
+    assert matrices.shape == (2, len(rows), 4, 4) and spectra.shape == (2, len(rows), 4)
+    assert not (matrices.flags.writeable or spectra.flags.writeable)
+    for r, (lam, sign) in enumerate(rows):
+        pairs = cloning.clone_bipartite(lam, params, sign=sign)[:2]
+        for k, rho in enumerate(pairs):
+            assert matrices[k, r].tobytes() == rho.matrix.tobytes()
+            assert spectra[k, r].tobytes() == rho.spectrum.tobytes()
+        nonlocal_ = cloning.nonlocal_closed_form(lam, params)
+        nonlocal_[0, 3] *= sign
+        nonlocal_[3, 0] *= sign
+        assert np.abs(matrices[0, r] - cloning.local_closed_form(lam, params)).max() <= 1e-12
+        assert np.abs(matrices[1, r] - nonlocal_).max() <= 1e-12
+
+
+def test_clone_bipartite_stack_builds_only_the_requested_pair():
+    params = cloning.uqcm_params(2, 0.3)
+    both, spectra = cloning.clone_bipartite_stack((0.2, 0.7), (1.0, -1.0), params)
+    (nonlocal_,), (spectrum,) = cloning.clone_bipartite_stack(
+        (0.2, 0.7), (1.0, -1.0), params, pairs=("nonlocal",))
+    assert nonlocal_.tobytes() == both[1].tobytes()
+    assert spectrum.tobytes() == spectra[1].tobytes()
+
+
+@pytest.mark.parametrize("lams,signs,kwargs,message", [
+    ((0.5, -0.1, 1.5), (1.0, 1.0, 1.0), {}, "lambda1 must lie in \\[0, 1\\], got -0.1"),
+    ((0.5, float("nan")), (1.0, 1.0), {}, "got nan"),
+    ((0.5,), (0.5,), {}, "signs must be"),
+    ((0.5, 0.2), (1.0,), {}, "signs must be"),
+    ((0.5,), (1.0,), {"pairs": ("joint",)}, "pairs must be"),
+])
+def test_clone_bipartite_stack_domain(lams, signs, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        cloning.clone_bipartite_stack(lams, signs, cloning.uqcm_params(2), **kwargs)
+
+
 def test_clone_bipartite_pair_symmetries():
     params = cloning.uqcm_params(2, 0.3)
     lam = 0.4

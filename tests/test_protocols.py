@@ -427,19 +427,31 @@ def test_secret_share_bob_states():
     assert_allclose(rep.bob_state.matrix.real, expected, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(protocols.INV_SQRT3, 1.0, exclude_min=True), st.sampled_from((0, 1)))
+def test_secret_share_run_matches_its_closed_forms(c, bit):
+    # drawn as c, the run's own argument: c^2 just above 1/3 can round to c = 1/sqrt(3)
+    rep = protocols.secret_share_run(c, bit, "+")
+    q = 2.0 * c * c * (1.0 - c * c)
+    assert abs(rep.success_probability - q) <= 1e-12
+    sign = 1.0 if bit == 0 else -1.0
+    expected = 0.5 * np.array([[1.0, sign * q], [sign * q, 1.0]])
+    assert np.abs(rep.bob_state.matrix - expected).max() <= 1e-12
+
+
 def test_secret_share_run_clones_each_bit_once(monkeypatch):
     calls = []
-    real = cloning.clone_bipartite
+    real = cloning.clone_bipartite_stack
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("sign"))
-        return real(*args, **kwargs)
+    def counting(lambda1, signs, *args, **kwargs):
+        calls.append(sorted(signs))
+        return real(lambda1, signs, *args, **kwargs)
 
-    monkeypatch.setattr(cloning, "clone_bipartite", counting)
+    monkeypatch.setattr(cloning, "clone_bipartite_stack", counting)
     for bit in (0, 1):
         calls.clear()
         rep = protocols.secret_share_run(0.9, bit, "-")
-        assert sorted(calls) == [-1.0, 1.0]
+        assert calls == [[-1.0, 1.0]]
         assert np.array_equal(rep.channel.matrix, protocols.secret_share_channel(0.9, bit).matrix)
 
 
