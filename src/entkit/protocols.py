@@ -21,13 +21,10 @@ simulated pair's; the simulated shared state itself is also returned so the
 honest value can always be recomputed.
 
 Secret sharing clones both qubits of Charlie's |Phi+> (bit 0) and |Phi->
-(bit 1) as one two-row stack, `cloning.clone_bipartite_stack` at l1 = 1/2
-with signs (+1, -1), and builds only the non-local pair Alice and Bob share.
-Bob's conditional states after Alice's Hadamard outcomes are one more stack,
-projected, traced and validated together.  A run checks c, Charlie's bit and
-Alice's outcome, in that order, before it simulates anything; it then makes
-one clone and two stacked validations, and each state it returns is a row of
-those stacks, validated once.
+(bit 1) as one two-row stack (`cloning.clone_bipartite_stack`, non-local pair
+only), and takes Bob's conditional states as one more stack.  A run checks c,
+Charlie's bit and Alice's outcome, in that order, before it simulates; each
+state it returns is a row of a stack validated once, by one eigvalsh.
 """
 from __future__ import annotations
 
@@ -573,7 +570,14 @@ def povm_validity(Q: float) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class SecretShareReport:
-    """One deterministic run of the cloning-controlled secret sharing protocol."""
+    """One deterministic run of the cloning-controlled secret sharing protocol.
+
+    success_probability is the published Q: the mean of Tr(E1 rho_0) and
+    Tr(E2 rho_1) over Bob's '+' states rho_0 and rho_1 for Charlie's bits 0
+    and 1, with the published, non-hermitian E1 and E2.  helstrom_success is
+    the best success any measurement reaches on the same pair at equal priors,
+    1/2 + ||rho_0 - rho_1||_1 / 4 (Helstrom), = 1/2 + c^2 (1 - c^2).
+    """
 
     c: float
     q: float
@@ -582,7 +586,8 @@ class SecretShareReport:
     channel: DensityMatrix
     bob_state: DensityMatrix
     povm_stats: tuple           # (Tr E1 rho_B, Tr E2 rho_B, Tr E3 rho_B)
-    success_probability: float
+    success_probability: float  # the published Q
+    helstrom_success: float
 
     def to_dict(self) -> dict:
         return _report_dict(self, "channel", "bob_state")
@@ -658,10 +663,7 @@ def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
 def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -> SecretShareReport:
     """Run the protocol: Charlie encodes a bit in |Phi+/->, Cliff clones both
     qubits, Alice measures in the Hadamard basis, Bob applies the three-element
-    discrimination and succeeds with probability Q = 4 c^2 d^2.
-
-    Both of Charlie's bits are cloned as one two-row stack; Bob's state and his
-    two '+' states (one may be his state) come from one validated stack."""
+    discrimination and succeeds with probability Q = 4 c^2 d^2."""
     params = _cloning_machine(c)
     bit = _charlie_bit(charlie_bit)
     _hadamard_vector(alice_outcome)
@@ -674,16 +676,18 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     q = 4.0 * c * c * d2
     e1, e2, e3 = povm_elements(q)
     stats = tuple(float(np.trace(e @ bobs[0]).real) for e in (e1, e2, e3))
-    # honest unambiguous-discrimination success on Bob's '+' states
+    # the published Q, recomputed on Bob's '+' states
     success = 0.5 * float(np.trace(e1 @ bob_plus[0]).real) \
         + 0.5 * float(np.trace(e2 @ bob_plus[1]).real)
     if abs(success - q) > 1e-12:
         raise DomainError(f"success probability {success} deviates from Q = {q}")
+    trace_norm = np.abs(np.linalg.eigvalsh(bob_plus[0] - bob_plus[1])).sum()
     return SecretShareReport(
         c=c, q=q, charlie_bit=charlie_bit, alice_outcome=alice_outcome,
         channel=DensityMatrix._validated((2, 2), channels[bit], spectra[bit]),
         bob_state=DensityMatrix._validated((2,), bobs[0], bob_spectra[0]),
-        povm_stats=stats, success_probability=success)
+        povm_stats=stats, success_probability=success,
+        helstrom_success=0.5 + 0.25 * float(trace_norm))
 
 
 @dataclass(frozen=True, slots=True)

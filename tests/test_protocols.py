@@ -437,6 +437,18 @@ def test_secret_share_run_matches_its_closed_forms(c, bit):
     sign = 1.0 if bit == 0 else -1.0
     expected = 0.5 * np.array([[1.0, sign * q], [sign * q, 1.0]])
     assert np.abs(rep.bob_state.matrix - expected).max() <= 1e-12
+    assert abs(rep.helstrom_success - (0.5 + c * c * (1.0 - c * c))) <= 1e-12
+
+
+@pytest.mark.parametrize("c2,helstrom,published", [
+    (2 / 3, 13 / 18, 4 / 9), (1 / 2, 3 / 4, 1 / 2), (0.9, 0.59, 0.18), (1.0, 0.5, 0.0)])
+def test_secret_share_helstrom_success_beside_the_published_q(c2, helstrom, published):
+    # Helstrom on Bob's two '+' states, 1/2 + ||rho_0 - rho_1||_1 / 4 = 1/2 + c^2 (1 - c^2)
+    for bit in (0, 1):
+        for outcome in ("+", "-"):
+            rep = protocols.secret_share_run(np.sqrt(c2), bit, outcome)
+            assert rep.helstrom_success == pytest.approx(helstrom, abs=1e-12)
+            assert rep.success_probability == pytest.approx(published, abs=1e-12)
 
 
 def test_secret_share_run_clones_each_bit_once(monkeypatch):
