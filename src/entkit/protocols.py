@@ -621,13 +621,10 @@ def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
 
 
 def _bob_states(channels: np.ndarray, outcomes) -> tuple:
-    """_bob_matrices validated with one _density_spectra call: the read-only
-    (k, 2, 2) stack and its spectra."""
+    """_bob_matrices validated with one _density_spectra call: the (k, 2, 2)
+    stack and its spectra."""
     matrices = _bob_matrices(channels, outcomes)
-    spectra = _density_spectra((2,), matrices)
-    matrices.setflags(write=False)
-    spectra.setflags(write=False)
-    return matrices, spectra
+    return matrices, _density_spectra((2,), matrices)
 
 
 def _cloning_machine(c: float) -> cloning.CloningParams:

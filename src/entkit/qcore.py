@@ -108,9 +108,12 @@ class DensityMatrix:
     @classmethod
     def _validated(cls, dims: tuple, matrix: np.ndarray, spectrum: np.ndarray) -> "DensityMatrix":
         """A row of a stack that _density_spectra has checked on dims, with the
-        spectrum it returned, both read-only: no second eigvalsh."""
+        spectrum it returned: no second eigvalsh.  Both are copied, read-only,
+        so the state does not keep the rest of the stack alive."""
         rho = object.__new__(cls)
-        for name, value in (("dims", dims), ("matrix", matrix), ("spectrum", spectrum)):
+        object.__setattr__(rho, "dims", dims)
+        for name, value in (("matrix", matrix.copy()), ("spectrum", spectrum.copy())):
+            value.setflags(write=False)
             object.__setattr__(rho, name, value)
         return rho
 
