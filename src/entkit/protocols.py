@@ -601,9 +601,9 @@ def _hadamard_vector(outcome: str) -> np.ndarray:
     raise DomainError(f"alice outcome must be '+' or '-', got {outcome!r}")
 
 
-# Alice's Hadamard projector |h><h| x I on the channel, per outcome
-_ALICE_PROJECTORS = {o: tensor(np.outer(h, h.conj()), I2)
-                     for o, h in ((o, _hadamard_vector(o)) for o in "+-")}
+# Alice's Hadamard projector |h><h| x I on the channel, per outcome (h is real)
+_ALICE_PROJECTORS = {o: tensor(np.outer(_hadamard_vector(o), _hadamard_vector(o)), I2)
+                     for o in "+-"}
 
 
 def _bob_matrices(channels: np.ndarray, outcomes) -> np.ndarray:
@@ -663,7 +663,7 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     discrimination and succeeds with probability Q = 4 c^2 d^2."""
     params = _cloning_machine(c)
     bit = _charlie_bit(charlie_bit)
-    _hadamard_vector(alice_outcome)
+    _hadamard_vector(alice_outcome)     # raises for an unknown outcome before any simulation
     channels, spectra = _channels(params, (0, 1))
     # Bob's state, then his '+' state for each bit (one may be his state)
     wanted = [(bit, alice_outcome)] + [(b, "+") for b in (0, 1) if (b, "+") != (bit, alice_outcome)]
