@@ -5,14 +5,22 @@ have a header row and LF line endings, and re-running a command with the same
 flags (seed included) reproduces the output byte for byte.  Exit codes:
 0 success, 2 usage or parse failure, 3 domain error.
 
-A figure is a table built a column at a time: `Figure.values` takes the axis
-columns (one entry per row) and returns the value columns; the library closed
-forms accept arrays, so most columns are one call over the whole grid.
+A figure is a table built a column at a time: `Figure.values` takes the
+module named by `Figure.layer` and the axis columns (one entry per row) and
+returns the value columns; the library closed forms accept arrays, so most
+columns are one call over the whole grid.
+
+A command imports only the modules it runs.  This module loads `qcore`,
+`statezoo` and `measures`; `channel`, `cloning` and `protocols` are imported
+by the command that uses them (see `_layer`), once per command: a measure
+kind of `channel`, a figure by its layer, and `protocol` for `protocols`,
+whose secret-sharing code imports `cloning`.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import inspect
 import json
 import math
@@ -21,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import channel, cloning, measures, protocols, statezoo
+from . import measures, statezoo
 from .qcore import DensityMatrix, DomainError, PureState
 
 
@@ -108,6 +116,11 @@ def _load_matrix(path: str):
     return DensityMatrix(dims, entries.reshape(d, d))
 
 
+def _layer(name: str):
+    """The entkit module `name`, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write a command's output to the file `out`, or to stdout when omitted."""
     if out:
@@ -133,9 +146,9 @@ MEASURES = {
     "singlet_fraction": lambda rho, args: measures.singlet_fraction(
         rho, seed=args.seed, restarts=args.restarts),
     "entropy_of_entanglement": lambda rho, args: measures.entropy_of_entanglement(rho),
-    "n_value": lambda rho, args: channel.n_value(rho),
-    "m_value": lambda rho, args: channel.m_value(rho),
-    "fidelity_opt": lambda rho, args: channel.optimal_fidelity(
+    "n_value": lambda rho, args: _layer("channel").n_value(rho),
+    "m_value": lambda rho, args: _layer("channel").m_value(rho),
+    "fidelity_opt": lambda rho, args: _layer("channel").optimal_fidelity(
         rho, seed=args.seed, restarts=args.restarts),
 }
 
@@ -154,9 +167,10 @@ def cmd_measure(args) -> int:
 
 class Figure(NamedTuple):
     columns: tuple
-    axes: tuple                 # one (lo, hi) per swept axis
+    layer: str                  # the module that gives the values
+    axes: tuple | Callable      # one (lo, hi) per swept axis, or layer module -> those
     points: int                 # default grid points per axis
-    values: Callable            # axis columns -> the columns after the axes
+    values: Callable            # (layer module, *axis columns) -> the columns after the axes
 
 
 def _pick(forms: dict, *keys) -> tuple:
@@ -165,61 +179,72 @@ def _pick(forms: dict, *keys) -> tuple:
 
 def _each(point: Callable) -> Callable:
     """Figure.values of a library call made at one grid point at a time."""
-    return lambda *axes: tuple(zip(*map(point, *axes)))
+    return lambda module, *axes: tuple(zip(*map(functools.partial(point, module), *axes)))
 
 
-def _cloned_and_distilled(d: float) -> tuple:
+def _cloned_and_distilled(cloning, d: float) -> tuple:
     joint = cloning.qutrit_cloned_pair(d).joint
     return joint, cloning.distill(joint, cloning.distillation_filter(joint))
 
 
+def _distillable(cloning) -> tuple:
+    """The d axis of figures 4.2 and 4.3, where the distillation filter exists."""
+    return ((cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5),)
+
+
 _PI_4 = np.pi / 4.0
 _PI_2 = np.pi / 2.0
-_DISTILLABLE = (cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5)
 
 FIGURES = {
-    "3.1": Figure(("p", "concurrence", "n_value", "m_value"), ((0.0, 1.0),), 1001,
-                  lambda p: _pick(channel.closed_forms("nmems", p=p),
-                                  "concurrence", "n_value", "m_value")),
-    "3.2": Figure(("concurrence", "f_opt_werner", "f_opt_mjwk"), ((0.0, 1.0),), 201,
-                  lambda c: (channel.closed_forms("werner", C=c)["fidelity_opt"],
-                             channel.closed_forms("mjwk", C=c)["fidelity_opt"])),
+    "3.1": Figure(("p", "concurrence", "n_value", "m_value"), "channel", ((0.0, 1.0),), 1001,
+                  lambda channel, p: _pick(channel.closed_forms("nmems", p=p),
+                                           "concurrence", "n_value", "m_value")),
+    "3.2": Figure(("concurrence", "f_opt_werner", "f_opt_mjwk"), "channel", ((0.0, 1.0),), 201,
+                  lambda channel, c: (channel.closed_forms("werner", C=c)["fidelity_opt"],
+                                      channel.closed_forms("mjwk", C=c)["fidelity_opt"])),
     "3.3": Figure(("concurrence", "m_werner", "f_opt_werner", "m_mjwk", "f_opt_mjwk"),
-                  ((0.0, 1.0),), 201,
-                  lambda c: (
+                  "channel", ((0.0, 1.0),), 201,
+                  lambda channel, c: (
                       _pick(channel.closed_forms("werner", C=c), "m_value", "fidelity_opt")
                       + _pick(channel.closed_forms("mjwk", C=c), "m_value", "fidelity_opt"))),
-    "3.4": Figure(("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), ((0.0, 1.0),), 201,
-                  lambda g: (
+    "3.4": Figure(("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), "channel",
+                  ((0.0, 1.0),), 201,
+                  lambda channel, g: (
                       _pick(channel.closed_forms("werner", C=g), "m_value", "fidelity_opt")
                       + _pick(channel.closed_forms("wei", gamma=g), "m_value", "fidelity_opt"))),
-    "3.5": Figure(("linear_entropy", "f_opt_werner", "f_opt_mjwk"),
+    "3.5": Figure(("linear_entropy", "f_opt_werner", "f_opt_mjwk"), "channel",
                   ((0.0, 8.0 / 9.0 - 1e-9),), 201,
-                  lambda s: (channel.fidelity_from_linear_entropy("werner", s),
-                             channel.fidelity_from_linear_entropy("mjwk", s))),
-    "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
-                  _each(lambda d: (cloning.dense_coding_advantage(
+                  lambda channel, s: (channel.fidelity_from_linear_entropy("werner", s),
+                                      channel.fidelity_from_linear_entropy("mjwk", s))),
+    "4.1": Figure(("d", "entropy_advantage"), "cloning", ((1e-3, 0.5),), 101,
+                  _each(lambda cloning, d: (cloning.dense_coding_advantage(
                       cloning.qutrit_cloned_pair(d).joint),))),
-    "4.2": Figure(("d", "bell_enumeration_distilled"), (_DISTILLABLE,), 33,
-                  _each(lambda d: (measures.singlet_fraction(
-                      _cloned_and_distilled(d)[1], restarts=0),))),
-    "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), (_DISTILLABLE,), 33,
-                  _each(lambda d: tuple(map(cloning.dense_coding_capacity,
-                                            _cloned_and_distilled(d))))),
-    "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), ((0.0, _PI_2),), 201,
-                  lambda t: (protocols.cdc_closed_forms("ghz", theta=t)["bits"],
-                             protocols.cdc_closed_forms("qutrit_ghz", theta=t)["bits"])),
-    "5.2": Figure(("l", "theta"), ((0.0, 1.0),), 201,
-                  lambda l: (protocols.cdc_closed_forms("pati", l=l)["theta"],)),
-    "5.3": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
-                  lambda t: (protocols.cdc_closed_forms("ghz", theta=t)["concurrence"],)),
-    "5.4": Figure(("theta", "epsilon", "concurrence"), ((0.0, _PI_4), (0.0, _PI_2)), 41,
-                  lambda t, e: (protocols.cdc_closed_forms(
+    "4.2": Figure(("d", "bell_enumeration_distilled"), "cloning", _distillable, 33,
+                  _each(lambda cloning, d: (measures.singlet_fraction(
+                      _cloned_and_distilled(cloning, d)[1], restarts=0),))),
+    "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), "cloning", _distillable, 33,
+                  _each(lambda cloning, d: tuple(map(cloning.dense_coding_capacity,
+                                                     _cloned_and_distilled(cloning, d))))),
+    "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), "protocols",
+                  ((0.0, _PI_2),), 201,
+                  lambda protocols, t: (
+                      protocols.cdc_closed_forms("ghz", theta=t)["bits"],
+                      protocols.cdc_closed_forms("qutrit_ghz", theta=t)["bits"])),
+    "5.2": Figure(("l", "theta"), "protocols", ((0.0, 1.0),), 201,
+                  lambda protocols, l: (protocols.cdc_closed_forms("pati", l=l)["theta"],)),
+    "5.3": Figure(("theta", "concurrence"), "protocols", ((_PI_4, _PI_2),), 201,
+                  lambda protocols, t: (
+                      protocols.cdc_closed_forms("ghz", theta=t)["concurrence"],)),
+    "5.4": Figure(("theta", "epsilon", "concurrence"), "protocols",
+                  ((0.0, _PI_4), (0.0, _PI_2)), 41,
+                  lambda protocols, t, e: (protocols.cdc_closed_forms(
                       "ghz4", theta=t, epsilon=e)["concurrence"],)),
-    "5.5": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
-                  lambda t: (protocols.cdc_closed_forms("w3", theta=t)["concurrence"],)),
-    "5.6": Figure(("theta", "epsilon", "concurrence"), ((_PI_4, _PI_2), (_PI_4, _PI_2)), 41,
-                  lambda t, e: (protocols.cdc_closed_forms(
+    "5.5": Figure(("theta", "concurrence"), "protocols", ((_PI_4, _PI_2),), 201,
+                  lambda protocols, t: (
+                      protocols.cdc_closed_forms("w3", theta=t)["concurrence"],)),
+    "5.6": Figure(("theta", "epsilon", "concurrence"), "protocols",
+                  ((_PI_4, _PI_2), (_PI_4, _PI_2)), 41,
+                  lambda protocols, t, e: (protocols.cdc_closed_forms(
                       "w4", theta=t, epsilon=e)["concurrence"],)),
 }
 
@@ -231,10 +256,13 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _table(figure: Figure, points: int) -> np.ndarray:
-    """The axis columns over the product of the axis grids, then the value columns."""
-    grids = [_grid(lo, hi, points) for lo, hi in figure.axes]
+    """The axis columns over the product of the axis grids, then the value columns,
+    with the figure's layer imported once."""
+    module = _layer(figure.layer)
+    bounds = figure.axes(module) if callable(figure.axes) else figure.axes
+    grids = [_grid(lo, hi, points) for lo, hi in bounds]
     axes = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
-    return np.column_stack([*axes, *figure.values(*axes)])
+    return np.column_stack([*axes, *figure.values(module, *axes)])
 
 
 def cmd_figure(args) -> int:
@@ -256,6 +284,7 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_protocol(args) -> int:
+    protocols = _layer("protocols")
     if args.protocol == "cdc":
         kwargs = {name: getattr(args, name) for name in ("epsilon", "l", "n", "class_index")
                   if getattr(args, name) is not None}
@@ -266,9 +295,7 @@ def cmd_protocol(args) -> int:
             payload["montecarlo"] = protocols.monte_carlo_cdc(
                 args.family, args.theta, args.montecarlo, args.seed, **kwargs)
     else:
-        if not 1.0 / 3.0 < args.c2 <= 1.0:
-            raise DomainError(f"cloning c^2 must lie in (1/3, 1], got {args.c2}")
-        c = np.sqrt(args.c2)
+        c = protocols.cloning_amplitude(args.c2)
         report = protocols.secret_share_run(c, args.charlie_bit, args.alice_outcome)
         payload = report.to_dict()
         if args.montecarlo:

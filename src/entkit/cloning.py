@@ -404,8 +404,17 @@ def clone_bipartite(lambda1: float, params: CloningParams, sign: float = 1.0) ->
     return local, nonlocal_, pqrs(params)
 
 
+def _entangling_c2(c2: float) -> bool:
+    """Whether c^2 lies in (1/3, 1], where the critical concurrence is below 1.
+    A cloning amplitude's domain is tested on c^2 alone: on a c^2 given, and on
+    c * c of a c >= 0 given.  c = sqrt(c^2) of every c^2 inside passes too:
+    rounded sqrt and square are monotone, and at the smallest c^2 above 1/3,
+    c * c is 1/3 + 2 ulp."""
+    return 1.0 / 3.0 < c2 <= 1.0
+
+
 def nonlocal_critical_concurrence(c: float) -> float:
     """Input concurrence above which the non-local clone pair stays entangled."""
-    if not 1.0 / np.sqrt(3.0) < c <= 1.0:
+    if not (c >= 0.0 and _entangling_c2(c * c)):
         raise DomainError(f"critical concurrence defined for c in (1/sqrt(3), 1], got {c}")
     return (1.0 + c * c) / (4.0 * c * c)

@@ -24,16 +24,18 @@ Secret sharing clones both qubits of Charlie's |Phi+> (bit 0) and |Phi->
 (bit 1) as one two-row stack (`cloning.clone_bipartite_stack`, non-local pair
 only), and takes Bob's conditional states as one more stack.  A run checks c,
 Charlie's bit and Alice's outcome, in that order, before it simulates; each
-state it returns is a row of a stack validated once, by one eigvalsh.
+state it returns is a row of a stack validated once, by one eigvalsh.  Only
+the secret-sharing code imports `cloning`, so a CDC run never loads it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from . import cloning, statezoo
+from . import statezoo
 from .qcore import (
     DensityMatrix,
     DomainError,
@@ -248,53 +250,63 @@ _GHZ_CLASS_SIN = {1, 4, 6}      # bits 1 + 2 sin^2(theta), operated on (0, pi/4]
 _GHZ_CLASS_COS = {2, 3, 5, 7}   # bits 1 + 2 cos^2(theta), operated on [pi/4, pi/2)
 
 
-def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
-                     n: int | None = None, class_index: int | None = None) -> dict:
-    """Published closed-form success/bits/concurrence values per CDC family; theta,
-    epsilon, l and n may be scalars or arrays, and each entry has their broadcast shape."""
+def _closed_forms(family: str, theta=None, epsilon=None, l=None,
+                  n: int | None = None, class_index: int | None = None) -> tuple:
+    """(the parameters the entries broadcast over, {entry: () -> its value}): a CDC
+    family's published success and concurrence, and pati's controller angle theta,
+    each evaluated only when called; the family's domain is checked first."""
     if family == "ghz":
-        s2 = np.float_power(np.sin(theta), 2.0)
-        return _shaped({"success": 2.0 * s2, "bits": 1.0 + 2.0 * s2,
-                        "concurrence": abs(np.sin(2.0 * theta))}, theta)
+        return (theta,), {"success": lambda: 2.0 * np.float_power(np.sin(theta), 2.0),
+                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
     if family == "ghz_class":
         if class_index in _GHZ_CLASS_SIN:
-            m = np.float_power(np.sin(theta), 2.0)
+            trig = np.sin
         elif class_index in _GHZ_CLASS_COS:
-            m = np.float_power(np.cos(theta), 2.0)
+            trig = np.cos
         else:
             raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
-        return _shaped({"success": 2.0 * m, "bits": 1.0 + 2.0 * m,
-                        "concurrence": abs(np.sin(2.0 * theta))}, theta)
+        return (theta,), {"success": lambda: 2.0 * np.float_power(trig(theta), 2.0),
+                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
     if family == "pati":
         if l is None or np.count_nonzero(l < 0):
             raise DomainError("pati needs l >= 0")
         # published for l <= 1; beyond l = 1 the discrimination succeeds with
         # the weight of the smaller Schmidt component instead
-        success = 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l)
-        return _shaped({"success": success, "bits": 1.0 + success,
-                        "concurrence": 2.0 * l / (1.0 + l * l),
-                        "theta": np.arctan2(1.0, l)}, l)
+        return (l,), {"success": lambda: 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l),
+                      "concurrence": lambda: 2.0 * l / (1.0 + l * l),
+                      "theta": lambda: np.arctan2(1.0, l)}
     if family in ("ghz4", "w4") and epsilon is None:
         raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
     if family == "ghz4":
-        c1 = 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
-        return _shaped({"concurrence": c1, "success": c1, "bits": 1.0 + c1}, theta, epsilon)
+        def c1():
+            return 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
+        return (theta, epsilon), {"success": c1, "concurrence": c1}
     if family == "w3":
-        return _shaped({"concurrence": SQRT2 * abs(np.sin(theta) * np.cos(theta)),
-                        "success": 0.0, "bits": 1.0}, theta)
+        return (theta,), {"success": lambda: 0.0,
+                          "concurrence": lambda: SQRT2 * abs(np.sin(theta) * np.cos(theta))}
     if family == "w4":
-        return _shaped({"concurrence": abs(np.sin(2.0 * theta))
-                        * np.float_power(np.cos(epsilon), 2.0),
-                        "success": 0.0, "bits": 1.0}, theta, epsilon)
+        return (theta, epsilon), {
+            "success": lambda: 0.0,
+            "concurrence": lambda: abs(np.sin(2.0 * theta)) * np.float_power(np.cos(epsilon), 2.0)}
     if family == "liqiu_w":
         if n is None or np.count_nonzero(n < 1):
             raise DomainError("liqiu_w needs n >= 1")
-        return _shaped({"concurrence": 2.0 * np.sqrt(n) / (n + 1.0),
-                        "success": 2.0 / (n + 1.0), "bits": 1.0 + 2.0 / (n + 1.0)}, n)
+        return (n,), {"success": lambda: 2.0 / (n + 1.0),
+                      "concurrence": lambda: 2.0 * np.sqrt(n) / (n + 1.0)}
     if family == "qutrit_ghz":
-        c2 = np.float_power(np.cos(theta), 2.0)
-        return _shaped({"success": 2.0 * c2, "bits": 1.0 + 2.0 * c2, "concurrence": 1.0}, theta)
+        return (theta,), {"success": lambda: 2.0 * np.float_power(np.cos(theta), 2.0),
+                          "concurrence": lambda: 1.0}
     raise DomainError(f"unknown CDC family {family!r}")
+
+
+def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
+                     n: int | None = None, class_index: int | None = None) -> dict:
+    """Published closed-form success/bits/concurrence values per CDC family, with
+    bits = 1 + success, and pati's controller angle theta = arctan(1/l); theta,
+    epsilon, l and n may be scalars or arrays, and each entry has their broadcast shape."""
+    params, forms = _closed_forms(family, theta, epsilon, l, n, class_index)
+    values = {entry: form() for entry, form in forms.items()}
+    return _shaped({**values, "bits": 1.0 + values["success"]}, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +456,16 @@ def _tree(family: str, p: dict, outcomes: tuple) -> dict:
     return tree
 
 
+# the closed-form entries cdc_run reads under each convention (see _Family)
+_READS = {"simulated": ("concurrence",), "published": ("success", "concurrence"),
+          "per_outcome": ()}
+
+
 def _setup(family: str, theta: float | None = None, epsilon: float | None = None,
            l: float | None = None, n: int | None = None,
            class_index: int | None = None) -> tuple:
-    """(family entry, the parameters it reads, its closed forms) of a CDC call."""
+    """(family entry, the parameters it reads, its closed forms as {entry: () ->
+    value}) of a CDC call; the caller evaluates the entries it reads."""
     fam = _FAMILIES.get(family)
     if fam is None:
         raise DomainError(f"unknown CDC family {family!r}")
@@ -456,10 +474,10 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
     for k, v in p.items():
         if v is not None and not np.isfinite(v):
             raise DomainError(f"CDC parameter {k} must be finite, got {v}")
-    closed = cdc_closed_forms(family, **p)
-    if "theta" in closed and p["theta"] is None:
-        p["theta"] = closed["theta"]        # pati's published angle arctan(1/l)
-    return fam, p, closed
+    forms = _closed_forms(family, **p)[1]
+    if "theta" in forms and p["theta"] is None:
+        p["theta"] = float(forms["theta"]())    # pati's published angle arctan(1/l)
+    return fam, p, forms
 
 
 def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> tuple:
@@ -485,7 +503,8 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
     liqiu_w (parameter n) and qutrit_ghz.  A controller outcome outside the
     family's outcomes (and their other names) raises DomainError.
     """
-    fam, p, closed = _setup(family, theta, epsilon, l, n, class_index)
+    fam, p, forms = _setup(family, theta, epsilon, l, n, class_index)
+    closed = {entry: float(forms[entry]()) for entry in _READS[fam.convention]}
     label = fam.aliases.get(controller_outcome, controller_outcome)
     outcome = fam.spellings.get(label, label)
     if outcome not in fam.outcomes:
@@ -507,12 +526,10 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
 
     if product:
         bits, conc = 1.0, 0.0
-    elif fam.convention == "published":
-        bits, conc = closed["bits"], closed["concurrence"]
     elif fam.convention == "per_outcome":
         ok = aux_outcome == 0
         bits, conc = (2.0, _schmidt_concurrence(shared, d)) if ok else (1.0, 0.0)
-    else:
+    else:                       # the published bits are 1 + the published success
         bits, conc = 1.0 + success, closed["concurrence"]
     return CdcReport(
         family=f"{family}:{class_index}" if "class_index" in p else family,
@@ -627,9 +644,26 @@ def _bob_states(channels: np.ndarray, outcomes) -> tuple:
     return matrices, _density_spectra((2,), matrices)
 
 
+@functools.cache
+def _cloning():
+    """The cloning module, imported by the first secret-sharing call, so that a
+    CDC run never loads it."""
+    from . import cloning
+    return cloning
+
+
+def cloning_amplitude(c2: float) -> float:
+    """The amplitude c = sqrt(c^2) of Cliff's cloning machine, for c^2 in (1/3, 1]."""
+    if not _cloning()._entangling_c2(c2):
+        raise DomainError(f"cloning c^2 must lie in (1/3, 1], got {c2}")
+    return np.sqrt(c2)
+
+
 def _cloning_machine(c: float) -> cloning.CloningParams:
-    """Cliff's qubit cloning machine with amplitude c in (1/sqrt(3), 1]."""
-    if not INV_SQRT3 < c <= 1.0:
+    """Cliff's qubit cloning machine with amplitude c in (1/sqrt(3), 1], tested as
+    c >= 0 with c^2 in (1/3, 1], so it accepts every c that cloning_amplitude returns."""
+    cloning = _cloning()
+    if not (c >= 0.0 and cloning._entangling_c2(c * c)):
         raise DomainError(f"cloning amplitude c must lie in (1/sqrt(3), 1], got {c}")
     return cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
 
@@ -644,7 +678,7 @@ def _channels(params: cloning.CloningParams, bits: tuple) -> tuple:
     """The non-local pairs Alice and Bob share after Cliff clones both qubits
     of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1), one row per bit of bits,
     from one stacked clone: a validated (k, 4, 4) stack and its spectra."""
-    (matrices,), (spectra,) = cloning.clone_bipartite_stack(
+    (matrices,), (spectra,) = _cloning().clone_bipartite_stack(
         (0.5,) * len(bits), tuple(1.0 - 2.0 * b for b in bits), params, pairs=("nonlocal",))
     return matrices, spectra
 
@@ -698,6 +732,7 @@ class WitnessCheck:
 def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
     """Witness expectations on the non-local clone output and the critical
     input concurrence (1 + c^2)/(4 c^2) above which it stays entangled."""
+    cloning = _cloning()
     params = _cloning_machine(c)
     (nonlocal_,), _ = cloning.clone_bipartite_stack((lambda1,), (1.0,), params, pairs=("nonlocal",))
     w1 = float(np.trace(W_A1 @ nonlocal_[0]).real)
@@ -742,7 +777,8 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
     draw.  exact_success is the Born average
     sum p_branch * p_success and published_success the family's closed form.
     """
-    fam, p, closed = _setup(family, theta=theta, **kwargs)
+    fam, p, forms = _setup(family, theta=theta, **kwargs)
+    closed = {"success": float(forms["success"]())}
     tree, leaves, exact = _tree(family, p, fam.outcomes), {}, 0.0
     for outcome in fam.outcomes:
         prob, success = 0.0, 0.0        # unless the state produces the outcome
@@ -755,7 +791,7 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
     counts = _draw(np.random.default_rng(seed), leaves, n_samples)
     hits = sum(k for leaf, k in counts.items() if leaf.endswith("/aux0"))
     return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
-            "published_success": float(closed["success"]), "n_samples": n_samples,
+            "published_success": closed["success"], "n_samples": n_samples,
             "seed": seed}
 
 

@@ -168,6 +168,31 @@ def test_monte_carlo_builds_the_state_and_each_basis_once(monkeypatch, family, t
     assert len(built) == bases, built
 
 
+# the closed forms a run reads: the concurrence (simulated and published
+# conventions), the published success and pati's angle when theta is omitted
+READS = {"ghz": ["concurrence"], "ghz_class": ["concurrence"],
+         "pati": ["theta", "success", "concurrence"], "ghz4": ["concurrence"],
+         "w3": ["success", "concurrence"], "w4": ["success", "concurrence"],
+         "liqiu_w": ["success", "concurrence"], "qutrit_ghz": []}
+
+
+@pytest.mark.parametrize("family,theta,kwargs,bases", MC_CALLS)
+def test_a_cdc_call_evaluates_each_closed_form_it_reads_once(monkeypatch, family, theta, kwargs,
+                                                             bases):
+    read, closed_forms = [], protocols._closed_forms
+
+    def counted(*args, **kw):
+        params, forms = closed_forms(*args, **kw)
+        return params, {k: lambda k=k, f=f: read.append(k) or f() for k, f in forms.items()}
+
+    monkeypatch.setattr(protocols, "_closed_forms", counted)
+    protocols.cdc_run(family, theta, **kwargs)
+    assert read == READS[family]
+    read.clear()
+    protocols.monte_carlo_cdc(family, theta, 10, 1, **kwargs)
+    assert read == (["theta"] if theta is None and family == "pati" else []) + ["success"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(runs(), st.integers(1, 5000), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_monte_carlo_samples_the_outcome_tree(run, n_samples, seed, other_seed):

@@ -1,11 +1,18 @@
 """CLI contract tests: values, exit codes, file formats, reproducibility."""
 import argparse
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entkit import channel, cli, protocols, statezoo
 from entkit.qcore import DomainError
@@ -350,12 +357,26 @@ def test_protocol_unknown_name_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("c2,named", [("-1", "got -1.0"), ("-inf", "got -inf"), ("nan", "got nan"),
-                                      ("0.3", "c^2 must lie in (1/3, 1], got 0.3")])
+                                      ("0.3", "c^2 must lie in (1/3, 1], got 0.3"),
+                                      ("0.3333333333333333", "got 0.3333333333333333"),
+                                      ("1.0000000000000002", "got 1.0000000000000002")])
 def test_secret_share_c2_outside_its_domain_is_a_domain_error_naming_it(capsys, c2, named):
     code, out, err = _run_without_runtime_warnings(capsys, "protocol", "secret-share", f"--c2={c2}")
     assert code == 3
     assert out == ""
     assert named in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.0 / 3.0, 1.0, exclude_min=True))
+# sqrt(c^2) of the first c^2 above 1/3 rounds to c = 1/sqrt(3)
+@example(0.33333333333333337)
+def test_every_c2_the_cli_accepts_runs(c2):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["protocol", "secret-share", f"--c2={c2!r}"])
+    assert code == 0, err.getvalue()
+    assert json.loads(out.getvalue())["c"] == np.sqrt(c2)
 
 
 @pytest.mark.parametrize("head,option,value", [
@@ -491,3 +512,70 @@ def test_protocol_unknown_controller_outcome_is_domain_error(capsys, family_args
     assert code == 3
     assert out == ""
     assert "unknown controller outcome" in err
+
+
+# ---------------------------------------------------------------------------
+# cold commands: each runs in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+
+
+def _loaded_after(code: str) -> set:
+    """The entkit modules a fresh interpreter has loaded after running code."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'entkit'))"
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split("\n")[-2].split())
+
+
+def _run_quietly(argv: list) -> str:
+    return ("import contextlib, io\nfrom entkit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("code,never", [
+    ("import entkit", {"cli", "statezoo", "measures", "channel", "cloning", "protocols"}),
+    (_run_quietly(["measure", "--state", "werner:F=0.75", "--kind", "concurrence"]),
+     {"channel", "cloning", "protocols"}),
+    (_run_quietly(["protocol", "cdc", "--theta", "0.6", "--montecarlo", "10"]),
+     {"channel", "cloning"}),
+    (_run_quietly(["figure", "3.1", "--points", "3"]), {"cloning", "protocols"}),
+], ids=["import", "measure", "protocol-cdc", "figure-3.1"])
+def test_a_cold_command_loads_only_the_modules_it_runs(code, never):
+    loaded = _loaded_after(code)
+    assert {"entkit", "entkit.qcore"} <= loaded
+    assert loaded.isdisjoint(f"entkit.{name}" for name in never)
+
+
+def test_submodules_load_on_first_access():
+    loaded = _loaded_after(
+        "import entkit\n"
+        "assert entkit.channel.closed_forms('werner', C=0.5)['concurrence'] == 0.5\n"
+        "from entkit import cloning\n"
+        "assert entkit.cloning is cloning\n"
+        "assert set(entkit.__all__) <= set(dir(entkit))\n")
+    assert {"entkit.channel", "entkit.cloning"} <= loaded
+
+
+COLD_COMMANDS = [
+    ["measure", "--state", "mjwk:C=0.4", "--kind", "fidelity_opt"],
+    ["figure", "3.3", "--points", "5"],
+    ["figure", "4.3", "--points", "3"],
+    ["figure", "5.6", "--points", "3", "--format", "json"],
+    ["protocol", "cdc", "--family", "pati", "--l", "0.5", "--montecarlo", "50", "--seed", "2"],
+    ["protocol", "secret-share", "--c2", "0.8", "--charlie-bit", "1", "--montecarlo", "50"],
+    ["measure", "--state", "werner:F=0.75", "--kind", "bogus"],
+    ["protocol", "cdc", "--family", "w3", "--theta", "1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_a_cold_command_gives_the_bytes_of_an_in_process_one(capsys, argv):
+    cold = _fresh_python("-m", "entkit.cli", *argv)
+    assert (cold.returncode, cold.stdout, cold.stderr) == run_cli(capsys, *argv)

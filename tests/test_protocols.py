@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -428,9 +428,11 @@ def test_secret_share_bob_states():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(protocols.INV_SQRT3, 1.0, exclude_min=True), st.sampled_from((0, 1)))
-def test_secret_share_run_matches_its_closed_forms(c, bit):
-    # drawn as c, the run's own argument: c^2 just above 1/3 can round to c = 1/sqrt(3)
+@given(st.floats(1.0 / 3.0, 1.0, exclude_min=True), st.sampled_from((0, 1)))
+@example(0.33333333333333337, 0)     # its c rounds to 1/sqrt(3)
+def test_secret_share_run_matches_its_closed_forms(c2, bit):
+    c = protocols.cloning_amplitude(c2)
+    assert protocols.secret_share_witness_checks(c, 0.5).critical_concurrence <= 1.0 + 1e-15
     rep = protocols.secret_share_run(c, bit, "+")
     q = 2.0 * c * c * (1.0 - c * c)
     assert abs(rep.success_probability - q) <= 1e-12
