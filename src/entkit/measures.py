@@ -203,11 +203,10 @@ def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
     It ascends from the n^2 generalised Bell unitaries and from `restarts`
-    Haar unitaries drawn from default_rng(seed), each for a fixed 150 steps
-    with an Aitken extrapolation after every 10th, kept only where it raises
-    the overlap, so the cost of a call does not depend on its state.  The
-    value is a lower bound on the true maximum; fef_bounds certifies how far
-    below it can lie.
+    Haar unitaries drawn from default_rng(seed), each for a fixed 60 steps
+    with an Anderson extrapolation after every 3rd, kept only where it raises
+    the overlap: 80 svd per row, whatever the state.  The value is a lower
+    bound on the true maximum; fef_bounds certifies how far below it can lie.
 
     Either way the value is never below the enumeration and never lowered by
     one more restart.
@@ -260,15 +259,14 @@ def _require_restarts(restarts: int):
 _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC.flags.writeable = False
 
-# polar steps of every (state, start) row, every _AITKEN_EVERY-th followed by
-# an extrapolation; no stopping test, so the cost of a call does not depend on
-# its state.  On 1,418 3x3 states (1,350 random ones of ranks 1-9 from seeds
-# 0-149, the floor, fixture and perfbench fef3 states, the slow seed-89 and
-# seed-108 states) every state came within 1e-15 of a 3,000-step plain ascent
-# by step 70 (the seed-89 state by 32, the seed-108 one by 40); 150 keeps more
-# than twice that
-_POLAR_STEPS = 150
-_AITKEN_EVERY = 10
+# polar steps of every (state, start) row, every _ANDERSON_EVERY-th followed by
+# an extrapolation; no stopping test, so a call's cost does not depend on its
+# state.  On the 1,409 3x3 states of tests/fixtures/ascent_budget.py every
+# state came within 1e-15 of a 3,000-step plain ascent by step 30 (the 6th
+# drawn from seed 10 last, the median by step 9); 60 keeps twice that
+_POLAR_STEPS = 60
+_ANDERSON_EVERY = 3
+_ANDERSON_DEPTH = 5
 
 
 def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
@@ -307,23 +305,19 @@ def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tup
     unitaries, and the (N, n, n) unitary W that reached it; each step is one
     stacked svd over every (state, start) row.
 
-    The ascent converges linearly, W_k ~ W + r^k D, and slowly where the rate
-    r is near 1.  So every _AITKEN_EVERY steps each row also tries the nearest
-    unitary to W_k + (W_k - W_k-1) r / (1 - r), r estimated as
-    |W_k - W_k-1| / |W_k-1 - W_k-2| (Aitken's extrapolation), and moves there
-    only if that raises its overlap.  With it, no state in the sample of the
-    _POLAR_STEPS comment needed more than 70 steps to come within 1e-15 of
-    3,000 plain steps."""
+    The ascent converges linearly, slowly where its rate is near 1, so after
+    every _ANDERSON_EVERY-th step each row also takes a polar step from the
+    Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
+    547 (1965)) and moves there only if that raises its overlap."""
     rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
-    old = w = _polar_starts(n, seed, restarts)
+    w, outs, steps = _polar_starts(n, seed, restarts), [], []
     g = rows @ w
     for k in range(1, _POLAR_STEPS + 1):
-        older, old, w = old, w, _polar_step(g)
-        g = rows @ w
-        if k % _AITKEN_EVERY == 0:
-            step, last = w - old, old - older
-            r = np.minimum(np.sqrt(_norm2(step) / np.maximum(_norm2(last), 1e-300)), 0.999)
-            trial = _polar_step(w + step * (r / (1.0 - r))[..., None, None])
+        new = _polar_step(g)
+        outs, steps = outs[1 - _ANDERSON_DEPTH:] + [new], steps[1 - _ANDERSON_DEPTH:] + [new - w]
+        w, g = new, rows @ new
+        if k % _ANDERSON_EVERY == 0:
+            trial = _polar_step(rows @ _anderson_mix(outs, steps))
             trial_g = rows @ trial
             up = (_overlaps(trial, trial_g, n) > _overlaps(w, g, n))[..., None, None]
             w, g = np.where(up, trial, w), np.where(up, trial_g, g)
@@ -332,9 +326,15 @@ def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tup
     return overlaps[states, top], w[states, top].reshape(-1, n, n)
 
 
-def _norm2(w: np.ndarray) -> np.ndarray:
-    """|vec W|^2 of each row of a stack of (n^2, 1) columns."""
-    return (w.real ** 2 + w.imag ** 2).sum(axis=(-2, -1))
+def _anderson_mix(outs: list, steps: list) -> np.ndarray:
+    """sum_i a_i W_i+1 of each row over its last iterates W_i+1 and steps R_i =
+    W_i+1 - W_i, with sum a_i = 1 and |sum a_i R_i| least: a ~ (R^dag R + d I)^-1 1,
+    d = 1e-12 Tr(R^dag R) + 1e-300 > 0 so no solve is singular, even at R = 0."""
+    r, m = np.concatenate(steps, -1), len(steps)
+    gram = r.conj().swapaxes(-1, -2) @ r
+    delta = 1e-12 * np.trace(gram, axis1=-2, axis2=-1).real + 1e-300
+    a = np.linalg.solve(gram + delta[..., None, None] * np.eye(m), np.ones((m, 1)))
+    return np.concatenate(outs, -1) @ (a / a.sum(axis=-2, keepdims=True))
 
 
 def _polar_starts(n: int, seed: int, restarts: int) -> np.ndarray:

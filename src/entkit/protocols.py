@@ -477,6 +477,8 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
     forms = _closed_forms(family, **p)[1]
     if "theta" in forms and p["theta"] is None:
         p["theta"] = float(forms["theta"]())    # pati's published angle arctan(1/l)
+    if "theta" in p and p["theta"] is None:
+        raise DomainError(f"{family} needs the controller angle theta")
     return fam, p, forms
 
 

@@ -2,8 +2,8 @@
 
 The fixture pins `measures.singlet_fraction` with restarts > 0, so the
 magic-basis eigenvalue for n = 2 and, for n = 3, the extrapolated polar
-ascent run for its fixed 150 steps from every start (every sampled 3x3 state
-comes within 1e-15 of a 3,000-step ascent by step 70), on
+ascent run for its fixed 60 steps from every start (every 3x3 state of
+`ascent_budget.py` comes within 1e-15 of a 3,000-step ascent by step 30), on
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`) at the restarts it runs them with,
 - the eight floor states of the qutrit clone analysis at

@@ -446,6 +446,17 @@ def test_protocol_montecarlo_bytes_repeat_for_every_family(tmp_path, capsys, fam
     assert sum(json.loads(outputs[0])["montecarlo"]["counts"].values()) == 500
 
 
+@pytest.mark.parametrize("family_args", [a for a in CDC_FAMILY_ARGS if "--theta" in a],
+                         ids=lambda a: a[1])
+def test_protocol_cdc_without_theta_is_a_domain_error_naming_it(capsys, family_args):
+    at = family_args.index("--theta")
+    argv = family_args[:at] + family_args[at + 2:]
+    code, out, err = run_cli(capsys, "protocol", "cdc", *argv, "--montecarlo", "100")
+    assert code == 3
+    assert out == ""
+    assert f"{family_args[1]} needs the controller angle theta" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cdc", "--family", "ghz", "--theta", "0.6", "--montecarlo", "-5"],
     ["secret-share", "--montecarlo", "-5"],

@@ -443,10 +443,13 @@ def drawn_states(seed: int, count: int) -> list:
     return [random_density(rng, (3, 3), rank=int(rng.integers(1, 10))) for _ in range(count)]
 
 
-# two rank-6 states: the second draw of seed 89, whose ascent converges
-# slowly, and the 118th of seed 7, where fef_bounds stays open
+# two rank-6 states, the second draw of seed 89, whose ascent converges
+# slowly, and the 118th of seed 7, where fef_bounds stays open; and the sixth
+# draw of seed 10 (full rank), the last of tests/fixtures/ascent_budget.py's
+# states to reach its value
 SLOW_STATES = {"seed-89 draw 2": drawn_states(89, 2)[-1],
-               "seed-7 draw 118": drawn_states(7, 118)[-1]}
+               "seed-7 draw 118": drawn_states(7, 118)[-1],
+               "seed-10 draw 6": drawn_states(10, 6)[-1]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -538,6 +541,7 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
 @example(108, 6)       # converges slowly: 300 plain steps fall 2e-8 short, 500 fall 8e-10
 @example(89, "seed-89 draw 2")
 @example(7, "seed-7 draw 118")
+@example(10, "seed-10 draw 6")
 def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
     # a random state of rank `state`, or the named qutrit pair or slow state;
     # every start run for 1,000 plain polar steps reaches no higher than the
@@ -550,6 +554,37 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
         w = measures._polar_step(rho.matrix @ w)
     longer = measures._overlaps(w, rho.matrix @ w, 3).max()
     assert measures.singlet_fraction(rho, seed=seed, restarts=6) >= longer - 1e-12
+
+
+def test_every_state_costs_the_same_polar_steps(monkeypatch):
+    # the documented budget, 60 steps and an extrapolation after every 3rd,
+    # whatever the state: the clone pair, a rank-1 and a full-rank state
+    calls = []
+    step = measures._polar_step
+
+    def counted(g):
+        calls.append(g.shape)
+        return step(g)
+
+    monkeypatch.setattr(measures, "_polar_step", counted)
+    rng = np.random.default_rng(5)
+    counts = []
+    for rho in (QUTRIT_PAIRS["clone-d=0.5"], random_density(rng, (3, 3), rank=1),
+                random_density(rng, (3, 3))):
+        calls.clear()
+        measures.singlet_fraction(rho, restarts=6)
+        counts.append(len(calls))
+    assert counts == [80, 80, 80]
+
+
+def test_half_the_step_budget_reaches_the_full_budget_value(monkeypatch):
+    # the budget keeps a margin of 2 on the slow states and the qutrit pairs
+    named = {**SLOW_STATES, **QUTRIT_PAIRS}
+    full = {name: measures.singlet_fraction(rho, restarts=6) for name, rho in named.items()}
+    monkeypatch.setattr(measures, "_POLAR_STEPS", measures._POLAR_STEPS // 2)
+    half = {name: measures.singlet_fraction(rho, restarts=6) for name, rho in named.items()}
+    assert {name: half[name] - full[name] for name in named
+            if abs(half[name] - full[name]) > 1e-15} == {}
 
 
 @settings(max_examples=20, deadline=None)

@@ -542,6 +542,18 @@ def test_monte_carlo_cdc_propagates_domain_errors():
         protocols.monte_carlo_cdc("w3", 1.0, 100, seed=1)
 
 
+@pytest.mark.parametrize("family,kwargs", [
+    ("ghz", {}), ("ghz_class", {"class_index": 1}), ("ghz4", {"epsilon": 0.5}),
+    ("w3", {}), ("w4", {"epsilon": 1.0}), ("qutrit_ghz", {})])
+def test_cdc_without_the_controller_angle_is_a_domain_error_naming_it(family, kwargs):
+    # only pati has a default angle, arctan(1/l) (test_pati_success_table)
+    message = f"{family} needs the controller angle theta"
+    with pytest.raises(DomainError, match=message):
+        protocols.cdc_run(family, theta=None, **kwargs)
+    with pytest.raises(DomainError, match=message):
+        protocols.monte_carlo_cdc(family, None, 100, seed=1, **kwargs)
+
+
 def test_monte_carlo_cdc_zero_probability_outcome_is_a_zero_weight_leaf():
     # at theta = 0, epsilon = pi/2 the outcomes '++' and '--' never happen
     out = protocols.monte_carlo_cdc("ghz4", 0.0, 1000, seed=5, epsilon=np.pi / 2)
