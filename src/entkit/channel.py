@@ -24,13 +24,8 @@ from . import measures, statezoo
 from .qcore import (
     DensityMatrix,
     DomainError,
-    I2,
     PAULIS,
-    X,
-    Y,
-    Z,
     _density_spectra,
-    _reduced_matrix,
     _shaped,
     tensor,
 )
@@ -98,89 +93,8 @@ def optimal_fidelity(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> f
 
 
 # ---------------------------------------------------------------------------
-# explicit teleportation through a channel
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class TeleportOutcome:
-    """Result of one Bell-measurement branch of the standard protocol."""
-
-    bell_outcome: int              # 1..4 in the package Bell indexing
-    probability: float
-    output_state: DensityMatrix    # Bob's corrected single-qubit state
-    hs_distance: float             # Tr (rho_in - rho_out)^2
-    fidelity: float                # 1 - hs_distance
-
-# Pauli corrections for each Bell outcome, one set per Bell sector of the
-# channel; the set is picked by the channel's dominant Bell component, so any
-# maximally entangled channel teleports perfectly.
-_CORRECTIONS = {
-    1: {1: I2, 2: Z, 3: X, 4: Y},
-    2: {1: Z, 2: I2, 3: Y, 4: X},
-    3: {1: X, 2: Y, 3: I2, 4: Z},
-    4: {1: Y, 2: X, 3: Z, 4: I2},
-}
-
-
-def input_qubit(x: float, y: complex) -> DensityMatrix:
-    """Single-qubit input [[x, y], [y*, 1-x]]; requires |y|^2 <= x(1-x)."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"population x must lie in [0, 1], got {x}")
-    if abs(y) ** 2 > x * (1.0 - x) + 1e-12:
-        raise DomainError(f"coherence |y|^2 = {abs(y)**2:.3e} exceeds x(1-x) = {x*(1-x):.3e}")
-    return DensityMatrix((2,), np.array([[x, y], [np.conj(y), 1.0 - x]]))
-
-
-def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
-    """Standard teleportation of rho_in through a two-qubit channel.
-
-    Alice Bell-measures the input qubit together with her channel half; Bob
-    applies the outcome-dependent Pauli correction.  Returns the branches in
-    Bell order, omitting any of probability <= 1e-15, which the input and
-    channel never produce and whose conditional state is undefined.
-    """
-    if rho_in.dims != (2,):
-        raise DomainError(f"input must be a single qubit, got dims {rho_in.dims}")
-    measures._require_two_qubits(channel, "teleportation channel")
-    bells = measures.maximally_entangled_bases(2)     # bell(1)..bell(4)
-    overlaps = [float(np.real(v.conj() @ channel.matrix @ v)) for v in bells]
-    corrections = _CORRECTIONS[1 + int(np.argmax(overlaps))]
-    total = tensor(rho_in.matrix, channel.matrix)
-    outcomes = []
-    for k, bell_vec in enumerate(bells, start=1):
-        proj = tensor(np.outer(bell_vec, bell_vec.conj()), I2)
-        sub = proj @ total @ proj
-        prob = float(sub.trace().real)
-        if prob <= 1e-15:
-            continue
-        # Bob's uncorrected qubit stays an array; the corrected one is the state
-        bob = _reduced_matrix(sub / prob, (2, 2, 2), (2,))
-        u = corrections[k]
-        corrected = DensityMatrix((2,), u @ bob @ u.conj().T)
-        delta = rho_in.matrix - corrected.matrix
-        d_hs = float(np.trace(delta @ delta).real)
-        outcomes.append(TeleportOutcome(k, prob, corrected, d_hs, 1.0 - d_hs))
-    return outcomes
-
-
-# ---------------------------------------------------------------------------
 # CHSH
 # ---------------------------------------------------------------------------
-
-def _unit_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise DomainError(f"{name} must be a unit 3-vector")
-    return v
-
-
-def chsh_max(rho: DensityMatrix, settings) -> float:
-    """CHSH combination <a.s x b.s> + <a.s x b'.s> + <a'.s x b.s> - <a'.s x b'.s>
-    at the four given measurement directions."""
-    a, ap, b, bp = (_unit_vector(v, n) for v, n in zip(settings, ("a", "a'", "b", "b'")))
-    t = correlation_matrix(rho)
-    return float(a @ t @ (b + bp) + ap @ t @ (b - bp))
-
 
 def chsh_supremum(rho: DensityMatrix) -> float:
     """Largest CHSH value over all settings, 2 sqrt(M(rho)); at most 2 sqrt(2)."""

@@ -80,19 +80,6 @@ def cloning_isometry(params: CloningParams) -> np.ndarray:
     return v.reshape(n ** 3, n)
 
 
-def clone_pure(psi: PureState, params: CloningParams) -> tuple:
-    """Clone a single n-level pure state.
-
-    Returns the full (a, b, machine) pure state and the single-clone marginal.
-    At the optimal working point the marginal takes the universal scaling form
-    s |psi><psi| + (1-s)/n I.
-    """
-    if psi.dims != (params.n,):
-        raise DomainError(f"state dims {psi.dims} do not match machine dimension {params.n}")
-    full = PureState((params.n,) * 3, cloning_isometry(params) @ psi.vector)
-    return full, partial_trace(full, keep=(0,))
-
-
 @dataclass(frozen=True, slots=True)
 class ClonePairOutput:
     """Joint state of the two clones after the machine is traced out."""
@@ -135,16 +122,6 @@ def reduction_eigenvalue_nonopt(d: float) -> float:
 
 
 NONOPT_FILTER_D_MIN = (6.0 + np.sqrt(2.0)) / 17.0
-
-
-def nonopt_filter_r(d: float) -> float:
-    """Off-diagonal weight of the non-optimal distillation filter."""
-    if not NONOPT_FILTER_D_MIN < d <= 0.5:
-        raise DomainError(
-            f"non-optimal filter defined for d in ((6+sqrt2)/17, 1/2], got {d}")
-    t2 = d * np.sqrt(1.0 - 4.0 * d * d)
-    inner = 1.0 - 18.0 * d ** 2 + 4.0 * t2 + 113.0 * d ** 4 - 44.0 * d ** 2 * t2
-    return (11.0 * d * d - 2.0 * t2 + np.sqrt(inner)) / (4.0 * d * d)
 
 
 def clone_pair_fef(d):

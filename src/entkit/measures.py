@@ -8,7 +8,6 @@ import numpy as np
 
 from . import statezoo
 from .qcore import (
-    TOL_HERM,
     TOL_RANK,
     DensityMatrix,
     DomainError,
@@ -74,26 +73,6 @@ def tangle(rho: DensityMatrix) -> float:
     """Concurrence squared."""
     c = concurrence(rho)
     return c * c
-
-
-def x_form_matrix(a: float, b: float, c_offdiag: complex, d_entry: float,
-                  e: float) -> DensityMatrix:
-    """Assemble the X-form matrix diag(a, b, d, e) with coherence c on |01><10|."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = a
-    m[1, 1] = b
-    m[2, 2] = d_entry
-    m[3, 3] = e
-    m[1, 2] = c_offdiag
-    m[2, 1] = np.conj(c_offdiag)
-    return DensityMatrix((2, 2), m)
-
-
-def concurrence_x_form(a: float, b: float, c_offdiag: complex, d_entry: float,
-                       e: float) -> float:
-    """Closed-form concurrence 2 max(|c| - sqrt(a e), 0) of the X-form state."""
-    x_form_matrix(a, b, c_offdiag, d_entry, e)  # validates the density matrix
-    return float(2.0 * max(abs(c_offdiag) - np.sqrt(a * e), 0.0))
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -234,9 +213,11 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
 
     The bound is on the relaxation over states with maximally mixed
     marginals, which can exceed F for n >= 3: unital channels that are not
-    mixed-unitary exist there (Landau & Streater 1993).  A rank-6 state (the
-    118th drawn from seed 7 in tests/test_measures.py) stays open at about
-    9e-4 however long the descent runs, and the 150th drawn from seed 11 is
+    mixed-unitary exist there (Landau & Streater 1993).  The descent over Z,
+    with X and Y tied to W, leaves a rank-6 state (the 118th drawn from seed 7
+    in tests/test_measures.py) open at about 9e-4 however long it runs; a
+    descent over independent X and Y (2 n^2 parameters) narrows that to about
+    8.7e-5, the relaxation's own gap there.  The 150th drawn from seed 11 is
     still 1.4e-3 open after those 200 steps.  The clone pair at
     d = 1/sqrt(8) is the slowest of the states that close.
     """
@@ -504,12 +485,3 @@ def peres_horodecki(rho: DensityMatrix) -> str:
     entangled = w4 < -1e-12 or (abs(w4) <= 1e-12 and w3 < -1e-12) or w2 < -1e-12
     return "entangled" if entangled else "separable"
 
-
-def witness_expectation(w, rho: DensityMatrix) -> float:
-    """Real expectation Tr(W rho) of a hermitian witness; negative flags entanglement."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != rho.matrix.shape:
-        raise DomainError(f"witness shape {w.shape} does not match state {rho.matrix.shape}")
-    if np.max(np.abs(w - w.conj().T)) > TOL_HERM:
-        raise DomainError("witness operator must be hermitian")
-    return float(np.trace(w @ rho.matrix).real)

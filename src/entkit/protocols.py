@@ -255,18 +255,6 @@ def _closed_forms(family: str, theta=None, epsilon=None, l=None,
     """(the parameters the entries broadcast over, {entry: () -> its value}): a CDC
     family's published success and concurrence, and pati's controller angle theta,
     each evaluated only when called; the family's domain is checked first."""
-    if family == "ghz":
-        return (theta,), {"success": lambda: 2.0 * np.float_power(np.sin(theta), 2.0),
-                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
-    if family == "ghz_class":
-        if class_index in _GHZ_CLASS_SIN:
-            trig = np.sin
-        elif class_index in _GHZ_CLASS_COS:
-            trig = np.cos
-        else:
-            raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
-        return (theta,), {"success": lambda: 2.0 * np.float_power(trig(theta), 2.0),
-                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
     if family == "pati":
         if l is None or np.count_nonzero(l < 0):
             raise DomainError("pati needs l >= 0")
@@ -275,8 +263,27 @@ def _closed_forms(family: str, theta=None, epsilon=None, l=None,
         return (l,), {"success": lambda: 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l),
                       "concurrence": lambda: 2.0 * l / (1.0 + l * l),
                       "theta": lambda: np.arctan2(1.0, l)}
+    if family == "liqiu_w":
+        if n is None or np.count_nonzero(n < 1):
+            raise DomainError("liqiu_w needs n >= 1")
+        return (n,), {"success": lambda: 2.0 / (n + 1.0),
+                      "concurrence": lambda: 2.0 * np.sqrt(n) / (n + 1.0)}
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown CDC family {family!r}")
+    if family == "ghz_class" and class_index not in _GHZ_CLASS_SIN | _GHZ_CLASS_COS:
+        raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
     if family in ("ghz4", "w4") and epsilon is None:
         raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
+    # every other family reads the controller angle
+    if theta is None:
+        raise DomainError(f"{family} needs the controller angle theta")
+    if family == "ghz":
+        return (theta,), {"success": lambda: 2.0 * np.float_power(np.sin(theta), 2.0),
+                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
+    if family == "ghz_class":
+        trig = np.sin if class_index in _GHZ_CLASS_SIN else np.cos
+        return (theta,), {"success": lambda: 2.0 * np.float_power(trig(theta), 2.0),
+                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
     if family == "ghz4":
         def c1():
             return 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
@@ -288,15 +295,8 @@ def _closed_forms(family: str, theta=None, epsilon=None, l=None,
         return (theta, epsilon), {
             "success": lambda: 0.0,
             "concurrence": lambda: abs(np.sin(2.0 * theta)) * np.float_power(np.cos(epsilon), 2.0)}
-    if family == "liqiu_w":
-        if n is None or np.count_nonzero(n < 1):
-            raise DomainError("liqiu_w needs n >= 1")
-        return (n,), {"success": lambda: 2.0 / (n + 1.0),
-                      "concurrence": lambda: 2.0 * np.sqrt(n) / (n + 1.0)}
-    if family == "qutrit_ghz":
-        return (theta,), {"success": lambda: 2.0 * np.float_power(np.cos(theta), 2.0),
-                          "concurrence": lambda: 1.0}
-    raise DomainError(f"unknown CDC family {family!r}")
+    return (theta,), {"success": lambda: 2.0 * np.float_power(np.cos(theta), 2.0),   # qutrit_ghz
+                      "concurrence": lambda: 1.0}
 
 
 def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
@@ -477,8 +477,6 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
     forms = _closed_forms(family, **p)[1]
     if "theta" in forms and p["theta"] is None:
         p["theta"] = float(forms["theta"]())    # pati's published angle arctan(1/l)
-    if "theta" in p and p["theta"] is None:
-        raise DomainError(f"{family} needs the controller angle theta")
     return fam, p, forms
 
 
@@ -566,8 +564,8 @@ def povm_elements(Q: float) -> tuple:
     """The three discrimination operators, exactly as published.
 
     E1 and E2 are upper triangular with off-diagonal +/-1 and are therefore
-    not hermitian (see povm_validity); expectation values are still taken as
-    Tr(E rho), which reproduces the published statistics.
+    not hermitian; expectation values are still taken as Tr(E rho), which
+    reproduces the published statistics.
     """
     if not 0.0 <= Q <= 0.5:
         raise DomainError(f"Q must lie in [0, 1/2], got {Q}")
@@ -575,16 +573,6 @@ def povm_elements(Q: float) -> tuple:
     e2 = np.array([[Q / 2.0, -1.0], [0.0, Q / 2.0]], dtype=complex)
     e3 = np.eye(2, dtype=complex) - e1 - e2
     return e1, e2, e3
-
-
-def povm_validity(Q: float) -> dict:
-    """Hermiticity / positivity status of each discrimination operator."""
-    out = {}
-    for name, e in zip(("E1", "E2", "E3"), povm_elements(Q)):
-        hermitian = bool(np.max(np.abs(e - e.conj().T)) <= 1e-12)
-        psd = hermitian and bool(np.linalg.eigvalsh(e).min() >= -1e-12)
-        out[name] = {"hermitian": hermitian, "psd": psd}
-    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,6 @@ TOL_NORM = 1e-10   # state normalisation / unit trace
 TOL_HERM = 1e-10   # hermiticity
 TOL_PSD = 1e-9     # how negative an "eigenvalue >= 0" may be
 TOL_RANK = 1e-13   # a PSD eigenvalue <= TOL_RANK * the largest one is zero
-TOL_RECON = 1e-9   # decomposition round trips
 
 
 class DomainError(ValueError):
@@ -252,51 +251,6 @@ def psd_sqrt(m) -> np.ndarray:
     return (evecs * roots) @ evecs.conj().swapaxes(-1, -2)
 
 
-@dataclass(frozen=True, slots=True)
-class SchmidtDecomposition:
-    """Schmidt form of a bipartite pure state: sum_i lambda_i |i_A>|i_B>."""
-
-    coefficients: np.ndarray   # non-negative, descending, sum of squares = 1
-    left_basis: np.ndarray     # columns are |i_A>
-    right_basis: np.ndarray    # columns are |i_B>
-    rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        da = self.left_basis.shape[0]
-        db = self.right_basis.shape[0]
-        out = np.zeros(da * db, dtype=complex)
-        for lam, a, b in zip(self.coefficients, self.left_basis.T, self.right_basis.T):
-            out += lam * tensor(a, b)
-        return out
-
-
-def schmidt_decompose(psi: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition of a two-subsystem pure state via SVD."""
-    if len(psi.dims) != 2:
-        raise DomainError(f"Schmidt decomposition needs exactly 2 subsystems, got {len(psi.dims)}")
-    da, db = psi.dims
-    amp = psi.vector.reshape(da, db)
-    u, s, vh = np.linalg.svd(amp)
-    rank = int(np.count_nonzero(psd_spectrum(s**2)))
-    dec = SchmidtDecomposition(s, u, vh.T, rank)
-    err = np.linalg.norm(psi.vector - dec.reconstruct())
-    if err > TOL_RECON:
-        raise DomainError(f"Schmidt reconstruction error {err:.3e}")
-    return dec
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Pure state on system x reference whose reference-trace returns rho.
-
-    The system keeps its subsystem signature; the reference is appended as a
-    single subsystem of the full system dimension.
-    """
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    # component (a, i) is sqrt(l_i) <a|e_i>
-    vec = (evecs * np.sqrt(psd_spectrum(evals))).reshape(-1)
-    return PureState(rho.dims + (rho.dim,), vec / np.linalg.norm(vec))
-
-
 # ---------------------------------------------------------------------------
 # constant gates
 # ---------------------------------------------------------------------------
@@ -330,7 +284,3 @@ GATES = {
 
 PAULIS = (X, Y, Z)
 
-
-def is_unitary(u, tol: float = 1e-12) -> bool:
-    u = _as_complex(u)
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) <= tol)

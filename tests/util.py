@@ -1,10 +1,13 @@
 """Shared helpers for the test suite: random states and independent oracles."""
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from entkit import channel, statezoo
-from entkit.qcore import DensityMatrix, PureState, ket, partial_trace, tensor
+from entkit import channel, measures, statezoo
+from entkit.qcore import (I2, DensityMatrix, DomainError, PureState, X, Y, Z, _reduced_matrix, ket,
+                          partial_trace, tensor)
 
 
 def random_density(rng, dims, rank=None) -> DensityMatrix:
@@ -109,3 +112,99 @@ def qutrit_projected_states(shared: np.ndarray) -> list:
         np.outer(ket(0, 3), ket(0, 3)) - np.outer(ket(2, 3), ket(2, 3)),
     ]
     return [w / np.linalg.norm(w) for w in (tensor(op, np.eye(3)) @ shared for op in ops)]
+
+
+def is_unitary(u, tol: float = 1e-12) -> bool:
+    u = np.asarray(u, dtype=complex)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) <= tol)
+
+
+def x_form_matrix(a: float, b: float, c_offdiag: complex, d_entry: float,
+                  e: float) -> DensityMatrix:
+    """Assemble the X-form matrix diag(a, b, d, e) with coherence c on |01><10|."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = a
+    m[1, 1] = b
+    m[2, 2] = d_entry
+    m[3, 3] = e
+    m[1, 2] = c_offdiag
+    m[2, 1] = np.conj(c_offdiag)
+    return DensityMatrix((2, 2), m)
+
+
+def concurrence_x_form(a: float, b: float, c_offdiag: complex, d_entry: float,
+                       e: float) -> float:
+    """Closed-form concurrence 2 max(|c| - sqrt(a e), 0) of the X-form state:
+    the oracle for measures.concurrence."""
+    x_form_matrix(a, b, c_offdiag, d_entry, e)  # validates the density matrix
+    return float(2.0 * max(abs(c_offdiag) - np.sqrt(a * e), 0.0))
+
+
+def chsh_max(rho: DensityMatrix, settings) -> float:
+    """CHSH combination <a.s x b.s> + <a.s x b'.s> + <a'.s x b.s> - <a'.s x b'.s>
+    at the four given unit measurement directions."""
+    a, ap, b, bp = (np.asarray(v, dtype=float) for v in settings)
+    assert all(abs(np.linalg.norm(v) - 1.0) <= 1e-9 for v in (a, ap, b, bp))
+    t = channel.correlation_matrix(rho)
+    return float(a @ t @ (b + bp) + ap @ t @ (b - bp))
+
+
+class TeleportOutcome(NamedTuple):
+    """Result of one Bell-measurement branch of the standard protocol."""
+
+    bell_outcome: int              # 1..4 in the package Bell indexing
+    probability: float
+    output_state: DensityMatrix    # Bob's corrected single-qubit state
+    hs_distance: float             # Tr (rho_in - rho_out)^2
+    fidelity: float                # 1 - hs_distance
+
+# Pauli corrections for each Bell outcome, one set per Bell sector of the
+# channel; the set is picked by the channel's dominant Bell component, so any
+# maximally entangled channel teleports perfectly.
+_CORRECTIONS = {
+    1: {1: I2, 2: Z, 3: X, 4: Y},
+    2: {1: Z, 2: I2, 3: Y, 4: X},
+    3: {1: X, 2: Y, 3: I2, 4: Z},
+    4: {1: Y, 2: X, 3: Z, 4: I2},
+}
+
+
+def input_qubit(x: float, y: complex) -> DensityMatrix:
+    """Single-qubit input [[x, y], [y*, 1-x]]; requires |y|^2 <= x(1-x)."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"population x must lie in [0, 1], got {x}")
+    if abs(y) ** 2 > x * (1.0 - x) + 1e-12:
+        raise DomainError(f"coherence |y|^2 = {abs(y)**2:.3e} exceeds x(1-x) = {x*(1-x):.3e}")
+    return DensityMatrix((2,), np.array([[x, y], [np.conj(y), 1.0 - x]]))
+
+
+def teleport_through(rho_in: DensityMatrix, channel: DensityMatrix) -> list:
+    """Standard teleportation of rho_in through a two-qubit channel.
+
+    Alice Bell-measures the input qubit together with her channel half; Bob
+    applies the outcome-dependent Pauli correction.  Returns the branches in
+    Bell order, omitting any of probability <= 1e-15, which the input and
+    channel never produce and whose conditional state is undefined.
+    """
+    if rho_in.dims != (2,):
+        raise DomainError(f"input must be a single qubit, got dims {rho_in.dims}")
+    measures._require_two_qubits(channel, "teleportation channel")
+    bells = measures.maximally_entangled_bases(2)     # bell(1)..bell(4)
+    overlaps = [float(np.real(v.conj() @ channel.matrix @ v)) for v in bells]
+    corrections = _CORRECTIONS[1 + int(np.argmax(overlaps))]
+    total = tensor(rho_in.matrix, channel.matrix)
+    outcomes = []
+    for k, bell_vec in enumerate(bells, start=1):
+        proj = tensor(np.outer(bell_vec, bell_vec.conj()), I2)
+        sub = proj @ total @ proj
+        prob = float(sub.trace().real)
+        if prob <= 1e-15:
+            continue
+        # Bob's uncorrected qubit stays an array; the corrected one is the state
+        bob = _reduced_matrix(sub / prob, (2, 2, 2), (2,))
+        u = corrections[k]
+        corrected = DensityMatrix((2,), u @ bob @ u.conj().T)
+        delta = rho_in.matrix - corrected.matrix
+        d_hs = float(np.trace(delta @ delta).real)
+        outcomes.append(TeleportOutcome(k, prob, corrected, d_hs, 1.0 - d_hs))
+    return outcomes
