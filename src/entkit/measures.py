@@ -1,4 +1,4 @@
-"""Entanglement, mixedness and distance measures for small bipartite systems."""
+"""Entanglement and mixedness measures for small bipartite systems."""
 from __future__ import annotations
 
 import functools
@@ -13,9 +13,9 @@ from .qcore import (
     DomainError,
     PureState,
     Y,
+    _rng,
     partial_trace,
     partial_transpose,
-    psd_spectrum,
     psd_sqrt,
     tensor,
 )
@@ -76,18 +76,17 @@ def tangle(rho: DensityMatrix) -> float:
 
 
 def negativity(rho: DensityMatrix) -> float:
-    """Negativity from the partial transpose.
-
-    For two qubits this is 2 max(0, -lambda_neg); in n x n it generalises to
-    (||rho^{T_A}||_1 - 1)/(n - 1), with the trace norm.
+    """Negativity (||rho^{T_A}||_1 - 1)/(n - 1) of an n x m state, n <= m, with
+    the trace norm: 2 sum |lambda| / (n - 1) over the partial transpose's
+    negative eigenvalues; for two qubits 2 max(0, -lambda_neg).  An eigenvalue
+    at or above -TOL_RANK times the largest one is rounding, so a separable
+    state reads exactly 0.0.
     """
     if len(rho.dims) != 2:
         raise DomainError(f"negativity requires a bipartite state, got dims {rho.dims}")
-    n = min(rho.dims)
-    pt = partial_transpose(rho, 0)
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-    value = (trace_norm - 1.0) / (n - 1.0)
-    return float(min(max(value, 0.0), 1.0))
+    evals = np.linalg.eigvalsh(partial_transpose(rho, 0))
+    negative = evals[evals < -TOL_RANK * evals[-1]]
+    return float(min(2.0 * np.abs(negative).sum() / (min(rho.dims) - 1.0), 1.0))
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
@@ -322,7 +321,7 @@ def _polar_starts(n: int, seed: int, restarts: int) -> np.ndarray:
     """vec W, as (n^2, 1) columns, of the n^2 generalised Bell unitaries and
     `restarts` Haar unitaries: the phase-fixed QR factors of Ginibre matrices
     drawn in one block, so restarts + 1 keeps the first restarts."""
-    z = np.random.default_rng(seed).normal(size=(restarts, 2, n, n))
+    z = _rng(seed).normal(size=(restarts, 2, n, n))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     haar = (q * (d / np.abs(d))[:, None, :]).reshape(restarts, n * n)
@@ -433,40 +432,6 @@ def _descend(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray) -> np.ndarray:
         lam, v = np.where(up[:, None], trial_lam, lam), np.where(up[:, None, None], trial_v, v)
         step = np.where(up, 1.5 * step, 0.5 * step)
     return best
-
-
-# ---------------------------------------------------------------------------
-# distances
-# ---------------------------------------------------------------------------
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho))."""
-    if rho.dims != sigma.dims:
-        raise DomainError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    root = psd_sqrt(rho.matrix)
-    inner = root @ sigma.matrix @ root
-    evals = psd_spectrum(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
-    return float(min(np.sum(np.sqrt(evals)), 1.0))
-
-
-def distance(rho: DensityMatrix, sigma: DensityMatrix, metric: str = "trace") -> float:
-    """Distance between two states.
-
-    trace:           (1/2) Tr|rho - sigma|
-    hilbert_schmidt: Tr (rho - sigma)^2
-    bures:           sqrt(2) (1 - fidelity)^(1/2)
-    """
-    if rho.dims != sigma.dims:
-        raise DomainError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    if metric == "trace":
-        evals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-        return float(0.5 * np.sum(np.abs(evals)))
-    if metric == "hilbert_schmidt":
-        delta = rho.matrix - sigma.matrix
-        return float(np.trace(delta @ delta).real)
-    if metric == "bures":
-        return float(np.sqrt(2.0 * max(0.0, 1.0 - fidelity(rho, sigma))))
-    raise DomainError(f"unknown metric {metric!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ Reported concurrences follow each family's published closed form (evaluated
 on the unnormalised post-measurement branch vector where that is the
 underlying convention), except for the qutrit family, which reports the
 simulated pair's; the simulated shared state itself is also returned so the
-honest value can always be recomputed.
+honest value can always be recomputed.  `cdc_closed_forms` is the one source
+of every published value: each CDC call evaluates it once, as plain values,
+and reads from it what its family's convention reports.
 
 Secret sharing clones both qubits of Charlie's |Phi+> (bit 0) and |Phi->
 (bit 1) as one two-row stack (`cloning.clone_bipartite_stack`, non-local pair
-only), and takes Bob's conditional states as one more stack.  A run checks c,
-Charlie's bit and Alice's outcome, in that order, before it simulates; each
-state it returns is a row of a stack validated once, by one eigvalsh.  Only
-the secret-sharing code imports `cloning`, so a CDC run never loads it.
+only).  `_shares` builds that stack, the published Q and Bob's four
+conditional states, one per (bit, Alice's outcome), each stack validated once
+by one eigvalsh; `secret_share_run` indexes them and
+`monte_carlo_secret_share` iterates them.  A run checks c, Charlie's bit and
+Alice's outcome, in that order, before it simulates.  Only the
+secret-sharing code imports `cloning`, so a CDC run never loads it.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from .qcore import (
     Z,
     _density_spectra,
     _reduced_matrix,
+    _rng,
     _shaped,
     psd_spectrum,
     tensor,
@@ -89,30 +94,20 @@ def qutrit_controller_basis(theta: float) -> MeasurementBasis:
 # collective unitaries
 # ---------------------------------------------------------------------------
 
-def _radical(value: float, name: str) -> float:
+def _ratio(num: float, den: float, label: str, noun: str = "angle") -> tuple:
+    """(k, sqrt(1 - k^2)) for k = num/den on the domain |num| <= |den|; label
+    names 1 - k^2 in the DomainError raised outside it."""
+    if abs(num) > abs(den) + 1e-12:
+        raise DomainError(f"{noun} outside admissible domain: {label} would be negative")
+    k = num / den
+    value = 1.0 - k ** 2
     if value < -1e-12:
-        raise DomainError(f"angle outside admissible domain: {name} = {value:.3e} < 0")
-    return np.sqrt(max(value, 0.0))
-
-
-def _tan_ratio(theta: float) -> tuple:
-    """(sin/cos, sqrt(1 - sin^2/cos^2)) on the domain |sin| <= |cos|."""
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(s) > abs(c) + 1e-12:
-        raise DomainError("angle outside admissible domain: 1 - sin^2/cos^2 would be negative")
-    return s / c, _radical(1.0 - (s / c) ** 2, "1 - sin^2/cos^2")
-
-
-def _cot_ratio(theta: float) -> tuple:
-    """(cos/sin, sqrt(1 - cos^2/sin^2)) on the domain |cos| <= |sin|."""
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(c) > abs(s) + 1e-12:
-        raise DomainError("angle outside admissible domain: 1 - cos^2/sin^2 would be negative")
-    return c / s, _radical(1.0 - (c / s) ** 2, "1 - cos^2/sin^2")
+        raise DomainError(f"angle outside admissible domain: {label} = {value:.3e} < 0")
+    return k, np.sqrt(max(value, 0.0))
 
 
 def _u1(theta: float) -> np.ndarray:
-    ratio, rad = _tan_ratio(theta)
+    ratio, rad = _ratio(np.sin(theta), np.cos(theta), "1 - sin^2/cos^2")
     # basis order |00>, |10>, |01>, |11> of (sender qubit, auxiliary qubit)
     return np.array(
         [[ratio, 0.0, rad, 0.0],
@@ -122,13 +117,8 @@ def _u1(theta: float) -> np.ndarray:
 
 
 def _u2(theta: float, epsilon: float) -> np.ndarray:
-    num = np.sin(theta) * np.sin(epsilon)
-    den = np.cos(theta) * np.cos(epsilon)
-    if abs(num) > abs(den) + 1e-12:
-        raise DomainError(
-            "angles outside admissible domain: 1 - (sin t sin e / cos t cos e)^2 would be negative")
-    k = num / den
-    rad = _radical(1.0 - k * k, "1 - (sin t sin e / cos t cos e)^2")
+    k, rad = _ratio(np.sin(theta) * np.sin(epsilon), np.cos(theta) * np.cos(epsilon),
+                    "1 - (sin t sin e / cos t cos e)^2", noun="angles")
     return np.array(
         [[k, 0.0, rad, 0.0],
          [0.0, 1.0, 0.0, 0.0],
@@ -154,17 +144,17 @@ def _braid(ratio: float, rad: float, low: int, flip_index: int | None = None) ->
 
 
 def _v1(theta: float) -> np.ndarray:
-    return _braid(*_cot_ratio(theta), low=0, flip_index=6)
+    return _braid(*_ratio(np.cos(theta), np.sin(theta), "1 - cos^2/sin^2"), low=0, flip_index=6)
 
 
 def _v1_down(theta: float) -> np.ndarray:
     """V1 mirrored for the qutrit 'down' branch, whose weight sits on |22>:
     the rotation acts on the {|2,0x>, |2,2x>} plane."""
-    return _braid(*_cot_ratio(theta), low=6)
+    return _braid(*_ratio(np.cos(theta), np.sin(theta), "1 - cos^2/sin^2"), low=6)
 
 
 def _v2(theta: float) -> np.ndarray:
-    return _braid(*_tan_ratio(theta), low=0, flip_index=6)
+    return _braid(*_ratio(np.sin(theta), np.cos(theta), "1 - sin^2/cos^2"), low=0, flip_index=6)
 
 
 def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> np.ndarray:
@@ -250,63 +240,51 @@ _GHZ_CLASS_SIN = {1, 4, 6}      # bits 1 + 2 sin^2(theta), operated on (0, pi/4]
 _GHZ_CLASS_COS = {2, 3, 5, 7}   # bits 1 + 2 cos^2(theta), operated on [pi/4, pi/2)
 
 
-def _closed_forms(family: str, theta=None, epsilon=None, l=None,
-                  n: int | None = None, class_index: int | None = None) -> tuple:
-    """(the parameters the entries broadcast over, {entry: () -> its value}): a CDC
-    family's published success and concurrence, and pati's controller angle theta,
-    each evaluated only when called; the family's domain is checked first."""
+def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
+                     n: int | None = None, class_index: int | None = None) -> dict:
+    """A CDC family's published success, bits = 1 + success and concurrence, and
+    for pati the controller angle theta = arctan(1/l), after the family's domain
+    is checked; theta, epsilon, l and n may be scalars or arrays, and each entry
+    is a float for scalars, else an array of their broadcast shape."""
     if family == "pati":
         if l is None or np.count_nonzero(l < 0):
             raise DomainError("pati needs l >= 0")
         # published for l <= 1; beyond l = 1 the discrimination succeeds with
         # the weight of the smaller Schmidt component instead
-        return (l,), {"success": lambda: 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l),
-                      "concurrence": lambda: 2.0 * l / (1.0 + l * l),
-                      "theta": lambda: np.arctan2(1.0, l)}
-    if family == "liqiu_w":
+        params, forms = (l,), {"success": 2.0 * np.where(1.0 < l * l, 1.0, l * l) / (1.0 + l * l),
+                               "concurrence": 2.0 * l / (1.0 + l * l),
+                               "theta": np.arctan2(1.0, l)}
+    elif family == "liqiu_w":
         if n is None or np.count_nonzero(n < 1):
             raise DomainError("liqiu_w needs n >= 1")
-        return (n,), {"success": lambda: 2.0 / (n + 1.0),
-                      "concurrence": lambda: 2.0 * np.sqrt(n) / (n + 1.0)}
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown CDC family {family!r}")
-    if family == "ghz_class" and class_index not in _GHZ_CLASS_SIN | _GHZ_CLASS_COS:
-        raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
-    if family in ("ghz4", "w4") and epsilon is None:
-        raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
-    # every other family reads the controller angle
-    if theta is None:
-        raise DomainError(f"{family} needs the controller angle theta")
-    if family == "ghz":
-        return (theta,), {"success": lambda: 2.0 * np.float_power(np.sin(theta), 2.0),
-                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
-    if family == "ghz_class":
-        trig = np.sin if class_index in _GHZ_CLASS_SIN else np.cos
-        return (theta,), {"success": lambda: 2.0 * np.float_power(trig(theta), 2.0),
-                          "concurrence": lambda: abs(np.sin(2.0 * theta))}
-    if family == "ghz4":
-        def c1():
-            return 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
-        return (theta, epsilon), {"success": c1, "concurrence": c1}
-    if family == "w3":
-        return (theta,), {"success": lambda: 0.0,
-                          "concurrence": lambda: SQRT2 * abs(np.sin(theta) * np.cos(theta))}
-    if family == "w4":
-        return (theta, epsilon), {
-            "success": lambda: 0.0,
-            "concurrence": lambda: abs(np.sin(2.0 * theta)) * np.float_power(np.cos(epsilon), 2.0)}
-    return (theta,), {"success": lambda: 2.0 * np.float_power(np.cos(theta), 2.0),   # qutrit_ghz
-                      "concurrence": lambda: 1.0}
-
-
-def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
-                     n: int | None = None, class_index: int | None = None) -> dict:
-    """Published closed-form success/bits/concurrence values per CDC family, with
-    bits = 1 + success, and pati's controller angle theta = arctan(1/l); theta,
-    epsilon, l and n may be scalars or arrays, and each entry has their broadcast shape."""
-    params, forms = _closed_forms(family, theta, epsilon, l, n, class_index)
-    values = {entry: form() for entry, form in forms.items()}
-    return _shaped({**values, "bits": 1.0 + values["success"]}, *params)
+        params, forms = (n,), {"success": 2.0 / (n + 1.0),
+                               "concurrence": 2.0 * np.sqrt(n) / (n + 1.0)}
+    else:
+        if family not in _FAMILIES:
+            raise DomainError(f"unknown CDC family {family!r}")
+        if family == "ghz_class" and class_index not in _GHZ_CLASS_SIN | _GHZ_CLASS_COS:
+            raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
+        if family in ("ghz4", "w4") and epsilon is None:
+            raise DomainError(f"{family} needs both theta (Cliff) and epsilon (Paul)")
+        # every other family reads the controller angle
+        if theta is None:
+            raise DomainError(f"{family} needs the controller angle theta")
+        params = (theta, epsilon) if family in ("ghz4", "w4") else (theta,)
+        if family in ("ghz", "ghz_class"):
+            trig = np.cos if class_index in _GHZ_CLASS_COS else np.sin
+            forms = {"success": 2.0 * np.float_power(trig(theta), 2.0),
+                     "concurrence": abs(np.sin(2.0 * theta))}
+        elif family == "ghz4":
+            c1 = 2.0 * np.float_power(np.sin(theta), 2.0) * np.float_power(np.sin(epsilon), 2.0)
+            forms = {"success": c1, "concurrence": c1}
+        elif family == "w3":
+            forms = {"success": 0.0, "concurrence": SQRT2 * abs(np.sin(theta) * np.cos(theta))}
+        elif family == "w4":
+            forms = {"success": 0.0,
+                     "concurrence": abs(np.sin(2.0 * theta)) * np.float_power(np.cos(epsilon), 2.0)}
+        else:                           # qutrit_ghz
+            forms = {"success": 2.0 * np.float_power(np.cos(theta), 2.0), "concurrence": 1.0}
+    return _shaped({**forms, "bits": 1.0 + forms["success"]}, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +434,11 @@ def _tree(family: str, p: dict, outcomes: tuple) -> dict:
     return tree
 
 
-# the closed-form entries cdc_run reads under each convention (see _Family)
-_READS = {"simulated": ("concurrence",), "published": ("success", "concurrence"),
-          "per_outcome": ()}
-
-
 def _setup(family: str, theta: float | None = None, epsilon: float | None = None,
            l: float | None = None, n: int | None = None,
            class_index: int | None = None) -> tuple:
-    """(family entry, the parameters it reads, its closed forms as {entry: () ->
-    value}) of a CDC call; the caller evaluates the entries it reads."""
+    """(family entry, the parameters it reads, its cdc_closed_forms) of a CDC
+    call, with pati's theta set to the published arctan(1/l) when omitted."""
     fam = _FAMILIES.get(family)
     if fam is None:
         raise DomainError(f"unknown CDC family {family!r}")
@@ -474,10 +447,10 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
     for k, v in p.items():
         if v is not None and not np.isfinite(v):
             raise DomainError(f"CDC parameter {k} must be finite, got {v}")
-    forms = _closed_forms(family, **p)[1]
-    if "theta" in forms and p["theta"] is None:
-        p["theta"] = float(forms["theta"]())    # pati's published angle arctan(1/l)
-    return fam, p, forms
+    closed = cdc_closed_forms(family, **p)
+    if "theta" in closed and p["theta"] is None:
+        p["theta"] = closed["theta"]
+    return fam, p, closed
 
 
 def _success(fam: _Family, closed: dict, vec: np.ndarray, d: int, branches) -> tuple:
@@ -503,8 +476,7 @@ def cdc_run(family: str, theta: float | None = None, epsilon: float | None = Non
     liqiu_w (parameter n) and qutrit_ghz.  A controller outcome outside the
     family's outcomes (and their other names) raises DomainError.
     """
-    fam, p, forms = _setup(family, theta, epsilon, l, n, class_index)
-    closed = {entry: float(forms[entry]()) for entry in _READS[fam.convention]}
+    fam, p, closed = _setup(family, theta, epsilon, l, n, class_index)
     label = fam.aliases.get(controller_outcome, controller_outcome)
     outcome = fam.spellings.get(label, label)
     if outcome not in fam.outcomes:
@@ -627,13 +599,6 @@ def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
     return DensityMatrix((2,), _bob_matrices(channel.matrix[None], (outcome,))[0])
 
 
-def _bob_states(channels: np.ndarray, outcomes) -> tuple:
-    """_bob_matrices validated with one _density_spectra call: the (k, 2, 2)
-    stack and its spectra."""
-    matrices = _bob_matrices(channels, outcomes)
-    return matrices, _density_spectra((2,), matrices)
-
-
 @functools.cache
 def _cloning():
     """The cloning module, imported by the first secret-sharing call, so that a
@@ -664,21 +629,31 @@ def _charlie_bit(charlie_bit: int) -> int:
     return 0 if charlie_bit == 0 else 1
 
 
-def _channels(params: cloning.CloningParams, bits: tuple) -> tuple:
-    """The non-local pairs Alice and Bob share after Cliff clones both qubits
-    of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1), one row per bit of bits,
-    from one stacked clone: a validated (k, 4, 4) stack and its spectra."""
-    (matrices,), (spectra,) = _cloning().clone_bipartite_stack(
-        (0.5,) * len(bits), tuple(1.0 - 2.0 * b for b in bits), params, pairs=("nonlocal",))
-    return matrices, spectra
+# the rows (Charlie's bit, Alice's outcome) of _shares' stack of Bob's states
+_BOB_ROWS = ((0, "+"), (0, "-"), (1, "+"), (1, "-"))
+
+
+def _shares(c: float, params: cloning.CloningParams) -> tuple:
+    """Everything a secret-sharing run reads, each stack validated once: the
+    non-local pairs Alice and Bob share after Cliff (machine params, amplitude
+    c) clones both qubits of Charlie's |Phi+> (bit 0) and |Phi-> (bit 1), as one
+    (2, 4, 4) stack from one stacked clone, with its spectra; the published
+    Q = 4 c^2 d^2; and Bob's conditional states in the rows of _BOB_ROWS, as a
+    (4, 2, 2) stack, with its spectra."""
+    (channels,), (spectra,) = _cloning().clone_bipartite_stack(
+        (0.5, 0.5), (1.0, -1.0), params, pairs=("nonlocal",))
+    bobs = _bob_matrices(channels[[b for b, _ in _BOB_ROWS]], [o for _, o in _BOB_ROWS])
+    q = 4.0 * c * c * (1.0 - c * c) / 2.0
+    return channels, spectra, q, bobs, _density_spectra((2,), bobs)
 
 
 def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
     """Non-local two-qubit state Alice and Bob share after Cliff clones both
     qubits of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1)."""
     params = _cloning_machine(c)
-    matrices, spectra = _channels(params, (_charlie_bit(charlie_bit),))
-    return DensityMatrix._validated((2, 2), matrices[0], spectra[0])
+    bit = _charlie_bit(charlie_bit)
+    channels, spectra = _shares(c, params)[:2]
+    return DensityMatrix._validated((2, 2), channels[bit], spectra[bit])
 
 
 def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -> SecretShareReport:
@@ -688,25 +663,19 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     params = _cloning_machine(c)
     bit = _charlie_bit(charlie_bit)
     _hadamard_vector(alice_outcome)     # raises for an unknown outcome before any simulation
-    channels, spectra = _channels(params, (0, 1))
-    # Bob's state, then his '+' state for each bit (one may be his state)
-    wanted = [(bit, alice_outcome)] + [(b, "+") for b in (0, 1) if (b, "+") != (bit, alice_outcome)]
-    bobs, bob_spectra = _bob_states(channels[[b for b, _ in wanted]], [o for _, o in wanted])
-    bob_plus = [bobs[wanted.index((b, "+"))] for b in (0, 1)]
-    d2 = (1.0 - c * c) / 2.0
-    q = 4.0 * c * c * d2
+    channels, spectra, q, bobs, bob_spectra = _shares(c, params)
+    row = _BOB_ROWS.index((bit, alice_outcome))
     e1, e2, e3 = povm_elements(q)
-    stats = tuple(float(np.trace(e @ bobs[0]).real) for e in (e1, e2, e3))
-    # the published Q, recomputed on Bob's '+' states
-    success = 0.5 * float(np.trace(e1 @ bob_plus[0]).real) \
-        + 0.5 * float(np.trace(e2 @ bob_plus[1]).real)
+    stats = tuple(float(np.trace(e @ bobs[row]).real) for e in (e1, e2, e3))
+    # the published Q, recomputed on Bob's '+' states for bits 0 and 1
+    success = 0.5 * float(np.trace(e1 @ bobs[0]).real) + 0.5 * float(np.trace(e2 @ bobs[2]).real)
     if abs(success - q) > 1e-12:
         raise DomainError(f"success probability {success} deviates from Q = {q}")
-    trace_norm = np.abs(np.linalg.eigvalsh(bob_plus[0] - bob_plus[1])).sum()
+    trace_norm = np.abs(np.linalg.eigvalsh(bobs[0] - bobs[2])).sum()
     return SecretShareReport(
         c=c, q=q, charlie_bit=charlie_bit, alice_outcome=alice_outcome,
         channel=DensityMatrix._validated((2, 2), channels[bit], spectra[bit]),
-        bob_state=DensityMatrix._validated((2,), bobs[0], bob_spectra[0]),
+        bob_state=DensityMatrix._validated((2,), bobs[row], bob_spectra[row]),
         povm_stats=stats, success_probability=success,
         helstrom_success=0.5 + 0.25 * float(trace_norm))
 
@@ -767,8 +736,7 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
     draw.  exact_success is the Born average
     sum p_branch * p_success and published_success the family's closed form.
     """
-    fam, p, forms = _setup(family, theta=theta, **kwargs)
-    closed = {"success": float(forms["success"]())}
+    fam, p, closed = _setup(family, theta=theta, **kwargs)
     tree, leaves, exact = _tree(family, p, fam.outcomes), {}, 0.0
     for outcome in fam.outcomes:
         prob, success = 0.0, 0.0        # unless the state produces the outcome
@@ -778,7 +746,7 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
         leaves[f"{outcome}/aux0"] = prob * success
         leaves[f"{outcome}/fail"] = prob * (1.0 - success)
         exact += prob * success
-    counts = _draw(np.random.default_rng(seed), leaves, n_samples)
+    counts = _draw(_rng(seed), leaves, n_samples)
     hits = sum(k for leaf, k in counts.items() if leaf.endswith("/aux0"))
     return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
             "published_success": closed["success"], "n_samples": n_samples,
@@ -798,21 +766,19 @@ def monte_carlo_secret_share(c: float, n_samples: int, seed: int) -> dict:
     Leaves read "bit/alice outcome/result"; exact_success is the mass of the
     conclusive_correct leaves, which is Q = 4 c^2 d^2.
     """
-    channels, _ = _channels(_cloning_machine(c), (0, 1))
-    bobs, _ = _bob_states(channels[[0, 0, 1, 1]], "+-+-")
-    elements = povm_elements(4.0 * c * c * (1.0 - c * c) / 2.0)
+    channels, _, q, bobs, _ = _shares(c, _cloning_machine(c))
+    alices = _reduced_matrix(channels, (2, 2), (0,))
+    elements = povm_elements(q)
     leaves = {}
-    for bit, alice in enumerate(_reduced_matrix(channels, (2, 2), (0,))):
-        for k, outcome in enumerate("+-"):
-            h = _hadamard_vector(outcome)
-            p_alice = float(np.real(h @ alice @ h))
-            bob = bobs[2 * bit + k]
-            e1, e2 = "conclusive_correct", "conclusive_wrong"
-            if (bit == 0) != (outcome == "+"):
-                e1, e2 = e2, e1
-            for result, e in zip((e1, e2, "inconclusive"), elements):
-                leaves[f"{bit}/{outcome}/{result}"] = 0.5 * p_alice * float(np.trace(e @ bob).real)
-    counts = _draw(np.random.default_rng(seed), leaves, n_samples)
+    for (bit, outcome), bob in zip(_BOB_ROWS, bobs):
+        h = _hadamard_vector(outcome)
+        p_alice = float(np.real(h @ alices[bit] @ h))
+        e1, e2 = "conclusive_correct", "conclusive_wrong"
+        if (bit == 0) != (outcome == "+"):
+            e1, e2 = e2, e1
+        for result, e in zip((e1, e2, "inconclusive"), elements):
+            leaves[f"{bit}/{outcome}/{result}"] = 0.5 * p_alice * float(np.trace(e @ bob).real)
+    counts = _draw(_rng(seed), leaves, n_samples)
     hits = sum(k for leaf, k in counts.items() if leaf.endswith("/conclusive_correct"))
     exact = sum(w for leaf, w in leaves.items() if leaf.endswith("/conclusive_correct"))
     return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,

@@ -23,6 +23,13 @@ class DomainError(ValueError):
     """Raised when an input lies outside the mathematical domain of an operation."""
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """np.random.default_rng(seed) for a seed >= 0; a negative one is a DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

@@ -168,29 +168,24 @@ def test_monte_carlo_builds_the_state_and_each_basis_once(monkeypatch, family, t
     assert len(built) == bases, built
 
 
-# the closed forms a run reads: the concurrence (simulated and published
-# conventions), the published success and pati's angle when theta is omitted
-READS = {"ghz": ["concurrence"], "ghz_class": ["concurrence"],
-         "pati": ["theta", "success", "concurrence"], "ghz4": ["concurrence"],
-         "w3": ["success", "concurrence"], "w4": ["success", "concurrence"],
-         "liqiu_w": ["success", "concurrence"], "qutrit_ghz": []}
-
-
 @pytest.mark.parametrize("family,theta,kwargs,bases", MC_CALLS)
-def test_a_cdc_call_evaluates_each_closed_form_it_reads_once(monkeypatch, family, theta, kwargs,
-                                                             bases):
-    read, closed_forms = [], protocols._closed_forms
-
-    def counted(*args, **kw):
-        params, forms = closed_forms(*args, **kw)
-        return params, {k: lambda k=k, f=f: read.append(k) or f() for k, f in forms.items()}
-
-    monkeypatch.setattr(protocols, "_closed_forms", counted)
-    protocols.cdc_run(family, theta, **kwargs)
-    assert read == READS[family]
-    read.clear()
-    protocols.monte_carlo_cdc(family, theta, 10, 1, **kwargs)
-    assert read == (["theta"] if theta is None and family == "pati" else []) + ["success"]
+def test_a_cdc_call_reports_the_closed_forms_bit_for_bit(family, theta, kwargs, bases):
+    # every closed-form field of a run is cdc_closed_forms' value: the
+    # concurrence (simulated and published conventions), the published success
+    # and bits, pati's angle when theta is omitted, and the Monte-Carlo
+    # published_success in every family
+    convention = protocols._FAMILIES[family].convention
+    closed = {k: v.hex() for k, v in protocols.cdc_closed_forms(family, theta=theta, **kwargs).items()}
+    r = protocols.cdc_run(family, theta, **kwargs)
+    if convention != "per_outcome":
+        assert r.shared_concurrence.hex() == closed["concurrence"]
+    if convention == "published":
+        assert (r.success_probability.hex(), r.bits_transmitted_avg.hex()) == (closed["success"],
+                                                                               closed["bits"])
+    if family == "pati":
+        assert r.theta.hex() == closed["theta"]
+    out = protocols.monte_carlo_cdc(family, theta, 10, 1, **kwargs)
+    assert out["published_success"].hex() == closed["success"]
 
 
 @settings(max_examples=100, deadline=None)

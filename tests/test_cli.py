@@ -92,6 +92,20 @@ def test_measure_negative_restarts_is_domain_error(capsys):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("protocol", "cdc", "--family", "ghz", "--theta", "0.6", "--montecarlo", "10"),
+    ("protocol", "secret-share", "--montecarlo", "10"),
+    ("measure", "--state", "gme:n=3", "--kind", "singlet_fraction")])
+def test_a_negative_seed_is_one_domain_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (3, "", "domain error: seed must be >= 0, got -1\n")
+
+
+def test_measure_separable_negativity_prints_plain_zero(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--state", "cloned_mems:c2=0.2", "--kind", "negativity")
+    assert (code, out) == (0, "0\n")
+
+
 def test_measure_entropy_of_entanglement_on_mixed_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "measure", "--state", "werner:F=0.8",
                            "--kind", "entropy_of_entanglement")

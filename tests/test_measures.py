@@ -1,4 +1,4 @@
-"""Entanglement/mixedness/distance measure tests with independent oracles."""
+"""Entanglement and mixedness measure tests with independent oracles."""
 import json
 import os
 import pathlib
@@ -105,6 +105,19 @@ def test_negativity_werner_against_partial_transpose_oracle():
 def test_negativity_three_level():
     rho = statezoo.generalized_max_entangled(3).density()
     assert measures.negativity(rho) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
+def test_negativity_of_a_mixture_of_product_states_is_plain_zero(seed, n, terms):
+    # the partial transpose of a separable state has no eigenvalue below its
+    # rounding, so the value is exactly +0.0: no rounding noise, no -0.0
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(terms))
+    m = sum(w * tensor(random_pure(rng, (n,)).density().matrix, random_pure(rng, (n,)).density().matrix)
+            for w in weights)
+    value = measures.negativity(DensityMatrix((n, n), m))
+    assert value == 0.0 and not np.signbit(value)
 
 
 def test_peres_horodecki_verdicts():
@@ -324,56 +337,14 @@ def test_singlet_fraction_requires_square_bipartite():
         measures.fef_bounds(rho)
 
 
+def test_singlet_fraction_negative_seed_is_domain_error():
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        measures.singlet_fraction(statezoo.generalized_max_entangled(3).density(), seed=-1)
+
+
 def test_singlet_fraction_negative_restarts_is_domain_error():
     with pytest.raises(DomainError, match="restarts"):
         measures.singlet_fraction(statezoo.werner(0.8), restarts=-3)
-
-
-# ---------------------------------------------------------------------------
-# distances
-# ---------------------------------------------------------------------------
-
-def test_distance_of_state_with_itself():
-    rho = statezoo.werner(0.8)
-    assert measures.distance(rho, rho, "trace") == pytest.approx(0.0, abs=1e-12)
-    assert measures.distance(rho, rho, "hilbert_schmidt") == pytest.approx(0.0, abs=1e-12)
-    assert measures.distance(rho, rho, "bures") == pytest.approx(0.0, abs=1e-6)
-    assert measures.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_trace_distance_orthogonal_pure_states():
-    zero = DensityMatrix((2,), np.diag([1.0, 0.0]))
-    one = DensityMatrix((2,), np.diag([0.0, 1.0]))
-    assert measures.distance(zero, one, "trace") == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hilbert_schmidt_is_trace_of_squared_difference():
-    rng = np.random.default_rng(19)
-    rho, sigma = random_density(rng, (2, 2)), random_density(rng, (2, 2))
-    delta = rho.matrix - sigma.matrix
-    assert measures.distance(rho, sigma, "hilbert_schmidt") == pytest.approx(
-        np.trace(delta @ delta).real, abs=1e-12)
-
-
-def test_bures_fidelity_relation_on_random_pairs():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        rho, sigma = random_density(rng, (2, 2)), random_density(rng, (2, 2))
-        f = measures.fidelity(rho, sigma)
-        d_b = measures.distance(rho, sigma, "bures")
-        assert d_b == pytest.approx(np.sqrt(2.0 * (1.0 - f)), abs=1e-10)
-
-
-def test_distance_rejects_an_unknown_metric():
-    rho = statezoo.werner(0.8)
-    with pytest.raises(DomainError, match="unknown metric 'fidelity'"):
-        measures.distance(rho, rho, "fidelity")
-
-
-def test_distance_dims_mismatch():
-    with pytest.raises(DomainError):
-        measures.distance(statezoo.werner(0.8),
-                          DensityMatrix((2,), np.eye(2) / 2), "trace")
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,13 @@ def test_monte_carlo_needs_at_least_one_sample(n_samples):
         protocols.monte_carlo_secret_share(np.sqrt(2 / 3), n_samples, seed=1)
 
 
+def test_monte_carlo_negative_seed_is_a_domain_error_naming_it():
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1$"):
+        protocols.monte_carlo_cdc("ghz", 0.6, 10, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1$"):
+        protocols.monte_carlo_secret_share(np.sqrt(2 / 3), 10, seed=-1)
+
+
 def test_monte_carlo_cdc_propagates_domain_errors():
     with pytest.raises(DomainError, match="admissible domain"):
         protocols.monte_carlo_cdc("w3", 1.0, 100, seed=1)
