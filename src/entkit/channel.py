@@ -9,8 +9,11 @@ The analysis works on stacks.  analyze_family builds a family's whole grid
 as one (N, 4, 4) stack from its statezoo matrix formula and validates it once
 (one stacked eigvalsh), then runs T, N and M, the concurrence, the Bell
 enumeration and the linear entropy once over the stack, one stacked eigh or
-svd per step, the exact magic-basis fully entangled fraction (restarts > 0)
-in one stacked eigvalsh, and the closed forms once over the grid.
+svd per step, and the closed forms once over the grid.  Their
+singlet_fraction column is measures.singlet_fraction's: the generalised Bell
+enumeration at restarts=0 (analyze_family's default), and at any positive
+restarts (analyze_channel's default) the fully entangled fraction, exact for
+two qubits, from one stacked eigvalsh in the magic basis.
 analyze_channel and the single-state functions are the same kernels applied
 to a one-state stack, so a state gets the same bits alone as in a grid.
 """
@@ -68,8 +71,8 @@ def _correlation_matrices(matrices: np.ndarray) -> np.ndarray:
 
 def _tt_eigenvalues(ts: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of T^dag T for each T in an (N, 3, 3) stack."""
-    s = np.linalg.svd(ts, compute_uv=False)
-    return np.sort(s * s, axis=-1)[:, ::-1]
+    s = np.linalg.svd(ts, compute_uv=False)     # descending
+    return s * s
 
 
 def _n_and_m(u: np.ndarray) -> tuple:
@@ -77,18 +80,16 @@ def _n_and_m(u: np.ndarray) -> tuple:
     return np.sum(np.sqrt(u), axis=-1), u[:, 0] + u[:, 1]
 
 
-def optimal_fidelity(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
+def optimal_fidelity(rho: DensityMatrix) -> float:
     """Optimal teleportation fidelity of a channel.
 
     Two qubits: f = (1 + N(rho)/3)/2.  n x n with n >= 3: f = (n F + 1)/(n + 1)
-    with F the fully entangled fraction.
+    with F = measures.singlet_fraction(rho), the fully entangled fraction.
     """
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DomainError(f"optimal fidelity needs an n x n bipartite state, got {rho.dims}")
-    n = rho.dims[0]
+    n = measures._require_square(rho, "optimal fidelity")
     if n == 2:
         return 0.5 * (1.0 + n_value(rho) / 3.0)
-    f = measures.singlet_fraction(rho, seed=seed, restarts=restarts)
+    f = measures.singlet_fraction(rho)
     return float((n * f + 1.0) / (n + 1.0))
 
 
@@ -120,7 +121,7 @@ class ChannelReport:
     boundary: bool = False         # true when N sits within 1e-9 of the N = 1 line
 
 
-def analyze_channel(rho: DensityMatrix, restarts: int = 32) -> ChannelReport:
+def analyze_channel(rho: DensityMatrix, restarts: int = 1) -> ChannelReport:
     measures._require_two_qubits(rho, "channel analysis")
     return _reports(rho.matrix[None], rho.spectrum[None], restarts)[0]
 
@@ -134,7 +135,7 @@ def _reports(matrices: np.ndarray, spectra: np.ndarray, restarts: int) -> list:
         "concurrence": measures._concurrences(matrices),
         "n_value": n,
         "m_value": m,
-        "singlet_fraction": measures._singlet_fractions(matrices, 2, 0, restarts),
+        "singlet_fraction": measures._singlet_fractions(matrices, 2, restarts),
         "fidelity_opt": 0.5 * (1.0 + n / 3.0),
         # exactly-critical channels (N = 1 up to float noise) are flagged boundary
         # and reported not useful; the same band guards the Bell flag

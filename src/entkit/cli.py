@@ -143,13 +143,11 @@ MEASURES = {
     "eof": lambda rho, args: measures.entanglement_of_formation(rho),
     "entropy_vn": lambda rho, args: measures.entropy(rho, "von_neumann", args.base),
     "entropy_linear": lambda rho, args: measures.entropy(rho, "linear"),
-    "singlet_fraction": lambda rho, args: measures.singlet_fraction(
-        rho, seed=args.seed, restarts=args.restarts),
+    "singlet_fraction": lambda rho, args: measures.singlet_fraction(rho),
     "entropy_of_entanglement": lambda rho, args: measures.entropy_of_entanglement(rho),
     "n_value": lambda rho, args: _layer("channel").n_value(rho),
     "m_value": lambda rho, args: _layer("channel").m_value(rho),
-    "fidelity_opt": lambda rho, args: _layer("channel").optimal_fidelity(
-        rho, seed=args.seed, restarts=args.restarts),
+    "fidelity_opt": lambda rho, args: _layer("channel").optimal_fidelity(rho),
 }
 
 
@@ -318,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="evaluate one measure of one state")
     m.add_argument("--state", required=True,
                    help="state spec, e.g. werner:F=0.75, bell:1, matrix:file.json")
-    m.add_argument("--kind", required=True, choices=tuple(MEASURES))
+    m.add_argument("--kind", required=True, choices=tuple(MEASURES),
+                   help="singlet_fraction is the fully entangled fraction F: exact for "
+                   "two qubits; for n x n, n >= 3, the polar ascent from the n^2 "
+                   "generalised Bell unitaries, a lower bound on F")
     m.add_argument("--base", type=float, default=2.0, help="entropy base (default 2)")
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--restarts", type=int, default=32, help="singlet_fraction: 0 is the "
-                   "Bell-basis enumeration only; above 0 a two-qubit state is exact and "
-                   "reads no seed, and an n x n state (n >= 3) runs the polar ascent from "
-                   "this many Haar starts besides the n^2 Bell starts")
     m.set_defaults(func=cmd_measure)
 
     f = sub.add_parser("figure", help="write one figure's data as CSV/JSON")

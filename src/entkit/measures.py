@@ -13,7 +13,6 @@ from .qcore import (
     DomainError,
     PureState,
     Y,
-    _rng,
     partial_trace,
     partial_transpose,
     psd_sqrt,
@@ -166,37 +165,40 @@ def maximally_entangled_bases(n: int) -> tuple:
     return tuple(out)
 
 
-def singlet_fraction(rho: DensityMatrix, seed: int = 0, restarts: int = 32) -> float:
-    """Maximal overlap of rho with a maximally entangled state.
+def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
+    """Fully entangled fraction F: the maximal overlap of rho with a maximally
+    entangled state.
 
-    The generalised Bell basis is enumerated exactly; restarts=0 returns the
-    enumeration alone.  With restarts > 0:
+    The generalised Bell basis is enumerated exactly, and restarts=0 returns
+    that enumeration alone, a lower bound on F.  Any positive restarts gives
+    F, with the same bits for every positive value: nothing is restarted, and
+    the keyword stays only because the perfbench workloads call
+    singlet_fraction(rho, restarts=32 or 6) and analyze_family(..., restarts=0).
 
     n = 2: a pure state is maximally entangled exactly when its coefficients
     in the magic basis (Phi+, i Phi-, i Psi+, Psi-) are real up to a global
-    phase (Bennett, DiVincenzo, Smolin & Wootters 1996), so the value is
-    lambda_max(Re(M^dag rho M)), exact and read without a seed.
+    phase (Bennett, DiVincenzo, Smolin & Wootters 1996), so F is
+    lambda_max(Re(M^dag rho M)), exact.
 
     n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
-    It ascends from the n^2 generalised Bell unitaries and from `restarts`
-    Haar unitaries drawn from default_rng(seed), each for a fixed 60 steps
-    with an Anderson extrapolation after every 3rd, kept only where it raises
-    the overlap: 80 svd per row, whatever the state.  The value is a lower
-    bound on the true maximum; fef_bounds certifies how far below it can lie.
+    It ascends from the n^2 generalised Bell unitaries, each for a fixed 60
+    steps with an Anderson extrapolation after every 3rd, kept only where it
+    raises the overlap: 80 svd per row, whatever the state.  The value is a
+    lower bound on F; fef_bounds certifies how far below it can lie.
 
-    Either way the value is never below the enumeration and never lowered by
-    one more restart.
+    Either way the value is never below the enumeration.
     """
-    return _singlet_fractions(rho.matrix[None], _square(rho), seed, restarts)[0]
+    return _singlet_fractions(rho.matrix[None], _require_square(rho, "singlet fraction"),
+                              restarts)[0]
 
 
 def fef_bounds(rho: DensityMatrix) -> tuple:
     """Certified bracket (lower, upper) on the fully entangled fraction F.
 
-    lower is singlet_fraction(rho) at its defaults, bit for bit.  n = 2: the
-    bracket is [F, F], since that value is exact.
+    lower is singlet_fraction(rho), bit for bit.  n = 2: the bracket is
+    [F, F], since that value is exact.
 
     n >= 3: take the ascent's best unitary W, psi = (I x W)|Phi+>,
     G = mat(rho vec W) and H = Herm(G W^dag).  For every hermitian Z,
@@ -220,13 +222,14 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     still 1.4e-3 open after those 200 steps.  The clone pair at
     d = 1/sqrt(8) is the slowest of the states that close.
     """
-    lower, upper = _fef_brackets(rho.matrix[None], _square(rho), 0, 32)
+    lower, upper = _fef_brackets(rho.matrix[None], _require_square(rho, "singlet fraction"))
     return float(lower[0]), float(upper[0])
 
 
-def _square(rho: DensityMatrix) -> int:
+def _require_square(rho: DensityMatrix, what: str) -> int:
+    """n of an n x n bipartite state; any other shape is a DomainError naming `what`."""
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DomainError(f"singlet fraction needs an n x n bipartite state, got {rho.dims}")
+        raise DomainError(f"{what} needs an n x n bipartite state, got {rho.dims}")
     return rho.dims[0]
 
 
@@ -242,20 +245,21 @@ _MAGIC.flags.writeable = False
 # polar steps of every (state, start) row, every _ANDERSON_EVERY-th followed by
 # an extrapolation; no stopping test, so a call's cost does not depend on its
 # state.  On the 1,409 3x3 states of tests/fixtures/ascent_budget.py every
-# state came within 1e-15 of a 3,000-step plain ascent by step 30 (the 6th
-# drawn from seed 10 last, the median by step 9); 60 keeps twice that
+# state came within 1e-15 of a 3,000-step plain ascent from the Bell and 6
+# Haar starts by step 30 (the 6th drawn from seed 10 last, the median by
+# step 9); 60 keeps twice that
 _POLAR_STEPS = 60
 _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
 
 
-def _singlet_fractions(matrices: np.ndarray, n: int, seed: int, restarts: int) -> list:
+def _singlet_fractions(matrices: np.ndarray, n: int, restarts: int = 1) -> list:
     """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
     list of floats, each state with the bits it gets alone."""
-    return _refine(matrices, n, seed, restarts)[0].tolist()
+    return _refine(matrices, n, restarts)[0].tolist()
 
 
-def _refine(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
+def _refine(matrices: np.ndarray, n: int, restarts: int) -> tuple:
     """(F, W) for an (N, n^2, n^2) stack: F the enumeration, and with
     restarts > 0 the magic-basis eigenvalue (n = 2) or the polar ascent
     (n >= 3), each run once over the whole stack with every product taken
@@ -275,22 +279,22 @@ def _refine(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
         return np.maximum(best, found), None
-    found, w = _polar_ascent(matrices, n, seed, restarts)
+    found, w = _polar_ascent(matrices, _polar_starts(n))
     return np.maximum(best, found), w
 
 
-def _polar_ascent(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
+def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     """Best overlap of each n x n state in an (N, n^2, n^2) stack over the
-    polar ascents from the n^2 generalised Bell unitaries and `restarts` Haar
-    unitaries, and the (N, n, n) unitary W that reached it; each step is one
-    stacked svd over every (state, start) row.
+    polar ascents from the (S, n^2, 1) columns vec W of `starts`, and the
+    (N, n, n) unitary W that reached it; each step is one stacked svd over
+    every (state, start) row.
 
     The ascent converges linearly, slowly where its rate is near 1, so after
     every _ANDERSON_EVERY-th step each row also takes a polar step from the
     Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
     547 (1965)) and moves there only if that raises its overlap."""
     rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
-    w, outs, steps = _polar_starts(n, seed, restarts), [], []
+    n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
     g = rows @ w
     for k in range(1, _POLAR_STEPS + 1):
         new = _polar_step(g)
@@ -317,16 +321,9 @@ def _anderson_mix(outs: list, steps: list) -> np.ndarray:
     return np.concatenate(outs, -1) @ (a / a.sum(axis=-2, keepdims=True))
 
 
-def _polar_starts(n: int, seed: int, restarts: int) -> np.ndarray:
-    """vec W, as (n^2, 1) columns, of the n^2 generalised Bell unitaries and
-    `restarts` Haar unitaries: the phase-fixed QR factors of Ginibre matrices
-    drawn in one block, so restarts + 1 keeps the first restarts."""
-    z = _rng(seed).normal(size=(restarts, 2, n, n))
-    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    haar = (q * (d / np.abs(d))[:, None, :]).reshape(restarts, n * n)
-    bases = np.array(maximally_entangled_bases(n))
-    return np.concatenate([np.sqrt(n) * bases, haar])[..., None]
+def _polar_starts(n: int) -> np.ndarray:
+    """vec W, as (n^2, 1) columns, of the n^2 generalised Bell unitaries."""
+    return np.sqrt(n) * np.array(maximally_entangled_bases(n))[..., None]
 
 
 def _overlaps(w: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -352,10 +349,10 @@ _DUAL_STEPS = 200
 _EPS = np.finfo(float).eps
 
 
-def _fef_brackets(matrices: np.ndarray, n: int, seed: int, restarts: int) -> tuple:
+def _fef_brackets(matrices: np.ndarray, n: int) -> tuple:
     """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
-    lower being singlet_fraction(rho, seed, restarts), restarts > 0."""
-    lower, w = _refine(matrices, n, seed, restarts)
+    lower being singlet_fraction(rho)."""
+    lower, w = _refine(matrices, n, 1)
     if n == 2:
         return lower, lower
     half_h = (matrices @ w.reshape(-1, n * n, 1)).reshape(w.shape) @ w.conj().swapaxes(-1, -2)

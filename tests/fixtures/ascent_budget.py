@@ -1,13 +1,14 @@
 """Measure how many polar steps the n = 3 FEF ascent needs on a corpus of states.
 
-For every 3x3 state below, the script reads
-`measures.singlet_fraction(rho, seed=0, restarts=6)` with the ascent's step
-budget `measures._POLAR_STEPS` cut to t = 1, 2, ... up to the budget, and
-prints the step t from which that value stays within TOL of a plain polar
-ascent (no extrapolation) run for REFERENCE_STEPS steps from the same
-starts.  It then prints the slowest state and the budget's margin, the
-budget over that state's step, and exits 1 when the margin is below
-MIN_MARGIN, or when a state never comes within TOL.  The corpus:
+For every 3x3 state below, the script reads `measures.singlet_fraction(rho)`,
+the ascent from the nine generalised Bell unitaries, with its step budget
+`measures._POLAR_STEPS` cut to t = 1, 2, ... up to the budget, and prints the
+step t from which that value stays within TOL of a plain polar ascent (no
+extrapolation) run for REFERENCE_STEPS steps from the Bell starts and
+HAAR_STARTS Haar unitaries drawn from `default_rng(HAAR_SEED)`.  It then
+prints the slowest state and the budget's margin, the budget over that
+state's step, and exits 1 when the margin is below MIN_MARGIN, or when a
+state never comes within TOL.  The corpus:
 - the first nine states drawn from each of seeds 0-149 by
   `test_measures.drawn_states` (1,350 random states of ranks 1-9),
 - the eight floor states of `make_fef_values.floor_states`,
@@ -16,8 +17,8 @@ MIN_MARGIN, or when a state never comes within TOL.  The corpus:
 - `test_measures.SLOW_STATES`.
 Each read is one stack of the whole corpus (`measures._singlet_fractions`),
 which gives every state the bits of `singlet_fraction` alone.  It is not
-part of the test suite: it took 13 minutes on a shared 2-vCPU host, about
-half of them in the reference ascent.
+part of the test suite: it took about 11 minutes on a shared 2-vCPU host,
+most of them in the reference ascent.
 
     PYTHONPATH=src python tests/fixtures/ascent_budget.py
 """
@@ -30,11 +31,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
-import test_measures  # noqa: E402  (drawn_states and SLOW_STATES)
+import test_measures  # noqa: E402  (drawn_states, SLOW_STATES and haar_starts)
 from entkit import measures  # noqa: E402
 from fixtures import make_fef_values  # noqa: E402
 
-SEED, RESTARTS = 0, 6
+HAAR_SEED, HAAR_STARTS = 0, 6
 REFERENCE_STEPS = 3000
 TOL = 1e-15
 MIN_MARGIN = 2.0
@@ -49,7 +50,7 @@ def corpus() -> dict:
     states.update(make_fef_values.floor_states())
     for seed in range(1, 11):
         states.update((f"perfbench seed-{seed} {name}", rho)
-                      for name, (rho, _) in make_fef_values.workload_states(seed).items()
+                      for name, rho in make_fef_values.workload_states(seed).items()
                       if name.startswith("fef3:"))
     for name, rho in test_measures.SLOW_STATES.items():
         states.setdefault(name, rho)
@@ -58,9 +59,9 @@ def corpus() -> dict:
 
 def plain_ascent(matrices: np.ndarray) -> np.ndarray:
     """Best overlap of each state after REFERENCE_STEPS plain polar steps
-    from the starts of singlet_fraction(rho, SEED, RESTARTS)."""
+    from the Bell starts and HAAR_STARTS Haar unitaries."""
     rows = matrices[:, None]
-    w = measures._polar_starts(3, SEED, RESTARTS)
+    w = test_measures.haar_starts(np.random.default_rng(HAAR_SEED), 3, HAAR_STARTS)
     for _ in range(REFERENCE_STEPS):
         w = measures._polar_step(rows @ w)
     return measures._overlaps(w, rows @ w, 3).max(axis=1)
@@ -75,7 +76,7 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> np.ndarray:
     try:
         for steps in range(1, budget + 1):
             measures._POLAR_STEPS = steps
-            value = np.array(measures._singlet_fractions(matrices, 3, SEED, RESTARTS))
+            value = np.array(measures._singlet_fractions(matrices, 3))
             reached[value < reference - TOL] = steps + 1
     finally:
         measures._POLAR_STEPS = budget

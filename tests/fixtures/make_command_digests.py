@@ -3,7 +3,8 @@
 
 Each digest covers the exit code, stdout and stderr of one `cli.main` call:
 every measure kind on a fixed set of state specs (named families, Bell
-states and seeded random matrices written to a temporary directory), every CDC
+states and seeded random matrices written to a temporary directory), the
+usage errors of `measure --restarts` and `measure --seed`, every CDC
 family with and without `--montecarlo`, and secret-share runs at several
 c^2.  These bytes are the CLI's output contract, so regenerate the fixture
 only when a change of measure or protocol output is intended:
@@ -81,11 +82,10 @@ def commands() -> list:
     out = []
     for state in STATES:
         for kind in cli.MEASURES:
-            extra = ("--restarts", "0") if kind in ("singlet_fraction", "fidelity_opt") else ()
-            out.append(("measure", "--state", state, "--kind", kind, *extra))
-    for state in ("mjwk:C=0.5", "matrix:{dir}/mixed_2x2.json"):
-        out.append(("measure", "--state", state, "--kind", "singlet_fraction",
-                    "--restarts", "2", "--seed", "1"))
+            out.append(("measure", "--state", state, "--kind", kind))
+    # measure reads no seed or restarts: both are usage errors (exit 2)
+    for option in (("--restarts", "0"), ("--seed", "1")):
+        out.append(("measure", "--state", "gme:n=3", "--kind", "singlet_fraction", *option))
     out.append(("measure", "--state", "matrix:{dir}/mixed_3x3.json", "--kind", "entropy_vn",
                 "--base", "3"))
     for args in CDC:

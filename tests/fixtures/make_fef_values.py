@@ -1,17 +1,17 @@
 """Write fef_values.json: the pinned float bits of the fully entangled fraction.
 
-The fixture pins `measures.singlet_fraction` with restarts > 0, so the
-magic-basis eigenvalue for n = 2 and, for n = 3, the extrapolated polar
-ascent run for its fixed 60 steps from every start (every 3x3 state of
-`ascent_budget.py` comes within 1e-15 of a 3,000-step ascent by step 30), on
+The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
+fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the
+extrapolated polar ascent from the nine generalised Bell unitaries, run for
+its fixed 60 steps (see `ascent_budget.py`), once for each of
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
-  `default_rng(1)`) at the restarts it runs them with,
-- the eight floor states of the qutrit clone analysis at
-  `seed=1, restarts=6`,
-- seeded random n x n states, n = 2 and 3, of every rank at 1 to 8 restarts,
+  `default_rng(1)`),
+- the floor states of the qutrit clone analysis that the workload does not
+  already hold,
+- seeded random n x n states, n = 2 and 3, of every rank,
 and every field of `channel.analyze_channel(restarts=4)` on a few two-qubit
-states.  The states that share n, seed and restarts are refined as one
-stack, `measures._singlet_fractions`, which gives each state the bits of
+states.  The states of one n are refined as one stack,
+`measures._singlet_fractions`, which gives each state the bits of
 `singlet_fraction` alone.  A float is pinned as its IEEE-754 bits (`.view(np.int64)`), so a
 move of one ulp shows.  Regenerate it only when a change of FEF value is
 intended:
@@ -43,11 +43,9 @@ import util  # noqa: E402  (tests/util.py: the Ginibre state generator)
 from entkit import channel, cloning, measures, statezoo  # noqa: E402
 from fixtures import make_channel_reports  # noqa: E402
 
-# (n, rank, seed) of each random state; seed draws the state and seeds its
-# refinement, which runs RESTARTS[n] + seed restarts (Haar starts)
+# (n, rank, seed) of each random state, drawn from default_rng(seed)
 RANDOM_STATES = (*((2, rank, seed) for rank in range(1, 5) for seed in range(5)),
                  *((3, rank, seed) for rank in range(1, 10) for seed in (rank % 5, (rank + 2) % 5)))
-RESTARTS = {2: 4, 3: 1}
 
 # a value may rise, but may not fall by more than this (rounding) before a re-pin
 FLOOR_GATE = 1e-12
@@ -57,26 +55,27 @@ CLONE_DS = {"sqrt(1/8)": np.sqrt(1.0 / 8.0), "0.45": 0.45, "0.5": 0.5}
 
 
 def workload_states(seed: int = 1) -> dict:
-    """name -> (state, restarts) of the perfbench `fef` workload at `seed`."""
+    """name -> state of the perfbench `fef` workload at `seed`."""
     rng = np.random.default_rng(seed)
     pair = cloning.qutrit_cloned_pair(0.5).joint
     return {
-        "fef2:ginibre-full": (util.random_density(rng, (2, 2)), 32),
-        "fef2:ginibre-rank2": (util.random_density(rng, (2, 2), rank=2), 32),
-        "fef2:werner-0.8": (statezoo.werner(0.8), 32),
-        "fef2:mjwk-0.5": (statezoo.mjwk(0.5), 32),
-        "fef3:ginibre-full": (util.random_density(rng, (3, 3)), 6),
-        "fef3:ginibre-rank3": (util.random_density(rng, (3, 3), rank=3), 6),
-        "fef3:clone-d0.45": (cloning.qutrit_cloned_pair(0.45).joint, 6),
-        "fef3:clone-d0.5": (pair, 6),
-        "fef3:distilled-d0.5": (cloning.distill(pair, cloning.distillation_filter(pair)), 6),
+        "fef2:ginibre-full": util.random_density(rng, (2, 2)),
+        "fef2:ginibre-rank2": util.random_density(rng, (2, 2), rank=2),
+        "fef2:werner-0.8": statezoo.werner(0.8),
+        "fef2:mjwk-0.5": statezoo.mjwk(0.5),
+        "fef3:ginibre-full": util.random_density(rng, (3, 3)),
+        "fef3:ginibre-rank3": util.random_density(rng, (3, 3), rank=3),
+        "fef3:clone-d0.45": cloning.qutrit_cloned_pair(0.45).joint,
+        "fef3:clone-d0.5": pair,
+        "fef3:distilled-d0.5": cloning.distill(pair, cloning.distillation_filter(pair)),
     }
 
 
 def floor_states() -> dict:
-    """name -> state of the FEF floors pinned at seed=1, restarts=6."""
+    """name -> state of the qutrit clone analysis' FEF floors: the two fef3
+    Ginibre states and the clone pair and its distilled pair at each CLONE_DS."""
     workload = workload_states()
-    states = {name: workload[f"fef3:{name}"][0] for name in ("ginibre-full", "ginibre-rank3")}
+    states = {name: workload[f"fef3:{name}"] for name in ("ginibre-full", "ginibre-rank3")}
     for name, d in CLONE_DS.items():
         pair = cloning.qutrit_cloned_pair(d).joint
         states[f"clone-d={name}"] = pair
@@ -90,34 +89,31 @@ def _bits(value: float) -> int:
     return int(np.float64(value).view(np.int64))
 
 
-def _fractions(entries) -> dict:
-    """key -> bits of singlet_fraction(rho, seed, restarts) for each entry
-    (key, rho, seed, restarts), one stack per (n, seed, restarts)."""
+def _fractions(states: dict) -> dict:
+    """key -> bits of singlet_fraction(rho) for each key -> rho, one stack per n."""
     groups = {}
-    for key, rho, seed, restarts in entries:
-        groups.setdefault((rho.dims[0], seed, restarts), []).append((key, rho))
+    for key, rho in states.items():
+        groups.setdefault(rho.dims[0], []).append((key, rho))
     bits = {}
-    for (n, seed, restarts), members in groups.items():
-        matrices = np.array([rho.matrix for _, rho in members])
-        values = measures._singlet_fractions(matrices, n, seed, restarts)
+    for n, members in groups.items():
+        values = measures._singlet_fractions(np.array([rho.matrix for _, rho in members]), n)
         bits.update((key, _bits(value)) for (key, _), value in zip(members, values))
     return bits
 
 
 def table() -> dict:
-    workload = _fractions((name, rho, 0, restarts)
-                          for name, (rho, restarts) in workload_states().items())
-    floors = _fractions((name, rho, 1, 6) for name, rho in floor_states().items())
-    random = _fractions(
-        (f"n={n},rank={rank},seed={seed}",
-         util.random_density(np.random.default_rng(seed), (n, n), rank=rank),
-         seed, RESTARTS[n] + seed)
-        for n, rank, seed in RANDOM_STATES)
+    workload = workload_states()
+    held = {rho.matrix.tobytes() for rho in workload.values()}
+    floors = {name: rho for name, rho in floor_states().items()
+              if rho.matrix.tobytes() not in held}
+    random = {f"n={n},rank={rank},seed={seed}":
+              util.random_density(np.random.default_rng(seed), (n, n), rank=rank)
+              for n, rank, seed in RANDOM_STATES}
     channels = {f"seed={seed},rank={rank}": make_channel_reports._report(channel.analyze_channel(
                     make_channel_reports.random_state(seed, rank), restarts=4))
                 for seed, rank in ((0, 1), (1, 2), (2, 3), (3, 4))}
-    return {"workload": workload, "floors": floors, "random": random,
-            "analyze_channel": channels}
+    return {"workload": _fractions(workload), "floors": _fractions(floors),
+            "random": _fractions(random), "analyze_channel": channels}
 
 
 def _entries(table: dict) -> dict:

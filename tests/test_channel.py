@@ -61,7 +61,8 @@ def test_fidelity_closed_forms():
 
 
 def test_optimal_fidelity_dimension_checks():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^optimal fidelity needs an n x n bipartite state, "
+                                          r"got \(2, 3\)$"):
         channel.optimal_fidelity(random_density(np.random.default_rng(0), (2, 3)))
 
 
@@ -482,7 +483,7 @@ def test_optimal_fidelity_qutrit_route_on_distilled_clone():
 
     joint = cloning.qutrit_cloned_pair(np.sqrt(1 / 8)).joint
     dist = cloning.distill(joint, cloning.distillation_filter(joint))
-    f = channel.optimal_fidelity(dist, restarts=0)
+    f = channel.optimal_fidelity(dist)
     assert f == pytest.approx(0.5409, abs=1e-3)
 
 

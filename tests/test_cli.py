@@ -85,11 +85,13 @@ def test_measure_matrix_file(tmp_path, capsys):
     assert float(out) == pytest.approx(0.6, abs=1e-10)
 
 
-def test_measure_negative_restarts_is_domain_error(capsys):
-    code, out, err = run_cli(capsys, "measure", "--state", "mjwk:C=0.5",
-                             "--kind", "singlet_fraction", "--restarts", "-3")
-    assert code == 3 and out == ""
-    assert "restarts" in err
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--restarts", "0")])
+def test_measure_seed_and_restarts_are_usage_errors(capsys, option):
+    # singlet_fraction and fidelity_opt print the FEF, which reads neither
+    code, out, err = run_cli(capsys, "measure", "--state", "gme:n=3",
+                             "--kind", "singlet_fraction", *option)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,8 +99,13 @@ def test_measure_negative_restarts_is_domain_error(capsys):
     ("protocol", "secret-share", "--montecarlo", "10"),
     ("measure", "--state", "gme:n=3", "--kind", "singlet_fraction")])
 def test_a_negative_seed_is_one_domain_error_line(capsys, argv):
+    # measure takes no --seed, so there it is a usage error
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
-    assert (code, out, err) == (3, "", "domain error: seed must be >= 0, got -1\n")
+    if argv[0] == "measure":
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --seed -1\n")
+    else:
+        assert (code, out, err) == (3, "", "domain error: seed must be >= 0, got -1\n")
 
 
 def test_measure_separable_negativity_prints_plain_zero(capsys):

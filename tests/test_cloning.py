@@ -333,7 +333,7 @@ def test_fef_of_the_half_clone_pair_is_16_27():
     # the d = 1/2 pair's FEF, reached at (I x W)|Phi+> with the real
     # reflection W = I - (2/3) J, J the all-ones matrix
     joint = cloning.qutrit_cloned_pair(0.5).joint
-    assert measures.singlet_fraction(joint, seed=1, restarts=6) == pytest.approx(
+    assert measures.singlet_fraction(joint) == pytest.approx(
         16.0 / 27.0, abs=1e-12)
 
 
@@ -344,8 +344,8 @@ CLONE_FEF_GRID = np.r_[np.linspace(0.01, 0.5, 50), D_OPT, cloning.NONOPT_FILTER_
 def test_clone_pair_fef_is_the_ascent_value_inside_the_certified_bracket():
     closed = cloning.clone_pair_fef(CLONE_FEF_GRID)
     stack = np.array([cloning.qutrit_cloned_pair(d).joint.matrix for d in CLONE_FEF_GRID])
-    # lower is singlet_fraction(rho, seed=1, restarts=6), the floors' setting
-    lower, upper = measures._fef_brackets(stack, 3, 1, 6)
+    # lower is singlet_fraction(rho)
+    lower, upper = measures._fef_brackets(stack, 3)
     assert_allclose(lower, closed, rtol=0, atol=1e-12)
     assert (closed <= upper).all()
     assert (upper - lower <= 1e-12).all()
