@@ -1,4 +1,5 @@
 """Entanglement and mixedness measure tests with independent oracles."""
+import inspect
 import json
 import os
 import pathlib
@@ -269,19 +270,39 @@ def test_singlet_fraction_ascent_agrees_with_algebraic_oracle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
-       st.integers(min_value=2, max_value=40))
-def test_singlet_fraction_is_bounded_and_the_same_at_every_positive_restarts(seed, n, restarts):
-    # a state of every rank; restarts = 1 and any larger value give the same
-    # bits, at or above the enumeration and below the free bounds
-    rng = np.random.default_rng(seed)
-    rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
-    value = measures.singlet_fraction(rho, restarts=1)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=40))
+def test_two_qubit_singlet_fraction_is_bounded_and_reads_no_seed(seed, rank, restarts):
+    # a two-qubit state of every rank: the FEF lies at or above the
+    # enumeration and below the free bounds, and no seed can be passed
+    rho = random_density(np.random.default_rng(seed), (2, 2), rank=rank)
+    value = measures.singlet_fraction(rho, restarts=restarts)
     assert value >= measures.singlet_fraction(rho, restarts=0)
     pt_norm = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 1))))
-    assert value <= min(rho.spectrum[-1], pt_norm / n) + 1e-12
-    again = measures.singlet_fraction(rho, restarts=restarts)
-    assert np.float64(again).view(np.int64) == np.float64(value).view(np.int64)
+    assert value <= min(rho.spectrum[-1], pt_norm / 2.0) + 1e-12
+    assert "seed" not in inspect.signature(measures.singlet_fraction).parameters
+    with pytest.raises(TypeError):
+        measures.singlet_fraction(rho, seed=seed, restarts=restarts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+       st.integers(min_value=0, max_value=40))
+def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
+    # a state of every rank; restarts = 0 is the enumeration and every
+    # positive value the FEF, so k + 1 restarts never read lower than k, and
+    # from k = 1 on they give the bits of restarts = 1
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
+    before = measures.singlet_fraction(rho, restarts=k)
+    after = measures.singlet_fraction(rho, restarts=k + 1)
+    assert after >= before
+    pt_norm = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 1))))
+    assert after <= min(rho.spectrum[-1], pt_norm / n) + 1e-12
+    if k >= 1:
+        first = measures.singlet_fraction(rho, restarts=1)
+        assert np.float64(before).view(np.int64) == np.float64(first).view(np.int64)
+        assert np.float64(after).view(np.int64) == np.float64(first).view(np.int64)
 
 
 PINNED_FEF_VALUES = json.loads(
