@@ -10,10 +10,10 @@ as one (N, 4, 4) stack from its statezoo matrix formula and validates it once
 (one stacked eigvalsh), then runs T, N and M, the concurrence, the Bell
 enumeration and the linear entropy once over the stack, one stacked eigh or
 svd per step, and the closed forms once over the grid.  Their
-singlet_fraction column is measures.singlet_fraction's: the generalised Bell
-enumeration at restarts=0 (analyze_family's default), and at any positive
-restarts (analyze_channel's default) the fully entangled fraction, exact for
-two qubits, from one stacked eigvalsh in the magic basis.
+singlet_fraction column is measures.singlet_fraction's: at any positive
+restarts (both functions' default) the fully entangled fraction, exact for
+two qubits, from one stacked eigvalsh in the magic basis, and at restarts=0
+the generalised Bell enumeration.
 analyze_channel and the single-state functions are the same kernels applied
 to a one-state stack, so a state gets the same bits alone as in a grid.
 """
@@ -247,7 +247,7 @@ _FAMILIES = {
 }
 
 
-def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
+def analyze_family(family: str, values, restarts: int = 1, **fixed) -> list:
     """Analyze one state family over a parameter grid.
 
     Returns (value, ChannelReport, closed_forms) triples sorted by the grid
@@ -256,6 +256,8 @@ def analyze_family(family: str, values, restarts: int = 0, **fixed) -> list:
     the remaining weight split evenly between x and y).  The statezoo
     constructor builds the grid as one stack, validated at once, and raises
     for its first bad value; the analysis and closed forms run once over it.
+    The singlet_fraction column is the fully entangled fraction, or at
+    restarts=0 the generalised Bell enumeration.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}")

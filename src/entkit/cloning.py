@@ -150,9 +150,10 @@ def clone_pair_fef(d):
 # reduction criterion and distillation
 # ---------------------------------------------------------------------------
 
-# Reduction eigenvalues (or eigenspace weights) this close are equal.  The
-# clone pairs tie between sides A and B, and for d below about 0.4363 each
-# side's minimum is degenerate; rounding must not pick the distilled state.
+# Reduction eigenvalues (or eigenspace weights) this close are equal, and an
+# eigenvalue below -REDUCTION_TIE is a violation.  The clone pairs tie between
+# sides A and B, and for d below about 0.4363 each side's minimum is
+# degenerate; rounding must not pick the distilled state.
 REDUCTION_TIE = 1e-12
 
 
@@ -177,7 +178,7 @@ def reduction_check(rho: DensityMatrix) -> ReductionResult:
     # a tie goes to side A, the side the paper filters
     side = "B" if lowest["B"][0] < lowest["A"][0] - REDUCTION_TIE else "A"
     eigenvalue, eigenvector = lowest[side]
-    return ReductionResult(eigenvalue < -1e-10, side, eigenvalue, eigenvector)
+    return ReductionResult(eigenvalue < -REDUCTION_TIE, side, eigenvalue, eigenvector)
 
 
 def _lowest_eigenpair(evals: np.ndarray, evecs: np.ndarray) -> tuple:

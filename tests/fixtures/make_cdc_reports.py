@@ -1,24 +1,12 @@
-"""Write cdc_reports.json: pinned controlled-dense-coding reports.
+"""cdc_reports.json: pinned controlled-dense-coding reports.
 
 The fixture pins every CdcReport field and the shared-state vector of
 `cdc_run` on a grid of families, controller outcomes, auxiliary outcomes and
 admissible angles, plus the argument sets of the `entkit protocol cdc`
-commands the benchmark runs.  A call that raises
-records its DomainError message instead.  Regenerate it only when a change
-of CDC output is intended:
-
-    PYTHONPATH=src python tests/fixtures/make_cdc_reports.py
-
-With --check the script writes nothing: it prints each entry that moved,
-with the fields that differ, and exits 1 if any did.
+commands the benchmark runs.  A call that raises records its DomainError
+message instead.  `pin.py` writes and checks the file.
 """
 from __future__ import annotations
-
-import argparse
-import itertools
-import json
-import pathlib
-import sys
 
 import numpy as np
 
@@ -98,46 +86,5 @@ def record(call: str, kwargs: dict) -> dict:
     return entry
 
 
-def moved(pinned: list, got: list) -> list:
-    """One line per entry whose JSON text moved: its call, its arguments and
-    the fields (report fields by name) that differ, or whether it is new or
-    no longer made."""
-    lines = []
-    for old, new in itertools.zip_longest(pinned, got, fillvalue={}):
-        if json.dumps(old) == json.dumps(new):
-            continue
-        if not (old and new):
-            fields = ["new entry" if new else "no longer made"]
-        else:
-            fields = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
-            if "report" in fields and "report" in old and "report" in new:
-                fields.remove("report")
-                was, now = old["report"], new["report"]
-                fields += sorted(f"report.{key}" for key in was.keys() | now.keys()
-                                 if was.get(key) != now.get(key))
-        entry = new or old
-        lines.append(f"{entry['call']} {json.dumps(entry['kwargs'])}: {', '.join(fields)}")
-    return lines
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="recompute the reports, print each entry that moved and exit 1 "
-                             "if any did; write nothing")
-    args = parser.parse_args(argv)
-    entries = [json.loads(json.dumps(record(call, kwargs), default=float))
-               for call, kwargs in cases()]
-    path = pathlib.Path(__file__).with_name("cdc_reports.json")
-    if args.check:
-        names = moved(json.loads(path.read_text()), entries)
-        print("\n".join(names + [f"{len(names)} of {len(entries)} entries moved"]))
-        return 1 if names else 0
-    lines = ",\n".join(json.dumps(entry) for entry in entries)
-    path.write_text(f"[\n{lines}\n]\n")
-    print(f"wrote {len(entries)} entries to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def table() -> list:
+    return [record(call, kwargs) for call, kwargs in cases()]

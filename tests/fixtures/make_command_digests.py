@@ -1,4 +1,4 @@
-"""Write command_digests.json: pinned SHA-256 digests of `entkit measure` and
+"""command_digests.json: pinned SHA-256 digests of `entkit measure` and
 `entkit protocol` commands.
 
 Each digest covers the exit code, stdout and stderr of one `cli.main` call:
@@ -6,33 +6,27 @@ every measure kind on a fixed set of state specs (named families, Bell
 states and seeded random matrices written to a temporary directory), the
 usage errors of `measure --restarts` and `measure --seed`, every CDC
 family with and without `--montecarlo`, and secret-share runs at several
-c^2.  These bytes are the CLI's output contract, so regenerate the fixture
-only when a change of measure or protocol output is intended:
-
-    PYTHONPATH=src python tests/fixtures/make_command_digests.py
-
-With --check the script writes nothing: it lists the commands whose digest
-moved and exits 1 if any did.
+c^2.  These bytes are the CLI's output contract.  `pin.py` writes and
+checks the file.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
-import sys
 import tempfile
 
 import numpy as np
 
+import util  # tests/util.py: the Ginibre state generator
 from entkit import cli
 
-# name -> (dims, seed, rank or None for a pure state) of each random matrix file
+# name -> (dims, seed, rank) of each random matrix file, drawn from default_rng(seed)
 MATRICES = {
-    "pure_2x2": ((2, 2), 1, None),
-    "pure_2x3": ((2, 3), 2, None),
+    "pure_2x2": ((2, 2), 1, 1),
+    "pure_2x3": ((2, 3), 2, 1),
     "mixed_2x2": ((2, 2), 3, 4),
     "rank2_2x2": ((2, 2), 4, 2),
     "mixed_3x3": ((3, 3), 5, 9),
@@ -68,11 +62,7 @@ CDC = (
 
 def _write_matrices(directory: pathlib.Path) -> None:
     for name, (dims, seed, rank) in MATRICES.items():
-        rng = np.random.default_rng(seed)
-        d = int(np.prod(dims))
-        g = rng.normal(size=(d, rank or 1)) + 1j * rng.normal(size=(d, rank or 1))
-        m = g @ g.conj().T
-        m = m / np.trace(m).real
+        m = util.random_density(np.random.default_rng(seed), dims, rank=rank).matrix
         entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
         (directory / f"{name}.json").write_text(json.dumps({"dims": dims, "entries": entries}))
 
@@ -116,26 +106,3 @@ def digests() -> dict:
         _write_matrices(directory)
         return {" ".join(argv): hashlib.sha256(command_bytes(argv, directory)).hexdigest()
                 for argv in commands()}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="recompute the digests, print each id whose digest moved and "
-                             "exit 1 if any did; write nothing")
-    args = parser.parse_args(argv)
-    table = digests()
-    path = pathlib.Path(__file__).with_name("command_digests.json")
-    if args.check:
-        pinned = json.loads(path.read_text())
-        moved = sorted(key for key in pinned.keys() | table.keys()
-                       if pinned.get(key) != table.get(key))
-        print("\n".join(moved + [f"{len(moved)} of {len(table)} commands moved"]))
-        return 1 if moved else 0
-    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} commands to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Write fef_values.json: the pinned float bits of the fully entangled fraction.
+"""fef_values.json: the pinned values of the fully entangled fraction.
 
 The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
 fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the
@@ -12,36 +12,22 @@ its fixed 60 steps (see `ascent_budget.py`), once for each of
 and every field of `channel.analyze_channel(restarts=4)` on a few two-qubit
 states.  The states of one n are refined as one stack,
 `measures._singlet_fractions`, which gives each state the bits of
-`singlet_fraction` alone.  A float is pinned as its IEEE-754 bits (`.view(np.int64)`), so a
-move of one ulp shows.  Regenerate it only when a change of FEF value is
-intended:
-
-    PYTHONPATH=src python tests/fixtures/make_fef_values.py
-
-With --check the script writes nothing: it prints each entry whose bits
-moved, with new - old, and exits 1 if any did.  Its last line counts the
-moved entries and gives the largest fall (min new - old) and the number of
-entries that fell by more than FLOOR_GATE: a re-pin needs that number to
-be 0.  The n = 3 value is the certified lower bound of
-`measures.fef_bounds`, whose bracket closes to rounding on every pinned
-state (the clone pair at d = 1/sqrt(8) last) but stays open on some random
-states, such as a rank-6 one at 9e-4; a change of method may raise the
-value, but must not lower it beyond rounding.
+`singlet_fraction` alone.  `pin.py` writes and checks the file; its --check
+also gives the largest fall (min new - old) and the number of values that
+fell by more than FLOOR_GATE: a re-pin needs that number to be 0.  The
+n = 3 value is the certified lower bound of `measures.fef_bounds`, whose
+bracket closes to rounding on every pinned state (the clone pair at
+d = 1/sqrt(8) last) but stays open on some random states, such as a rank-6
+one at 9e-4; a change of method may raise the value, but must not lower it
+beyond rounding.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-
-import util  # noqa: E402  (tests/util.py: the Ginibre state generator)
-from entkit import channel, cloning, measures, statezoo  # noqa: E402
-from fixtures import make_channel_reports  # noqa: E402
+import util  # tests/util.py: the Ginibre state generator
+from entkit import channel, cloning, measures, statezoo
+from fixtures import make_channel_reports
 
 # (n, rank, seed) of each random state, drawn from default_rng(seed)
 RANDOM_STATES = (*((2, rank, seed) for rank in range(1, 5) for seed in range(5)),
@@ -83,22 +69,22 @@ def floor_states() -> dict:
     return states
 
 
-def _bits(value: float) -> int:
+def _float(value: float) -> float:
     if type(value) is not float:
         raise TypeError(f"unexpected {type(value).__name__} {value!r}")
-    return int(np.float64(value).view(np.int64))
+    return value
 
 
 def _fractions(states: dict) -> dict:
-    """key -> bits of singlet_fraction(rho) for each key -> rho, one stack per n."""
+    """key -> singlet_fraction(rho) for each key -> rho, one stack per n."""
     groups = {}
     for key, rho in states.items():
         groups.setdefault(rho.dims[0], []).append((key, rho))
-    bits = {}
+    fractions = {}
     for n, members in groups.items():
         values = measures._singlet_fractions(np.array([rho.matrix for _, rho in members]), n)
-        bits.update((key, _bits(value)) for (key, _), value in zip(members, values))
-    return bits
+        fractions.update((key, _float(value)) for (key, _), value in zip(members, values))
+    return fractions
 
 
 def table() -> dict:
@@ -114,64 +100,3 @@ def table() -> dict:
                 for seed, rank in ((0, 1), (1, 2), (2, 3), (3, 4))}
     return {"workload": _fractions(workload), "floors": _fractions(floors),
             "random": _fractions(random), "analyze_channel": channels}
-
-
-def _entries(table: dict) -> dict:
-    """section:key[:field] -> pinned bits, one entry per analyze_channel field."""
-    out = {}
-    for section, entries in table.items():
-        for key, bits in entries.items():
-            fields = bits.items() if isinstance(bits, dict) else [("", bits)]
-            out.update((":".join(filter(None, (section, key, field))), b) for field, b in fields)
-    return out
-
-
-def moved(pinned: dict, got: dict) -> list:
-    """One line per entry whose bits moved: its name and new - old, or its old
-    and new values where either is not a pinned float."""
-    old, new = _entries(pinned), _entries(got)
-    lines = []
-    for name in sorted(old.keys() | new.keys()):
-        a, b = old.get(name), new.get(name)
-        if a == b:
-            continue
-        if type(a) is int and type(b) is int:
-            change = f"new - old = {np.int64(b).view(np.float64) - np.int64(a).view(np.float64):+.3g}"
-        else:
-            change = f"{a} -> {b}"
-        lines.append(f"{name} {change}")
-    return lines
-
-
-def float_changes(pinned: dict, got: dict) -> list:
-    """new - old of every pinned float whose bits moved."""
-    old, new = _entries(pinned), _entries(got)
-    return [float(np.int64(new[name]).view(np.float64) - np.int64(old[name]).view(np.float64))
-            for name in old.keys() & new.keys()
-            if type(old[name]) is int and type(new[name]) is int and old[name] != new[name]]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="recompute the bits, print each entry whose bits moved, with "
-                             "new - old, and exit 1 if any did; write nothing")
-    args = parser.parse_args(argv)
-    got = table()
-    path = pathlib.Path(__file__).with_name("fef_values.json")
-    count = len(_entries(got))
-    if args.check:
-        pinned = json.loads(path.read_text())
-        names, change = moved(pinned, got), float_changes(pinned, got)
-        print("\n".join(names + [
-            f"{len(names)} of {count} entries moved; largest fall (min new - old) "
-            f"{min(change, default=0.0):+.3g}; "
-            f"{sum(c < -FLOOR_GATE for c in change)} fell by more than {FLOOR_GATE:g}"]))
-        return 1 if names else 0
-    path.write_text(json.dumps(got, indent=0, sort_keys=True) + "\n")
-    print(f"wrote {count} entries to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Write secret_share_reports.json: pinned secret-sharing and bipartite-cloning outputs.
+"""secret_share_reports.json: pinned secret-sharing and bipartite-cloning outputs.
 
 The fixture pins every field of:
 
@@ -12,27 +12,14 @@ The fixture pins every field of:
 
 each call with c = sqrt(c^2), as the CLI passes it.  A call that raises
 records its DomainError message instead; the grids include such calls.
-Regenerate it only when a change of these outputs is intended:
-
-    PYTHONPATH=src python tests/fixtures/make_secret_share_reports.py
-
-With --check the script writes nothing: it prints each entry that moved,
-with the fields that differ, and exits 1 if any did.
+`pin.py` writes and checks the file.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-
-from entkit import cloning, protocols  # noqa: E402
-from entkit.qcore import DomainError  # noqa: E402
-from fixtures.make_cdc_reports import moved  # noqa: E402
+from entkit import cloning, protocols
+from entkit.qcore import DomainError
 
 C2 = (0.5, 0.6666666666666666, 0.8, 0.95, 1.0, 0.3)
 LAMBDAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -102,28 +89,4 @@ def record(call: str, kwargs: dict) -> dict:
 
 
 def table() -> list:
-    """Every pinned entry, as its JSON text reads back."""
-    return [json.loads(json.dumps(record(call, kwargs), default=float))
-            for call, kwargs in cases()]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="recompute the entries, print each entry that moved and exit 1 "
-                             "if any did; write nothing")
-    args = parser.parse_args(argv)
-    entries = table()
-    path = pathlib.Path(__file__).with_name("secret_share_reports.json")
-    if args.check:
-        names = moved(json.loads(path.read_text()), entries)
-        print("\n".join(names + [f"{len(names)} of {len(entries)} entries moved"]))
-        return 1 if names else 0
-    lines = ",\n".join(json.dumps(entry) for entry in entries)
-    path.write_text(f"[\n{lines}\n]\n")
-    print(f"wrote {len(entries)} entries to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return [record(call, kwargs) for call, kwargs in cases()]

@@ -1,10 +1,8 @@
-"""The controlled-dense-coding pipeline: pinned reports, controller outcome
-labels, zero-probability controller branches, the Born-weight invariants of
-every family, the outcome tree that cdc_run and the Monte-Carlo sampler share,
-and the sampler over it."""
+"""The controlled-dense-coding pipeline: controller outcome labels,
+zero-probability controller branches, the Born-weight invariants of every
+family, the outcome tree that cdc_run and the Monte-Carlo sampler share, and
+the sampler over it."""
 import dataclasses
-import json
-import pathlib
 import warnings
 
 import numpy as np
@@ -14,42 +12,6 @@ from hypothesis import strategies as st
 
 from entkit import protocols
 from entkit.qcore import DomainError
-
-FIXTURE = json.loads(
-    (pathlib.Path(__file__).parent / "fixtures" / "cdc_reports.json").read_text())
-
-
-def _mismatch(entry: dict):
-    """Why a call disagrees with its pinned entry, or None."""
-    call = getattr(protocols, entry["call"])
-    try:
-        report = call(**entry["kwargs"])
-    except DomainError as exc:
-        if entry.get("error") == str(exc):
-            return None
-        return f"raised {exc!s}, pinned {entry.get('error') or 'a report'}"
-    if "error" in entry:
-        return f"returned a report, pinned the error {entry['error']!r}"
-    got = report.to_dict()
-    if got.keys() != entry["report"].keys():
-        return f"fields {sorted(got)} vs {sorted(entry['report'])}"
-    for key, want in entry["report"].items():
-        if got[key] != want:
-            return f"{key} = {got[key]!r}, pinned {want!r}"
-    pinned = entry["shared_state"]
-    state = report.shared_state
-    vector = np.array(pinned["re"]) + 1j * np.array(pinned["im"])
-    if list(state.dims) != pinned["dims"] or not np.array_equal(state.vector, vector):
-        return "shared_state differs"
-    return None
-
-
-def test_cdc_reports_match_pinned_fixture():
-    assert len(FIXTURE) > 300
-    problems = [(entry["call"], entry["kwargs"], why)
-                for entry in FIXTURE if (why := _mismatch(entry)) is not None]
-    assert not problems, problems[:10]
-
 
 @pytest.mark.parametrize("theta,epsilon,outcome", [
     (0.0, np.pi / 2, "--"),     # 1e-33 branch that used to report success 1, 2 bits

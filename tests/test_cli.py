@@ -16,11 +16,6 @@ from hypothesis import strategies as st
 
 from entkit import channel, cli, protocols, statezoo
 from entkit.qcore import DomainError
-from fixtures import make_command_digests, make_figure_digests
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-PINNED_FIGURE_DIGESTS = json.loads((FIXTURES / "figure_digests.json").read_text())
-PINNED_COMMAND_DIGESTS = json.loads((FIXTURES / "command_digests.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -320,16 +315,6 @@ def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
     assert run_cli(capsys, "measure", "--state", "bell:1", "--kind", "negativity")[0] == 0
     assert run_cli(capsys, "figure", "5.2", "--points", "3")[0] == 0
     assert built.count("entkit") == 1
-
-
-def test_figure_bytes_match_pinned_digests():
-    assert make_figure_digests.digests() == PINNED_FIGURE_DIGESTS
-
-
-def test_measure_and_protocol_bytes_match_pinned_digests():
-    got = make_command_digests.digests()
-    assert got.keys() == PINNED_COMMAND_DIGESTS.keys()
-    assert [cmd for cmd, digest in got.items() if digest != PINNED_COMMAND_DIGESTS[cmd]] == []
 
 
 # ---------------------------------------------------------------------------

