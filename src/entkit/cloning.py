@@ -61,10 +61,10 @@ def uqcm_params(n: int, d: float | None = None) -> CloningParams:
     if d is None:
         d = np.sqrt(1.0 / (2.0 * (n + 1)))
     d = float(d)
-    c_sq = 1.0 - 2.0 * (n - 1) * d * d
-    if d < 0.0 or c_sq < 0.0:
+    if not 0.0 <= d <= np.sqrt(1.0 / (2.0 * (n - 1))):
         raise DomainError(f"d = {d} outside [0, sqrt(1/(2(n-1)))] for n = {n}")
-    c = np.sqrt(c_sq)
+    # at the endpoint c^2 may round to a few ulps below 0
+    c = np.sqrt(max(1.0 - 2.0 * (n - 1) * d * d, 0.0))
     return CloningParams(n, c, d, c * c + (n - 2) * d * d)
 
 
@@ -168,9 +168,7 @@ class ReductionResult:
 
 
 def reduction_check(rho: DensityMatrix) -> ReductionResult:
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DomainError(f"reduction criterion needs an n x n state, got dims {rho.dims}")
-    m, eye = rho.matrix, np.eye(rho.dims[0])
+    m, eye = rho.matrix, np.eye(measures._require_square(rho, "reduction criterion"))
     # both reduction operators, rho_A x I - rho and I x rho_B - rho, in one eigh
     ops = np.stack([tensor(_reduced_matrix(m, rho.dims, (0,)), eye) - m,
                     tensor(eye, _reduced_matrix(m, rho.dims, (1,))) - m])

@@ -441,9 +441,11 @@ def peres_horodecki(rho: DensityMatrix) -> str:
     stay positive."""
     _require_two_qubits(rho, "Peres-Horodecki test")
     pt = partial_transpose(rho, 1)
-    w2 = float(np.linalg.det(pt[:2, :2]).real)
-    w3 = float(np.linalg.det(pt[:3, :3]).real)
-    w4 = float(np.linalg.det(pt).real)
-    entangled = w4 < -1e-12 or (abs(w4) <= 1e-12 and w3 < -1e-12) or w2 < -1e-12
+    # a k x k minor is at most scale^k, scale = ||rho||_F; scaled by it, each
+    # minor's rounding is a few eps, so one band serves every minor and state
+    scale = np.linalg.norm(pt)
+    w2, w3, w4 = (float(np.linalg.det(pt[:k, :k]).real) / scale ** k for k in (2, 3, 4))
+    band = 64.0 * _EPS
+    entangled = w4 < -band or (abs(w4) <= band and w3 < -band) or w2 < -band
     return "entangled" if entangled else "separable"
 

@@ -153,26 +153,6 @@ def _v1_down(theta: float) -> np.ndarray:
     return _braid(*_ratio(np.cos(theta), np.sin(theta), "1 - cos^2/sin^2"), low=6)
 
 
-def _v2(theta: float) -> np.ndarray:
-    return _braid(*_ratio(np.sin(theta), np.cos(theta), "1 - sin^2/cos^2"), low=0, flip_index=6)
-
-
-def collective_unitary(tag: str, theta: float, epsilon: float | None = None) -> np.ndarray:
-    """Matrix of a named collective unitary: U1 (= hao), U2, and the qutrit forms V1, V2."""
-    tag = tag.upper() if tag.lower() != "hao" else "hao"
-    if tag in ("U1", "hao"):
-        return _u1(theta)
-    if tag == "U2":
-        if epsilon is None:
-            raise DomainError("U2 needs both theta and epsilon")
-        return _u2(theta, epsilon)
-    if tag == "V1":
-        return _v1(theta)
-    if tag == "V2":
-        return _v2(theta)
-    raise DomainError(f"unknown collective unitary {tag!r}")
-
-
 # ---------------------------------------------------------------------------
 # generic protocol steps
 # ---------------------------------------------------------------------------
@@ -594,11 +574,6 @@ def _bob_matrices(channels: np.ndarray, outcomes) -> np.ndarray:
     return _reduced_matrix(sub / prob[:, None, None], (2, 2), (1,))
 
 
-def _bob_conditional(channel: DensityMatrix, outcome: str) -> DensityMatrix:
-    _hadamard_vector(outcome)           # raises for an outcome other than '+' or '-'
-    return DensityMatrix((2,), _bob_matrices(channel.matrix[None], (outcome,))[0])
-
-
 @functools.cache
 def _cloning():
     """The cloning module, imported by the first secret-sharing call, so that a
@@ -645,15 +620,6 @@ def _shares(c: float, params: cloning.CloningParams) -> tuple:
     bobs = _bob_matrices(channels[[b for b, _ in _BOB_ROWS]], [o for _, o in _BOB_ROWS])
     q = 4.0 * c * c * (1.0 - c * c) / 2.0
     return channels, spectra, q, bobs, _density_spectra((2,), bobs)
-
-
-def secret_share_channel(c: float, charlie_bit: int) -> DensityMatrix:
-    """Non-local two-qubit state Alice and Bob share after Cliff clones both
-    qubits of Charlie's |Phi+> (bit 0) or |Phi-> (bit 1)."""
-    params = _cloning_machine(c)
-    bit = _charlie_bit(charlie_bit)
-    channels, spectra = _shares(c, params)[:2]
-    return DensityMatrix._validated((2, 2), channels[bit], spectra[bit])
 
 
 def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -> SecretShareReport:

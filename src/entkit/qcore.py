@@ -259,35 +259,12 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# constant gates
+# Pauli matrices
 # ---------------------------------------------------------------------------
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]], dtype=complex)
-# Toffoli: doubly-controlled NOT, flips the target when both controls are set.
-TOFFOLI = np.eye(8, dtype=complex)[:, [0, 1, 2, 3, 4, 5, 7, 6]]
-# Fredkin: controlled swap, here with the control on the last qubit
-# (exchanges |011> and |101>).
-FREDKIN = np.eye(8, dtype=complex)[:, [0, 1, 2, 5, 4, 3, 6, 7]]
-
-GATES = {
-    "I": I2,
-    "X": X,
-    "Y": Y,
-    "Z": Z,
-    "H": HADAMARD,
-    "CNOT": CNOT,
-    "TOFFOLI": TOFFOLI,
-    "FREDKIN": FREDKIN,
-}
 
 PAULIS = (X, Y, Z)
-

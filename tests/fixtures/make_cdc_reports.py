@@ -58,7 +58,7 @@ def cases():
             for outcome in ("up", "side", "down"):
                 yield "cdc_run", dict(family="qutrit_ghz", theta=theta,
                                       controller_outcome=outcome, aux_outcome=aux)
-            for outcome in ("+", "-", "side"):
+            for outcome in ("+", "-"):       # the other names of "up" and "down"
                 yield "cdc_run", dict(family="qutrit_ghz", theta=theta,
                                       controller_outcome=outcome, aux_outcome=aux)
     # the `entkit protocol cdc` argument sets of the benchmark's cold-CLI mix

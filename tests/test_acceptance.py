@@ -26,7 +26,7 @@ import pytest
 
 from entkit import channel, cloning, measures, protocols, statezoo
 from entkit.qcore import DensityMatrix, partial_transpose
-from util import bisect_predicate, is_unitary, random_density
+from util import bisect_predicate, extraction_unitaries, is_unitary, random_density
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "cloning_dense_coding.json").read_text())
@@ -257,8 +257,8 @@ def test_criterion_7_secret_sharing():
     for c in np.linspace(1 / np.sqrt(3) + 0.01, 1.0, 15):
         q = 2 * c * c * (1 - c * c)
         e1, e2, _ = protocols.povm_elements(q)
-        bob_p0 = protocols._bob_conditional(protocols.secret_share_channel(c, 0), "+")
-        bob_m0 = protocols._bob_conditional(protocols.secret_share_channel(c, 1), "+")
+        bob_p0 = protocols.secret_share_run(c, 0, "+").bob_state
+        bob_m0 = protocols.secret_share_run(c, 1, "+").bob_state
         ok_zero = ok_zero and abs(np.trace(e1 @ bob_m0.matrix).real) <= 1e-12 \
             and abs(np.trace(e2 @ bob_p0.matrix).real) <= 1e-12
         rep = protocols.secret_share_run(c)
@@ -271,7 +271,7 @@ def test_criterion_7_secret_sharing():
           and abs(protocols.secret_share_run(np.sqrt(2 / 3)).success_probability - 4 / 9) <= 1e-12
           and protocols.secret_share_run(1.0).success_probability <= 1e-12)
 
-    chan = protocols.secret_share_channel(np.sqrt(2 / 3), 0)
+    chan = protocols.secret_share_run(np.sqrt(2 / 3), 0).channel
     expected = statezoo.cloned_mems(2.0 / 3.0).matrix
     check("7d non-local output at c^2 = 2/3 equals the Werner-family matrix",
           np.max(np.abs(chan.matrix - expected)) <= 1e-12)
@@ -293,7 +293,7 @@ def test_criterion_7_secret_sharing():
     wc = protocols.secret_share_witness_checks(1.0, 0.5)
     check("7f c = 1 endpoint: witness degenerates to zero on a separable state",
           abs(wc.w1_value) <= 1e-12 and
-          measures.peres_horodecki(protocols.secret_share_channel(1.0, 0)) == "separable"
+          measures.peres_horodecki(protocols.secret_share_run(1.0, 0).channel) == "separable"
           and abs(wc.critical_concurrence - 0.5) <= 1e-12)
 
 
@@ -319,21 +319,8 @@ def test_criterion_8_random_state_properties():
 
 
 def test_criterion_8_unitaries_and_isometries():
-    from entkit.qcore import GATES
-
-    ok = True
-    for gate in GATES.values():
-        ok = ok and is_unitary(gate, 1e-10)
-    for theta in np.linspace(0.02, np.pi / 4, 20):
-        ok = ok and is_unitary(protocols.collective_unitary("U1", theta), 1e-10)
-        ok = ok and is_unitary(protocols.collective_unitary("V2", theta), 1e-10)
-    for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.02, 20):
-        ok = ok and is_unitary(protocols.collective_unitary("V1", theta), 1e-10)
-    for theta in np.linspace(0.02, np.pi / 4, 6):
-        for eps in np.linspace(0.02, np.pi / 4, 6):
-            ok = ok and is_unitary(
-                protocols.collective_unitary("U2", theta, eps), 1e-10)
-    check("8e gates and collective unitaries pass unitarity", ok)
+    ok = all(is_unitary(unitary, 1e-10) for *_, unitary in extraction_unitaries())
+    check("8e every extraction unitary the CDC pipeline applies passes unitarity", ok)
 
     ok = True
     for n, d in ((2, None), (2, 0.25), (3, None), (3, 0.4)):
@@ -349,7 +336,7 @@ def test_criterion_8_constructed_states_pass_invariants():
               statezoo.werner_derivative(0.8, 0.7), statezoo.nmems(0.4),
               statezoo.ih_mems(0.4, 0.3, 0.2, 0.1), statezoo.cloned_mems(0.8),
               cloning.qutrit_cloned_pair(0.3).joint,
-              protocols.secret_share_channel(0.8, 1)]
+              protocols.secret_share_run(0.8, 1).channel]
     for rho in states:
         evals = np.linalg.eigvalsh(rho.matrix)
         assert evals.min() >= -1e-9 and abs(np.trace(rho.matrix).real - 1) <= 1e-10

@@ -55,10 +55,21 @@ def test_wootters_zurek_limit():
 
 
 def test_uqcm_params_range():
-    with pytest.raises(DomainError):
-        cloning.uqcm_params(2, d=0.8)
+    for d in (0.8, -1e-300, np.nan):
+        with pytest.raises(DomainError):
+            cloning.uqcm_params(2, d=d)
     with pytest.raises(DomainError):
         cloning.uqcm_params(1)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_uqcm_params_accepts_its_endpoint(n):
+    # at d = sqrt(1/(2(n-1))) c^2 = 1 - 2(n-1)d^2 rounds below 0 for n = 2, 5 and 8
+    d = np.sqrt(1.0 / (2.0 * (n - 1)))
+    v = cloning.cloning_isometry(cloning.uqcm_params(n, d))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
+    with pytest.raises(DomainError, match="outside"):
+        cloning.uqcm_params(n, np.nextafter(d, 1.0))
 
 
 @pytest.mark.parametrize("n,d", [(2, None), (2, 0.3), (3, None), (3, 0.2), (3, 0.5)])

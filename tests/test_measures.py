@@ -128,6 +128,16 @@ def test_peres_horodecki_verdicts():
     assert measures.peres_horodecki(statezoo.werner(0.4)) == "separable"
 
 
+def test_peres_horodecki_agrees_with_negativity_at_the_werner_boundary():
+    # the minors' band scales with the state, so a negativity of 2e-13 already reads
+    # entangled; an absolute 1e-12 band on det(rho^T) ~ -3.7e-13 read it separable
+    for k in range(1, 13):
+        rho = statezoo.werner(0.5 + 10.0 ** -k)
+        assert (measures.peres_horodecki(rho) == "entangled") == (measures.negativity(rho) > 0.0)
+    for F in (0.5, 0.5 - 1e-12, 0.4):
+        assert measures.peres_horodecki(statezoo.werner(F)) == "separable"
+
+
 def test_peres_horodecki_iff_negativity_random():
     rng = np.random.default_rng(7)
     for _ in range(200):

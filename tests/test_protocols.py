@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, statezoo
 from entkit.qcore import DomainError
-from util import (assert_columns_match_points, is_unitary, qutrit_projected_states,
-                  w4_branch_amplitudes)
+from util import (assert_columns_match_points, extraction_unitaries, is_unitary,
+                  qutrit_projected_states, w4_branch_amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -52,49 +52,41 @@ def test_controller_outcome_probabilities_sum_to_one():
 # ---------------------------------------------------------------------------
 
 def test_unitaries_on_their_angle_domains():
-    for theta in np.linspace(0.01, np.pi / 4, 50):
-        assert is_unitary(protocols.collective_unitary("U1", theta), 1e-10)
-        assert is_unitary(protocols.collective_unitary("V2", theta), 1e-10)
-        assert is_unitary(protocols.collective_unitary("hao", theta), 1e-10)
-    for theta in np.linspace(np.pi / 4, np.pi / 2 - 0.01, 50):
-        assert is_unitary(protocols.collective_unitary("V1", theta), 1e-10)
-    for theta in np.linspace(0.01, np.pi / 4, 8):
-        for eps in np.linspace(0.01, np.pi / 4, 8):
-            assert is_unitary(protocols.collective_unitary("U2", theta, eps), 1e-10)
+    # every extraction unitary the pipeline applies, on a grid inside each
+    # family's domain: U1 (X-conjugated where the sender's |1> dominates), U2,
+    # V1 and its mirror for the qutrit 'down' branch
+    families = set()
+    for family, kwargs, outcome, unitary in extraction_unitaries():
+        assert is_unitary(unitary, 1e-12), (family, kwargs, outcome)
+        families.add(family)
+    assert families == set(protocols._FAMILIES) - {"liqiu_w"}   # liqiu_w hands over
 
 
 def test_u1_degenerate_maximal_angle():
-    u = protocols.collective_unitary("U1", np.pi / 4)
+    u = protocols._u1(np.pi / 4)
     assert u[0, 0] == pytest.approx(1.0, abs=1e-12)    # sin/cos = 1
     assert abs(u[0, 2]) <= 1e-6                        # radical vanishes
 
 
 def test_u2_domain_seam():
-    u = protocols.collective_unitary("U2", np.pi / 4, np.pi / 4)
+    u = protocols._u2(np.pi / 4, np.pi / 4)
     assert u[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_v1_published_entries():
     theta = np.pi / 3
-    v = protocols.collective_unitary("V1", theta)
+    v = protocols._v1(theta)
     assert v[0, 0] == pytest.approx(np.cos(theta) / np.sin(theta), abs=1e-12)
     assert v[0, 8] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
 
 
-def test_hao_is_u1():
-    assert_allclose(protocols.collective_unitary("hao", 0.5),
-                    protocols.collective_unitary("U1", 0.5))
-
-
 def test_unitary_domain_errors_name_the_radical():
     with pytest.raises(DomainError, match="sin\\^2/cos\\^2"):
-        protocols.collective_unitary("U1", 1.2)
+        protocols._u1(1.2)
     with pytest.raises(DomainError, match="cos\\^2/sin\\^2"):
-        protocols.collective_unitary("V1", 0.3)
+        protocols._v1(0.3)
     with pytest.raises(DomainError, match="sin t sin e"):
-        protocols.collective_unitary("U2", 0.8, 0.8)
-    with pytest.raises(DomainError):
-        protocols.collective_unitary("U9", 0.3)
+        protocols._u2(0.8, 0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +377,8 @@ def test_povm_statistics_pattern_over_c_grid():
     for c in np.linspace(1 / np.sqrt(3) + 0.01, 1.0, 12):
         q = 2 * c * c * (1 - c * c)
         e1, e2, _ = protocols.povm_elements(q)
-        bob_p0 = protocols._bob_conditional(protocols.secret_share_channel(c, 0), "+")
-        bob_m0 = protocols._bob_conditional(protocols.secret_share_channel(c, 1), "+")
+        bob_p0 = protocols.secret_share_run(c, 0, "+").bob_state
+        bob_m0 = protocols.secret_share_run(c, 1, "+").bob_state
         assert abs(np.trace(e1 @ bob_m0.matrix).real) <= 1e-12
         assert abs(np.trace(e2 @ bob_p0.matrix).real) <= 1e-12
         assert np.trace(e1 @ bob_p0.matrix).real == pytest.approx(q, abs=1e-12)
@@ -460,11 +452,13 @@ def test_secret_share_run_clones_each_bit_once(monkeypatch):
         calls.clear()
         rep = protocols.secret_share_run(0.9, bit, "-")
         assert calls == [[-1.0, 1.0]]
-        assert np.array_equal(rep.channel.matrix, protocols.secret_share_channel(0.9, bit).matrix)
+        # row `bit` of the stack has the bits of the one-row clone of |Phi+/->
+        alone = cloning.clone_bipartite(0.5, protocols._cloning_machine(0.9), 1.0 - 2.0 * bit)[1]
+        assert np.array_equal(rep.channel.matrix, alone.matrix)
 
 
 def test_secret_share_channel_werner_point():
-    chan = protocols.secret_share_channel(np.sqrt(2 / 3), 0)
+    chan = protocols.secret_share_run(np.sqrt(2 / 3), 0).channel
     assert np.max(np.abs(chan.matrix - statezoo.cloned_mems(2 / 3).matrix)) <= 1e-12
 
 

@@ -3,6 +3,7 @@ import ast
 import importlib.util
 import itertools
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -13,48 +14,17 @@ from numpy.testing import assert_allclose
 
 from entkit import cloning, protocols, qcore, statezoo
 from entkit.qcore import (
-    CNOT,
     DensityMatrix,
-    FREDKIN,
-    GATES,
-    HADAMARD,
-    TOFFOLI,
     DomainError,
     PureState,
     basis_ket,
-    ket,
     partial_trace,
     partial_transpose,
     psd_spectrum,
     psd_sqrt,
     tensor,
 )
-from util import is_unitary, random_density, random_pure
-
-
-# ---------------------------------------------------------------------------
-# gates
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", sorted(GATES))
-def test_gates_unitary(name):
-    assert is_unitary(GATES[name], 1e-12)
-
-
-def test_three_qubit_gates_are_the_expected_permutations():
-    # Toffoli: CCNOT, exchanging |110> and |111>
-    expected = np.eye(8)
-    expected[[6, 7]] = expected[[7, 6]]
-    assert_allclose(TOFFOLI.real, expected, atol=0)
-    # Fredkin variant with the control on the last qubit: |011> <-> |101>
-    expected = np.eye(8)
-    expected[[3, 5]] = expected[[5, 3]]
-    assert_allclose(FREDKIN.real, expected, atol=0)
-
-
-def test_cnot_and_hadamard_actions():
-    assert_allclose(CNOT @ basis_ket((1, 0), (2, 2)), basis_ket((1, 1), (2, 2)))
-    assert_allclose(HADAMARD @ ket(0, 2), np.array([1, 1]) / np.sqrt(2))
+from util import random_density, random_pure
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +97,11 @@ def test_np_prod_appears_nowhere_in_the_package():
     assert not stray, stray
 
 
-# public names that no code in the package or perfbench reads, each with the
-# paper criterion (test_acceptance.py) or ROADMAP item that needs it
+# top-level names that no code in the package or perfbench reads, each with
+# the paper criterion (test_acceptance.py) or ROADMAP item that needs it
 KEEP = {
-    "collective_unitary": "criterion 8e: the collective unitaries are unitary",
-    "peres_horodecki": "criteria 7f and 8b",
+    "peres_horodecki": "criteria 7f and 8b: an independent PPT test",
     "chsh_supremum": "criterion 8d",
-    "secret_share_channel": "criterion 7",
     "secret_share_witness_checks": "criterion 7",
     "teleportation_witness_qutrit": "ROADMAP item 9",
     "clone_pair_fef": "ROADMAP items 8 and 10",
@@ -142,30 +110,41 @@ KEEP = {
 }
 
 
-def _read_names(paths) -> set:
-    """Every name the code in paths reads: names, attributes and import
+def _defined(node) -> set:
+    """The names a top-level statement defines: a def, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _read_names(node) -> set:
+    """Every name the code in node reads: loaded names, attributes and import
     aliases; docstrings, comments and other strings are not read."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.rpartition(".")[2])
     return names
 
 
 def test_every_public_name_in_the_package_has_a_reader():
-    # a public top-level def or class is read by code in the package or in
-    # perfbench, or is kept in KEEP above
-    paths = sorted(pathlib.Path(qcore.__file__).parent.glob("*.py"))
-    bench = (pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py")
-    read = _read_names(paths) | _read_names(bench)
-    unread = [node.name for path in paths for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in read]
+    # a top-level def, class or constant of the package, public or private, is
+    # read by a statement of the package or of perfbench other than its own
+    # definition, or is kept in KEEP above; dunders are exempt
+    package = sorted(pathlib.Path(qcore.__file__).parent.glob("*.py"))
+    bench = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    body = {path: ast.parse(path.read_text()).body for path in package + bench}
+    reads = [(node, _read_names(node)) for nodes in body.values() for node in nodes]
+    unread = [name for path in package for node in body[path] for name in _defined(node)
+              if not (name.startswith("__") and name.endswith("__"))
+              and not any(name in read for other, read in reads if other is not node)]
     assert sorted(unread) == sorted(KEEP), sorted(set(unread) ^ set(KEEP))
 
 
@@ -174,6 +153,28 @@ def test_util_loads_as_perfbench_loads_it():
     # it in sys.modules, where a dataclass cannot be defined
     spec = importlib.util.spec_from_file_location("util_by_path", pathlib.Path(__file__).parent / "util.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_every_perfbench_operation_runs_and_passes_its_check(tmp_path, monkeypatch):
+    # each in-process workload, built as perfbench builds it, runs every op once;
+    # a failure that is not a listed known defect means a benchmark run would fail
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    failures, count = {}, 0
+    for name in ("fef", "sweep", "protocol-mc"):
+        workload = workloads.WORKLOADS[name](1)
+        for op in workload.ops(False):
+            count += 1
+            reason = op.check(op.after(op.run(0)))
+            reasons = reason if isinstance(reason, dict) else {"output": reason} if reason else {}
+            failures.update({(op.name, check): why for check, why in reasons.items()
+                             if (op.name, check) not in workload.known_defects})
+    assert count > 90
+    assert failures == {}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,6 @@ def test_states_reject_non_finite_entries(bad):
 def test_intermediate_states_build_no_density_matrix(monkeypatch):
     # a state is built, and validated, only where one is returned
     joint = cloning.qutrit_cloned_pair(0.45).joint
-    ss_channel = protocols.secret_share_channel(np.sqrt(2.0 / 3.0), 0)
     filt = cloning.distillation_filter(joint)
     built, validate = [], DensityMatrix.__post_init__
 
@@ -407,8 +407,8 @@ def test_intermediate_states_build_no_density_matrix(monkeypatch):
     assert built == []
     cloning.distill(joint, filt)
     assert built == [(3, 3)]
-    protocols._bob_conditional(ss_channel, "-")
-    assert built == [(3, 3), (2,)]
+    protocols.secret_share_run(np.sqrt(2.0 / 3.0), 0, "-")
+    assert built == [(3, 3)]
 
 
 def _bits(a: np.ndarray) -> np.ndarray:

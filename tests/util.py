@@ -119,6 +119,34 @@ def is_unitary(u, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) <= tol)
 
 
+def extraction_unitaries():
+    """(family, cdc_run keyword arguments, controller outcome, unitary) for every
+    extraction unitary the CDC pipeline applies on a grid inside each family's
+    domain: one per grid point and controller branch that protocols._tree keeps."""
+    from entkit import protocols
+
+    open_half = np.linspace(0.05, np.pi / 2 - 0.05, 7)     # theta in (0, pi/2)
+    quarter = np.linspace(0.05, np.pi / 4, 4)               # U1 and U2: tan <= 1
+    grids = {
+        "ghz": [{"theta": t} for t in open_half],
+        "ghz_class": [{"theta": t, "class_index": k} for k in range(1, 8) for t in (0.3, 1.2)],
+        "pati": [{"l": l} for l in (0.25, 0.5, 1.0, 2.0)],
+        "ghz4": [{"theta": t, "epsilon": e} for t in quarter for e in quarter],
+        "w3": [{"theta": t} for t in quarter],
+        "w4": [{"theta": t, "epsilon": e} for t in open_half[::2] for e in (0.3, 1.0)],
+        "liqiu_w": [{"n": n} for n in (1, 3)],
+        "qutrit_ghz": [{"theta": t} for t in np.linspace(np.pi / 4, np.pi / 2 - 0.05, 4)],
+    }
+    assert grids.keys() == protocols._FAMILIES.keys()
+    for family, grid in grids.items():
+        for kwargs in grid:
+            fam, p, _ = protocols._setup(family, **kwargs)
+            for outcome, (_, vec, _, _) in protocols._tree(family, p, fam.outcomes).items():
+                unitary = fam.unitary(p, outcome, vec)
+                if unitary is not None:
+                    yield family, kwargs, outcome, unitary
+
+
 def x_form_matrix(a: float, b: float, c_offdiag: complex, d_entry: float,
                   e: float) -> DensityMatrix:
     """Assemble the X-form matrix diag(a, b, d, e) with coherence c on |01><10|."""
