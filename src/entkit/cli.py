@@ -5,22 +5,20 @@ have a header row and LF line endings, and re-running a command with the same
 flags (seed included) reproduces the output byte for byte.  Exit codes:
 0 success, 2 usage or parse failure, 3 domain error.
 
-A figure is a table built a column at a time: `Figure.values` takes the
-module named by `Figure.layer` and the axis columns (one entry per row) and
-returns the value columns; the library closed forms accept arrays, so most
-columns are one call over the whole grid.
+A figure is a table built a column at a time: `Figure.values` takes the axis
+columns (one entry per row) and returns the value columns; the library closed
+forms accept arrays, so most columns are one call over the whole grid.
 
 A command imports only the modules it runs.  This module loads `qcore`,
-`statezoo` and `measures`; `channel`, `cloning` and `protocols` are imported
-by the command that uses them (see `_layer`), once per command: a measure
-kind of `channel`, a figure by its layer, and `protocol` for `protocols`,
-whose secret-sharing code imports `cloning`.
+`statezoo` and `measures`; it reaches `channel`, `cloning` and `protocols` as
+attributes of the package (`entkit.channel`), which the package imports on
+first access: a measure kind of `channel`, a figure by the module its values
+call, and `protocol` for `protocols`, whose secret-sharing code uses `cloning`.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import inspect
 import json
 import math
@@ -28,6 +26,8 @@ import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+import entkit
 
 from . import measures, statezoo
 from .qcore import DensityMatrix, DomainError, PureState
@@ -116,11 +116,6 @@ def _load_matrix(path: str):
     return DensityMatrix(dims, entries.reshape(d, d))
 
 
-def _layer(name: str):
-    """The entkit module `name`, imported on first use."""
-    return importlib.import_module(f"{__package__}.{name}")
-
-
 def _emit(text: str, out: str | None) -> int:
     """Write a command's output to the file `out`, or to stdout when omitted."""
     if out:
@@ -145,9 +140,9 @@ MEASURES = {
     "entropy_linear": lambda rho, args: measures.entropy(rho, "linear"),
     "singlet_fraction": lambda rho, args: measures.singlet_fraction(rho),
     "entropy_of_entanglement": lambda rho, args: measures.entropy_of_entanglement(rho),
-    "n_value": lambda rho, args: _layer("channel").n_value(rho),
-    "m_value": lambda rho, args: _layer("channel").m_value(rho),
-    "fidelity_opt": lambda rho, args: _layer("channel").optimal_fidelity(rho),
+    "n_value": lambda rho, args: entkit.channel.n_value(rho),
+    "m_value": lambda rho, args: entkit.channel.m_value(rho),
+    "fidelity_opt": lambda rho, args: entkit.channel.optimal_fidelity(rho),
 }
 
 
@@ -165,85 +160,79 @@ def cmd_measure(args) -> int:
 
 class Figure(NamedTuple):
     columns: tuple
-    layer: str                  # the module that gives the values
-    axes: tuple | Callable      # one (lo, hi) per swept axis, or layer module -> those
+    axes: tuple | Callable      # one (lo, hi) per swept axis, or a function giving those
     points: int                 # default grid points per axis
-    values: Callable            # (layer module, *axis columns) -> the columns after the axes
-
-
-def _pick(forms: dict, *keys) -> tuple:
-    return tuple(map(forms.__getitem__, keys))
+    values: Callable            # (*axis columns) -> the columns after the axes
 
 
 def _each(point: Callable) -> Callable:
     """Figure.values of a library call made at one grid point at a time."""
-    return lambda module, *axes: tuple(zip(*map(functools.partial(point, module), *axes)))
+    return lambda *axes: tuple(zip(*map(point, *axes)))
 
 
-def _cloned_and_distilled(cloning, d: float) -> tuple:
+def _cloned_and_distilled(d: float) -> tuple:
+    cloning = entkit.cloning
     joint = cloning.qutrit_cloned_pair(d).joint
     return joint, cloning.distill(joint, cloning.distillation_filter(joint))
 
 
-def _distillable(cloning) -> tuple:
+def _distillable() -> tuple:
     """The d axis of figures 4.2 and 4.3, where the distillation filter exists."""
-    return ((cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5),)
+    return ((entkit.cloning.NONOPT_FILTER_D_MIN + 1e-6, 0.5),)
+
+
+def _channel_forms(family: str, *keys, **params) -> tuple:
+    """The columns `keys` of a channel family's closed forms."""
+    forms = entkit.channel.closed_forms(family, **params)
+    return tuple(map(forms.__getitem__, keys))
+
+
+def _cdc_forms(family: str, *keys, **params) -> tuple:
+    """The columns `keys` of a CDC family's closed forms."""
+    forms = entkit.protocols.cdc_closed_forms(family, **params)
+    return tuple(map(forms.__getitem__, keys))
 
 
 _PI_4 = np.pi / 4.0
 _PI_2 = np.pi / 2.0
 
 FIGURES = {
-    "3.1": Figure(("p", "concurrence", "n_value", "m_value"), "channel", ((0.0, 1.0),), 1001,
-                  lambda channel, p: _pick(channel.closed_forms("nmems", p=p),
-                                           "concurrence", "n_value", "m_value")),
-    "3.2": Figure(("concurrence", "f_opt_werner", "f_opt_mjwk"), "channel", ((0.0, 1.0),), 201,
-                  lambda channel, c: (channel.closed_forms("werner", C=c)["fidelity_opt"],
-                                      channel.closed_forms("mjwk", C=c)["fidelity_opt"])),
+    "3.1": Figure(("p", "concurrence", "n_value", "m_value"), ((0.0, 1.0),), 1001,
+                  lambda p: _channel_forms("nmems", "concurrence", "n_value", "m_value", p=p)),
+    "3.2": Figure(("concurrence", "f_opt_werner", "f_opt_mjwk"), ((0.0, 1.0),), 201,
+                  lambda c: (_channel_forms("werner", "fidelity_opt", C=c)
+                             + _channel_forms("mjwk", "fidelity_opt", C=c))),
     "3.3": Figure(("concurrence", "m_werner", "f_opt_werner", "m_mjwk", "f_opt_mjwk"),
-                  "channel", ((0.0, 1.0),), 201,
-                  lambda channel, c: (
-                      _pick(channel.closed_forms("werner", C=c), "m_value", "fidelity_opt")
-                      + _pick(channel.closed_forms("mjwk", C=c), "m_value", "fidelity_opt"))),
-    "3.4": Figure(("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), "channel",
                   ((0.0, 1.0),), 201,
-                  lambda channel, g: (
-                      _pick(channel.closed_forms("werner", C=g), "m_value", "fidelity_opt")
-                      + _pick(channel.closed_forms("wei", gamma=g), "m_value", "fidelity_opt"))),
-    "3.5": Figure(("linear_entropy", "f_opt_werner", "f_opt_mjwk"), "channel",
-                  ((0.0, 8.0 / 9.0 - 1e-9),), 201,
-                  lambda channel, s: (channel.fidelity_from_linear_entropy("werner", s),
-                                      channel.fidelity_from_linear_entropy("mjwk", s))),
-    "4.1": Figure(("d", "entropy_advantage"), "cloning", ((1e-3, 0.5),), 101,
-                  _each(lambda cloning, d: (cloning.dense_coding_advantage(
-                      cloning.qutrit_cloned_pair(d).joint),))),
-    "4.2": Figure(("d", "bell_enumeration_distilled"), "cloning", _distillable, 33,
-                  _each(lambda cloning, d: (measures.singlet_fraction(
-                      _cloned_and_distilled(cloning, d)[1], restarts=0),))),
-    "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), "cloning", _distillable, 33,
-                  _each(lambda cloning, d: tuple(map(cloning.dense_coding_capacity,
-                                                     _cloned_and_distilled(cloning, d))))),
-    "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), "protocols",
-                  ((0.0, _PI_2),), 201,
-                  lambda protocols, t: (
-                      protocols.cdc_closed_forms("ghz", theta=t)["bits"],
-                      protocols.cdc_closed_forms("qutrit_ghz", theta=t)["bits"])),
-    "5.2": Figure(("l", "theta"), "protocols", ((0.0, 1.0),), 201,
-                  lambda protocols, l: (protocols.cdc_closed_forms("pati", l=l)["theta"],)),
-    "5.3": Figure(("theta", "concurrence"), "protocols", ((_PI_4, _PI_2),), 201,
-                  lambda protocols, t: (
-                      protocols.cdc_closed_forms("ghz", theta=t)["concurrence"],)),
-    "5.4": Figure(("theta", "epsilon", "concurrence"), "protocols",
-                  ((0.0, _PI_4), (0.0, _PI_2)), 41,
-                  lambda protocols, t, e: (protocols.cdc_closed_forms(
-                      "ghz4", theta=t, epsilon=e)["concurrence"],)),
-    "5.5": Figure(("theta", "concurrence"), "protocols", ((_PI_4, _PI_2),), 201,
-                  lambda protocols, t: (
-                      protocols.cdc_closed_forms("w3", theta=t)["concurrence"],)),
-    "5.6": Figure(("theta", "epsilon", "concurrence"), "protocols",
-                  ((_PI_4, _PI_2), (_PI_4, _PI_2)), 41,
-                  lambda protocols, t, e: (protocols.cdc_closed_forms(
-                      "w4", theta=t, epsilon=e)["concurrence"],)),
+                  lambda c: (_channel_forms("werner", "m_value", "fidelity_opt", C=c)
+                             + _channel_forms("mjwk", "m_value", "fidelity_opt", C=c))),
+    "3.4": Figure(("gamma", "m_werner", "f_opt_werner", "m_wei", "f_opt_wei"), ((0.0, 1.0),), 201,
+                  lambda g: (_channel_forms("werner", "m_value", "fidelity_opt", C=g)
+                             + _channel_forms("wei", "m_value", "fidelity_opt", gamma=g))),
+    "3.5": Figure(("linear_entropy", "f_opt_werner", "f_opt_mjwk"), ((0.0, 8.0 / 9.0 - 1e-9),),
+                  201, lambda s: (entkit.channel.fidelity_from_linear_entropy("werner", s),
+                                  entkit.channel.fidelity_from_linear_entropy("mjwk", s))),
+    "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
+                  _each(lambda d: (entkit.cloning.dense_coding_advantage(
+                      entkit.cloning.qutrit_cloned_pair(d).joint),))),
+    "4.2": Figure(("d", "bell_enumeration_distilled"), _distillable, 33,
+                  _each(lambda d: (measures.singlet_fraction(
+                      _cloned_and_distilled(d)[1], restarts=0),))),
+    "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), _distillable, 33,
+                  _each(lambda d: tuple(map(entkit.cloning.dense_coding_capacity,
+                                            _cloned_and_distilled(d))))),
+    "5.1": Figure(("theta", "bits_sin_family", "bits_cos_family"), ((0.0, _PI_2),), 201,
+                  lambda t: (_cdc_forms("ghz", "bits", theta=t)
+                             + _cdc_forms("qutrit_ghz", "bits", theta=t))),
+    "5.2": Figure(("l", "theta"), ((0.0, 1.0),), 201, lambda l: _cdc_forms("pati", "theta", l=l)),
+    "5.3": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
+                  lambda t: _cdc_forms("ghz", "concurrence", theta=t)),
+    "5.4": Figure(("theta", "epsilon", "concurrence"), ((0.0, _PI_4), (0.0, _PI_2)), 41,
+                  lambda t, e: _cdc_forms("ghz4", "concurrence", theta=t, epsilon=e)),
+    "5.5": Figure(("theta", "concurrence"), ((_PI_4, _PI_2),), 201,
+                  lambda t: _cdc_forms("w3", "concurrence", theta=t)),
+    "5.6": Figure(("theta", "epsilon", "concurrence"), ((_PI_4, _PI_2), (_PI_4, _PI_2)), 41,
+                  lambda t, e: _cdc_forms("w4", "concurrence", theta=t, epsilon=e)),
 }
 
 
@@ -254,13 +243,11 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _table(figure: Figure, points: int) -> np.ndarray:
-    """The axis columns over the product of the axis grids, then the value columns,
-    with the figure's layer imported once."""
-    module = _layer(figure.layer)
-    bounds = figure.axes(module) if callable(figure.axes) else figure.axes
+    """The axis columns over the product of the axis grids, then the value columns."""
+    bounds = figure.axes() if callable(figure.axes) else figure.axes
     grids = [_grid(lo, hi, points) for lo, hi in bounds]
     axes = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
-    return np.column_stack([*axes, *figure.values(module, *axes)])
+    return np.column_stack([*axes, *figure.values(*axes)])
 
 
 def cmd_figure(args) -> int:
@@ -282,7 +269,7 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_protocol(args) -> int:
-    protocols = _layer("protocols")
+    protocols = entkit.protocols
     if args.protocol == "cdc":
         kwargs = {name: getattr(args, name) for name in ("epsilon", "l", "n", "class_index")
                   if getattr(args, name) is not None}

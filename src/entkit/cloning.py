@@ -45,10 +45,6 @@ class CloningParams:
         if abs(residual) > 1e-12:
             raise DomainError(f"c^2 + 2(n-1)d^2 = 1 violated by {residual:.3e}")
 
-    @property
-    def is_optimal(self) -> bool:
-        return abs(self.d ** 2 - 1.0 / (2.0 * (self.n + 1))) <= 1e-12
-
 
 def uqcm_params(n: int, d: float | None = None) -> CloningParams:
     """Machine parameters for dimension n; the optimal preset when d is omitted.
@@ -61,10 +57,11 @@ def uqcm_params(n: int, d: float | None = None) -> CloningParams:
     if d is None:
         d = np.sqrt(1.0 / (2.0 * (n + 1)))
     d = float(d)
-    if not 0.0 <= d <= np.sqrt(1.0 / (2.0 * (n - 1))):
+    d_max = np.sqrt(1.0 / (2.0 * (n - 1)))
+    if not 0.0 <= d <= d_max:
         raise DomainError(f"d = {d} outside [0, sqrt(1/(2(n-1)))] for n = {n}")
-    # at the endpoint c^2 may round to a few ulps below 0
-    c = np.sqrt(max(1.0 - 2.0 * (n - 1) * d * d, 0.0))
+    # c^2 = 0 at the endpoint, where 1 - 2(n-1)d^2 rounds to a few ulps off 0
+    c = np.sqrt(0.0 if d == d_max else max(1.0 - 2.0 * (n - 1) * d * d, 0.0))
     return CloningParams(n, c, d, c * c + (n - 2) * d * d)
 
 
@@ -86,7 +83,6 @@ class ClonePairOutput:
 
     joint: DensityMatrix
     params: CloningParams
-    optimal: bool
 
 
 def qutrit_cloned_pair(d: float) -> ClonePairOutput:
@@ -96,7 +92,7 @@ def qutrit_cloned_pair(d: float) -> ClonePairOutput:
     params = uqcm_params(3, d)
     full = PureState((3,) * 3, cloning_isometry(params) @ (np.ones(3) / np.sqrt(3.0)))
     joint = partial_trace(full, keep=(0, 1))
-    return ClonePairOutput(joint, params, params.is_optimal)
+    return ClonePairOutput(joint, params)
 
 
 # Closed forms for the two partial-transpose eigenvalues of the clone pair

@@ -29,15 +29,17 @@ conditional states, one per (bit, Alice's outcome), each stack validated once
 by one eigvalsh; `secret_share_run` indexes them and
 `monte_carlo_secret_share` iterates them.  A run checks c, Charlie's bit and
 Alice's outcome, in that order, before it simulates.  Only the
-secret-sharing code imports `cloning`, so a CDC run never loads it.
+secret-sharing code reads `cloning`, as `entkit.cloning`, which the package
+imports on first access, so a CDC run never loads it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
+
+import entkit
 
 from . import statezoo
 from .qcore import (
@@ -574,28 +576,19 @@ def _bob_matrices(channels: np.ndarray, outcomes) -> np.ndarray:
     return _reduced_matrix(sub / prob[:, None, None], (2, 2), (1,))
 
 
-@functools.cache
-def _cloning():
-    """The cloning module, imported by the first secret-sharing call, so that a
-    CDC run never loads it."""
-    from . import cloning
-    return cloning
-
-
 def cloning_amplitude(c2: float) -> float:
     """The amplitude c = sqrt(c^2) of Cliff's cloning machine, for c^2 in (1/3, 1]."""
-    if not _cloning()._entangling_c2(c2):
+    if not entkit.cloning._entangling_c2(c2):
         raise DomainError(f"cloning c^2 must lie in (1/3, 1], got {c2}")
     return np.sqrt(c2)
 
 
-def _cloning_machine(c: float) -> cloning.CloningParams:
+def _cloning_machine(c: float) -> entkit.cloning.CloningParams:
     """Cliff's qubit cloning machine with amplitude c in (1/sqrt(3), 1], tested as
     c >= 0 with c^2 in (1/3, 1], so it accepts every c that cloning_amplitude returns."""
-    cloning = _cloning()
-    if not (c >= 0.0 and cloning._entangling_c2(c * c)):
+    if not (c >= 0.0 and entkit.cloning._entangling_c2(c * c)):
         raise DomainError(f"cloning amplitude c must lie in (1/sqrt(3), 1], got {c}")
-    return cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
+    return entkit.cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
 
 
 def _charlie_bit(charlie_bit: int) -> int:
@@ -608,14 +601,14 @@ def _charlie_bit(charlie_bit: int) -> int:
 _BOB_ROWS = ((0, "+"), (0, "-"), (1, "+"), (1, "-"))
 
 
-def _shares(c: float, params: cloning.CloningParams) -> tuple:
+def _shares(c: float, params: entkit.cloning.CloningParams) -> tuple:
     """Everything a secret-sharing run reads, each stack validated once: the
     non-local pairs Alice and Bob share after Cliff (machine params, amplitude
     c) clones both qubits of Charlie's |Phi+> (bit 0) and |Phi-> (bit 1), as one
     (2, 4, 4) stack from one stacked clone, with its spectra; the published
     Q = 4 c^2 d^2; and Bob's conditional states in the rows of _BOB_ROWS, as a
     (4, 2, 2) stack, with its spectra."""
-    (channels,), (spectra,) = _cloning().clone_bipartite_stack(
+    (channels,), (spectra,) = entkit.cloning.clone_bipartite_stack(
         (0.5, 0.5), (1.0, -1.0), params, pairs=("nonlocal",))
     bobs = _bob_matrices(channels[[b for b, _ in _BOB_ROWS]], [o for _, o in _BOB_ROWS])
     q = 4.0 * c * c * (1.0 - c * c) / 2.0
@@ -657,7 +650,7 @@ class WitnessCheck:
 def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
     """Witness expectations on the non-local clone output and the critical
     input concurrence (1 + c^2)/(4 c^2) above which it stays entangled."""
-    cloning = _cloning()
+    cloning = entkit.cloning
     params = _cloning_machine(c)
     (nonlocal_,), _ = cloning.clone_bipartite_stack((lambda1,), (1.0,), params, pairs=("nonlocal",))
     w1 = float(np.trace(W_A1 @ nonlocal_[0]).real)

@@ -80,10 +80,6 @@ class PureState:
         if not abs(norm - 1.0) <= TOL_NORM:
             raise DomainError(f"state vector not normalised: <psi|psi> = {norm**2:.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.dims, np.outer(self.vector, self.vector.conj()))
 

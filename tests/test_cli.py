@@ -556,18 +556,27 @@ def _run_quietly(argv: list) -> str:
             f"    assert cli.main({argv!r}) == 0\n")
 
 
-@pytest.mark.parametrize("code,never", [
-    ("import entkit", {"cli", "statezoo", "measures", "channel", "cloning", "protocols"}),
-    (_run_quietly(["measure", "--state", "werner:F=0.75", "--kind", "concurrence"]),
-     {"channel", "cloning", "protocols"}),
+# the modules `entkit.cli` loads before it runs a command
+_CLI = {"qcore", "statezoo", "measures", "cli"}
+
+
+# one case per row of README's table of the modules a command loads
+@pytest.mark.parametrize("code,modules", [
+    ("import entkit", {"qcore"}),
+    (_run_quietly(["measure", "--state", "werner:F=0.75", "--kind", "concurrence"]), _CLI),
+    (_run_quietly(["measure", "--state", "werner:F=0.75", "--kind", "m_value"]),
+     _CLI | {"channel"}),
+    (_run_quietly(["figure", "3.1", "--points", "3"]), _CLI | {"channel"}),
+    (_run_quietly(["figure", "4.2", "--points", "2"]), _CLI | {"cloning"}),
+    (_run_quietly(["figure", "5.4", "--points", "2"]), _CLI | {"protocols"}),
     (_run_quietly(["protocol", "cdc", "--theta", "0.6", "--montecarlo", "10"]),
-     {"channel", "cloning"}),
-    (_run_quietly(["figure", "3.1", "--points", "3"]), {"cloning", "protocols"}),
-], ids=["import", "measure", "protocol-cdc", "figure-3.1"])
-def test_a_cold_command_loads_only_the_modules_it_runs(code, never):
-    loaded = _loaded_after(code)
-    assert {"entkit", "entkit.qcore"} <= loaded
-    assert loaded.isdisjoint(f"entkit.{name}" for name in never)
+     _CLI | {"protocols"}),
+    (_run_quietly(["protocol", "secret-share", "--montecarlo", "10"]),
+     _CLI | {"protocols", "cloning"}),
+], ids=["import", "measure", "measure-channel", "figure-3.1", "figure-4.2", "figure-5.4",
+        "protocol-cdc", "protocol-secret-share"])
+def test_a_cold_command_loads_only_the_modules_it_runs(code, modules):
+    assert _loaded_after(code) == {"entkit", *(f"entkit.{name}" for name in modules)}
 
 
 def test_submodules_load_on_first_access():

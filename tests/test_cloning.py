@@ -34,7 +34,6 @@ def test_optimal_parameters_qutrit():
     assert p.c ** 2 == pytest.approx(0.5, abs=1e-12)
     assert p.d ** 2 == pytest.approx(1.0 / 8.0, abs=1e-12)
     assert p.s == pytest.approx(5.0 / 8.0, abs=1e-12)
-    assert p.is_optimal
 
 
 def test_optimal_parameters_qubit_clone_fidelity():
@@ -65,8 +64,11 @@ def test_uqcm_params_range():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_uqcm_params_accepts_its_endpoint(n):
     # at d = sqrt(1/(2(n-1))) c^2 = 1 - 2(n-1)d^2 rounds below 0 for n = 2, 5 and 8
+    # and above 0 for n = 4 and 7; c is 0 there all the same
     d = np.sqrt(1.0 / (2.0 * (n - 1)))
-    v = cloning.cloning_isometry(cloning.uqcm_params(n, d))
+    params = cloning.uqcm_params(n, d)
+    assert params.c == 0.0
+    v = cloning.cloning_isometry(params)
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
     with pytest.raises(DomainError, match="outside"):
         cloning.uqcm_params(n, np.nextafter(d, 1.0))
@@ -140,9 +142,10 @@ def test_clone_pair_is_npt_everywhere():
         assert np.linalg.eigvalsh(partial_transpose(joint, 0)).min() < -1e-10
 
 
-def test_clone_pair_optimal_flag_and_range():
-    assert cloning.qutrit_cloned_pair(D_OPT).optimal
-    assert not cloning.qutrit_cloned_pair(0.2).optimal
+def test_clone_pair_optimal_preset_and_range():
+    # the optimal machine has d^2 = 1/(2(n+1)) = 1/8
+    assert cloning.qutrit_cloned_pair(D_OPT).params.d ** 2 == pytest.approx(1.0 / 8.0, abs=1e-12)
+    assert cloning.qutrit_cloned_pair(0.2).params.d ** 2 != pytest.approx(1.0 / 8.0, abs=1e-12)
     with pytest.raises(DomainError):
         cloning.qutrit_cloned_pair(0.0)
     with pytest.raises(DomainError):

@@ -148,6 +148,23 @@ def test_every_public_name_in_the_package_has_a_reader():
     assert sorted(unread) == sorted(KEEP), sorted(set(unread) ^ set(KEEP))
 
 
+def test_the_package_hook_is_the_one_deferred_import():
+    # entkit/__init__.py's __getattr__ imports a submodule on first access; no
+    # other module of the package imports inside a function or calls import_module
+    deferred = set()
+    for path in sorted(pathlib.Path(qcore.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                deferred |= {f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                             if isinstance(inner, (ast.Import, ast.ImportFrom))}
+            elif isinstance(node, ast.Call) and "import_module" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                deferred.add(f"{path.name}:{node.lineno}")
+    assert sorted(deferred) == []
+
+
 def test_util_loads_as_perfbench_loads_it():
     # perfbench/workloads.py runs tests/util.py from its path without entering
     # it in sys.modules, where a dataclass cannot be defined
