@@ -166,7 +166,13 @@ class Figure(NamedTuple):
 
 
 def _each(point: Callable) -> Callable:
-    """Figure.values of a library call made at one grid point at a time."""
+    """Figure.values of a library call made at one grid point at a time.
+
+    Figures 4.2 and 4.3 stay per point.  Their distillation filter is still an
+    open question (it follows the local frame below NONOPT_FILTER_D_MIN), and
+    the benchmark keeps the outputs of every sweep pass, so a shorter pass
+    runs more passes and raises the sweep's peak RSS past its bound.
+    """
     return lambda *axes: tuple(zip(*map(point, *axes)))
 
 
@@ -213,8 +219,8 @@ FIGURES = {
                   201, lambda s: (entkit.channel.fidelity_from_linear_entropy("werner", s),
                                   entkit.channel.fidelity_from_linear_entropy("mjwk", s))),
     "4.1": Figure(("d", "entropy_advantage"), ((1e-3, 0.5),), 101,
-                  _each(lambda d: (entkit.cloning.dense_coding_advantage(
-                      entkit.cloning.qutrit_cloned_pair(d).joint),))),
+                  lambda d: (entkit.cloning.dense_coding_advantages(
+                      (3, 3), *entkit.cloning.qutrit_cloned_pairs(d)),)),
     "4.2": Figure(("d", "bell_enumeration_distilled"), _distillable, 33,
                   _each(lambda d: (measures.singlet_fraction(
                       _cloned_and_distilled(d)[1], restarts=0),))),

@@ -21,10 +21,8 @@ from . import measures
 from .qcore import (
     DensityMatrix,
     DomainError,
-    PureState,
     _density_spectra,
     _reduced_matrix,
-    partial_trace,
     tensor,
 )
 
@@ -60,21 +58,32 @@ def uqcm_params(n: int, d: float | None = None) -> CloningParams:
     d_max = np.sqrt(1.0 / (2.0 * (n - 1)))
     if not 0.0 <= d <= d_max:
         raise DomainError(f"d = {d} outside [0, sqrt(1/(2(n-1)))] for n = {n}")
-    # c^2 = 0 at the endpoint, where 1 - 2(n-1)d^2 rounds to a few ulps off 0
-    c = np.sqrt(0.0 if d == d_max else max(1.0 - 2.0 * (n - 1) * d * d, 0.0))
+    c = _amplitude_c(n, d, d_max)
     return CloningParams(n, c, d, c * c + (n - 2) * d * d)
+
+
+def _amplitude_c(n: int, d, d_max: float):
+    """c = sqrt(1 - 2(n-1)d^2) of each d in [0, d_max] (a scalar or an array);
+    exactly 0.0 at d_max, where 1 - 2(n-1)d^2 rounds to a few ulps off 0."""
+    return np.sqrt(np.maximum(1.0 - 2.0 * (n - 1) * d * d, 0.0) * (d != d_max))
 
 
 def cloning_isometry(params: CloningParams) -> np.ndarray:
     """(n^3 x n) isometry from the input system to (clone a, clone b, machine)."""
-    n = params.n
-    # v[a, b, machine, input]: c |iii> + d sum_{j != i} (|ij> + |ji>)|j>
-    v = np.zeros((n, n, n, n), dtype=complex)
+    return _isometries(params.n, params.c, params.d)
+
+
+def _isometries(n: int, c, d) -> np.ndarray:
+    """cloning_isometry for each (c, d) of a column, stacked along a leading axis
+    (none for scalars)."""
+    c, d = np.asarray(c), np.asarray(d)
+    # v[..., a, b, machine, input]: c |iii> + d sum_{j != i} (|ij> + |ji>)|j>
+    v = np.zeros(c.shape + (n,) * 4, dtype=complex)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    v[i, j, j, i] = v[j, i, j, i] = params.d
+    v[..., i, j, j, i] = v[..., j, i, j, i] = d[..., None]
     k = np.arange(n)
-    v[k, k, k, k] = params.c
-    return v.reshape(n ** 3, n)
+    v[..., k, k, k, k] = c[..., None]
+    return v.reshape(c.shape + (n ** 3, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +94,34 @@ class ClonePairOutput:
     params: CloningParams
 
 
+def qutrit_cloned_pairs(ds) -> tuple:
+    """Two-qutrit clone pairs for input (|0> + |1> + |2>)/sqrt(3), one per d of
+    a sequence ds in (0, 1/2], from one contraction of the stacked isometry with
+    the input, validated by one _density_spectra call.  Returns the read-only
+    (N, 9, 9) matrices and (N, 9) spectra, each row with the bits of its one-row
+    call; the first d outside (0, 1/2] raises the one-row call's DomainError.
+    """
+    d = np.asarray(ds, dtype=float)
+    bad = ~((0.0 < d) & (d <= 0.5))
+    if bad.any():
+        raise DomainError("machine parameter d must lie in (0, 1/2], "
+                          f"got {ds[int(np.argmax(bad))]}")
+    iso = _isometries(3, _amplitude_c(3, d, 0.5), d)
+    # a[r, clone a x clone b, machine]: each amplitude is c or d times 1/sqrt(3),
+    # one rounding, so no order of the contraction's sums can change a bit
+    a = (iso @ (np.ones(3) / np.sqrt(3.0))).reshape(-1, 9, 3)
+    matrices = a @ a.conj().swapaxes(-1, -2)
+    spectra = _density_spectra((3, 3), matrices)
+    matrices.setflags(write=False)
+    spectra.setflags(write=False)
+    return matrices, spectra
+
+
 def qutrit_cloned_pair(d: float) -> ClonePairOutput:
-    """Two-qutrit clone pair for input (|0> + |1> + |2>)/sqrt(3), d in (0, 1/2]."""
-    if not 0.0 < d <= 0.5:
-        raise DomainError(f"machine parameter d must lie in (0, 1/2], got {d}")
-    params = uqcm_params(3, d)
-    full = PureState((3,) * 3, cloning_isometry(params) @ (np.ones(3) / np.sqrt(3.0)))
-    joint = partial_trace(full, keep=(0, 1))
-    return ClonePairOutput(joint, params)
+    """Two-qutrit clone pair for input (|0> + |1> + |2>)/sqrt(3), d in (0, 1/2]:
+    the one-row case of qutrit_cloned_pairs."""
+    (matrix,), (spectrum,) = qutrit_cloned_pairs((d,))
+    return ClonePairOutput(DensityMatrix._validated((3, 3), matrix, spectrum), uqcm_params(3, d))
 
 
 # Closed forms for the two partial-transpose eigenvalues of the clone pair
@@ -256,13 +285,20 @@ def distill(rho: DensityMatrix, filt: FilterMatrix) -> DensityMatrix:
 # dense coding and the qutrit teleportation witness
 # ---------------------------------------------------------------------------
 
+def dense_coding_advantages(dims: tuple, matrices: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """S(rho_b) - S(rho_ab) in bits of each state of an (N, d, d) stack on the
+    bipartite dims, given the rows of their ranked spectra.  One _density_spectra
+    call makes partial_trace's checks on all the b marginals."""
+    if len(dims) != 2:
+        raise DomainError(f"dense coding needs a bipartite state, got dims {dims}")
+    marginals = _density_spectra(dims[1:], _reduced_matrix(matrices, dims, (1,)))
+    return measures._von_neumann_entropies(marginals) - measures._von_neumann_entropies(spectra)
+
+
 def dense_coding_advantage(rho: DensityMatrix) -> float:
-    """S(rho_b) - S(rho_ab) in bits; positive iff the state is dense-codeable."""
-    if len(rho.dims) != 2:
-        raise DomainError(f"dense coding needs a bipartite state, got dims {rho.dims}")
-    s_b = measures.entropy(partial_trace(rho, keep=(1,)), "von_neumann", 2.0)
-    s_ab = measures.entropy(rho, "von_neumann", 2.0)
-    return float(s_b - s_ab)
+    """S(rho_b) - S(rho_ab) in bits; positive iff the state is dense-codeable:
+    the one-row case of dense_coding_advantages."""
+    return float(dense_coding_advantages(rho.dims, rho.matrix[None], rho.spectrum[None])[0])
 
 
 def dense_coding_capacity(rho: DensityMatrix) -> float:

@@ -108,10 +108,7 @@ def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) ->
         raise DomainError(f"unknown entropy kind {kind!r}")
     if kind == "linear":
         return float(_linear_entropies(rho.matrix[None], rho.spectrum[None])[0])
-    evals = rho.spectrum[rho.spectrum > 0.0]
-    if evals.size == 1:
-        return 0.0
-    return float(-np.sum(evals * np.log(evals)) / np.log(base))
+    return float(_von_neumann_entropies(rho.spectrum[None], base)[0])
 
 
 def _linear_entropies(matrices: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -121,6 +118,13 @@ def _linear_entropies(matrices: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     purity = np.trace(matrices @ matrices, axis1=-2, axis2=-1).real
     pure = np.count_nonzero(spectra > 0.0, axis=-1) == 1
     return np.where(pure, 0.0, n / (n - 1.0) * (1.0 - purity))
+
+
+def _von_neumann_entropies(spectra: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """von Neumann entropy of each row of an (N, n) stack of ascending ranked
+    spectra; 0.0 at rank 1, where every entry but the last is 0.0."""
+    logs = np.log(spectra, out=np.zeros_like(spectra), where=spectra > 0.0)
+    return np.where(spectra[:, -2] == 0.0, 0.0, -(spectra * logs).sum(axis=-1) / np.log(base))
 
 
 def entropy_of_entanglement(psi) -> float:

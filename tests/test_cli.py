@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entkit import channel, cli, protocols, statezoo
+from entkit import channel, cli, cloning, protocols, statezoo
 from entkit.qcore import DomainError
 
 
@@ -301,6 +301,27 @@ def test_closed_form_figure_calls_its_closed_form_once(monkeypatch, tmp_path, mo
     monkeypatch.setattr(module, name, counted)
     assert cli.main(["figure", figure_id, "--out", str(tmp_path / "fig.csv")]) == 0
     assert len(calls) == 1
+
+
+def test_figure_4_1_builds_the_whole_d_grid_at_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cloning, "qutrit_cloned_pairs",
+                        counted("qutrit_cloned_pairs", cloning.qutrit_cloned_pairs))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    counts = []
+    for points in (("--points", "7"), ()):
+        calls.clear()
+        assert run_cli(capsys, "figure", "4.1", *points)[0] == 0
+        counts.append({name: calls.count(name) for name in ("qutrit_cloned_pairs", "eigvalsh")})
+    # the pairs' validation and their b marginals'
+    assert counts[0] == counts[1] == {"qutrit_cloned_pairs": 1, "eigvalsh": 2}
 
 
 def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):

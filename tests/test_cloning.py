@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -150,6 +150,40 @@ def test_clone_pair_optimal_preset_and_range():
         cloning.qutrit_cloned_pair(0.0)
     with pytest.raises(DomainError):
         cloning.qutrit_cloned_pair(0.51)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 0.5, exclude_min=True) | st.just(0.5), min_size=1, max_size=8))
+@example([0.5, 1e-3, 0.5])
+def test_qutrit_cloned_pairs_rows_are_one_row_calls(ds):
+    matrices, spectra = cloning.qutrit_cloned_pairs(ds)
+    assert matrices.shape == (len(ds), 9, 9) and spectra.shape == (len(ds), 9)
+    assert not (matrices.flags.writeable or spectra.flags.writeable)
+    for r, d in enumerate(ds):
+        pair = cloning.qutrit_cloned_pair(d)
+        assert matrices[r].tobytes() == pair.joint.matrix.tobytes()
+        assert spectra[r].tobytes() == pair.joint.spectrum.tobytes()
+        # and the bits of the one-state path: isometry, PureState, partial_trace
+        psi = cloning.cloning_isometry(pair.params) @ (np.ones(3) / np.sqrt(3.0))
+        alone = partial_trace(PureState((3, 3, 3), psi), keep=(0, 1))
+        assert matrices[r].tobytes() == alone.matrix.tobytes()
+        assert spectra[r].tobytes() == alone.spectrum.tobytes()
+        if d == 0.5:
+            assert pair.params.c == 0.0 and matrices[r, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("ds,first_bad", [
+    ((0.3, 0.0, 0.7), 0.0),
+    ((0.2, -0.1), -0.1),
+    ((0.5, 0.5000001), 0.5000001),
+    ((0.1, float("nan"), -1.0), float("nan")),
+])
+def test_qutrit_cloned_pairs_domain(ds, first_bad):
+    with pytest.raises(DomainError) as one_row:
+        cloning.qutrit_cloned_pair(first_bad)
+    with pytest.raises(DomainError) as stacked:
+        cloning.qutrit_cloned_pairs(ds)
+    assert str(stacked.value) == str(one_row.value)
 
 
 def test_reduced_clone_matches_closed_form():
@@ -431,6 +465,28 @@ def test_dense_coding_capacity_maximally_entangled_qutrits():
     rho = statezoo.generalized_max_entangled(3).density()
     assert cloning.dense_coding_capacity(rho) == pytest.approx(
         2 * np.log2(3), abs=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_stacked_entropies_and_advantages_are_one_row_calls(dims):
+    n = dims[0] * dims[1]
+    rng = np.random.default_rng(n)
+    states = [random_density(rng, dims, rank=rank) for rank in range(1, n + 1) for _ in range(4)]
+    matrices = np.array([rho.matrix for rho in states])
+    spectra = np.array([rho.spectrum for rho in states])
+    entropies = measures._von_neumann_entropies(spectra)
+    advantages = cloning.dense_coding_advantages(dims, matrices, spectra)
+    for rho, entropy, advantage in zip(states, entropies, advantages):
+        assert entropy.tobytes() == np.float64(measures.entropy(rho)).tobytes()
+        assert advantage.tobytes() == np.float64(cloning.dense_coding_advantage(rho)).tobytes()
+        positive = rho.spectrum[rho.spectrum > 0.0]
+        if positive.size == 1:
+            assert entropy == 0.0
+            assert advantage == measures.entropy(partial_trace(rho, keep=(1,)))
+        else:
+            # the sum over the zero-padded row may group the terms otherwise
+            reference = -np.sum(positive * np.log2(positive))
+            assert abs(entropy - reference) <= 4 * np.spacing(reference)
 
 
 def test_optimal_output_is_not_dense_codeable():

@@ -247,6 +247,9 @@ def test_qutrit_ghz_vector():
     assert v.size == 27
     for i in range(3):
         assert v[i * 9 + i * 3 + i].real == pytest.approx(1 / np.sqrt(3))
+    # the bits of (|000> + |111> + |222>)/sqrt(3) summed from its basis kets
+    kets = sum(basis_ket((i, i, i), (3, 3, 3)).real for i in range(3))
+    assert v.tobytes() == (kets / np.sqrt(3)).astype(complex).tobytes()
 
 
 def test_ghz_class_mutually_orthogonal_and_orthogonal_to_ghz():
