@@ -10,10 +10,9 @@ as one (N, 4, 4) stack from its statezoo matrix formula and validates it once
 (one stacked eigvalsh), then runs T, N and M, the concurrence, the Bell
 enumeration and the linear entropy once over the stack, one stacked eigh or
 svd per step, and the closed forms once over the grid.  Their
-singlet_fraction column is measures.singlet_fraction's: at any positive
-restarts (both functions' default) the fully entangled fraction, exact for
-two qubits, from one stacked eigvalsh in the magic basis, and at restarts=0
-the generalised Bell enumeration.
+singlet_fraction column is measures.singlet_fraction's, the fully entangled
+fraction, exact for two qubits: the larger of the Bell enumeration and one
+stacked eigvalsh in the magic basis.
 analyze_channel and the single-state functions are the same kernels applied
 to a one-state stack, so a state gets the same bits alone as in a grid.
 """
@@ -121,12 +120,13 @@ class ChannelReport:
     boundary: bool = False         # true when N sits within 1e-9 of the N = 1 line
 
 
-def analyze_channel(rho: DensityMatrix, restarts: int = 1) -> ChannelReport:
+def analyze_channel(rho: DensityMatrix) -> ChannelReport:
+    """The ChannelReport of one two-qubit state, the bits of _reports' row for it."""
     measures._require_two_qubits(rho, "channel analysis")
-    return _reports(rho.matrix[None], rho.spectrum[None], restarts)[0]
+    return _reports(rho.matrix[None], rho.spectrum[None])[0]
 
 
-def _reports(matrices: np.ndarray, spectra: np.ndarray, restarts: int) -> list:
+def _reports(matrices: np.ndarray, spectra: np.ndarray) -> list:
     """The ChannelReport of each validated two-qubit state in an (N, 4, 4) stack
     with (N, 4) spectra, each quantity computed at once: one stacked eigh or
     svd per step."""
@@ -135,7 +135,7 @@ def _reports(matrices: np.ndarray, spectra: np.ndarray, restarts: int) -> list:
         "concurrence": measures._concurrences(matrices),
         "n_value": n,
         "m_value": m,
-        "singlet_fraction": measures._singlet_fractions(matrices, 2, restarts),
+        "singlet_fraction": measures._singlet_fractions(matrices, 2)[0],
         "fidelity_opt": 0.5 * (1.0 + n / 3.0),
         # exactly-critical channels (N = 1 up to float noise) are flagged boundary
         # and reported not useful; the same band guards the Bell flag
@@ -152,13 +152,15 @@ def closed_forms(family: str, **params) -> dict:
     """Family-specific closed forms for concurrence, N, M, f_opt, S_L and F.
 
     These are the analytic expressions the numeric T-matrix pipeline must
-    reproduce; each entry states its own validity domain through the family
-    parameter ranges.  werner takes F or, on its entangled side, its
-    concurrence C = 2F - 1; wei without a and b is the x = y = 0 slice
-    a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has their shape.
+    reproduce, on the family's domain: a parameter outside it raises the
+    statezoo constructor's DomainError.  werner takes F or, on its entangled
+    side, its concurrence C = 2F - 1; wei without a and b is the x = y = 0
+    slice a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has
+    their shape.
     """
     if family == "werner":
         F = params["F"] if "F" in params else (1.0 + params["C"]) / 2.0
+        statezoo._check_werner(F)
         n, c = abs(4.0 * F - 1.0), 2.0 * F - 1.0
         return _shaped({
             "concurrence": np.where(c > 0.0, c, 0.0),
@@ -170,6 +172,7 @@ def closed_forms(family: str, **params) -> dict:
         }, F)
     if family == "mjwk":
         C = params["C"]
+        statezoo._check_mjwk(C)
         h = statezoo.mjwk_h(C)
         tz2, high = np.float_power(4.0 * h - 1.0, 2.0), C >= 2.0 / 3.0
         return _shaped({
@@ -186,6 +189,8 @@ def closed_forms(family: str, **params) -> dict:
         gamma = params["gamma"]
         a = params.get("a", (1.0 - gamma) / 2.0)
         b = params.get("b", (1.0 - gamma) / 2.0)
+        x = (1.0 - gamma - a - b) / 2.0
+        statezoo._check_wei(x, x, a, b, gamma)
         tz = 1.0 - 2.0 * (a + b)
         n = 2.0 * gamma + abs(tz)
         g2, c = gamma * gamma, gamma - 2.0 * np.sqrt(a * b)
@@ -197,6 +202,7 @@ def closed_forms(family: str, **params) -> dict:
         }, gamma, a, b)
     if family == "werner_derivative":
         F, a = params["F"], params["a"]
+        statezoo._check_werner_derivative(F, a)
         root = np.sqrt(a * (1.0 - a))
         n = (4.0 * F - 1.0) * (1.0 + 4.0 * root) / 3.0
         return _shaped({
@@ -207,6 +213,7 @@ def closed_forms(family: str, **params) -> dict:
         }, F, a)
     if family == "nmems":
         p = params["p"]
+        statezoo._check_nmems(p)
         low, c = p < 0.25, (1.0 - p) / 3.0 - np.sqrt(p * (p + 2.0) / 12.0)
         return _shaped({
             "concurrence": 2.0 * np.where(c < 0.0, 0.0, c),
@@ -256,8 +263,9 @@ def analyze_family(family: str, values, restarts: int = 1, **fixed) -> list:
     the remaining weight split evenly between x and y).  The statezoo
     constructor builds the grid as one stack, validated at once, and raises
     for its first bad value; the analysis and closed forms run once over it.
-    The singlet_fraction column is the fully entangled fraction, or at
-    restarts=0 the generalised Bell enumeration.
+    The singlet_fraction column is the fully entangled fraction.  restarts is
+    ignored and not checked: it stays only because the perfbench sweep passes
+    restarts=0, and ROADMAP item 1 removes it.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}")
@@ -270,12 +278,11 @@ def analyze_family(family: str, values, restarts: int = 1, **fixed) -> list:
     missing = [name for name in names if name not in fixed]
     if missing:
         raise DomainError(f"{family} needs the fixed parameter {missing[0]}")
-    measures._require_restarts(restarts)
     grid = sorted(float(x) for x in values)
     if not grid:
         return []
     matrices = build(np.array(grid), **fixed)
-    reports = _reports(matrices, _density_spectra((2, 2), matrices), restarts)
+    reports = _reports(matrices, _density_spectra((2, 2), matrices))
     columns = closed_forms(family, **{param: np.array(grid)}, **fixed)
     forms = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     return list(zip(grid, reports, forms))

@@ -222,8 +222,7 @@ FIGURES = {
                   lambda d: (entkit.cloning.dense_coding_advantages(
                       (3, 3), *entkit.cloning.qutrit_cloned_pairs(d)),)),
     "4.2": Figure(("d", "bell_enumeration_distilled"), _distillable, 33,
-                  _each(lambda d: (measures.singlet_fraction(
-                      _cloned_and_distilled(d)[1], restarts=0),))),
+                  _each(lambda d: (measures.bell_enumeration(_cloned_and_distilled(d)[1]),))),
     "4.3": Figure(("d", "chi_undistilled", "chi_distilled"), _distillable, 33,
                   _each(lambda d: tuple(map(entkit.cloning.dense_coding_capacity,
                                             _cloned_and_distilled(d))))),

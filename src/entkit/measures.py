@@ -169,15 +169,19 @@ def maximally_entangled_bases(n: int) -> tuple:
     return tuple(out)
 
 
+def bell_enumeration(rho: DensityMatrix) -> float:
+    """Largest overlap <phi|rho|phi> over the n^2 states phi of
+    maximally_entangled_bases(n), in that order: a lower bound on the fully
+    entangled fraction, equal to it on states diagonal in that basis."""
+    return float(_bell_enumerations(rho.matrix[None], _require_square(rho, "Bell enumeration"))[0])
+
+
 def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     """Fully entangled fraction F: the maximal overlap of rho with a maximally
-    entangled state.
+    entangled state, never below bell_enumeration(rho).
 
-    The generalised Bell basis is enumerated exactly, and restarts=0 returns
-    that enumeration alone, a lower bound on F.  Any positive restarts gives
-    F, with the same bits for every positive value: nothing is restarted, and
-    the keyword stays only because the perfbench workloads call
-    singlet_fraction(rho, restarts=32 or 6) and analyze_family(..., restarts=0).
+    restarts is ignored and not checked: it stays only because the perfbench
+    workloads pass restarts=32, 6 or 0, and ROADMAP item 1 removes it.
 
     n = 2: a pure state is maximally entangled exactly when its coefficients
     in the magic basis (Phi+, i Phi-, i Psi+, Psi-) are real up to a global
@@ -191,11 +195,9 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     steps with an Anderson extrapolation after every 3rd, kept only where it
     raises the overlap: 80 svd per row, whatever the state.  The value is a
     lower bound on F; fef_bounds certifies how far below it can lie.
-
-    Either way the value is never below the enumeration.
     """
-    return _singlet_fractions(rho.matrix[None], _require_square(rho, "singlet fraction"),
-                              restarts)[0]
+    n = _require_square(rho, "singlet fraction")
+    return float(_singlet_fractions(rho.matrix[None], n)[0][0])
 
 
 def fef_bounds(rho: DensityMatrix) -> tuple:
@@ -237,11 +239,6 @@ def _require_square(rho: DensityMatrix, what: str) -> int:
     return rho.dims[0]
 
 
-def _require_restarts(restarts: int):
-    if restarts < 0:
-        raise DomainError(f"restarts must be >= 0, got {restarts}")
-
-
 # the magic basis, columns Phi+, i Phi-, i Psi+, Psi- (see singlet_fraction)
 _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC.flags.writeable = False
@@ -257,34 +254,31 @@ _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
 
 
-def _singlet_fractions(matrices: np.ndarray, n: int, restarts: int = 1) -> list:
-    """singlet_fraction of each n x n state in an (N, n^2, n^2) stack, as a
-    list of floats, each state with the bits it gets alone."""
-    return _refine(matrices, n, restarts)[0].tolist()
-
-
-def _refine(matrices: np.ndarray, n: int, restarts: int) -> tuple:
-    """(F, W) for an (N, n^2, n^2) stack: F the enumeration, and with
-    restarts > 0 the magic-basis eigenvalue (n = 2) or the polar ascent
-    (n >= 3), each run once over the whole stack with every product taken
-    state by state; W the (N, n, n) unitaries of the best ascent rows, or
-    None where no ascent ran."""
-    _require_restarts(restarts)
-    bases = maximally_entangled_bases(n)
+def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
+    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack."""
     # <v|rho|v> as a vector-matrix then a vector-vector product per state,
     # the arithmetic of one state's v.conj() @ rho @ v, so every bit is kept
-    overlaps = [((v.conj() @ matrices)[:, None, :] @ v)[:, 0].real for v in bases]
+    overlaps = [((v.conj() @ matrices)[:, None, :] @ v)[:, 0].real
+                for v in maximally_entangled_bases(n)]
     best = overlaps[0]
     for overlap in overlaps[1:]:
         best = np.where(overlap > best, overlap, best)   # the first of equal maxima
-    if restarts == 0:
-        return best, None
+    return best
+
+
+def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
+    """(F, W) for an (N, n^2, n^2) stack: F the singlet_fraction of each state,
+    with the bits it gets alone, the larger of the enumeration and the
+    magic-basis eigenvalue (n = 2) or the polar ascent (n >= 3), each run once
+    over the whole stack with every product taken state by state; W the
+    (N, n, n) unitaries of the best ascent rows, or None at n = 2."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-        return np.maximum(best, found), None
-    found, w = _polar_ascent(matrices, _polar_starts(n))
-    return np.maximum(best, found), w
+        w = None
+    else:
+        found, w = _polar_ascent(matrices, _polar_starts(n))
+    return np.maximum(_bell_enumerations(matrices, n), found), w
 
 
 def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
@@ -356,7 +350,7 @@ _EPS = np.finfo(float).eps
 def _fef_brackets(matrices: np.ndarray, n: int) -> tuple:
     """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
     lower being singlet_fraction(rho)."""
-    lower, w = _refine(matrices, n, 1)
+    lower, w = _singlet_fractions(matrices, n)
     if n == 2:
         return lower, lower
     half_h = (matrices @ w.reshape(-1, n * n, 1)).reshape(w.shape) @ w.conj().swapaxes(-1, -2)

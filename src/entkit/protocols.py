@@ -226,8 +226,16 @@ def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
                      n: int | None = None, class_index: int | None = None) -> dict:
     """A CDC family's published success, bits = 1 + success and concurrence, and
     for pati the controller angle theta = arctan(1/l), after the family's domain
-    is checked; theta, epsilon, l and n may be scalars or arrays, and each entry
-    is a float for scalars, else an array of their broadcast shape."""
+    is checked: each parameter it reads finite, in _Family.params order, then
+    in range.  theta, epsilon, l and n may be scalars or arrays; each entry is
+    a float for scalars, else an array of their broadcast shape."""
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown CDC family {family!r}")
+    given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
+    for k in _FAMILIES[family].params:
+        bad = [] if given[k] is None else np.asarray(given[k])[~np.isfinite(given[k])]
+        if len(bad):
+            raise DomainError(f"CDC parameter {k} must be finite, got {bad[0]}")
     if family == "pati":
         if l is None or np.count_nonzero(l < 0):
             raise DomainError("pati needs l >= 0")
@@ -242,8 +250,6 @@ def cdc_closed_forms(family: str, theta=None, epsilon=None, l=None,
         params, forms = (n,), {"success": 2.0 / (n + 1.0),
                                "concurrence": 2.0 * np.sqrt(n) / (n + 1.0)}
     else:
-        if family not in _FAMILIES:
-            raise DomainError(f"unknown CDC family {family!r}")
         if family == "ghz_class" and class_index not in _GHZ_CLASS_SIN | _GHZ_CLASS_COS:
             raise DomainError(f"ghz_class index must be 1..7, got {class_index}")
         if family in ("ghz4", "w4") and epsilon is None:
@@ -426,9 +432,6 @@ def _setup(family: str, theta: float | None = None, epsilon: float | None = None
         raise DomainError(f"unknown CDC family {family!r}")
     given = {"theta": theta, "epsilon": epsilon, "l": l, "n": n, "class_index": class_index}
     p = {k: given[k] for k in fam.params}
-    for k, v in p.items():
-        if v is not None and not np.isfinite(v):
-            raise DomainError(f"CDC parameter {k} must be finite, got {v}")
     closed = cdc_closed_forms(family, **p)
     if "theta" in closed and p["theta"] is None:
         p["theta"] = closed["theta"]

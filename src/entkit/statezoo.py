@@ -155,8 +155,9 @@ _PSI_PLUS = bell(3).density().matrix
 
 # werner, mjwk, wei, werner_derivative and nmems take scalars, for the
 # DensityMatrix, or arrays, for the (N, 4, 4) complex stack of its matrices
-# that the caller validates at once; a bad array raises what the scalar call
-# raises at its first bad entry.
+# that the caller validates at once; each checks its domain with the _check_*
+# function that channel.closed_forms shares, so a bad array raises what the
+# scalar call raises at its first bad entry.
 
 
 def _require(*checks) -> None:
@@ -178,6 +179,10 @@ def _state(m: np.ndarray):
     return DensityMatrix((2, 2), m) if m.ndim == 2 else m.astype(complex, copy=False)
 
 
+def _check_werner(F) -> None:
+    _require(((0.25 < F) & (F <= 1.0), "werner F must lie in (1/4, 1], got {}", F))
+
+
 def werner(F):
     """Werner state (1-F)/3 I + (4F-1)/3 |Psi-><Psi-| with singlet fraction F,
     a scalar or an array.
@@ -185,7 +190,7 @@ def werner(F):
     Accepts F in (1/4, 1]; the teleportation analysis of the family is only
     interesting on (1/2, 1], where the state is entangled.
     """
-    _require(((0.25 < F) & (F <= 1.0), "werner F must lie in (1/4, 1], got {}", F))
+    _check_werner(F)
     F = np.asarray(F, dtype=float)[..., None, None]
     return _state((1.0 - F) / 3.0 * np.eye(4) + (4.0 * F - 1.0) / 3.0 * _SINGLET)
 
@@ -195,10 +200,14 @@ def mjwk_h(C):
     return np.where(C >= 2.0 / 3.0, C / 2.0, 1.0 / 3.0)[()]
 
 
+def _check_mjwk(C) -> None:
+    _require(((0.0 <= C) & (C <= 1.0), "mjwk concurrence must lie in [0, 1], got {}", C))
+
+
 def mjwk(C):
     """Munro-James-White-Kwiat maximally entangled mixed state of concurrence C,
     a scalar or an array."""
-    _require(((0.0 <= C) & (C <= 1.0), "mjwk concurrence must lie in [0, 1], got {}", C))
+    _check_mjwk(C)
     h = mjwk_h(C)
     m = np.zeros(np.shape(C) + (4, 4), dtype=complex)
     m[..., 0, 0] = m[..., 3, 3] = h
@@ -207,17 +216,23 @@ def mjwk(C):
     return _state(m)
 
 
-def wei(x, y, a, b, gamma):
-    """Wei et al. MEMS: Phi+ coherence gamma over a diagonal background; each
-    weight a scalar or an array."""
+def _check_wei(x, y, a, b, gamma) -> tuple:
+    """The weights (x, y, a, b, gamma), each entry in [-1e-12, 0) set to 0: a
+    weight computed at the closed end of the domain may round below 0."""
     params = {"x": x, "y": y, "a": a, "b": b, "gamma": gamma}
-    # a weight computed at the closed end of the domain may round below 0
-    x, y, a, b, gamma = (np.where(val < 0.0, 0.0, val) for val in params.values())
-    total = x + y + a + b + gamma
+    weights = tuple(np.where(val < 0.0, 0.0, val) for val in params.values())
+    total = sum(weights)
     _require(*((val >= -1e-12, f"wei parameter {name} must be >= 0, got {{}}", val)
                for name, val in params.items()),
              (abs(total - 1.0) <= 1e-10, "wei parameters must sum to 1, got {}", total))
-    m = np.zeros(total.shape + (4, 4), dtype=complex)
+    return weights
+
+
+def wei(x, y, a, b, gamma):
+    """Wei et al. MEMS: Phi+ coherence gamma over a diagonal background; each
+    weight a scalar or an array."""
+    x, y, a, b, gamma = _check_wei(x, y, a, b, gamma)
+    m = np.zeros(np.broadcast(x, y, a, b, gamma).shape + (4, 4), dtype=complex)
     m[..., 0, 0] = x + gamma / 2.0
     m[..., 1, 1] = a
     m[..., 2, 2] = b
@@ -226,11 +241,15 @@ def wei(x, y, a, b, gamma):
     return _state(m)
 
 
+def _check_werner_derivative(F, a) -> None:
+    _require(((0.5 < F) & (F <= 1.0), "werner_derivative F must lie in (1/2, 1], got {}", F),
+             ((0.5 <= a) & (a <= 1.0), "werner_derivative a must lie in [1/2, 1], got {}", a))
+
+
 def werner_derivative(F, a):
     """Werner state rotated by a non-local unitary: (1-F)/3 I + (4F-1)/3 |psi><psi|,
     |psi> = sqrt(a)|00> + sqrt(1-a)|11>; F and a scalars or arrays."""
-    _require(((0.5 < F) & (F <= 1.0), "werner_derivative F must lie in (1/2, 1], got {}", F),
-             ((0.5 <= a) & (a <= 1.0), "werner_derivative a must lie in [1/2, 1], got {}", a))
+    _check_werner_derivative(F, a)
     psi = np.zeros(np.broadcast(F, a).shape + (4,))
     psi[..., 0] = np.sqrt(a)
     psi[..., 3] = np.sqrt(1.0 - a)
@@ -244,10 +263,14 @@ def werner_derivative_entangled_bound(F: float) -> float:
     return 0.5 * (1.0 + np.sqrt(3.0 * (4.0 * F * F - 1.0)) / (4.0 * F - 1.0))
 
 
+def _check_nmems(p) -> None:
+    _require(((0.0 <= p) & (p <= 1.0), "nmems p must lie in [0, 1], got {}", p))
+
+
 def nmems(p):
     """Convex mixture p * Tr_C|GHZ><GHZ| + (1-p) * Tr_C|W><W| in closed form;
     p a scalar or an array."""
-    _require(((0.0 <= p) & (p <= 1.0), "nmems p must lie in [0, 1], got {}", p))
+    _check_nmems(p)
     m = np.zeros(np.shape(p) + (4, 4), dtype=complex)
     m[..., 0, 0] = (p + 2.0) / 6.0
     m[..., 1, 1] = m[..., 2, 2] = m[..., 1, 2] = m[..., 2, 1] = (1.0 - p) / 3.0

@@ -76,7 +76,7 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> np.ndarray:
     try:
         for steps in range(1, budget + 1):
             measures._POLAR_STEPS = steps
-            value = np.array(measures._singlet_fractions(matrices, 3))
+            value = measures._singlet_fractions(matrices, 3)[0]
             reached[value < reference - TOL] = steps + 1
     finally:
         measures._POLAR_STEPS = budget

@@ -2,8 +2,9 @@
 
 The fixture pins every field of the rows `channel.analyze_family` returns for
 all five families on fixed grids that reach each domain's ends, and of
-`channel.analyze_channel(restarts=0)` on seeded random two-qubit states of
-ranks 1 to 4.  `pin.py` writes and checks the file.
+`channel.analyze_channel` on seeded random two-qubit states of ranks 1 to 4,
+each with its `measures.bell_enumeration` beside it.  `pin.py` writes and
+checks the file.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import dataclasses
 import numpy as np
 
 import util  # tests/util.py: the Ginibre state generator
-from entkit import channel
+from entkit import channel, measures
 
 # (family, fixed parameters, sweep grid) of each pinned analyze_family call
 FAMILIES = (
@@ -55,7 +56,9 @@ def table() -> dict:
             {"value": _plain(value), "report": _report(report),
              "closed_forms": {k: _plain(v) for k, v in forms.items()}}
             for value, report, forms in channel.analyze_family(family, grid, **fixed)]
-    channels = {f"seed={seed},rank={rank}": _report(
-                    channel.analyze_channel(random_state(seed, rank), restarts=0))
-                for seed, rank in RANDOM_STATES.items()}
+    states = {f"seed={seed},rank={rank}": random_state(seed, rank)
+              for seed, rank in RANDOM_STATES.items()}
+    channels = {key: {**_report(channel.analyze_channel(rho)),
+                      "bell_enumeration": _plain(measures.bell_enumeration(rho))}
+                for key, rho in states.items()}
     return {"analyze_family": families, "analyze_channel": channels}

@@ -9,7 +9,7 @@ its fixed 60 steps (see `ascent_budget.py`), once for each of
 - the floor states of the qutrit clone analysis that the workload does not
   already hold,
 - seeded random n x n states, n = 2 and 3, of every rank,
-and every field of `channel.analyze_channel(restarts=4)` on a few two-qubit
+and every field of `channel.analyze_channel` on a few two-qubit
 states.  The states of one n are refined as one stack,
 `measures._singlet_fractions`, which gives each state the bits of
 `singlet_fraction` alone.  `pin.py` writes and checks the file; its --check
@@ -82,7 +82,8 @@ def _fractions(states: dict) -> dict:
         groups.setdefault(rho.dims[0], []).append((key, rho))
     fractions = {}
     for n, members in groups.items():
-        values = measures._singlet_fractions(np.array([rho.matrix for _, rho in members]), n)
+        matrices = np.array([rho.matrix for _, rho in members])
+        values = measures._singlet_fractions(matrices, n)[0].tolist()
         fractions.update((key, _float(value)) for (key, _), value in zip(members, values))
     return fractions
 
@@ -96,7 +97,7 @@ def table() -> dict:
               util.random_density(np.random.default_rng(seed), (n, n), rank=rank)
               for n, rank, seed in RANDOM_STATES}
     channels = {f"seed={seed},rank={rank}": make_channel_reports._report(channel.analyze_channel(
-                    make_channel_reports.random_state(seed, rank), restarts=4))
+                    make_channel_reports.random_state(seed, rank)))
                 for seed, rank in ((0, 1), (1, 2), (2, 3), (3, 4))}
     return {"workload": _fractions(workload), "floors": _fractions(floors),
             "random": _fractions(random), "analyze_channel": channels}

@@ -52,7 +52,7 @@ def test_criterion_1_werner_family():
         check(f"1a werner concurrence F={F:.1f}",
               abs(got - max(0.0, 2 * F - 1)) <= 1e-10, f"got {got:.12f}")
     for F in np.linspace(0.51, WERNER_BELL_BOUNDARY, 12):
-        rep = channel.analyze_channel(statezoo.werner(F), restarts=0)
+        rep = channel.analyze_channel(statezoo.werner(F))
         check(f"1b werner Bell-satisfied-yet-useful F={F:.4f}",
               (not rep.violates_bell_chsh) and rep.fidelity_opt > 2.0 / 3.0,
               f"M={rep.m_value:.6f} f={rep.fidelity_opt:.6f}")
@@ -150,7 +150,7 @@ def test_criterion_4_nonopt_fef_published_form():
     worst_d, worst = None, 0.0
     for d in np.linspace(0.05, 0.5, 19):
         joint = cloning.qutrit_cloned_pair(d).joint
-        f = measures.singlet_fraction(joint, restarts=0)
+        f = measures.bell_enumeration(joint)
         diff = abs(f - 4 * d * d / 3)
         if diff > worst:
             worst_d, worst = d, diff
@@ -165,7 +165,7 @@ def test_criterion_4_nonopt_fef_published_form():
 def test_criterion_4_nonopt_fef_upper_branch():
     for d in np.linspace(D_OPT, 0.5, 9):
         joint = cloning.qutrit_cloned_pair(d).joint
-        f = measures.singlet_fraction(joint, restarts=0)
+        f = measures.bell_enumeration(joint)
         assert abs(f - 4 * d * d / 3) <= 1e-10, d
     check("4g non-optimal Bell-basis enumeration = 4 d^2/3 for d >= 1/sqrt(8)", True)
 

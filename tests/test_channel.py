@@ -223,7 +223,6 @@ def test_numeric_pipeline_matches_closed_forms(family, grid, fixed):
     ("werner_derivative", [0.7], {"F": 0.8, "a": 0.6}, "a"),
     ("werner", [0.5], {"bogus": 1.0}, "bogus"),
     ("wei", [0.5], {"a": 0.1, "b": 0.1, "x": 0.2}, "x"),
-    ("werner", [], {"restarts": -1}, "restarts"),
 ])
 def test_analyze_family_argument_errors_name_the_parameter(family, values, kwargs, name):
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
@@ -251,6 +250,30 @@ def test_analyze_family_raises_the_first_bad_sorted_value(family, fixed, values,
     with pytest.raises(DomainError) as grid:
         channel.analyze_family(family, values, **fixed)
     assert str(grid.value) == str(alone.value)
+
+
+# (family, closed-form parameters, the statezoo constructor call at the first
+# bad entry); mjwk, nmems and werner_derivative once returned a concurrence
+# above 1, a negative entropy or NaN there
+@pytest.mark.parametrize("family,params,constructor", [
+    ("werner", {"F": 0.25}, lambda: statezoo.werner(0.25)),
+    ("werner", {"C": 1.5}, lambda: statezoo.werner(1.25)),
+    ("mjwk", {"C": 1.5}, lambda: statezoo.mjwk(1.5)),
+    ("wei", {"gamma": 1.2}, lambda: statezoo.wei(0.0, 0.0, (1.0 - 1.2) / 2.0, (1.0 - 1.2) / 2.0,
+                                                 1.2)),
+    ("wei", {"gamma": 0.9, "a": 0.2, "b": 0.1}, lambda: wei_slice(0.9, 0.2, 0.1)),
+    ("werner_derivative", {"F": 0.3, "a": 0.7}, lambda: statezoo.werner_derivative(0.3, 0.7)),
+    ("nmems", {"p": -0.5}, lambda: statezoo.nmems(-0.5)),
+    ("nmems", {"p": np.array([0.5, np.nan, 2.0])}, lambda: statezoo.nmems(np.nan)),
+])
+def test_closed_forms_outside_the_domain_raise_the_constructor_error(family, params, constructor):
+    with pytest.raises(DomainError) as alone:
+        constructor()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as forms:
+            channel.closed_forms(family, **params)
+    assert str(forms.value) == str(alone.value)
 
 
 # family -> (fixed parameters, sweep interval ends) for the counter test
@@ -303,12 +326,12 @@ def test_stacked_reports_equal_each_state_alone(drawn, data):
     order = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=12))
     chosen = [states[i] for i in order]
     stacked = channel._reports(np.array([rho.matrix for rho in chosen]),
-                               np.array([rho.spectrum for rho in chosen]), restarts=0)
+                               np.array([rho.spectrum for rho in chosen]))
 
     def bits(report):   # JSON text: each float's shortest repr, so one ulp shows
         return json.dumps(make_channel_reports._report(report))
 
-    alone = [bits(channel.analyze_channel(rho, restarts=0)) for rho in states]
+    alone = [bits(channel.analyze_channel(rho)) for rho in states]
     assert [bits(report) for report in stacked] == [alone[i] for i in order]
 
 
@@ -327,7 +350,7 @@ def test_closed_form_parametrisations_of_the_concurrence_figures():
         assert channel.closed_forms("wei", gamma=c) == \
             channel.closed_forms("wei", a=a, b=a, gamma=c)
         if c > 0.0:
-            report = channel.analyze_channel(statezoo.wei(0.0, 0.0, a, a, c), restarts=0)
+            report = channel.analyze_channel(statezoo.wei(0.0, 0.0, a, a, c))
             forms = channel.closed_forms("wei", gamma=c)
             assert report.n_value == pytest.approx(forms["n_value"], abs=1e-9)
             assert report.m_value == pytest.approx(forms["m_value"], abs=1e-9)
@@ -336,13 +359,14 @@ def test_closed_form_parametrisations_of_the_concurrence_figures():
 UNIT = st.floats(0.0, 1.0)
 HALF = st.floats(0.0, 0.5)
 # F where x**2 on an array (x * x) and on a scalar (libm pow) differ: 4F - 1, 1 - F
-SQUARE_ROUNDING = [(0.8806810498196802,), (0.014771592753210161,)]
+SQUARE_ROUNDING = [(0.8806810498196802,), (0.9013233658129223,)]
 
 # name -> (closed form of its argument columns, one strategy per argument, the
 # rows always evaluated: domain ends, signed zeros, branch points, SQUARE_ROUNDING)
 CLOSED_FORMS = {
-    "werner_by_F": (lambda F: channel.closed_forms("werner", F=F), [UNIT],
-                    [(-0.0,), (0.0,), (0.25,), (0.5,), (1.0,), *SQUARE_ROUNDING]),
+    "werner_by_F": (lambda F: channel.closed_forms("werner", F=F),
+                    [st.floats(0.25, 1.0, exclude_min=True)],
+                    [(np.nextafter(0.25, 1.0),), (0.5,), (1.0,), *SQUARE_ROUNDING]),
     "werner_by_C": (lambda C: channel.closed_forms("werner", C=C), [UNIT],
                     [(-0.0,), (0.0,), (1.0,)]),
     "mjwk": (lambda C: channel.closed_forms("mjwk", C=C), [UNIT],
@@ -351,12 +375,15 @@ CLOSED_FORMS = {
     "mjwk_h": (statezoo.mjwk_h, [UNIT], [(0.0,), (2.0 / 3.0,), (1.0,)]),
     "wei": (lambda g: channel.closed_forms("wei", gamma=g), [UNIT],
             [(0.0,), (1.0 / 3.0,), (1.0,)]),
-    "wei_with_a_b": (lambda g, a, b: channel.closed_forms("wei", gamma=g, a=a, b=b),
+    # a and b drawn as shares of 1 - gamma, so that x = y = (1 - gamma - a - b)/2 >= 0
+    "wei_with_a_b": (lambda g, a, b: channel.closed_forms("wei", gamma=g, a=a * (1.0 - g),
+                                                          b=b * (1.0 - g)),
                      [UNIT, HALF, HALF],
-                     [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5)]),
+                     [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.0, 0.5, 0.5)]),
     "werner_derivative": (lambda F, a: channel.closed_forms("werner_derivative", F=F, a=a),
-                          [st.floats(0.5, 1.0), st.floats(0.5, 1.0)],
-                          [(0.5, 0.5), (0.8, 0.75), (1.0, 1.0), (0.8806810498196802, 0.6)]),
+                          [st.floats(0.5, 1.0, exclude_min=True), st.floats(0.5, 1.0)],
+                          [(np.nextafter(0.5, 1.0), 0.5), (0.8, 0.75), (1.0, 1.0),
+                           (0.8806810498196802, 0.6)]),
     "nmems": (lambda p: channel.closed_forms("nmems", p=p), [UNIT],
               [(-0.0,), (0.0,), (0.25,), (0.5,), (1.0,)]),
     "fidelity_werner": (lambda s: channel.fidelity_from_linear_entropy("werner", s),
@@ -451,7 +478,7 @@ def test_usefulness_iff_fidelity_beats_classical():
     rng = np.random.default_rng(41)
     for _ in range(100):
         rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
-        rep = channel.analyze_channel(rho, restarts=0)
+        rep = channel.analyze_channel(rho)
         assert rep.useful_for_teleportation == (rep.fidelity_opt > 2.0 / 3.0)
         assert rep.fidelity_opt == pytest.approx(0.5 * (1 + rep.n_value / 3), abs=1e-12)
         assert rep.violates_bell_chsh == (rep.m_value > 1.0)
@@ -487,5 +514,5 @@ def test_report_singlet_fraction_against_oracle():
     rng = np.random.default_rng(47)
     for _ in range(20):
         rho = random_density(rng, (2, 2))
-        rep = channel.analyze_channel(rho, restarts=0)
+        rep = channel.analyze_channel(rho)
         assert rep.singlet_fraction <= fef_closed_form(rho) + 1e-9

@@ -287,7 +287,7 @@ def test_distillation_does_not_follow_the_last_bit_of_d():
         if reference is None:
             reference = dist.matrix
         assert np.max(np.abs(dist.matrix - reference)) <= 1e-12
-        f = measures.singlet_fraction(dist, restarts=0)
+        f = measures.bell_enumeration(dist)
         assert f == pytest.approx(FIXTURE["singlet_fraction_distilled_optimal"], abs=1e-12)
         assert (3 * f + 1) / 4 == pytest.approx(FIXTURE["fidelity_distilled_optimal"], abs=1e-12)
         assert cloning.dense_coding_advantage(dist) == pytest.approx(
@@ -363,8 +363,8 @@ def test_published_optimal_filter_spans_the_negative_eigenspace():
     theirs = cloning.distill(joint, cloning.FilterMatrix(published.astype(complex)))
     assert_allclose(np.linalg.eigvalsh(mine.matrix),
                     np.linalg.eigvalsh(theirs.matrix), atol=1e-10)
-    assert measures.singlet_fraction(mine, restarts=0) == pytest.approx(
-        measures.singlet_fraction(theirs, restarts=0), abs=1e-10)
+    assert measures.bell_enumeration(mine) == pytest.approx(
+        measures.bell_enumeration(theirs), abs=1e-10)
     assert cloning.dense_coding_advantage(mine) == pytest.approx(
         cloning.dense_coding_advantage(theirs), abs=1e-10)
 
@@ -372,7 +372,7 @@ def test_published_optimal_filter_spans_the_negative_eigenspace():
 def test_distilled_optimal_chain_frozen_values():
     joint = cloning.qutrit_cloned_pair(D_OPT).joint
     dist = cloning.distill(joint, cloning.distillation_filter(joint))
-    f = measures.singlet_fraction(dist, restarts=0)
+    f = measures.bell_enumeration(dist)
     assert f == pytest.approx(FIXTURE["singlet_fraction_distilled_optimal"], abs=1e-12)
     assert f > 1.0 / 3.0
     assert (3 * f + 1) / 4 == pytest.approx(FIXTURE["fidelity_distilled_optimal"], abs=1e-12)
@@ -384,8 +384,8 @@ def test_distillation_never_lowers_the_bell_basis_enumeration_on_the_worked_case
     for d in (D_OPT, 0.45, 0.5):
         joint = cloning.qutrit_cloned_pair(d).joint
         dist = cloning.distill(joint, cloning.distillation_filter(joint))
-        f_in = measures.singlet_fraction(joint, restarts=0)
-        f_out = measures.singlet_fraction(dist, restarts=0)
+        f_in = measures.bell_enumeration(joint)
+        f_out = measures.bell_enumeration(dist)
         assert f_out >= f_in - 1e-10
 
 

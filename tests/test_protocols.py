@@ -195,6 +195,13 @@ CDC_CLOSED_FORMS = {
 @pytest.mark.parametrize("family,kwargs,message", [
     ("pati", {"l": np.array([0.5, -1e-3])}, "pati needs l >= 0"),
     ("liqiu_w", {"n": np.array([2, 0])}, "liqiu_w needs n >= 1"),
+    # each parameter the family reads is finite, as in cdc_run, checked in
+    # the order of the family's parameters before any range
+    ("ghz", {"theta": np.nan}, "^CDC parameter theta must be finite, got nan$"),
+    ("ghz4", {"theta": 0.3, "epsilon": np.array([0.1, np.inf])},
+     "^CDC parameter epsilon must be finite, got inf$"),
+    ("pati", {"theta": np.inf, "l": -1.0}, "^CDC parameter theta must be finite, got inf$"),
+    ("liqiu_w", {"n": np.array([2.0, np.inf])}, "^CDC parameter n must be finite, got inf$"),
 ])
 def test_cdc_closed_form_domain_checks_cover_every_element(family, kwargs, message):
     with pytest.raises(DomainError, match=message):
