@@ -191,9 +191,10 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
-    It ascends from the n^2 generalised Bell unitaries, each for a fixed 60
-    steps with an Anderson extrapolation after every 3rd, kept only where it
-    raises the overlap: 80 svd per row, whatever the state.  The value is a
+    It ascends from the n^2 generalised Bell unitaries with an Anderson
+    extrapolation after every 3rd step, kept only where it raises the
+    overlap, and stops once fef_bounds' Z = 0 certificate closes: 4 svd per
+    row on a pure state, at most 60 steps and 80 svd.  The value is a
     lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
@@ -214,9 +215,9 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     maximally mixed marginals,
     Tr(rho sigma) <= lambda_max(K) + (Tr X + Tr Y)/n, so upper =
     lower + max(lambda_max(K(Z)), 0) plus a rounding margin of
-    8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0 closes most states (one
-    eigvalsh); the states it leaves open run _DUAL_STEPS (200) steps of a
-    smoothed descent over Z, one stacked eigh per step.
+    8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0, the ascent's stopping
+    test, closes most states; the states it leaves open run _DUAL_STEPS
+    (200) steps of a smoothed descent over Z, one stacked eigh per step.
 
     The bound is on the relaxation over states with maximally mixed
     marginals, which can exceed F for n >= 3: unital channels that are not
@@ -225,8 +226,7 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     in tests/test_measures.py) open at about 9e-4 however long it runs; a
     descent over independent X and Y (2 n^2 parameters) narrows that to about
     8.7e-5, the relaxation's own gap there.  The 150th drawn from seed 11 is
-    still 1.4e-3 open after those 200 steps.  The clone pair at
-    d = 1/sqrt(8) is the slowest of the states that close.
+    still 1.4e-3 open after those 200 steps.
     """
     lower, upper = _fef_brackets(rho.matrix[None], _require_square(rho, "singlet fraction"))
     return float(lower[0]), float(upper[0])
@@ -243,12 +243,12 @@ def _require_square(rho: DensityMatrix, what: str) -> int:
 _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC.flags.writeable = False
 
-# polar steps of every (state, start) row, every _ANDERSON_EVERY-th followed by
-# an extrapolation; no stopping test, so a call's cost does not depend on its
-# state.  On the 1,409 3x3 states of tests/fixtures/ascent_budget.py every
-# state came within 1e-15 of a 3,000-step plain ascent from the Bell and 6
-# Haar starts by step 30 (the 6th drawn from seed 10 last, the median by
-# step 9); 60 keeps twice that
+# the most polar steps of a (state, start) row, every _ANDERSON_EVERY-th
+# followed by an extrapolation and a certificate.  On the 1,409 3x3 states of
+# tests/fixtures/ascent_budget.py every state came within 1e-15 of a
+# 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
+# certificate at most 6.4e-14 wide, by step 30 (the 6th drawn from seed 10
+# last, the median by step 9); 60 keeps twice that
 _POLAR_STEPS = 60
 _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
@@ -267,32 +267,34 @@ def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
 
 
 def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
-    """(F, W) for an (N, n^2, n^2) stack: F the singlet_fraction of each state,
-    with the bits it gets alone, the larger of the enumeration and the
-    magic-basis eigenvalue (n = 2) or the polar ascent (n >= 3), each run once
-    over the whole stack with every product taken state by state; W the
-    (N, n, n) unitaries of the best ascent rows, or None at n = 2."""
+    """(F, certificate) for an (N, n^2, n^2) stack: F the singlet_fraction of
+    each state, with the bits it gets alone, the larger of the enumeration and
+    the magic-basis eigenvalue (n = 2) or the polar ascent (n >= 3), each run
+    once over the whole stack with every product taken state by state;
+    certificate the ascent's (W, H/2, top, margin), or None at n = 2."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-        w = None
+        certificate = None
     else:
-        found, w = _polar_ascent(matrices, _polar_starts(n))
-    return np.maximum(_bell_enumerations(matrices, n), found), w
+        found, *certificate = _polar_ascent(matrices, _polar_starts(n))
+    return np.maximum(_bell_enumerations(matrices, n), found), certificate
 
 
 def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
-    """Best overlap of each n x n state in an (N, n^2, n^2) stack over the
-    polar ascents from the (S, n^2, 1) columns vec W of `starts`, and the
-    (N, n, n) unitary W that reached it; each step is one stacked svd over
-    every (state, start) row.
+    """(F, W, H/2, top, margin) of each n x n state in an (N, n^2, n^2) stack:
+    F its best overlap over the polar ascents from the (S, n^2, 1) columns
+    vec W of `starts`, W the (N, n, n) unitary that reached it and the rest
+    its Z = 0 certificate (fef_bounds, _dual_tops); each step is one stacked svd.
 
     The ascent converges linearly, slowly where its rate is near 1, so after
     every _ANDERSON_EVERY-th step each row also takes a polar step from the
     Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
-    547 (1965)) and moves there only if that raises its overlap."""
-    rows = matrices[:, None]           # (N, 1, n^2, n^2), broadcast over the starts
+    547 (1965)) and moves there only if that raises its overlap.  Then, and
+    after the last step, a state whose certificate closes stops."""
+    rows, live = matrices[:, None], np.arange(len(matrices))   # rows broadcast over the starts
     n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
+    out = np.empty(len(live)), *np.empty((2, len(live), n, n), complex), *np.empty((2, len(live)))
     g = rows @ w
     for k in range(1, _POLAR_STEPS + 1):
         new = _polar_step(g)
@@ -303,9 +305,23 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
             trial_g = rows @ trial
             up = (_overlaps(trial, trial_g, n) > _overlaps(w, g, n))[..., None, None]
             w, g = np.where(up, trial, w), np.where(up, trial_g, g)
-    overlaps = _overlaps(w, g, n)
-    top, states = overlaps.argmax(axis=1), np.arange(len(matrices))
-    return overlaps[states, top], w[states, top].reshape(-1, n, n)
+        elif k < _POLAR_STEPS:
+            continue
+        overlaps = _overlaps(w, g, n)
+        pick = np.arange(len(live)), overlaps.argmax(axis=1)
+        unitary = w[pick].reshape(-1, n, n)
+        gw = g[pick].reshape(-1, n, n) @ unitary.conj().swapaxes(-1, -2)   # G W^dag
+        half_h = (gw + gw.conj().swapaxes(-1, -2)) / 4.0
+        top, margin = _dual_tops(rows[:, 0], half_h, unitary, 0.0)
+        stop = (top <= margin) | (k == _POLAR_STEPS)
+        if stop.any():
+            for array, value in zip(out, (overlaps[pick], unitary, half_h, top, margin)):
+                array[live[stop]] = value[stop]
+            live, rows, w, g = live[~stop], rows[~stop], w[~stop], g[~stop]
+            outs, steps = [o[~stop] for o in outs], [s[~stop] for s in steps]
+            if not live.size:
+                break
+    return out
 
 
 def _anderson_mix(outs: list, steps: list) -> np.ndarray:
@@ -339,10 +355,11 @@ def _polar_step(g: np.ndarray) -> np.ndarray:
     return (u @ vh).reshape(g.shape)
 
 
-# steps of the smoothed descent over Z that fef_bounds runs on the states K(0)
-# leaves open.  On 651 3x3 states (the clone pair at 51 values of d, the eight
-# floor states, 600 random ones drawn from seeds 7 and 11) all but two closed
-# within 150 steps, the clone pair at d = 1/sqrt(8) last (2e-11 open at 100)
+# steps of the smoothed descent over Z that fef_bounds runs on the states the
+# ascent's last K(0) leaves open.  On 659 3x3 states (the clone pair at 51
+# values of d, the eight floor states, 600 random ones drawn from seeds 7 and
+# 11) that is 158, and all but two closed within 40 steps; the 6th state drawn
+# from seed 10 (a slow state of the tests) closes only between 160 and 180
 _DUAL_STEPS = 200
 _EPS = np.finfo(float).eps
 
@@ -350,17 +367,15 @@ _EPS = np.finfo(float).eps
 def _fef_brackets(matrices: np.ndarray, n: int) -> tuple:
     """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
     lower being singlet_fraction(rho)."""
-    lower, w = _singlet_fractions(matrices, n)
+    lower, certificate = _singlet_fractions(matrices, n)
     if n == 2:
         return lower, lower
-    half_h = (matrices @ w.reshape(-1, n * n, 1)).reshape(w.shape) @ w.conj().swapaxes(-1, -2)
-    half_h = (half_h + half_h.conj().swapaxes(-1, -2)) / 4.0
-    top, margin = _dual_tops(matrices, half_h, w, np.zeros_like(w))
+    w, half_h, top, margin = certificate
     gap = np.maximum(top, 0.0) + margin
     open_rows = np.flatnonzero(top > margin)
     if open_rows.size:
-        z = _descend(matrices[open_rows], half_h[open_rows], w[open_rows])
-        top, margin = _dual_tops(matrices[open_rows], half_h[open_rows], w[open_rows], z)
+        rho, w, half_h = matrices[open_rows], w[open_rows], half_h[open_rows]
+        top, margin = _dual_tops(rho, half_h, w, _descend(rho, half_h, w))
         gap[open_rows] = np.minimum(gap[open_rows], np.maximum(top, 0.0) + margin)
     return lower, lower + gap
 
@@ -372,7 +387,8 @@ def _dual_matrices(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray, z: np.nda
     x = half_h + z
     y = (w.conj().swapaxes(-1, -2) @ (half_h - z) @ w).swapaxes(-1, -2)
     eye = np.eye(n)
-    kron = np.einsum("...ac,bd->...abcd", x, eye) + np.einsum("ac,...bd->...abcd", eye, y)
+    kron = (x[..., :, None, :, None] * eye[:, None, :]
+            + eye[:, None, :, None] * y[..., None, :, None, :])
     return rho - kron.reshape(rho.shape), x, y
 
 

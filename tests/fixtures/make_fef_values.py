@@ -2,8 +2,9 @@
 
 The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
 fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the
-extrapolated polar ascent from the nine generalised Bell unitaries, run for
-its fixed 60 steps (see `ascent_budget.py`), once for each of
+extrapolated polar ascent from the nine generalised Bell unitaries, run
+until its Z = 0 certificate closes or for its budget of 60 steps (see
+`ascent_budget.py`), once for each of
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`),
 - the floor states of the qutrit clone analysis that the workload does not
@@ -16,10 +17,9 @@ states.  The states of one n are refined as one stack,
 also gives the largest fall (min new - old) and the number of values that
 fell by more than FLOOR_GATE: a re-pin needs that number to be 0.  The
 n = 3 value is the certified lower bound of `measures.fef_bounds`, whose
-bracket closes to rounding on every pinned state (the clone pair at
-d = 1/sqrt(8) last) but stays open on some random states, such as a rank-6
-one at 9e-4; a change of method may raise the value, but must not lower it
-beyond rounding.
+bracket closes to rounding on every pinned state but stays open on some
+random states, such as a rank-6 one at 9e-4; a change of method may raise
+the value, but must not lower it beyond rounding.
 """
 from __future__ import annotations
 

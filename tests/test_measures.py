@@ -4,10 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -561,25 +562,48 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
     assert measures.singlet_fraction(rho) >= longer - 1e-12
 
 
-def test_every_state_costs_the_same_polar_steps(monkeypatch):
-    # the documented budget, 60 steps and an extrapolation after every 3rd,
-    # whatever the state: the clone pair, a rank-1 and a full-rank state
-    calls = []
+def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
+    # the clone pair and a rank-1 state close at the first certificate, after
+    # 3 steps and an extrapolation; the open rank-6 state runs the whole
+    # budget, 60 steps and an extrapolation after every 3rd.  In one stack
+    # the closed states leave the stacked svd after their 4th
+    stacked = []   # states in each stacked svd
     step = measures._polar_step
 
     def counted(g):
-        calls.append(g.shape)
+        stacked.append(len(g))
         return step(g)
 
     monkeypatch.setattr(measures, "_polar_step", counted)
-    rng = np.random.default_rng(5)
+    states = (QUTRIT_PAIRS["clone-d=0.5"], random_density(np.random.default_rng(5), (3, 3), rank=1),
+              SLOW_STATES["seed-7 draw 118"])
     counts = []
-    for rho in (QUTRIT_PAIRS["clone-d=0.5"], random_density(rng, (3, 3), rank=1),
-                random_density(rng, (3, 3))):
-        calls.clear()
+    for rho in states:
+        stacked.clear()
         measures.singlet_fraction(rho)
-        counts.append(len(calls))
-    assert counts == [80, 80, 80]
+        counts.append(len(stacked))
+    assert counts == [4, 4, 80]
+    stacked.clear()
+    measures._singlet_fractions(np.array([rho.matrix for rho in states]), 3)
+    assert stacked == [3] * 4 + [1] * 76
+
+
+@settings(max_examples=12, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=9))
+def test_a_state_that_stops_early_is_certified(seed, rank):
+    # a 3x3 state of every rank whose ascent stops on its certificate before
+    # the step budget: its bracket is closed to rounding, and the Bell starts,
+    # each run for 1,000 plain polar steps, reach no higher beyond rounding
+    rho = random_density(np.random.default_rng(seed), (3, 3), rank=rank)
+    with mock.patch.object(measures, "_polar_step", wraps=measures._polar_step) as step:
+        value = measures.singlet_fraction(rho)
+    assume(step.call_count < 80)   # the budget: 60 steps and 20 extrapolations
+    lower, upper = measures.fef_bounds(rho)
+    assert upper - lower <= 1e-12
+    w = measures._polar_starts(3)
+    for _ in range(1000):
+        w = measures._polar_step(rho.matrix @ w)
+    assert value >= measures._overlaps(w, rho.matrix @ w, 3).max() - 1e-12
 
 
 def test_half_the_step_budget_reaches_the_full_budget_value(monkeypatch):
@@ -611,13 +635,27 @@ def test_fef_bounds_hold_every_maximally_entangled_overlap(seed, n):
 
 @settings(max_examples=8, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3, 4]))
+@example(5, 5)
+@example(6, 6)
+@example(7, 7)
+@example(8, 8)
+@example(9, 9)
 def test_fef_bounds_meet_the_schmidt_value_and_the_free_bounds(seed, n):
     rng = np.random.default_rng(seed)
-    # a pure state's FEF is (sum of its Schmidt coefficients)^2 / n
+    # a pure state's FEF is (sum of its Schmidt coefficients)^2 / n, and that
+    # of p |Phi+><Phi+| + (1 - p) I / n^2 is p + (1 - p) / n^2; both close at
+    # the first certificate, in 2-20 ms at n = 5..9
     psi = random_pure(rng, (n, n))
     schmidt = np.linalg.svd(psi.vector.reshape(n, n), compute_uv=False)
     for end in measures.fef_bounds(psi.density()):
         assert abs(end - schmidt.sum() ** 2 / n) <= 1e-12
+    p = rng.uniform()
+    phi_plus = statezoo.generalized_max_entangled(n).density().matrix
+    isotropic = DensityMatrix((n, n), p * phi_plus + (1.0 - p) * np.eye(n * n) / n ** 2)
+    for end in measures.fef_bounds(isotropic):
+        assert abs(end - (p + (1.0 - p) / n ** 2)) <= 1e-12
+    if n > 4:
+        return   # the ascent on a random state runs its budget there, 0.3 s at n = 9
     # Tr(rho sigma) <= ||rho^T||_1 ||sigma^T||_inf = ||rho^T||_1 / n for a
     # maximally entangled sigma, so a PPT state is never certified useful;
     # 1e-12 is the rounding margin, and the bound is tight on rank 1
