@@ -193,8 +193,9 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
     It ascends from the n^2 generalised Bell unitaries with an Anderson
     extrapolation after every 3rd step, kept only where it raises the
-    overlap, and stops once fef_bounds' Z = 0 certificate closes: 4 svd per
-    row on a pure state, at most 60 steps and 80 svd.  The value is a
+    overlap.  It forms fef_bounds' Z = 0 certificate after steps 3, 9 and 12
+    and at the end, and stops once that closes: 4 svd per row on a pure
+    state, at most 60 steps and 80 svd.  The value is a
     lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
@@ -244,14 +245,19 @@ _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC.flags.writeable = False
 
 # the most polar steps of a (state, start) row, every _ANDERSON_EVERY-th
-# followed by an extrapolation and a certificate.  On the 1,409 3x3 states of
+# followed by an extrapolation.  On the 1,409 3x3 states of
 # tests/fixtures/ascent_budget.py every state came within 1e-15 of a
 # 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
-# certificate at most 6.4e-14 wide, by step 30 (the 6th drawn from seed 10
+# certificate at most 5.6e-14 wide, by step 30 (the 6th drawn from seed 10
 # last, the median by step 9); 60 keeps twice that
 _POLAR_STEPS = 60
 _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
+# the steps after which a certificate is formed, besides the last: checked
+# after every extrapolation, of 2,909 3x3 states (ascent_budget.py's, 1,500
+# from seeds 1000-1299) 349 closed at step 3, 341 at 6, 1,072 at 9, 436 at 12,
+# 41 at 15 or 18, none later; a check costs 1.4 % of a state that never closes
+_CHECKS = (3, 9, 12)
 
 
 def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
@@ -290,8 +296,8 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     The ascent converges linearly, slowly where its rate is near 1, so after
     every _ANDERSON_EVERY-th step each row also takes a polar step from the
     Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
-    547 (1965)) and moves there only if that raises its overlap.  Then, and
-    after the last step, a state whose certificate closes stops."""
+    547 (1965)) and moves there only if that raises its overlap.  After the
+    steps of _CHECKS and the last, a state whose certificate closes stops."""
     rows, live = matrices[:, None], np.arange(len(matrices))   # rows broadcast over the starts
     n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
     out = np.empty(len(live)), *np.empty((2, len(live), n, n), complex), *np.empty((2, len(live)))
@@ -305,7 +311,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
             trial_g = rows @ trial
             up = (_overlaps(trial, trial_g, n) > _overlaps(w, g, n))[..., None, None]
             w, g = np.where(up, trial, w), np.where(up, trial_g, g)
-        elif k < _POLAR_STEPS:
+        if k < _POLAR_STEPS and k not in _CHECKS:
             continue
         overlaps = _overlaps(w, g, n)
         pick = np.arange(len(live)), overlaps.argmax(axis=1)
@@ -317,10 +323,10 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
         if stop.any():
             for array, value in zip(out, (overlaps[pick], unitary, half_h, top, margin)):
                 array[live[stop]] = value[stop]
+            if stop.all():
+                break
             live, rows, w, g = live[~stop], rows[~stop], w[~stop], g[~stop]
             outs, steps = [o[~stop] for o in outs], [s[~stop] for s in steps]
-            if not live.size:
-                break
     return out
 
 
@@ -358,7 +364,7 @@ def _polar_step(g: np.ndarray) -> np.ndarray:
 # steps of the smoothed descent over Z that fef_bounds runs on the states the
 # ascent's last K(0) leaves open.  On 659 3x3 states (the clone pair at 51
 # values of d, the eight floor states, 600 random ones drawn from seeds 7 and
-# 11) that is 158, and all but two closed within 40 steps; the 6th state drawn
+# 11) that is 169, and all but two closed within 40 steps; the 6th state drawn
 # from seed 10 (a slow state of the tests) closes only between 160 and 180
 _DUAL_STEPS = 200
 _EPS = np.finfo(float).eps

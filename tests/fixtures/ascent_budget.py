@@ -21,8 +21,8 @@ TOL and is not certified.  The corpus:
 - `test_measures.SLOW_STATES`.
 Each read is one stack of the whole corpus (`measures._singlet_fractions`),
 which gives every state the bits of `singlet_fraction` alone.  It is not
-part of the test suite: it took about 11 minutes on a shared 2-vCPU host,
-most of them in the reference ascent.
+part of the test suite: it took about 6 minutes on one thread of a shared
+2-vCPU host, most of them in the reference ascent.
 
     PYTHONPATH=src python tests/fixtures/ascent_budget.py
 """
@@ -82,7 +82,7 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
     try:
         for steps in range(1, budget + 1):
             measures._POLAR_STEPS = steps
-            value, (_, top, margin) = measures._singlet_fractions(matrices, 3)
+            value, (_, _, top, margin) = measures._singlet_fractions(matrices, 3)
             width = np.where(top <= margin, np.maximum(top, 0.0) + margin, np.nan)
             reached[(value < reference - TOL) & ~(width <= CERTIFIED)] = steps + 1
     finally:
