@@ -193,10 +193,12 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
     It ascends from the n^2 generalised Bell unitaries with an Anderson
     extrapolation after every 3rd step, kept only where it raises the
-    overlap.  It forms fef_bounds' Z = 0 certificate after steps 3, 9 and 12
-    and at the end, and stops once that closes: 4 svd per row on a pure
-    state, at most 60 steps and 80 svd.  The value is a
-    lower bound on F; fef_bounds certifies how far below it can lie.
+    overlap.  After step 1 and every extrapolation it stops once fef_bounds'
+    Z = 0 certificate closes or the best overlap has not risen since the last
+    such check, and at 60 steps (80 svd) at the latest: 1 svd on a pure state
+    or the qutrit clone pairs at d = 0.45 and 1/2, 16-44 on the tested 3x3
+    states whose certificate never closes.  The value is a lower bound on F;
+    fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
     return float(_singlet_fractions(rho.matrix[None], n)[0][0])
@@ -216,8 +218,8 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     maximally mixed marginals,
     Tr(rho sigma) <= lambda_max(K) + (Tr X + Tr Y)/n, so upper =
     lower + max(lambda_max(K(Z)), 0) plus a rounding margin of
-    8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0, the ascent's stopping
-    test, closes most states; the states it leaves open run _DUAL_STEPS
+    8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0, one of the ascent's stop
+    tests, closes most states; the states it leaves open run _DUAL_STEPS
     (200) steps of a smoothed descent over Z, one stacked eigh per step.
 
     The bound is on the relaxation over states with maximally mixed
@@ -248,16 +250,15 @@ _MAGIC.flags.writeable = False
 # followed by an extrapolation.  On the 1,409 3x3 states of
 # tests/fixtures/ascent_budget.py every state came within 1e-15 of a
 # 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
-# certificate at most 5.6e-14 wide, by step 30 (the 6th drawn from seed 10
-# last, the median by step 9); 60 keeps twice that
+# certificate at most 6.4e-14 wide, by step 30 (the 6th drawn from seed 10
+# last, the median by step 9); 60 keeps twice that.  A state stops before it
+# when its certificate closes or a cycle leaves its best overlap where it
+# was: no step lowers the overlap, so that is the ascent's fixed point in
+# floating point, and ascent_budget.py checks that such a value lies within
+# 1e-15 of the reference (all 325 that stalled there)
 _POLAR_STEPS = 60
 _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
-# the steps after which a certificate is formed, besides the last: checked
-# after every extrapolation, of 2,909 3x3 states (ascent_budget.py's, 1,500
-# from seeds 1000-1299) 349 closed at step 3, 341 at 6, 1,072 at 9, 436 at 12,
-# 41 at 15 or 18, none later; a check costs 1.4 % of a state that never closes
-_CHECKS = (3, 9, 12)
 
 
 def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
@@ -296,12 +297,19 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     The ascent converges linearly, slowly where its rate is near 1, so after
     every _ANDERSON_EVERY-th step each row also takes a polar step from the
     Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
-    547 (1965)) and moves there only if that raises its overlap.  After the
-    steps of _CHECKS and the last, a state whose certificate closes stops."""
+    547 (1965)) and moves there only if that raises its overlap.  After step
+    1, each extrapolation and the last step, a state stops if its best row's
+    certificate closes or its best overlap is no higher than at the check
+    before.  The certificate is formed only when some state stops or could
+    close: with psi = (I x W)|Phi+>, K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
+    and |K(0)| <= 1 + sqrt(n), so lambda_max(K(0)) >= |K(0) psi|^2 / 2 (1 + sqrt(n)),
+    twice the largest margin 8 n^2 eps (1 + sqrt(n)) once
+    |G W^dag - W G^dag|_F^2 > open_skew (2 + sqrt(n) covers rounding)."""
     rows, live = matrices[:, None], np.arange(len(matrices))   # rows broadcast over the starts
     n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
     out = np.empty(len(live)), *np.empty((2, len(live), n, n), complex), *np.empty((2, len(live)))
-    g = rows @ w
+    g, best = rows @ w, np.full(len(live), -np.inf)   # best: each state's F at its last check
+    open_skew = 128 * n ** 3 * _EPS * (2.0 + math.sqrt(n)) ** 2
     for k in range(1, _POLAR_STEPS + 1):
         new = _polar_step(g)
         outs, steps = outs[1 - _ANDERSON_DEPTH:] + [new], steps[1 - _ANDERSON_DEPTH:] + [new - w]
@@ -309,24 +317,33 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
         if k % _ANDERSON_EVERY == 0:
             trial = _polar_step(rows @ _anderson_mix(outs, steps))
             trial_g = rows @ trial
-            up = (_overlaps(trial, trial_g, n) > _overlaps(w, g, n))[..., None, None]
-            w, g = np.where(up, trial, w), np.where(up, trial_g, g)
-        if k < _POLAR_STEPS and k not in _CHECKS:
+            trial_overlaps, overlaps = _overlaps(trial, trial_g, n), _overlaps(w, g, n)
+            up = trial_overlaps > overlaps
+            w, g = np.where(up[..., None, None], trial, w), np.where(up[..., None, None], trial_g, g)
+            overlaps = np.where(up, trial_overlaps, overlaps)
+        elif k == 1 or k == _POLAR_STEPS:
+            overlaps = _overlaps(w, g, n)
+        else:
             continue
-        overlaps = _overlaps(w, g, n)
         pick = np.arange(len(live)), overlaps.argmax(axis=1)
-        unitary = w[pick].reshape(-1, n, n)
+        found, unitary = overlaps[pick], w[pick].reshape(-1, n, n)
         gw = g[pick].reshape(-1, n, n) @ unitary.conj().swapaxes(-1, -2)   # G W^dag
+        skew = gw - gw.conj().swapaxes(-1, -2)
+        stop = (found <= best) | (k == _POLAR_STEPS)
+        best = found
+        if not (stop | (np.add.reduce(np.abs(skew) ** 2, axis=(-2, -1)) <= open_skew)).any():
+            continue
         half_h = (gw + gw.conj().swapaxes(-1, -2)) / 4.0
         top, margin = _dual_tops(rows[:, 0], half_h, unitary, 0.0)
-        stop = (top <= margin) | (k == _POLAR_STEPS)
+        stop |= top <= margin
         if stop.any():
-            for array, value in zip(out, (overlaps[pick], unitary, half_h, top, margin)):
+            for array, value in zip(out, (best, unitary, half_h, top, margin)):
                 array[live[stop]] = value[stop]
             if stop.all():
                 break
-            live, rows, w, g = live[~stop], rows[~stop], w[~stop], g[~stop]
-            outs, steps = [o[~stop] for o in outs], [s[~stop] for s in steps]
+            keep = ~stop
+            live, rows, w, g, best = live[keep], rows[keep], w[keep], g[keep], best[keep]
+            outs, steps = [o[keep] for o in outs], [s[keep] for s in steps]
     return out
 
 

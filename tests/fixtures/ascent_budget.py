@@ -9,10 +9,14 @@ HAAR_STARTS Haar unitaries drawn from `default_rng(HAAR_SEED)`.  The ascent
 stops a state once its Z = 0 certificate closes, possibly a few 1e-15 below
 that reference, so a value whose certificate closed with a width of at most
 CERTIFIED counts as reached too; such states are printed with their width
-and their value's distance to the reference.  It then prints the slowest
-state and the budget's margin, the budget over that state's step, and exits
-1 when the margin is below MIN_MARGIN, or when a state never comes within
-TOL and is not certified.  The corpus:
+and their value's distance to the reference.  It also stops a state before
+the budget, with its certificate open, once a cycle of 3 steps and an
+extrapolation leaves its value where it was (a stall); such a value must lie
+within TOL of the reference.  It then prints the slowest state, the
+budget's margin (the budget over that state's step) and the number of
+stalls, and exits 1 when the margin is below MIN_MARGIN, when a state never
+comes within TOL and is not certified, or when a stalled value lies more
+than TOL below the reference.  The corpus:
 - the first nine states drawn from each of seeds 0-149 by
   `test_measures.drawn_states` (1,350 random states of ranks 1-9),
 - the eight floor states of `make_fef_values.floor_states`,
@@ -20,9 +24,10 @@ TOL and is not certified.  The corpus:
   (`make_fef_values.workload_states`),
 - `test_measures.SLOW_STATES`.
 Each read is one stack of the whole corpus (`measures._singlet_fractions`),
-which gives every state the bits of `singlet_fraction` alone.  It is not
-part of the test suite: it took about 6 minutes on one thread of a shared
-2-vCPU host, most of them in the reference ascent.
+which gives every state the bits of `singlet_fraction` alone; the stalls are
+found by counting each state's svd calls alone.  The whole run is not part
+of the test suite (it took about 5 minutes on one thread of a shared 2-vCPU
+host); `test_measures` runs `judge` on three states against a short reference.
 
     PYTHONPATH=src python tests/fixtures/ascent_budget.py
 """
@@ -62,12 +67,12 @@ def corpus() -> dict:
     return states
 
 
-def plain_ascent(matrices: np.ndarray) -> np.ndarray:
-    """Best overlap of each state after REFERENCE_STEPS plain polar steps
-    from the Bell starts and HAAR_STARTS Haar unitaries."""
+def plain_ascent(matrices: np.ndarray, steps: int = REFERENCE_STEPS) -> np.ndarray:
+    """Best overlap of each state after `steps` plain polar steps from the
+    Bell starts and HAAR_STARTS Haar unitaries."""
     rows = matrices[:, None]
     w = test_measures.haar_starts(np.random.default_rng(HAAR_SEED), 3, HAAR_STARTS)
-    for _ in range(REFERENCE_STEPS):
+    for _ in range(steps):
         w = measures._polar_step(rows @ w)
     return measures._overlaps(w, rows @ w, 3).max(axis=1)
 
@@ -75,8 +80,10 @@ def plain_ascent(matrices: np.ndarray) -> np.ndarray:
 def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
     """The step from which each state's value stays within TOL of the
     reference, or certified, through the budget (budget + 1 where the
-    budget's own value is neither); and the budget's values and certified
-    widths, NaN where the certificate is open or wider than CERTIFIED."""
+    budget's own value is neither); the budget's values and certified
+    widths, NaN where the certificate is open or wider than CERTIFIED; and
+    whether each state stalled: stopped before the budget's last svd call
+    with its certificate open."""
     budget = measures._POLAR_STEPS
     reached = np.ones(len(matrices), dtype=int)
     try:
@@ -87,28 +94,59 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
             reached[(value < reference - TOL) & ~(width <= CERTIFIED)] = steps + 1
     finally:
         measures._POLAR_STEPS = budget
-    return reached, value, width
+    stalled = (svd_calls(matrices) < budget + budget // measures._ANDERSON_EVERY) & (top > margin)
+    return reached, value, width, stalled
+
+
+def svd_calls(matrices: np.ndarray) -> np.ndarray:
+    """The number of (stacked) svd calls of each state's ascent alone."""
+    step, calls = measures._polar_step, []
+
+    def counted(g):
+        calls[-1] += 1
+        return step(g)
+
+    measures._polar_step = counted
+    try:
+        for matrix in matrices:
+            calls.append(0)
+            measures._singlet_fractions(matrix[None], 3)
+    finally:
+        measures._polar_step = step
+    return np.array(calls)
+
+
+def judge(names: list, matrices: np.ndarray, reference: np.ndarray) -> tuple:
+    """(lines, exit status): a line per state with its reach step, then the
+    summary line; status 1 when the budget's margin is below MIN_MARGIN or
+    a stalled value lies more than TOL below the reference."""
+    reached, value, width, stalled = reach_steps(matrices, reference)
+    short = value - reference
+    lines = []
+    for name, steps, below, certified, stall in zip(names, reached.tolist(), short.tolist(),
+                                                    width.tolist(), stalled.tolist()):
+        note = f" (certified, width {certified:.2g}, {below:+.2g} from the reference)" \
+            if below < -TOL and certified <= CERTIFIED else ""
+        note += f" (stalled, {below:+.2g} from the reference)" if stall and below < -TOL else ""
+        lines.append(f"{name}: {steps}{note}")
+    budget, slowest = measures._POLAR_STEPS, int(reached.argmax())
+    margin = budget / reached[slowest] if reached[slowest] <= budget else 0.0
+    stalled_short = np.count_nonzero(stalled & (short < -TOL))
+    lines.append(f"{len(names)} states; median step {np.median(reached):g}; slowest "
+                 f"{names[slowest]} at step {reached[slowest]}; budget {budget} steps; "
+                 f"margin {margin:.2f} (at least {MIN_MARGIN:g} needed); "
+                 f"{np.count_nonzero((short < -TOL) & (width <= CERTIFIED))} certified more than TOL "
+                 f"below the reference; {np.count_nonzero(stalled)} stalled, {stalled_short} of "
+                 f"them more than TOL below it")
+    return lines, 0 if margin >= MIN_MARGIN and stalled_short == 0 else 1
 
 
 def main() -> int:
     states = corpus()
-    names = list(states)
     matrices = np.array([rho.matrix for rho in states.values()])
-    reference = plain_ascent(matrices)
-    reached, value, width = reach_steps(matrices, reference)
-    for name, steps, short, certified in zip(names, reached.tolist(), (value - reference).tolist(),
-                                             width.tolist()):
-        note = f" (certified, width {certified:.2g}, {short:+.2g} from the reference)" \
-            if short < -TOL and certified <= CERTIFIED else ""
-        print(f"{name}: {steps}{note}")
-    budget, slowest = measures._POLAR_STEPS, int(reached.argmax())
-    margin = budget / reached[slowest] if reached[slowest] <= budget else 0.0
-    print(f"{len(names)} states; median step {np.median(reached):g}; slowest "
-          f"{names[slowest]} at step {reached[slowest]}; budget {budget} steps; "
-          f"margin {margin:.2f} (at least {MIN_MARGIN:g} needed); "
-          f"{np.count_nonzero((value < reference - TOL) & (width <= CERTIFIED))} certified "
-          f"more than TOL below the reference")
-    return 0 if margin >= MIN_MARGIN else 1
+    lines, status = judge(list(states), matrices, plain_ascent(matrices))
+    print("\n".join(lines))
+    return status
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,31 +546,39 @@ def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
 @example(89, "seed-89 draw 2")
 @example(7, "seed-7 draw 118")
 @example(10, "seed-10 draw 6")
+@example(1, (4, 8))    # (n, rank): closes at step 12
+@example(4, (4, 16))   # at n = 4 and 5 most random states stop on a stall, here at step 24
+@example(1, (5, 25))   # and at step 36
 def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
-    # a random state of rank `state`, or the named qutrit pair or slow state;
-    # the Bell and 6 Haar starts, each run for 1,000 plain polar steps, reach
-    # no higher than the ascent's _POLAR_STEPS from the Bell starts with
-    # extrapolation, beyond rounding; and an ascent that stops on its
-    # certificate before its budget leaves a bracket closed to rounding
+    # a random 3x3 state of rank `state`, an n x n one of (n, rank), or the
+    # named qutrit pair or slow state; the Bell and 6 Haar starts, each run
+    # for 1,000 plain polar steps, reach no higher than the ascent's
+    # _POLAR_STEPS from the Bell starts with extrapolation, beyond rounding,
+    # whether it stops on a stall, its certificate or the budget; and a state
+    # that stops on its certificate has a bracket closed to rounding
     named = {**QUTRIT_PAIRS, **SLOW_STATES}
     rng = np.random.default_rng(seed)
-    rho = named[state] if state in named else random_density(rng, (3, 3), rank=state)
-    w = haar_starts(rng, 3, 6)
+    if isinstance(state, tuple):
+        rho = random_density(rng, (state[0], state[0]), rank=state[1])
+    else:
+        rho = named[state] if state in named else random_density(rng, (3, 3), rank=state)
+    n = rho.dims[0]
+    w = haar_starts(rng, n, 6)
     for _ in range(1000):
         w = measures._polar_step(rho.matrix @ w)
-    longer = measures._overlaps(w, rho.matrix @ w, 3).max()
-    with mock.patch.object(measures, "_polar_step", wraps=measures._polar_step) as step:
-        assert measures.singlet_fraction(rho) >= longer - 1e-12
-    if step.call_count < 80:   # the budget: 60 steps and 20 extrapolations
+    longer = measures._overlaps(w, rho.matrix @ w, n).max()
+    value, (_, _, top, margin) = measures._singlet_fractions(rho.matrix[None], n)
+    assert value[0] >= longer - 1e-12
+    if top[0] <= margin[0]:
         lower, upper = measures.fef_bounds(rho)
         assert upper - lower <= 1e-12
 
 
 def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # the clone pair and a rank-1 state close at the first certificate, after
-    # 3 steps and an extrapolation; the open rank-6 state runs the whole
-    # budget, 60 steps and an extrapolation after every 3rd.  In one stack
-    # the closed states leave the stacked svd after their 4th
+    # 1 step; the open rank-6 state stops on a stall at the check after step
+    # 27, 27 steps and an extrapolation after every 3rd.  In one stack the
+    # closed states leave the stacked svd after the first
     stacked = []   # states in each stacked svd
     step = measures._polar_step
 
@@ -587,10 +594,28 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
         stacked.clear()
         measures.singlet_fraction(rho)
         counts.append(len(stacked))
-    assert counts == [4, 4, 80]
+    assert counts == [1, 1, 36]
     stacked.clear()
     measures._singlet_fractions(np.array([rho.matrix for rho in states]), 3)
-    assert stacked == [3] * 4 + [1] * 76
+    assert stacked == [3] + [1] * 35
+
+
+def test_the_ascent_budget_script_judges_three_states():
+    # tests/fixtures/ascent_budget.py's judging code, against a 300-step
+    # reference in place of its 3,000: the clone pair closes at step 1, the
+    # two slow states stall within TOL of the reference
+    from fixtures import ascent_budget
+
+    named = {**QUTRIT_PAIRS, **SLOW_STATES}
+    names = ["clone-d=0.5", "seed-10 draw 6", "seed-7 draw 118"]
+    matrices = np.array([named[name].matrix for name in names])
+    lines, status = ascent_budget.judge(names, matrices, ascent_budget.plain_ascent(matrices, 300))
+    assert lines == [
+        "clone-d=0.5: 1", "seed-10 draw 6: 18", "seed-7 draw 118: 21",
+        "3 states; median step 18; slowest seed-7 draw 118 at step 21; budget 60 steps; "
+        "margin 2.86 (at least 2 needed); 0 certified more than TOL below the reference; "
+        "2 stalled, 0 of them more than TOL below it"]
+    assert status == 0
 
 
 def test_half_the_step_budget_reaches_the_full_budget_value(monkeypatch):
@@ -696,6 +721,15 @@ def test_fef_bounds_close_to_rounding_on_all_but_the_listed_states():
     assert {name for name, width in widths.items() if width > 1e-12} == set(OPEN_STATES)
     for name, width in OPEN_STATES.items():
         assert widths[name] == pytest.approx(width, rel=0.1)
+
+
+def test_fef_bounds_close_to_rounding_on_every_slow_state_not_listed_open():
+    # seed-10 draw 6 leaves the ascent open and its descent closes only
+    # between steps 160 and 180 of _DUAL_STEPS = 200
+    names = [name for name in SLOW_STATES if name not in OPEN_STATES]
+    lower, upper = measures._fef_brackets(np.array([SLOW_STATES[name].matrix for name in names]), 3)
+    assert dict(zip(names, (upper - lower).tolist())) == {
+        name: pytest.approx(0.0, abs=1e-12) for name in names}
 
 
 def test_fef_bounds_stay_open_on_a_rank_6_state():
