@@ -158,9 +158,16 @@ def closed_forms(family: str, **params) -> dict:
     slice a = b = (1 - gamma)/2.  Parameters may be arrays; each entry has
     their shape.
     """
+    return _closed_forms(family, params, check=True)
+
+
+def _closed_forms(family: str, params: dict, check: bool) -> dict:
+    """closed_forms of params, whose domain is checked only when `check` is
+    set: analyze_family passes a grid its statezoo constructor has checked."""
     if family == "werner":
         F = params["F"] if "F" in params else (1.0 + params["C"]) / 2.0
-        statezoo._check_werner(F)
+        if check:
+            statezoo._check_werner(F)
         n, c = abs(4.0 * F - 1.0), 2.0 * F - 1.0
         return _shaped({
             "concurrence": np.where(c > 0.0, c, 0.0),
@@ -172,7 +179,8 @@ def closed_forms(family: str, **params) -> dict:
         }, F)
     if family == "mjwk":
         C = params["C"]
-        statezoo._check_mjwk(C)
+        if check:
+            statezoo._check_mjwk(C)
         h = statezoo.mjwk_h(C)
         tz2, high = np.float_power(4.0 * h - 1.0, 2.0), C >= 2.0 / 3.0
         return _shaped({
@@ -190,7 +198,8 @@ def closed_forms(family: str, **params) -> dict:
         a = params.get("a", (1.0 - gamma) / 2.0)
         b = params.get("b", (1.0 - gamma) / 2.0)
         x = (1.0 - gamma - a - b) / 2.0
-        statezoo._check_wei(x, x, a, b, gamma)
+        if check:
+            statezoo._check_wei(x, x, a, b, gamma)
         tz = 1.0 - 2.0 * (a + b)
         n = 2.0 * gamma + abs(tz)
         g2, c = gamma * gamma, gamma - 2.0 * np.sqrt(a * b)
@@ -202,7 +211,8 @@ def closed_forms(family: str, **params) -> dict:
         }, gamma, a, b)
     if family == "werner_derivative":
         F, a = params["F"], params["a"]
-        statezoo._check_werner_derivative(F, a)
+        if check:
+            statezoo._check_werner_derivative(F, a)
         root = np.sqrt(a * (1.0 - a))
         n = (4.0 * F - 1.0) * (1.0 + 4.0 * root) / 3.0
         return _shaped({
@@ -213,7 +223,8 @@ def closed_forms(family: str, **params) -> dict:
         }, F, a)
     if family == "nmems":
         p = params["p"]
-        statezoo._check_nmems(p)
+        if check:
+            statezoo._check_nmems(p)
         low, c = p < 0.25, (1.0 - p) / 3.0 - np.sqrt(p * (p + 2.0) / 12.0)
         return _shaped({
             "concurrence": 2.0 * np.where(c < 0.0, 0.0, c),
@@ -262,7 +273,8 @@ def analyze_family(family: str, values, restarts: int = 1, **fixed) -> list:
     a (werner_derivative, with F fixed) or gamma (wei, with a and b fixed,
     the remaining weight split evenly between x and y).  The statezoo
     constructor builds the grid as one stack, validated at once, and raises
-    for its first bad value; the analysis and closed forms run once over it.
+    for its first bad value; the analysis and closed forms run once over it,
+    with no second check of its domain.
     The singlet_fraction column is the fully entangled fraction.  restarts is
     ignored and not checked: it stays only because the perfbench sweep passes
     restarts=0, and ROADMAP item 1 removes it.
@@ -283,6 +295,6 @@ def analyze_family(family: str, values, restarts: int = 1, **fixed) -> list:
         return []
     matrices = build(np.array(grid), **fixed)
     reports = _reports(matrices, _density_spectra((2, 2), matrices))
-    columns = closed_forms(family, **{param: np.array(grid)}, **fixed)
+    columns = _closed_forms(family, {param: np.array(grid), **fixed}, check=False)
     forms = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     return list(zip(grid, reports, forms))

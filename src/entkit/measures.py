@@ -193,12 +193,15 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
     It ascends from the n^2 generalised Bell unitaries with an Anderson
     extrapolation after every 3rd step, kept only where it raises the
-    overlap.  After step 1 and every extrapolation it stops once fef_bounds'
-    Z = 0 certificate closes or the best overlap has not risen since the last
-    such check, and at 60 steps (80 svd) at the latest: 1 svd on a pure state
-    or the qutrit clone pairs at d = 0.45 and 1/2, 16-44 on the tested 3x3
-    states whose certificate never closes.  The value is a lower bound on F;
-    fef_bounds certifies how far below it can lie.
+    overlap.  The best of those starts takes step 1 alone, and the ascent
+    stops there if fef_bounds' Z = 0 certificate closes: 1 svd on a pure or
+    isotropic state and on every qutrit clone pair.  Otherwise the other
+    starts take step 1 too, and after it and every extrapolation the ascent
+    stops once the certificate closes or the best overlap has not risen
+    since the last such check, and at 60 steps (81 svd) at the latest: 17-45
+    svd on the tested 3x3 states whose certificate never closes.  The value
+    is a lower bound on F; fef_bounds certifies how far below it can lie.
+    The enumeration is formed only where it could exceed that value.
     """
     n = _require_square(rho, "singlet fraction")
     return float(_singlet_fractions(rho.matrix[None], n)[0][0])
@@ -219,8 +222,9 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     Tr(rho sigma) <= lambda_max(K) + (Tr X + Tr Y)/n, so upper =
     lower + max(lambda_max(K(Z)), 0) plus a rounding margin of
     8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0, one of the ascent's stop
-    tests, closes most states; the states it leaves open run _DUAL_STEPS
-    (200) steps of a smoothed descent over Z, one stacked eigh per step.
+    tests, closes most states, every qutrit clone pair at the best start's
+    first step; the states it leaves open run _DUAL_STEPS (200) steps of a
+    smoothed descent over Z, one stacked eigh per step.
 
     The bound is on the relaxation over states with maximally mixed
     marginals, which can exceed F for n >= 3: unital channels that are not
@@ -251,11 +255,12 @@ _MAGIC.flags.writeable = False
 # tests/fixtures/ascent_budget.py every state came within 1e-15 of a
 # 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
 # certificate at most 6.4e-14 wide, by step 30 (the 6th drawn from seed 10
-# last, the median by step 9); 60 keeps twice that.  A state stops before it
-# when its certificate closes or a cycle leaves its best overlap where it
-# was: no step lowers the overlap, so that is the ascent's fixed point in
-# floating point, and ascent_budget.py checks that such a value lies within
-# 1e-15 of the reference (all 325 that stalled there)
+# last, the median by step 9), 189 of them at the leader's step; 60 keeps
+# twice that.  A state stops before it when its certificate closes or a
+# cycle leaves its best overlap where it was: no step lowers the overlap, so
+# that is the ascent's fixed point in floating point, and ascent_budget.py
+# checks that such a value lies within 1e-15 of the reference (all 325 that
+# stalled there)
 _POLAR_STEPS = 60
 _ANDERSON_EVERY = 3
 _ANDERSON_DEPTH = 5
@@ -278,40 +283,79 @@ def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
     each state, with the bits it gets alone, the larger of the enumeration and
     the magic-basis eigenvalue (n = 2) or the polar ascent (n >= 3), each run
     once over the whole stack with every product taken state by state;
-    certificate the ascent's (W, H/2, top, margin), or None at n = 2."""
+    certificate the ascent's (W, H/2, top, margin), or None at n = 2.  At
+    n >= 3 the enumeration is formed only for the states whose ascent value
+    does not clear their largest start overlap by a rounding bound."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-        certificate = None
-    else:
-        found, *certificate = _polar_ascent(matrices, _polar_starts(n))
-    return np.maximum(_bell_enumerations(matrices, n), found), certificate
+        return np.maximum(_bell_enumerations(matrices, n), found), None
+    found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
+    # each v of maximally_entangled_bases(n) has n nonzero entries, so the
+    # enumeration's v^dag rho v and the start overlap <W|rho|W>/n, vec W =
+    # sqrt(n) v rounded, each sum n nonzero products twice and lie within
+    # (2 n + 9) eps |v|^T |rho| |v| <= (2 n + 9) eps ||rho||_F <= (2 n + 9) eps
+    # of the exact value (N. J. Higham, Accuracy and Stability of Numerical
+    # Algorithms, sec. 3.6).  They differ by less than 8 n^2 eps, so a value
+    # above the start overlap by more is above the enumeration, and the
+    # enumeration would leave it as it is, bit for bit
+    near = np.flatnonzero(found <= start + 8 * n * n * _EPS)
+    if near.size:
+        found[near] = np.maximum(_bell_enumerations(matrices[near], n), found[near])
+    return found, certificate
 
 
 def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
-    """(F, W, H/2, top, margin) of each n x n state in an (N, n^2, n^2) stack:
-    F its best overlap over the polar ascents from the (S, n^2, 1) columns
-    vec W of `starts`, W the (N, n, n) unitary that reached it and the rest
-    its Z = 0 certificate (fef_bounds, _dual_tops); each step is one stacked svd.
+    """(F, W, H/2, top, margin, start) of each n x n state in an (N, n^2, n^2)
+    stack: F its best overlap over the polar ascents from the (S, n^2, 1)
+    columns vec W of `starts`, W the (N, n, n) unitary that reached it,
+    (W, H/2, top, margin) its Z = 0 certificate (fef_bounds, _dual_tops) and
+    start its largest overlap at the starts; each step is one stacked svd.
 
-    The ascent converges linearly, slowly where its rate is near 1, so after
-    every _ANDERSON_EVERY-th step each row also takes a polar step from the
-    Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM 12,
-    547 (1965)) and moves there only if that raises its overlap.  After step
-    1, each extrapolation and the last step, a state stops if its best row's
-    certificate closes or its best overlap is no higher than at the check
-    before.  The certificate is formed only when some state stops or could
-    close: with psi = (I x W)|Phi+>, K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
+    Each state's best start takes step 1 alone, one stacked svd over one row
+    per state, and a state stops there if that row's certificate closes.  The
+    others then take step 1 from their remaining starts, with the leader's
+    row put back in its place, so they run as if every start had stepped at
+    once.  The ascent converges linearly, slowly where its rate is near 1, so
+    after every _ANDERSON_EVERY-th step each row also takes a polar step from
+    the Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM
+    12, 547 (1965)) and moves there only if that raises its overlap.  After
+    step 1, each extrapolation and the last step, a state stops if its best
+    row's certificate closes or its best overlap is no higher than at the
+    check before.  The certificate is formed only when some state stops or
+    could close: with psi = (I x W)|Phi+>, K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
     and |K(0)| <= 1 + sqrt(n), so lambda_max(K(0)) >= |K(0) psi|^2 / 2 (1 + sqrt(n)),
     twice the largest margin 8 n^2 eps (1 + sqrt(n)) once
     |G W^dag - W G^dag|_F^2 > open_skew (2 + sqrt(n) covers rounding)."""
-    rows, live = matrices[:, None], np.arange(len(matrices))   # rows broadcast over the starts
+    rows = matrices[:, None]   # broadcast over the starts
     n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
-    out = np.empty(len(live)), *np.empty((2, len(live), n, n), complex), *np.empty((2, len(live)))
-    g, best = rows @ w, np.full(len(live), -np.inf)   # best: each state's F at its last check
+    out = np.empty(len(rows)), *np.empty((2, len(rows), n, n), complex), *np.empty((2, len(rows)))
+    g = rows @ w
+    start = _overlaps(w, g, n)
     open_skew = 128 * n ** 3 * _EPS * (2.0 + math.sqrt(n)) ** 2
+    lead = np.arange(len(rows)), start.argmax(axis=1)
+    lead_w = _polar_step(g[lead])
+    lead_g = rows[:, 0] @ lead_w
+    stop = np.zeros(len(rows), bool)
+    certificate = _certificate(rows[:, 0], lead_w, lead_g, open_skew, stop)
+    if certificate:
+        stop = certificate[2] <= certificate[3]
+    if stop.any():
+        for array, value in zip(out, (_overlaps(lead_w, lead_g, n), *certificate)):
+            array[stop] = value[stop]
+        if stop.all():
+            return *out, start.max(axis=1)
+    live = np.flatnonzero(~stop)
+    others = np.ones(start.shape, bool)
+    others[lead] = False
+    rows, g, others = rows[live], g[live], others[live]
+    new = np.empty_like(g)   # step 1 of every start, the leader's row put back in its place
+    new[~others] = lead_w[live]
+    new[others] = _polar_step(g[others].reshape(len(live), -1, n * n, 1)).reshape(-1, n * n, 1)
+    best = np.full(len(live), -np.inf)   # each state's F at its last check
     for k in range(1, _POLAR_STEPS + 1):
-        new = _polar_step(g)
+        if k > 1:
+            new = _polar_step(g)
         outs, steps = outs[1 - _ANDERSON_DEPTH:] + [new], steps[1 - _ANDERSON_DEPTH:] + [new - w]
         w, g = new, rows @ new
         if k % _ANDERSON_EVERY == 0:
@@ -326,25 +370,42 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
         else:
             continue
         pick = np.arange(len(live)), overlaps.argmax(axis=1)
-        found, unitary = overlaps[pick], w[pick].reshape(-1, n, n)
-        gw = g[pick].reshape(-1, n, n) @ unitary.conj().swapaxes(-1, -2)   # G W^dag
-        skew = gw - gw.conj().swapaxes(-1, -2)
+        found = overlaps[pick]
         stop = (found <= best) | (k == _POLAR_STEPS)
         best = found
-        if not (stop | (np.add.reduce(np.abs(skew) ** 2, axis=(-2, -1)) <= open_skew)).any():
+        certificate = _certificate(rows[:, 0], w[pick], g[pick], open_skew, stop)
+        if not certificate:
             continue
-        half_h = (gw + gw.conj().swapaxes(-1, -2)) / 4.0
-        top, margin = _dual_tops(rows[:, 0], half_h, unitary, 0.0)
-        stop |= top <= margin
+        stop |= certificate[2] <= certificate[3]
         if stop.any():
-            for array, value in zip(out, (best, unitary, half_h, top, margin)):
+            for array, value in zip(out, (best, *certificate)):
                 array[live[stop]] = value[stop]
             if stop.all():
                 break
             keep = ~stop
             live, rows, w, g, best = live[keep], rows[keep], w[keep], g[keep], best[keep]
             outs, steps = [o[keep] for o in outs], [s[keep] for s in steps]
-    return out
+    return *out, start.max(axis=1)
+
+
+def _certificate(rho: np.ndarray, w: np.ndarray, g: np.ndarray, open_skew: float,
+                 stop: np.ndarray) -> tuple | None:
+    """(W, H/2, top, margin) of the Z = 0 certificate of each state's row,
+    from its (n^2, 1) columns vec W and g = rho vec W, formed only where
+    `stop` is set or the skew passes the open_skew pretest of _polar_ascent;
+    top and margin are (inf, 0) elsewhere, where it is open, and None is
+    returned when it is open on every row that does not stop."""
+    n = math.isqrt(w.shape[-2])
+    unitary = w.reshape(-1, n, n)
+    gw = g.reshape(-1, n, n) @ unitary.conj().swapaxes(-1, -2)   # G W^dag
+    skew = gw - gw.conj().swapaxes(-1, -2)
+    formed = stop | (np.add.reduce(np.abs(skew) ** 2, axis=(-2, -1)) <= open_skew)
+    if not formed.any():
+        return None
+    half_h = (gw + gw.conj().swapaxes(-1, -2)) / 4.0
+    top, margin = np.full(len(w), np.inf), np.zeros(len(w))
+    top[formed], margin[formed] = _dual_tops(rho[formed], half_h[formed], unitary[formed], 0.0)
+    return unitary, half_h, top, margin
 
 
 def _anderson_mix(outs: list, steps: list) -> np.ndarray:
@@ -358,9 +419,13 @@ def _anderson_mix(outs: list, steps: list) -> np.ndarray:
     return np.concatenate(outs, -1) @ (a / a.sum(axis=-2, keepdims=True))
 
 
+@functools.lru_cache(maxsize=None)
 def _polar_starts(n: int) -> np.ndarray:
-    """vec W, as (n^2, 1) columns, of the n^2 generalised Bell unitaries."""
-    return np.sqrt(n) * np.array(maximally_entangled_bases(n))[..., None]
+    """vec W, as (n^2, 1) columns, of the n^2 generalised Bell unitaries,
+    built once per n and returned read-only."""
+    starts = np.sqrt(n) * np.array(maximally_entangled_bases(n))[..., None]
+    starts.flags.writeable = False
+    return starts
 
 
 def _overlaps(w: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -381,8 +446,9 @@ def _polar_step(g: np.ndarray) -> np.ndarray:
 # steps of the smoothed descent over Z that fef_bounds runs on the states the
 # ascent's last K(0) leaves open.  On 659 3x3 states (the clone pair at 51
 # values of d, the eight floor states, 600 random ones drawn from seeds 7 and
-# 11) that is 169, and all but two closed within 40 steps; the 6th state drawn
-# from seed 10 (a slow state of the tests) closes only between 160 and 180
+# 11) that is 149 random ones, and all but two closed within 40 steps; the
+# 6th state drawn from seed 10 (a slow state of the tests) closes only
+# between 160 and 180
 _DUAL_STEPS = 200
 _EPS = np.finfo(float).eps
 

@@ -9,12 +9,14 @@ HAAR_STARTS Haar unitaries drawn from `default_rng(HAAR_SEED)`.  The ascent
 stops a state once its Z = 0 certificate closes, possibly a few 1e-15 below
 that reference, so a value whose certificate closed with a width of at most
 CERTIFIED counts as reached too; such states are printed with their width
-and their value's distance to the reference.  It also stops a state before
-the budget, with its certificate open, once a cycle of 3 steps and an
+and their value's distance to the reference.  Each state's best start takes
+step 1 alone first, one svd call, and a state whose certificate closes
+there stops after that call.  The ascent also stops a state before the
+budget, with its certificate open, once a cycle of 3 steps and an
 extrapolation leaves its value where it was (a stall); such a value must lie
-within TOL of the reference.  It then prints the slowest state, the
-budget's margin (the budget over that state's step) and the number of
-stalls, and exits 1 when the margin is below MIN_MARGIN, when a state never
+within TOL of the reference.  It then prints the number of states that
+closed at the leader's step, the slowest state, the budget's margin (the
+budget over that state's step) and the number of stalls, and exits 1 when the margin is below MIN_MARGIN, when a state never
 comes within TOL and is not certified, or when a stalled value lies more
 than TOL below the reference.  The corpus:
 - the first nine states drawn from each of seeds 0-149 by
@@ -81,9 +83,10 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
     """The step from which each state's value stays within TOL of the
     reference, or certified, through the budget (budget + 1 where the
     budget's own value is neither); the budget's values and certified
-    widths, NaN where the certificate is open or wider than CERTIFIED; and
+    widths, NaN where the certificate is open or wider than CERTIFIED;
     whether each state stalled: stopped before the budget's last svd call
-    with its certificate open."""
+    with its certificate open; and whether it closed at the leader's step,
+    its one svd call."""
     budget = measures._POLAR_STEPS
     reached = np.ones(len(matrices), dtype=int)
     try:
@@ -94,12 +97,15 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
             reached[(value < reference - TOL) & ~(width <= CERTIFIED)] = steps + 1
     finally:
         measures._POLAR_STEPS = budget
-    stalled = (svd_calls(matrices) < budget + budget // measures._ANDERSON_EVERY) & (top > margin)
-    return reached, value, width, stalled
+    # the leader's step, every step of every row and the extrapolations
+    calls = svd_calls(matrices)
+    stalled = (calls < 1 + budget + budget // measures._ANDERSON_EVERY) & (top > margin)
+    return reached, value, width, stalled, calls == 1
 
 
 def svd_calls(matrices: np.ndarray) -> np.ndarray:
-    """The number of (stacked) svd calls of each state's ascent alone."""
+    """The number of (stacked) svd calls of each state's ascent alone, the
+    leader's lone step included."""
     step, calls = measures._polar_step, []
 
     def counted(g):
@@ -120,7 +126,7 @@ def judge(names: list, matrices: np.ndarray, reference: np.ndarray) -> tuple:
     """(lines, exit status): a line per state with its reach step, then the
     summary line; status 1 when the budget's margin is below MIN_MARGIN or
     a stalled value lies more than TOL below the reference."""
-    reached, value, width, stalled = reach_steps(matrices, reference)
+    reached, value, width, stalled, led = reach_steps(matrices, reference)
     short = value - reference
     lines = []
     for name, steps, below, certified, stall in zip(names, reached.tolist(), short.tolist(),
@@ -132,7 +138,8 @@ def judge(names: list, matrices: np.ndarray, reference: np.ndarray) -> tuple:
     budget, slowest = measures._POLAR_STEPS, int(reached.argmax())
     margin = budget / reached[slowest] if reached[slowest] <= budget else 0.0
     stalled_short = np.count_nonzero(stalled & (short < -TOL))
-    lines.append(f"{len(names)} states; median step {np.median(reached):g}; slowest "
+    lines.append(f"{len(names)} states; {np.count_nonzero(led)} closed at the leader's step; "
+                 f"median step {np.median(reached):g}; slowest "
                  f"{names[slowest]} at step {reached[slowest]}; budget {budget} steps; "
                  f"margin {margin:.2f} (at least {MIN_MARGIN:g} needed); "
                  f"{np.count_nonzero((short < -TOL) & (width <= CERTIFIED))} certified more than TOL "

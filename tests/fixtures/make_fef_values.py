@@ -2,9 +2,10 @@
 
 The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
 fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the
-extrapolated polar ascent from the nine generalised Bell unitaries, run
-until its Z = 0 certificate closes, a cycle of steps stops raising its
-value, or for its budget of 60 steps (see `ascent_budget.py`), once for each of
+extrapolated polar ascent from the nine generalised Bell unitaries, the
+best of them first and alone for one step, run until its Z = 0 certificate
+closes, a cycle of steps stops raising its value, or for its budget of 60
+steps (see `ascent_budget.py`), once for each of
 - the nine states of the perfbench `fef` workload (Ginibre states drawn from
   `default_rng(1)`),
 - the floor states of the qutrit clone analysis that the workload does not

@@ -297,7 +297,11 @@ def test_analyze_family_analyzes_the_whole_grid_at_once(family, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(channel, "closed_forms", counted("closed_forms", channel.closed_forms))
+    # the closed forms run once, and the grid's domain is checked once, by the
+    # statezoo constructor
+    monkeypatch.setattr(channel, "_closed_forms", counted("closed_forms", channel._closed_forms))
+    check = f"_check_{family}"
+    monkeypatch.setattr(statezoo, check, counted("check", getattr(statezoo, check)))
     for name in ("svd", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(DensityMatrix, "__post_init__",
@@ -308,9 +312,9 @@ def test_analyze_family_analyzes_the_whole_grid_at_once(family, monkeypatch):
         rows = channel.analyze_family(family, np.linspace(lo, hi, points), **fixed)
         assert len(rows) == points
         counts.append({name: calls.count(name)
-                       for name in ("closed_forms", "svd", "eigvalsh", "DensityMatrix")})
+                       for name in ("closed_forms", "check", "svd", "eigvalsh", "DensityMatrix")})
     assert counts[0] == counts[1]
-    assert counts[0]["closed_forms"] == 1
+    assert counts[0]["closed_forms"] == counts[0]["check"] == 1
     assert counts[0]["eigvalsh"] == 2       # the validation and the magic basis
     assert counts[0]["svd"] > 0
     assert counts[0]["DensityMatrix"] == 0

@@ -18,7 +18,8 @@ from entkit.qcore import (
     partial_transpose,
     tensor,
 )
-from util import assert_columns_match_points, random_density, random_pure, random_unitary
+from util import (assert_columns_match_points, clone_pair, random_density, random_pure,
+                  random_unitary)
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "cloning_dense_coding.json").read_text())
@@ -409,6 +410,41 @@ def test_clone_pair_fef_is_the_ascent_value_inside_the_certified_bracket():
     assert_allclose(lower, closed, rtol=0, atol=1e-12)
     assert (closed <= upper).all()
     assert (upper - lower <= 1e-12).all()
+
+
+def test_every_qutrit_clone_pair_closes_at_the_leaders_step(monkeypatch):
+    # the best Bell start's first polar step reaches each pair's FEF and its
+    # certificate closes there, so the stack takes that one svd and no descent;
+    # at d <= 0.3 the best row after every start's first step lies at a second
+    # optimum, whose certificate stays open
+    grid = np.r_[CLONE_FEF_GRID, 0.2, 0.21, 0.22, 0.23, 0.3]
+    stacked = []
+    step = measures._polar_step
+
+    def counted(g):
+        stacked.append(g.shape[:-2])
+        return step(g)
+
+    monkeypatch.setattr(measures, "_polar_step", counted)
+    stack = cloning.qutrit_cloned_pairs(grid)[0]
+    lower, upper = measures._fef_brackets(stack, 3)
+    assert stacked == [(len(grid),)]
+    assert (upper - lower <= 1e-12).all()
+
+
+# fractions of d_max(n) = sqrt(1/(2(n - 1))) at which the n-level pair is tested
+N_LEVEL_D_FRACTIONS = (0.1, 0.3, 0.5, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_n_level_clone_pair_fef_is_the_closed_form(n):
+    # max(c^2/n, (c(n - 2) - 4d(n - 1))^2/n^3): W = I and the reflection
+    # W = I - (2/n)J give the two branches, as clone_pair_fef derives at n = 3
+    for fraction in N_LEVEL_D_FRACTIONS:
+        d = fraction * np.sqrt(1.0 / (2.0 * (n - 1)))
+        rho, c = clone_pair(n, d)
+        form = max(c * c / n, (c * (n - 2) - 4.0 * d * (n - 1)) ** 2 / n ** 3)
+        assert measures.singlet_fraction(rho) == pytest.approx(form, abs=1e-12), (n, d)
 
 
 def test_clone_pair_fef_branches():

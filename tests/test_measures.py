@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 from entkit import channel, measures, statezoo
 from entkit.qcore import DensityMatrix, DomainError, PureState, Y, partial_transpose, tensor
 from fixtures import make_fef_values
-from util import (concurrence_x_form, fef_closed_form, random_density, random_pure, random_unitary,
-                  x_form_matrix)
+from util import (bell_mixture, concurrence_x_form, fef_closed_form, random_density, random_pure,
+                  random_unitary, x_form_matrix)
 
 P_STAR = 7.0 - 3.0 * np.sqrt(5.0)   # root of (1-p)/3 = sqrt(p(p+2)/12)
 
@@ -328,6 +328,34 @@ def test_the_singlet_fraction_lies_between_the_enumeration_and_the_free_bounds(s
     assert value <= min(rho.spectrum[-1], pt_norm / n) + 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 4, 5]),
+       st.sampled_from(["random", "isotropic", "bell"]))
+@example(1, 3, "distilled")
+def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(seed, n, kind):
+    # singlet_fraction forms the enumeration only where the ascent value does
+    # not clear the largest start overlap by rounding; it is still the larger
+    # of the two, bit for bit, on states of every rank and on Bell-diagonal
+    # ones (isotropic, generalised-Bell mixtures, the distilled d = 1/2 pair),
+    # where the enumeration is F and the ascent does not rise above a start
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
+    elif kind == "isotropic":
+        p = rng.uniform()
+        phi_plus = statezoo.generalized_max_entangled(n).density().matrix
+        rho = DensityMatrix((n, n), p * phi_plus + (1.0 - p) * np.eye(n * n) / n ** 2)
+    elif kind == "bell":
+        rho = bell_mixture(rng, n)
+    else:
+        rho = QUTRIT_PAIRS["distilled-d=0.5"]
+    value = measures.singlet_fraction(rho)
+    enumeration = measures.bell_enumeration(rho)
+    ascent = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))[0][0]
+    assert value >= enumeration
+    assert np.float64(value).view(np.int64) == np.float64(max(enumeration, ascent)).view(np.int64)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_maximally_entangled_bases_are_built_once_and_read_only(n):
     bases = measures.maximally_entangled_bases(n)
@@ -514,14 +542,16 @@ def test_eof_is_monotone_in_the_concurrence(seed):
 @settings(max_examples=15, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3]))
 def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
-    # two states of random rank and, at n = 3, the d = 1/2 clone pair and a
-    # full-rank state; each state at least once, in random order with repeats.
-    # The ascent from the Bell and 1 to 8 Haar starts keeps each state's bits too
+    # two states of random rank and, at n = 3, the d = 1/2 clone pair, a
+    # full-rank state and a generalised-Bell mixture, which takes the other
+    # path of the enumeration's guard; each state at least once, in random
+    # order with repeats.  The ascent from the Bell and 1 to 8 Haar starts
+    # keeps each state's bits too
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
     if n == 3:
-        states += [QUTRIT_PAIRS["clone-d=0.5"], random_density(rng, (3, 3))]
+        states += [QUTRIT_PAIRS["clone-d=0.5"], random_density(rng, (3, 3)), bell_mixture(rng, 3)]
     order = rng.permutation(np.r_[np.arange(len(states)), rng.integers(0, len(states), 2)])
     stack = np.array([states[i].matrix for i in order])
     alone = [measures.singlet_fraction(rho) for rho in states]
@@ -575,15 +605,16 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
 
 
 def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
-    # the clone pair and a rank-1 state close at the first certificate, after
-    # 1 step; the open rank-6 state stops on a stall at the check after step
-    # 27, 27 steps and an extrapolation after every 3rd.  In one stack the
-    # closed states leave the stacked svd after the first
-    stacked = []   # states in each stacked svd
+    # the clone pair and a rank-1 state close at the leader's step, 1 svd of
+    # their best start alone.  The open rank-6 state then steps from its 8
+    # other starts and stops on a stall at the check after step 27: 27 steps
+    # of its 9 rows and an extrapolation after every 3rd, 37 svd calls in all.
+    # In one stack the closed states leave after the leader's step
+    stacked = []   # the (states, rows) of each stacked svd, (states,) for the leaders
     step = measures._polar_step
 
     def counted(g):
-        stacked.append(len(g))
+        stacked.append(g.shape[:-2])
         return step(g)
 
     monkeypatch.setattr(measures, "_polar_step", counted)
@@ -594,16 +625,16 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
         stacked.clear()
         measures.singlet_fraction(rho)
         counts.append(len(stacked))
-    assert counts == [1, 1, 36]
+    assert counts == [1, 1, 37]
     stacked.clear()
     measures._singlet_fractions(np.array([rho.matrix for rho in states]), 3)
-    assert stacked == [3] + [1] * 35
+    assert stacked == [(3,), (1, 8)] + [(1, 9)] * 35
 
 
 def test_the_ascent_budget_script_judges_three_states():
     # tests/fixtures/ascent_budget.py's judging code, against a 300-step
-    # reference in place of its 3,000: the clone pair closes at step 1, the
-    # two slow states stall within TOL of the reference
+    # reference in place of its 3,000: the clone pair closes at the leader's
+    # step, the two slow states stall within TOL of the reference
     from fixtures import ascent_budget
 
     named = {**QUTRIT_PAIRS, **SLOW_STATES}
@@ -612,7 +643,8 @@ def test_the_ascent_budget_script_judges_three_states():
     lines, status = ascent_budget.judge(names, matrices, ascent_budget.plain_ascent(matrices, 300))
     assert lines == [
         "clone-d=0.5: 1", "seed-10 draw 6: 18", "seed-7 draw 118: 21",
-        "3 states; median step 18; slowest seed-7 draw 118 at step 21; budget 60 steps; "
+        "3 states; 1 closed at the leader's step; median step 18; slowest seed-7 draw 118 at "
+        "step 21; budget 60 steps; "
         "margin 2.86 (at least 2 needed); 0 certified more than TOL below the reference; "
         "2 stalled, 0 of them more than TOL below it"]
     assert status == 0

@@ -31,6 +31,27 @@ def random_unitary(rng, n) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def bell_mixture(rng, n: int) -> DensityMatrix:
+    """Random mixture of 1 to n^2 of the generalised Bell states of
+    measures.maximally_entangled_bases(n): a Bell-diagonal state."""
+    bases = np.array(measures.maximally_entangled_bases(n))
+    chosen = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)), replace=False)
+    weights = rng.dirichlet(np.ones(len(chosen)))
+    vectors = bases[chosen]
+    return DensityMatrix((n, n), (vectors.T * weights) @ vectors.conj())
+
+
+def clone_pair(n: int, d: float) -> tuple:
+    """(rho, c): the two clones of the input (sum_i |i>)/sqrt(n) from the n-level
+    cloning machine at d in [0, sqrt(1/(2(n-1)))], its machine traced out,
+    and the machine's amplitude c = sqrt(1 - 2(n-1)d^2)."""
+    from entkit import cloning
+
+    c = cloning._amplitude_c(n, d, np.sqrt(1.0 / (2.0 * (n - 1))))
+    a = (cloning._isometries(n, c, d) @ (np.ones(n) / np.sqrt(n))).reshape(n * n, n)
+    return DensityMatrix((n, n), a @ a.conj().T), float(c)
+
+
 def fef_closed_form(rho: DensityMatrix) -> float:
     """Independent oracle for the two-qubit fully entangled fraction.
 
