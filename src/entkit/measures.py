@@ -171,8 +171,8 @@ def maximally_entangled_bases(n: int) -> tuple:
 
 def bell_enumeration(rho: DensityMatrix) -> float:
     """Largest overlap <phi|rho|phi> over the n^2 states phi of
-    maximally_entangled_bases(n), in that order: a lower bound on the fully
-    entangled fraction, equal to it on states diagonal in that basis."""
+    maximally_entangled_bases(n): a lower bound on the fully entangled
+    fraction, equal to it on states diagonal in that basis."""
     return float(_bell_enumerations(rho.matrix[None], _require_square(rho, "Bell enumeration"))[0])
 
 
@@ -195,13 +195,13 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     extrapolation after every 3rd step, kept only where it raises the
     overlap.  The best of those starts takes step 1 alone, and the ascent
     stops there if fef_bounds' Z = 0 certificate closes: 1 svd on a pure or
-    isotropic state and on every qutrit clone pair.  Otherwise the other
-    starts take step 1 too, and after it and every extrapolation the ascent
-    stops once the certificate closes or the best overlap has not risen
-    since the last such check, and at 60 steps (81 svd) at the latest: 17-45
-    svd on the tested 3x3 states whose certificate never closes.  The value
-    is a lower bound on F; fef_bounds certifies how far below it can lie.
-    The enumeration is formed only where it could exceed that value.
+    isotropic state and on every qutrit clone pair.  Otherwise every start
+    takes step 1, and after it and every extrapolation the ascent stops once
+    the certificate closes or the best overlap has not risen since the last
+    such check, and at 60 steps (81 svd) at the latest: 17-45 svd on the
+    tested 3x3 states whose certificate never closes.  The value, the larger
+    of the ascent's and of its largest start overlap (bell_enumeration), is a
+    lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
     return float(_singlet_fractions(rho.matrix[None], n)[0][0])
@@ -267,42 +267,26 @@ _ANDERSON_DEPTH = 5
 
 
 def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
-    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack."""
-    # <v|rho|v> as a vector-matrix then a vector-vector product per state,
-    # the arithmetic of one state's v.conj() @ rho @ v, so every bit is kept
-    overlaps = [((v.conj() @ matrices)[:, None, :] @ v)[:, 0].real
-                for v in maximally_entangled_bases(n)]
-    best = overlaps[0]
-    for overlap in overlaps[1:]:
-        best = np.where(overlap > best, overlap, best)   # the first of equal maxima
-    return best
+    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack: its
+    largest overlap at _polar_starts(n), the products the ascent forms for
+    its own start overlaps, so the two agree bit for bit."""
+    starts = _polar_starts(n)
+    return _overlaps(starts, matrices[:, None] @ starts, n).max(axis=1)
 
 
 def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
     """(F, certificate) for an (N, n^2, n^2) stack: F the singlet_fraction of
-    each state, with the bits it gets alone, the larger of the enumeration and
-    the magic-basis eigenvalue (n = 2) or the polar ascent (n >= 3), each run
-    once over the whole stack with every product taken state by state;
-    certificate the ascent's (W, H/2, top, margin), or None at n = 2.  At
-    n >= 3 the enumeration is formed only for the states whose ascent value
-    does not clear their largest start overlap by a rounding bound."""
+    each state, the larger of the enumeration and the magic-basis eigenvalue
+    (n = 2) or the polar ascent (n >= 3), each run once over the whole stack
+    with every product taken state by state, so each state gets the bits it
+    gets alone; certificate the ascent's (W, H/2, top, margin), or None at
+    n = 2."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
         return np.maximum(_bell_enumerations(matrices, n), found), None
     found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
-    # each v of maximally_entangled_bases(n) has n nonzero entries, so the
-    # enumeration's v^dag rho v and the start overlap <W|rho|W>/n, vec W =
-    # sqrt(n) v rounded, each sum n nonzero products twice and lie within
-    # (2 n + 9) eps |v|^T |rho| |v| <= (2 n + 9) eps ||rho||_F <= (2 n + 9) eps
-    # of the exact value (N. J. Higham, Accuracy and Stability of Numerical
-    # Algorithms, sec. 3.6).  They differ by less than 8 n^2 eps, so a value
-    # above the start overlap by more is above the enumeration, and the
-    # enumeration would leave it as it is, bit for bit
-    near = np.flatnonzero(found <= start + 8 * n * n * _EPS)
-    if near.size:
-        found[near] = np.maximum(_bell_enumerations(matrices[near], n), found[near])
-    return found, certificate
+    return np.maximum(found, start), certificate
 
 
 def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
@@ -313,17 +297,16 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     start its largest overlap at the starts; each step is one stacked svd.
 
     Each state's best start takes step 1 alone, one stacked svd over one row
-    per state, and a state stops there if that row's certificate closes.  The
-    others then take step 1 from their remaining starts, with the leader's
-    row put back in its place, so they run as if every start had stepped at
-    once.  The ascent converges linearly, slowly where its rate is near 1, so
-    after every _ANDERSON_EVERY-th step each row also takes a polar step from
-    the Anderson mix of its last _ANDERSON_DEPTH steps (D. G. Anderson, J. ACM
-    12, 547 (1965)) and moves there only if that raises its overlap.  After
-    step 1, each extrapolation and the last step, a state stops if its best
-    row's certificate closes or its best overlap is no higher than at the
-    check before.  The certificate is formed only when some state stops or
-    could close: with psi = (I x W)|Phi+>, K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
+    per state, and a state stops there if that row's certificate closes; the
+    others then step from every start.  The ascent converges linearly, slowly
+    where its rate is near 1, so after every _ANDERSON_EVERY-th step each row
+    also takes a polar step from the Anderson mix of its last _ANDERSON_DEPTH
+    steps (D. G. Anderson, J. ACM 12, 547 (1965)) and moves there only if that
+    raises its overlap.  After step 1, each extrapolation and the last step, a
+    state stops if its best row's certificate closes or its best overlap is no
+    higher than at the check before.  The certificate is formed only when
+    some state stops or could close: with psi = (I x W)|Phi+>,
+    K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
     and |K(0)| <= 1 + sqrt(n), so lambda_max(K(0)) >= |K(0) psi|^2 / 2 (1 + sqrt(n)),
     twice the largest margin 8 n^2 eps (1 + sqrt(n)) once
     |G W^dag - W G^dag|_F^2 > open_skew (2 + sqrt(n) covers rounding)."""
@@ -333,8 +316,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     g = rows @ w
     start = _overlaps(w, g, n)
     open_skew = 128 * n ** 3 * _EPS * (2.0 + math.sqrt(n)) ** 2
-    lead = np.arange(len(rows)), start.argmax(axis=1)
-    lead_w = _polar_step(g[lead])
+    lead_w = _polar_step(g[np.arange(len(rows)), start.argmax(axis=1)])
     lead_g = rows[:, 0] @ lead_w
     stop = np.zeros(len(rows), bool)
     certificate = _certificate(rows[:, 0], lead_w, lead_g, open_skew, stop)
@@ -346,16 +328,10 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
         if stop.all():
             return *out, start.max(axis=1)
     live = np.flatnonzero(~stop)
-    others = np.ones(start.shape, bool)
-    others[lead] = False
-    rows, g, others = rows[live], g[live], others[live]
-    new = np.empty_like(g)   # step 1 of every start, the leader's row put back in its place
-    new[~others] = lead_w[live]
-    new[others] = _polar_step(g[others].reshape(len(live), -1, n * n, 1)).reshape(-1, n * n, 1)
+    rows, g = rows[live], g[live]
     best = np.full(len(live), -np.inf)   # each state's F at its last check
     for k in range(1, _POLAR_STEPS + 1):
-        if k > 1:
-            new = _polar_step(g)
+        new = _polar_step(g)
         outs, steps = outs[1 - _ANDERSON_DEPTH:] + [new], steps[1 - _ANDERSON_DEPTH:] + [new - w]
         w, g = new, rows @ new
         if k % _ANDERSON_EVERY == 0:

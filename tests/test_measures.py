@@ -316,10 +316,16 @@ def test_two_qubit_singlet_fraction_is_bounded_and_reads_no_seed(seed, rank):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 4]))
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 4, 5, 6]))
+@example(1, 7)
+@example(2, 7)
+@example(1, 8)
+@example(2, 8)
+@example(1, 9)   # about 0.1 s a state at n = 9
+@example(2, 9)
 def test_the_singlet_fraction_lies_between_the_enumeration_and_the_free_bounds(seed, n):
-    # the test above at n = 3 and 4, a state of every rank:
-    # the enumeration <= F <= min(lambda_max, ||rho^T||_1 / n)
+    # the test above at n = 3 to 9, a state of every rank, few of them at
+    # n >= 7: the enumeration <= F <= min(lambda_max, ||rho^T||_1 / n)
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
     value = measures.singlet_fraction(rho)
@@ -329,15 +335,16 @@ def test_the_singlet_fraction_lies_between_the_enumeration_and_the_free_bounds(s
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 4, 5]),
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 4, 5]),
        st.sampled_from(["random", "isotropic", "bell"]))
 @example(1, 3, "distilled")
 def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(seed, n, kind):
-    # singlet_fraction forms the enumeration only where the ascent value does
-    # not clear the largest start overlap by rounding; it is still the larger
-    # of the two, bit for bit, on states of every rank and on Bell-diagonal
-    # ones (isotropic, generalised-Bell mixtures, the distilled d = 1/2 pair),
-    # where the enumeration is F and the ascent does not rise above a start
+    # the enumeration is the largest overlap at the ascent's starts, bit for
+    # bit, and singlet_fraction the larger of it and the ascent's value (the
+    # magic-basis eigenvalue at n = 2), bit for bit, on states of every rank
+    # and on Bell-diagonal ones (isotropic, generalised-Bell mixtures, the
+    # distilled d = 1/2 pair), where the enumeration is F and the ascent does
+    # not rise above a start
     rng = np.random.default_rng(seed)
     if kind == "random":
         rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
@@ -351,9 +358,17 @@ def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(se
         rho = QUTRIT_PAIRS["distilled-d=0.5"]
     value = measures.singlet_fraction(rho)
     enumeration = measures.bell_enumeration(rho)
-    ascent = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))[0][0]
+    found, *_, start = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))
+    if n == 2:
+        magic = measures._MAGIC
+        found = np.linalg.eigvalsh((magic.conj().T @ rho.matrix[None] @ magic).real)[:, -1]
+    assert np.float64(enumeration).view(np.int64) == start.view(np.int64)[0]
+    # the definition, max <v|rho|v> over the basis, as a reference: each
+    # evaluation sums n nonzero products twice, so they differ by < 8 n^2 eps
+    reference = max((v.conj() @ rho.matrix @ v).real for v in measures.maximally_entangled_bases(n))
+    assert abs(enumeration - reference) <= 8 * n * n * np.finfo(float).eps
     assert value >= enumeration
-    assert np.float64(value).view(np.int64) == np.float64(max(enumeration, ascent)).view(np.int64)
+    assert np.float64(value).view(np.int64) == np.float64(max(enumeration, found[0])).view(np.int64)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -543,10 +558,9 @@ def test_eof_is_monotone_in_the_concurrence(seed):
 @given(SEEDS, st.sampled_from([2, 3]))
 def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
     # two states of random rank and, at n = 3, the d = 1/2 clone pair, a
-    # full-rank state and a generalised-Bell mixture, which takes the other
-    # path of the enumeration's guard; each state at least once, in random
-    # order with repeats.  The ascent from the Bell and 1 to 8 Haar starts
-    # keeps each state's bits too
+    # full-rank state and a generalised-Bell mixture; each state at least
+    # once, in random order with repeats.  The ascent from the Bell and 1 to
+    # 8 Haar starts keeps each state's bits too
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
@@ -606,9 +620,9 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
 
 def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # the clone pair and a rank-1 state close at the leader's step, 1 svd of
-    # their best start alone.  The open rank-6 state then steps from its 8
-    # other starts and stops on a stall at the check after step 27: 27 steps
-    # of its 9 rows and an extrapolation after every 3rd, 37 svd calls in all.
+    # their best start alone.  The open rank-6 state then steps from all 9
+    # starts and stops on a stall at the check after step 27: 27 steps of its
+    # 9 rows and an extrapolation after every 3rd, 37 svd calls in all.
     # In one stack the closed states leave after the leader's step
     stacked = []   # the (states, rows) of each stacked svd, (states,) for the leaders
     step = measures._polar_step
@@ -628,7 +642,7 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     assert counts == [1, 1, 37]
     stacked.clear()
     measures._singlet_fractions(np.array([rho.matrix for rho in states]), 3)
-    assert stacked == [(3,), (1, 8)] + [(1, 9)] * 35
+    assert stacked == [(3,), (1, 9)] + [(1, 9)] * 35
 
 
 def test_the_ascent_budget_script_judges_three_states():
