@@ -178,7 +178,8 @@ def bell_enumeration(rho: DensityMatrix) -> float:
 
 def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     """Fully entangled fraction F: the maximal overlap of rho with a maximally
-    entangled state, never below bell_enumeration(rho).
+    entangled state, at most 1 and never below bell_enumeration(rho) where
+    that is at most 1.
 
     restarts is ignored and not checked: it stays only because the perfbench
     workloads pass restarts=32, 6 or 0, and ROADMAP item 1 removes it.
@@ -191,16 +192,17 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
-    It ascends from the n^2 generalised Bell unitaries with an Anderson
-    extrapolation after every 3rd step, kept only where it raises the
-    overlap.  The best of those starts takes step 1 alone, and the ascent
-    stops there if fef_bounds' Z = 0 certificate closes: 1 svd on a pure or
-    isotropic state and on every qutrit clone pair.  Otherwise every start
-    takes step 1, and after it and every extrapolation the ascent stops once
-    the certificate closes or the best overlap has not risen since the last
-    such check, and at 60 steps (81 svd) at the latest: 17-45 svd on the
-    tested 3x3 states whose certificate never closes.  The value, the larger
-    of the ascent's and of its largest start overlap (bell_enumeration), is a
+    It ascends from the n^2 generalised Bell unitaries.  The best of those
+    starts takes step 1 alone, and the ascent stops there if fef_bounds'
+    Z = 0 certificate closes: 1 svd on a pure or isotropic state and on every
+    qutrit clone pair.  Otherwise every start takes step 1, and after every
+    3rd step each state's best row also takes one Newton step on the unitary
+    group, kept only where it raises the overlap.  After step 1 and every
+    Newton step the ascent stops once the certificate closes or the best
+    overlap has not risen since the last such check, and at 60 steps (81
+    svd) at the latest: 13-33 svd on the tested 3x3 states whose
+    certificate never closes.  The value, the larger of the ascent's and of
+    its largest start overlap (bell_enumeration) and at most 1, is a
     lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
@@ -250,20 +252,19 @@ def _require_square(rho: DensityMatrix, what: str) -> int:
 _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC.flags.writeable = False
 
-# the most polar steps of a (state, start) row, every _ANDERSON_EVERY-th
-# followed by an extrapolation.  On the 1,409 3x3 states of
-# tests/fixtures/ascent_budget.py every state came within 1e-15 of a
-# 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
-# certificate at most 6.4e-14 wide, by step 30 (the 6th drawn from seed 10
-# last, the median by step 9), 189 of them at the leader's step; 60 keeps
-# twice that.  A state stops before it when its certificate closes or a
-# cycle leaves its best overlap where it was: no step lowers the overlap, so
-# that is the ascent's fixed point in floating point, and ascent_budget.py
-# checks that such a value lies within 1e-15 of the reference (all 325 that
-# stalled there)
+# the most polar steps of a (state, start) row, every _NEWTON_EVERY-th
+# followed by a Newton step on the state's best row.  On the 1,409 3x3
+# states of tests/fixtures/ascent_budget.py every state came within 1e-15 of
+# a 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
+# certificate at most 5.6e-14 wide, by step 18 (the 5th drawn from seed 59
+# and the 8th from seed 101 last, the median by step 6), 189 of them at the
+# leader's step; 60 keeps 3.33 times that.  A state stops before it when its
+# certificate closes or a cycle leaves its best overlap where it was: no step
+# lowers the overlap, so that is the ascent's fixed point in floating point,
+# and ascent_budget.py checks that such a value lies within 1e-15 of the
+# reference (all 325 that stalled there)
 _POLAR_STEPS = 60
-_ANDERSON_EVERY = 3
-_ANDERSON_DEPTH = 5
+_NEWTON_EVERY = 3
 
 
 def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
@@ -277,16 +278,18 @@ def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
 def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
     """(F, certificate) for an (N, n^2, n^2) stack: F the singlet_fraction of
     each state, the larger of the enumeration and the magic-basis eigenvalue
-    (n = 2) or the polar ascent (n >= 3), each run once over the whole stack
-    with every product taken state by state, so each state gets the bits it
-    gets alone; certificate the ascent's (W, H/2, top, margin), or None at
-    n = 2."""
+    (n = 2) or the polar ascent (n >= 3) capped at 1, each run once over the
+    whole stack with every product taken state by state, so each state gets
+    the bits it gets alone; certificate the ascent's (W, H/2, top, margin),
+    or None at n = 2."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
         found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-        return np.maximum(_bell_enumerations(matrices, n), found), None
-    found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
-    return np.maximum(found, start), certificate
+        start, certificate = _bell_enumerations(matrices, n), None
+    else:
+        found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
+    # F <= 1, which rounding can pass by an eps on a maximally entangled state
+    return np.minimum(np.maximum(found, start), 1.0), certificate
 
 
 def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
@@ -299,10 +302,10 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     Each state's best start takes step 1 alone, one stacked svd over one row
     per state, and a state stops there if that row's certificate closes; the
     others then step from every start.  The ascent converges linearly, slowly
-    where its rate is near 1, so after every _ANDERSON_EVERY-th step each row
-    also takes a polar step from the Anderson mix of its last _ANDERSON_DEPTH
-    steps (D. G. Anderson, J. ACM 12, 547 (1965)) and moves there only if that
-    raises its overlap.  After step 1, each extrapolation and the last step, a
+    where its rate is near 1, so after every _NEWTON_EVERY-th step each
+    state's best row also takes a Newton step (_newton_step), which
+    converges quadratically near a maximum, and moves there only if that
+    raises its overlap.  After step 1, each Newton step and the last step, a
     state stops if its best row's certificate closes or its best overlap is no
     higher than at the check before.  The certificate is formed only when
     some state stops or could close: with psi = (I x W)|Phi+>,
@@ -311,7 +314,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     twice the largest margin 8 n^2 eps (1 + sqrt(n)) once
     |G W^dag - W G^dag|_F^2 > open_skew (2 + sqrt(n) covers rounding)."""
     rows = matrices[:, None]   # broadcast over the starts
-    n, w, outs, steps = math.isqrt(starts.shape[-2]), starts, [], []
+    n, w = math.isqrt(starts.shape[-2]), starts
     out = np.empty(len(rows)), *np.empty((2, len(rows), n, n), complex), *np.empty((2, len(rows)))
     g = rows @ w
     start = _overlaps(w, g, n)
@@ -331,22 +334,21 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     rows, g = rows[live], g[live]
     best = np.full(len(live), -np.inf)   # each state's F at its last check
     for k in range(1, _POLAR_STEPS + 1):
-        new = _polar_step(g)
-        outs, steps = outs[1 - _ANDERSON_DEPTH:] + [new], steps[1 - _ANDERSON_DEPTH:] + [new - w]
-        w, g = new, rows @ new
-        if k % _ANDERSON_EVERY == 0:
-            trial = _polar_step(rows @ _anderson_mix(outs, steps))
-            trial_g = rows @ trial
-            trial_overlaps, overlaps = _overlaps(trial, trial_g, n), _overlaps(w, g, n)
-            up = trial_overlaps > overlaps
-            w, g = np.where(up[..., None, None], trial, w), np.where(up[..., None, None], trial_g, g)
-            overlaps = np.where(up, trial_overlaps, overlaps)
-        elif k == 1 or k == _POLAR_STEPS:
-            overlaps = _overlaps(w, g, n)
-        else:
+        w = _polar_step(g)
+        g = rows @ w
+        if k % _NEWTON_EVERY and k != 1 and k != _POLAR_STEPS:
             continue
+        overlaps = _overlaps(w, g, n)
         pick = np.arange(len(live)), overlaps.argmax(axis=1)
         found = overlaps[pick]
+        if k % _NEWTON_EVERY == 0:
+            trial = _newton_step(rows[:, 0], w[pick], g[pick])
+            trial_g = rows[:, 0] @ trial
+            trial_found = _overlaps(trial, trial_g, n)
+            up = trial_found > found
+            raised = pick[0][up], pick[1][up]
+            w[raised], g[raised] = trial[up], trial_g[up]
+            found = np.maximum(found, trial_found)
         stop = (found <= best) | (k == _POLAR_STEPS)
         best = found
         certificate = _certificate(rows[:, 0], w[pick], g[pick], open_skew, stop)
@@ -360,7 +362,6 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
                 break
             keep = ~stop
             live, rows, w, g, best = live[keep], rows[keep], w[keep], g[keep], best[keep]
-            outs, steps = [o[keep] for o in outs], [s[keep] for s in steps]
     return *out, start.max(axis=1)
 
 
@@ -384,15 +385,44 @@ def _certificate(rho: np.ndarray, w: np.ndarray, g: np.ndarray, open_skew: float
     return unitary, half_h, top, margin
 
 
-def _anderson_mix(outs: list, steps: list) -> np.ndarray:
-    """sum_i a_i W_i+1 of each row over its last iterates W_i+1 and steps R_i =
-    W_i+1 - W_i, with sum a_i = 1 and |sum a_i R_i| least: a ~ (R^dag R + d I)^-1 1,
-    d = 1e-12 Tr(R^dag R) + 1e-300 > 0 so no solve is singular, even at R = 0."""
-    r, m = np.concatenate(steps, -1), len(steps)
-    gram = r.conj().swapaxes(-1, -2) @ r
-    delta = 1e-12 * np.trace(gram, axis1=-2, axis2=-1).real + 1e-300
-    a = np.linalg.solve(gram + delta[..., None, None] * np.eye(m), np.ones((m, 1)))
-    return np.concatenate(outs, -1) @ (a / a.sum(axis=-2, keepdims=True))
+def _newton_step(rho: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """vec polar(W (I + i H)) of each row, from its state rho, its (n^2, 1)
+    column vec W and g = rho vec W: H the Newton step of
+    f(H) = <W e^{iH}|rho|W e^{iH}> in the coordinates x of
+    H = sum_k x_k B_k over _hermitian_basis(n).  With G = mat(g) and
+    M = W^dag G, f's gradient is -2 Im Tr(M^dag B_k) and its Hessian
+    2 Re <W B_k|rho|W B_l> - Re Tr(M^dag (B_k B_l + B_l B_k)).  The Hessian
+    is shifted by -1e-12 I, small beside its entries as rho has unit trace,
+    so that no solve is singular: at every Bell start of a
+    product-basis-diagonal state the Hessian itself is."""
+    n = math.isqrt(w.shape[-2])
+    basis = _hermitian_basis(n)
+    transposed = basis.reshape(-1, n * n).conj().T   # the columns vec(B_k^T) = vec(conj(B_k))
+    unitary = w.reshape(-1, n, n)
+    moves = (unitary[:, None] @ basis).reshape(len(w), -1, n * n)   # the rows vec(W B_k)
+    m_dag = g.reshape(-1, n, n).conj().swapaxes(-1, -2) @ unitary
+    slope = -2.0 * (m_dag.reshape(-1, 1, n * n) @ transposed).imag   # Tr(X Y) = vec(X) . vec(Y^T)
+    t = (m_dag[:, None] @ basis).reshape(moves.shape) @ transposed   # Tr(M^dag B_k B_l)
+    curvature = (2.0 * (moves.conj() @ rho @ moves.swapaxes(-1, -2)).real
+                 - (t + t.swapaxes(-1, -2)).real - 1e-12 * np.eye(len(basis)))
+    x = np.linalg.solve(curvature, -slope.swapaxes(-1, -2))
+    h = (x.swapaxes(-1, -2) @ basis.reshape(-1, n * n)).reshape(-1, n, n)
+    return _polar_step((unitary + 1j * unitary @ h).reshape(w.shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(n: int) -> np.ndarray:
+    """The (n^2 - 1, n, n) hermitian matrices B_k, Tr(B_k B_l) = delta_kl, that
+    span the hermitian matrices with a zero (0, 0) entry: they leave out the
+    identity, the global phase that no overlap sees.  Built once per n and
+    returned read-only."""
+    j, k = np.triu_indices(n, 1)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)   # E_ab at a n + b
+    upper, lower = units[j * n + k], units[k * n + j]
+    basis = np.concatenate([units[(n + 1) * np.arange(1, n)], (upper + lower) / math.sqrt(2.0),
+                            1j * (upper - lower) / math.sqrt(2.0)])
+    basis.flags.writeable = False
+    return basis
 
 
 @functools.lru_cache(maxsize=None)

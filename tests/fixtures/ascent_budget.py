@@ -4,7 +4,7 @@ For every 3x3 state below, the script reads `measures.singlet_fraction(rho)`,
 the ascent from the nine generalised Bell unitaries, with its step budget
 `measures._POLAR_STEPS` cut to t = 1, 2, ... up to the budget, and prints the
 step t from which that value stays within TOL of a plain polar ascent (no
-extrapolation) run for REFERENCE_STEPS steps from the Bell starts and
+Newton steps) run for REFERENCE_STEPS steps from the Bell starts and
 HAAR_STARTS Haar unitaries drawn from `default_rng(HAAR_SEED)`.  The ascent
 stops a state once its Z = 0 certificate closes, possibly a few 1e-15 below
 that reference, so a value whose certificate closed with a width of at most
@@ -12,8 +12,8 @@ CERTIFIED counts as reached too; such states are printed with their width
 and their value's distance to the reference.  Each state's best start takes
 step 1 alone first, one svd call, and a state whose certificate closes
 there stops after that call.  The ascent also stops a state before the
-budget, with its certificate open, once a cycle of 3 steps and an
-extrapolation leaves its value where it was (a stall); such a value must lie
+budget, with its certificate open, once a cycle of 3 steps and a Newton
+step leaves its value where it was (a stall); such a value must lie
 within TOL of the reference.  It then prints the number of states that
 closed at the leader's step, the slowest state, the budget's margin (the
 budget over that state's step) and the number of stalls, and exits 1 when the margin is below MIN_MARGIN, when a state never
@@ -97,9 +97,9 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
             reached[(value < reference - TOL) & ~(width <= CERTIFIED)] = steps + 1
     finally:
         measures._POLAR_STEPS = budget
-    # the leader's step, every step of every row and the extrapolations
+    # the leader's step, every step of every row and the Newton trials
     calls = svd_calls(matrices)
-    stalled = (calls < 1 + budget + budget // measures._ANDERSON_EVERY) & (top > margin)
+    stalled = (calls < 1 + budget + budget // measures._NEWTON_EVERY) & (top > margin)
     return reached, value, width, stalled, calls == 1
 
 

@@ -1,8 +1,8 @@
 """fef_values.json: the pinned values of the fully entangled fraction.
 
 The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
-fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the
-extrapolated polar ascent from the nine generalised Bell unitaries, the
+fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the polar
+ascent with Newton steps from the nine generalised Bell unitaries, the
 best of them first and alone for one step, run until its Z = 0 certificate
 closes, a cycle of steps stops raising its value, or for its budget of 60
 steps (see `ascent_budget.py`), once for each of

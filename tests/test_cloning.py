@@ -458,6 +458,20 @@ def test_the_n_level_clone_pair_fef_is_the_closed_form(n):
         assert bracket == pytest.approx((form,) * len(bracket), abs=1e-12), (n, d)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.floats(min_value=1e-3, max_value=1.0))
+@example(3, 1.0)
+@example(4, 1.0)
+@example(5, 1.0)
+def test_the_clone_pair_fef_never_falls_below_the_closed_form(n, fraction):
+    # the test above at any d in (0, d_max(n)] at n = 3, 4 and 5, where small
+    # d leaves the maximum degenerate between the two branches' W
+    d = fraction * np.sqrt(1.0 / (2.0 * (n - 1)))
+    rho, c = clone_pair(n, d)
+    form = max(c * c / n, (c * (n - 2) - 4.0 * d * (n - 1)) ** 2 / n ** 3)
+    assert measures.singlet_fraction(rho) >= form - 1e-12
+
+
 def test_clone_pair_fef_branches():
     assert cloning.clone_pair_fef(0.5) == pytest.approx(16.0 / 27.0, abs=1e-15)
     assert cloning.clone_pair_fef(cloning.NONOPT_FILTER_D_MIN) == pytest.approx(1.0 / 3.0,

@@ -1,5 +1,6 @@
 """Entanglement and mixedness measure tests with independent oracles."""
 import inspect
+import itertools
 import os
 import pathlib
 import subprocess
@@ -341,10 +342,10 @@ def test_the_singlet_fraction_lies_between_the_enumeration_and_the_free_bounds(s
 def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(seed, n, kind):
     # the enumeration is the largest overlap at the ascent's starts, bit for
     # bit, and singlet_fraction the larger of it and the ascent's value (the
-    # magic-basis eigenvalue at n = 2), bit for bit, on states of every rank
-    # and on Bell-diagonal ones (isotropic, generalised-Bell mixtures, the
-    # distilled d = 1/2 pair), where the enumeration is F and the ascent does
-    # not rise above a start
+    # magic-basis eigenvalue at n = 2) capped at 1, bit for bit, on states of
+    # every rank and on Bell-diagonal ones (isotropic, generalised-Bell
+    # mixtures, the distilled d = 1/2 pair), where the enumeration is F and
+    # the ascent does not rise above a start
     rng = np.random.default_rng(seed)
     if kind == "random":
         rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
@@ -367,8 +368,37 @@ def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(se
     # evaluation sums n nonzero products twice, so they differ by < 8 n^2 eps
     reference = max((v.conj() @ rho.matrix @ v).real for v in measures.maximally_entangled_bases(n))
     assert abs(enumeration - reference) <= 8 * n * n * np.finfo(float).eps
-    assert value >= enumeration
-    assert np.float64(value).view(np.int64) == np.float64(max(enumeration, found[0])).view(np.int64)
+    assert value >= min(enumeration, 1.0)
+    larger = min(max(enumeration, found[0]), 1.0)
+    assert np.float64(value).view(np.int64) == np.float64(larger).view(np.int64)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_singlet_fraction_of_phi_plus_is_1_and_never_above(n):
+    # rounding lifts the overlap of |Phi+> to 1 + 2.2e-16 at n = 3, 6 and 9
+    value = measures.singlet_fraction(statezoo.generalized_max_entangled(n).density())
+    assert 1.0 - 4 * np.finfo(float).eps <= value <= 1.0
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_fef_of_a_product_basis_diagonal_state_is_bracketed_without_error(n):
+    # rho = sum p_ij |ij><ij| has overlap sum_ij p_ij |W_ji|^2 / n with
+    # (I x W)|Phi+>, largest at a permutation W (Birkhoff): F is the best
+    # assignment max_s sum_i p_{i,s(i)} / n.  Every Bell start is a stationary
+    # point of the ascent there, with a singular Hessian.  Three such states,
+    # dense, sparse and pure, each alone and stacked with a random state: no
+    # solve fails, the value stays at or below F and the certified upper end
+    # at or above it
+    rng = np.random.default_rng(n)
+    sparse = rng.dirichlet(np.ones(n * n)) * (rng.uniform(size=n * n) < 0.5)
+    weights = np.array([rng.dirichlet(np.ones(n * n)), sparse / sparse.sum(), np.eye(n * n)[0]])
+    generic = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
+    stack = np.array([*(np.diag(p).astype(complex) for p in weights), generic.matrix])
+    lower, upper = measures._fef_brackets(stack, n)
+    for p, low, up, matrix in zip(weights.reshape(-1, n, n), lower, upper, stack):
+        exact = max(p[np.arange(n), list(s)].sum() for s in itertools.permutations(range(n))) / n
+        assert measures.singlet_fraction(DensityMatrix((n, n), matrix)) == low <= exact + 1e-12
+        assert up >= exact - 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -486,7 +516,8 @@ def drawn_states(seed: int, count: int) -> list:
 # two rank-6 states, the second draw of seed 89, whose ascent converges
 # slowly, and the 118th of seed 7, where fef_bounds stays open; and the sixth
 # draw of seed 10 (full rank), the last of tests/fixtures/ascent_budget.py's
-# states to reach its value
+# states to reach its value before the ascent took Newton steps (at step 30;
+# since then at step 15, and seed-59 draw 5 and seed-101 draw 8 last, at 18)
 SLOW_STATES = {"seed-89 draw 2": drawn_states(89, 2)[-1],
                "seed-7 draw 118": drawn_states(7, 118)[-1],
                "seed-10 draw 6": drawn_states(10, 6)[-1]}
@@ -597,7 +628,7 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
     # a random 3x3 state of rank `state`, an n x n one of (n, rank), or the
     # named qutrit pair or slow state; the Bell and 6 Haar starts, each run
     # for 1,000 plain polar steps, reach no higher than the ascent's
-    # _POLAR_STEPS from the Bell starts with extrapolation, beyond rounding,
+    # _POLAR_STEPS from the Bell starts with Newton steps, beyond rounding,
     # whether it stops on a stall, its certificate or the budget; and a state
     # that stops on its certificate has a bracket closed to rounding
     named = {**QUTRIT_PAIRS, **SLOW_STATES}
@@ -621,28 +652,41 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
 def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # the clone pair and a rank-1 state close at the leader's step, 1 svd of
     # their best start alone.  The open rank-6 state then steps from all 9
-    # starts and stops on a stall at the check after step 27: 27 steps of its
-    # 9 rows and an extrapolation after every 3rd, 37 svd calls in all.
-    # In one stack the closed states leave after the leader's step
-    stacked = []   # the (states, rows) of each stacked svd, (states,) for the leaders
-    step = measures._polar_step
+    # starts and stops on a stall at the check after step 21: 21 steps of its
+    # 9 rows and a Newton trial on its best row after every 3rd, whose
+    # retraction is one svd, 29 svd calls in all.  The perfbench seed-1 and
+    # seed-4 fef3:ginibre-full states, whose Z = 0 certificate stays open
+    # too, stall after steps 15 and 18: 21 and 25 svd calls, 5 and 6 of them
+    # Newton trials.  In one stack the closed states leave after the leader's
+    # step
+    stacked, trials = [], []   # the (states, rows) of each stacked svd and Newton trial
+    step, newton = measures._polar_step, measures._newton_step
 
     def counted(g):
         stacked.append(g.shape[:-2])
         return step(g)
 
+    def counted_trial(rho, w, g):
+        trials.append(w.shape[:-2])
+        return newton(rho, w, g)
+
     monkeypatch.setattr(measures, "_polar_step", counted)
+    monkeypatch.setattr(measures, "_newton_step", counted_trial)
     states = (QUTRIT_PAIRS["clone-d=0.5"], random_density(np.random.default_rng(5), (3, 3), rank=1),
-              SLOW_STATES["seed-7 draw 118"])
+              SLOW_STATES["seed-7 draw 118"], make_fef_values.workload_states(1)["fef3:ginibre-full"],
+              make_fef_values.workload_states(4)["fef3:ginibre-full"])
     counts = []
     for rho in states:
         stacked.clear()
+        trials.clear()
         measures.singlet_fraction(rho)
-        counts.append(len(stacked))
-    assert counts == [1, 1, 37]
+        counts.append((len(stacked), len(trials)))
+    assert counts == [(1, 0), (1, 0), (29, 7), (21, 5), (25, 6)]
     stacked.clear()
-    measures._singlet_fractions(np.array([rho.matrix for rho in states]), 3)
-    assert stacked == [(3,), (1, 9)] + [(1, 9)] * 35
+    trials.clear()
+    measures._singlet_fractions(np.array([rho.matrix for rho in states[:3]]), 3)
+    assert stacked == [(3,)] + ([(1, 9)] * 3 + [(1,)]) * 7
+    assert trials == [(1,)] * 7
 
 
 def test_the_ascent_budget_script_judges_three_states():
@@ -656,10 +700,10 @@ def test_the_ascent_budget_script_judges_three_states():
     matrices = np.array([named[name].matrix for name in names])
     lines, status = ascent_budget.judge(names, matrices, ascent_budget.plain_ascent(matrices, 300))
     assert lines == [
-        "clone-d=0.5: 1", "seed-10 draw 6: 18", "seed-7 draw 118: 21",
-        "3 states; 1 closed at the leader's step; median step 18; slowest seed-7 draw 118 at "
-        "step 21; budget 60 steps; "
-        "margin 2.86 (at least 2 needed); 0 certified more than TOL below the reference; "
+        "clone-d=0.5: 1", "seed-10 draw 6: 10", "seed-7 draw 118: 11",
+        "3 states; 1 closed at the leader's step; median step 10; slowest seed-7 draw 118 at "
+        "step 11; budget 60 steps; "
+        "margin 5.45 (at least 2 needed); 0 certified more than TOL below the reference; "
         "2 stalled, 0 of them more than TOL below it"]
     assert status == 0
 
