@@ -187,7 +187,7 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     n = 2: a pure state is maximally entangled exactly when its coefficients
     in the magic basis (Phi+, i Phi-, i Psi+, Psi-) are real up to a global
     phase (Bennett, DiVincenzo, Smolin & Wootters 1996), so F is
-    lambda_max(Re(M^dag rho M)), exact.
+    lambda_max(Re(M^dag rho M)), exact; its diagonal holds the Bell overlaps.
 
     n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
@@ -199,11 +199,11 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     3rd step each state's best row also takes one Newton step on the unitary
     group, kept only where it raises the overlap.  After step 1 and every
     Newton step the ascent stops once the certificate closes or the best
-    overlap has not risen since the last such check, and at 60 steps (81
-    svd) at the latest: 13-33 svd on the tested 3x3 states whose
-    certificate never closes.  The value, the larger of the ascent's and of
-    its largest start overlap (bell_enumeration) and at most 1, is a
-    lower bound on F; fef_bounds certifies how far below it can lie.
+    overlap has risen by at most n^2 eps times itself since the last such
+    check, and at 60 steps (81 svd) at the latest: 13-29 svd on the tested
+    3x3 states whose certificate never closes.  The value, the larger of the
+    ascent's and of its largest start overlap (bell_enumeration) and at most
+    1, is a lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
     return float(_singlet_fractions(rho.matrix[None], n)[0][0])
@@ -250,7 +250,8 @@ def _require_square(rho: DensityMatrix, what: str) -> int:
 
 # the magic basis, columns Phi+, i Phi-, i Psi+, Psi- (see singlet_fraction)
 _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
-_MAGIC.flags.writeable = False
+_MAGIC_DAG = _MAGIC.conj().T
+_MAGIC.flags.writeable = _MAGIC_DAG.flags.writeable = False
 
 # the most polar steps of a (state, start) row, every _NEWTON_EVERY-th
 # followed by a Newton step on the state's best row.  On the 1,409 3x3
@@ -259,18 +260,21 @@ _MAGIC.flags.writeable = False
 # certificate at most 5.6e-14 wide, by step 18 (the 5th drawn from seed 59
 # and the 8th from seed 101 last, the median by step 6), 189 of them at the
 # leader's step; 60 keeps 3.33 times that.  A state stops before it when its
-# certificate closes or a cycle leaves its best overlap where it was: no step
-# lowers the overlap, so that is the ascent's fixed point in floating point,
-# and ascent_budget.py checks that such a value lies within 1e-15 of the
-# reference (all 325 that stalled there)
+# certificate closes or a cycle raises its best overlap by at most n^2 eps
+# times itself: no step lowers the overlap, so such a rise is rounding at the
+# ascent's fixed point, and ascent_budget.py checks that such a value lies
+# within 1e-15 of the reference (all 325 that stalled there)
 _POLAR_STEPS = 60
 _NEWTON_EVERY = 3
 
 
 def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
-    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack: its
-    largest overlap at _polar_starts(n), the products the ascent forms for
-    its own start overlaps, so the two agree bit for bit."""
+    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack, formed
+    as singlet_fraction forms it, so the two agree bit for bit: the largest
+    diagonal entry of Re(M^dag rho M) at n = 2, else the largest overlap at
+    _polar_starts(n), the products the ascent forms for its start overlaps."""
+    if n == 2:
+        return ((_MAGIC_DAG @ matrices) @ _MAGIC).real.diagonal(0, 1, 2).max(axis=1)
     starts = _polar_starts(n)
     return _overlaps(starts, matrices[:, None] @ starts, n).max(axis=1)
 
@@ -283,9 +287,9 @@ def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
     the bits it gets alone; certificate the ascent's (W, H/2, top, margin),
     or None at n = 2."""
     if n == 2:
-        # for real unit x, <Mx|rho|Mx> = x^T Re(M^dag rho M) x
-        found = np.linalg.eigvalsh(((_MAGIC.conj().T @ matrices) @ _MAGIC).real)[:, -1]
-        start, certificate = _bell_enumerations(matrices, n), None
+        # for real unit x, <Mx|rho|Mx> = x^T R x, R = Re(M^dag rho M); x = e_k are the Bell states
+        r = ((_MAGIC_DAG @ matrices) @ _MAGIC).real
+        found, start, certificate = np.linalg.eigvalsh(r)[:, -1], r.diagonal(0, 1, 2).max(1), None
     else:
         found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
     # F <= 1, which rounding can pass by an eps on a maximally entangled state
@@ -306,8 +310,9 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
     state's best row also takes a Newton step (_newton_step), which
     converges quadratically near a maximum, and moves there only if that
     raises its overlap.  After step 1, each Newton step and the last step, a
-    state stops if its best row's certificate closes or its best overlap is no
-    higher than at the check before.  The certificate is formed only when
+    state stops if its best row's certificate closes or its best overlap has
+    risen by at most n^2 eps times itself since the check before, which is
+    rounding at the ascent's fixed point.  The certificate is formed only when
     some state stops or could close: with psi = (I x W)|Phi+>,
     K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
     and |K(0)| <= 1 + sqrt(n), so lambda_max(K(0)) >= |K(0) psi|^2 / 2 (1 + sqrt(n)),
@@ -349,7 +354,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
             raised = pick[0][up], pick[1][up]
             w[raised], g[raised] = trial[up], trial_g[up]
             found = np.maximum(found, trial_found)
-        stop = (found <= best) | (k == _POLAR_STEPS)
+        stop = (found - best <= n * n * _EPS * found) | (k == _POLAR_STEPS)
         best = found
         certificate = _certificate(rows[:, 0], w[pick], g[pick], open_skew, stop)
         if not certificate:

@@ -13,12 +13,13 @@ and their value's distance to the reference.  Each state's best start takes
 step 1 alone first, one svd call, and a state whose certificate closes
 there stops after that call.  The ascent also stops a state before the
 budget, with its certificate open, once a cycle of 3 steps and a Newton
-step leaves its value where it was (a stall); such a value must lie
-within TOL of the reference.  It then prints the number of states that
-closed at the leader's step, the slowest state, the budget's margin (the
-budget over that state's step) and the number of stalls, and exits 1 when the margin is below MIN_MARGIN, when a state never
-comes within TOL and is not certified, or when a stalled value lies more
-than TOL below the reference.  The corpus:
+step raises its value by at most n^2 eps (9 eps at n = 3) times that value
+(a stall); such a value must lie within TOL of the reference.  It then
+prints the number of states that closed at the leader's step, the slowest
+state, the budget's margin (the budget over that state's step) and the
+number of stalls, and exits 1 when the margin is below MIN_MARGIN, when a
+state never comes within TOL and is not certified, or when a stalled value
+lies more than TOL below the reference.  The corpus:
 - the first nine states drawn from each of seeds 0-149 by
   `test_measures.drawn_states` (1,350 random states of ranks 1-9),
 - the eight floor states of `make_fef_values.floor_states`,

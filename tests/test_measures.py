@@ -340,10 +340,11 @@ def test_the_singlet_fraction_lies_between_the_enumeration_and_the_free_bounds(s
        st.sampled_from(["random", "isotropic", "bell"]))
 @example(1, 3, "distilled")
 def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(seed, n, kind):
-    # the enumeration is the largest overlap at the ascent's starts, bit for
-    # bit, and singlet_fraction the larger of it and the ascent's value (the
-    # magic-basis eigenvalue at n = 2) capped at 1, bit for bit, on states of
-    # every rank and on Bell-diagonal ones (isotropic, generalised-Bell
+    # the enumeration is the largest overlap at the ascent's starts (at n = 2
+    # the largest diagonal entry of Re(M^dag rho M)), bit for bit, and
+    # singlet_fraction the larger of it and the ascent's value (that
+    # matrix's top eigenvalue at n = 2) capped at 1, bit for bit, on states
+    # of every rank and on Bell-diagonal ones (isotropic, generalised-Bell
     # mixtures, the distilled d = 1/2 pair), where the enumeration is F and
     # the ascent does not rise above a start
     rng = np.random.default_rng(seed)
@@ -359,10 +360,12 @@ def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(se
         rho = QUTRIT_PAIRS["distilled-d=0.5"]
     value = measures.singlet_fraction(rho)
     enumeration = measures.bell_enumeration(rho)
-    found, *_, start = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))
     if n == 2:
         magic = measures._MAGIC
-        found = np.linalg.eigvalsh((magic.conj().T @ rho.matrix[None] @ magic).real)[:, -1]
+        r = (magic.conj().T @ rho.matrix[None] @ magic).real
+        found, start = np.linalg.eigvalsh(r)[:, -1], np.diagonal(r, axis1=1, axis2=2).max(axis=1)
+    else:
+        found, *_, start = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))
     assert np.float64(enumeration).view(np.int64) == start.view(np.int64)[0]
     # the definition, max <v|rho|v> over the basis, as a reference: each
     # evaluation sums n nonzero products twice, so they differ by < 8 n^2 eps
@@ -371,6 +374,23 @@ def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(se
     assert value >= min(enumeration, 1.0)
     larger = min(max(enumeration, found[0]), 1.0)
     assert np.float64(value).view(np.int64) == np.float64(larger).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(0)
+def test_the_two_qubit_fef_is_at_most_1_and_never_below_a_bell_overlap(seed):
+    # a two-qubit state of each rank 1-4, alone and in one stack: F <= 1,
+    # and F is not below <v|rho|v> for any Bell state v of the definition
+    # (computed as a plain loop) by more than the 8 n^2 eps of rounding
+    rng = np.random.default_rng(seed)
+    states = [random_density(rng, (2, 2), rank=rank) for rank in (1, 2, 3, 4)]
+    stacked = measures._singlet_fractions(np.array([rho.matrix for rho in states]), 2)[0]
+    for rho, in_stack in zip(states, stacked):
+        overlaps = [(v.conj() @ rho.matrix @ v).real for v in measures.maximally_entangled_bases(2)]
+        for value in (measures.singlet_fraction(rho), in_stack):
+            assert value <= 1.0
+            assert value >= max(overlaps) - 8 * 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -652,13 +672,13 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
 def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # the clone pair and a rank-1 state close at the leader's step, 1 svd of
     # their best start alone.  The open rank-6 state then steps from all 9
-    # starts and stops on a stall at the check after step 21: 21 steps of its
-    # 9 rows and a Newton trial on its best row after every 3rd, whose
-    # retraction is one svd, 29 svd calls in all.  The perfbench seed-1 and
-    # seed-4 fef3:ginibre-full states, whose Z = 0 certificate stays open
-    # too, stall after steps 15 and 18: 21 and 25 svd calls, 5 and 6 of them
-    # Newton trials.  In one stack the closed states leave after the leader's
-    # step
+    # starts and stops on a stall (a rise of at most n^2 eps times its
+    # overlap) at the check after step 15: 15 steps of its 9 rows and a
+    # Newton trial on its best row after every 3rd, whose retraction is one
+    # svd, 21 svd calls in all.  The perfbench seed-1 and seed-4
+    # fef3:ginibre-full states, whose Z = 0 certificate stays open too,
+    # stall after step 12: 17 svd calls each, 4 of them Newton trials.  In
+    # one stack the closed states leave after the leader's step
     stacked, trials = [], []   # the (states, rows) of each stacked svd and Newton trial
     step, newton = measures._polar_step, measures._newton_step
 
@@ -681,12 +701,12 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
         trials.clear()
         measures.singlet_fraction(rho)
         counts.append((len(stacked), len(trials)))
-    assert counts == [(1, 0), (1, 0), (29, 7), (21, 5), (25, 6)]
+    assert counts == [(1, 0), (1, 0), (21, 5), (17, 4), (17, 4)]
     stacked.clear()
     trials.clear()
     measures._singlet_fractions(np.array([rho.matrix for rho in states[:3]]), 3)
-    assert stacked == [(3,)] + ([(1, 9)] * 3 + [(1,)]) * 7
-    assert trials == [(1,)] * 7
+    assert stacked == [(3,)] + ([(1, 9)] * 3 + [(1,)]) * 5
+    assert trials == [(1,)] * 5
 
 
 def test_the_ascent_budget_script_judges_three_states():
