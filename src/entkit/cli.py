@@ -168,10 +168,9 @@ class Figure(NamedTuple):
 def _each(point: Callable) -> Callable:
     """Figure.values of a library call made at one grid point at a time.
 
-    Figures 4.2 and 4.3 stay per point.  Their distillation filter is still an
-    open question (it follows the local frame below NONOPT_FILTER_D_MIN), and
-    the benchmark keeps the outputs of every sweep pass, so a shorter pass
-    runs more passes and raises the sweep's peak RSS past its bound.
+    Figures 4.2 and 4.3 stay per point: the benchmark keeps the outputs of
+    every sweep pass, so a shorter pass runs more passes and raises the
+    sweep's peak RSS past its bound.
     """
     return lambda *axes: tuple(zip(*map(point, *axes)))
 

@@ -23,6 +23,7 @@ from .qcore import (
     DomainError,
     _density_spectra,
     _reduced_matrix,
+    _require,
     tensor,
 )
 
@@ -94,6 +95,13 @@ class ClonePairOutput:
     params: CloningParams
 
 
+def _check_d(d) -> np.ndarray:
+    """The clone pair's machine parameter d (scalar or sequence) as a float array."""
+    x = np.asarray(d, dtype=float)
+    _require(((0.0 < x) & (x <= 0.5), "machine parameter d must lie in (0, 1/2], got {}", d))
+    return x
+
+
 def qutrit_cloned_pairs(ds) -> tuple:
     """Two-qutrit clone pairs for input (|0> + |1> + |2>)/sqrt(3), one per d of
     a sequence ds in (0, 1/2], from one contraction of the stacked isometry with
@@ -101,11 +109,7 @@ def qutrit_cloned_pairs(ds) -> tuple:
     (N, 9, 9) matrices and (N, 9) spectra, each row with the bits of its one-row
     call; the first d outside (0, 1/2] raises the one-row call's DomainError.
     """
-    d = np.asarray(ds, dtype=float)
-    bad = ~((0.0 < d) & (d <= 0.5))
-    if bad.any():
-        raise DomainError("machine parameter d must lie in (0, 1/2], "
-                          f"got {ds[int(np.argmax(bad))]}")
+    d = _check_d(ds)
     iso = _isometries(3, _amplitude_c(3, d, 0.5), d)
     # a[r, clone a x clone b, machine]: each amplitude is c or d times 1/sqrt(3),
     # one rounding, so no order of the contraction's sums can change a bit
@@ -126,21 +130,24 @@ def qutrit_cloned_pair(d: float) -> ClonePairOutput:
 
 # Closed forms for the two partial-transpose eigenvalues of the clone pair
 # that go negative, and for the reduction-criterion eigenvalue used to build
-# the non-optimal filter.
+# the non-optimal filter, each for d in (0, 1/2].
 
 def pt_eigenvalue_1(d: float) -> float:
+    _check_d(d)
     r = np.sqrt(1.0 - 4.0 * d * d)
     return (1.0 + 4.0 * d * d) / 6.0 - np.sqrt(
         1.0 + 24.0 * d ** 2 - 104.0 * d ** 4 + 32.0 * r * d ** 3) / 6.0
 
 
 def pt_eigenvalue_2(d: float) -> float:
+    _check_d(d)
     r = np.sqrt(1.0 - 4.0 * d * d)
     return (1.0 - 5.0 * d * d) / 6.0 - np.sqrt(
         1.0 - 6.0 * d ** 2 + 25.0 * d ** 4 - 16.0 * r * d ** 3) / 6.0
 
 
 def reduction_eigenvalue_nonopt(d: float) -> float:
+    _check_d(d)
     r = np.sqrt(1.0 - 4.0 * d * d)
     inner = 1.0 - 18.0 * d ** 2 + 4.0 * r * d + 113.0 * d ** 4 - 44.0 * d ** 3 * r
     return (1.0 - 3.0 * d * d) / 6.0 + r * d / 3.0 - np.sqrt(inner) / 6.0
@@ -165,8 +172,7 @@ def clone_pair_fef(d):
     That no other W does better is certified by measures.fef_bounds on a d
     grid (tests/test_cloning.py).
     """
-    if not np.all((0.0 < d) & (d <= 0.5)):
-        raise DomainError(f"machine parameter d must lie in (0, 1/2], got {d}")
+    _check_d(d)
     c = np.sqrt(1.0 - 4.0 * d * d)
     return np.maximum((1.0 - 4.0 * d * d) / 3.0, (1.0 + 60.0 * d * d - 16.0 * d * c) / 27.0)
 
@@ -330,8 +336,16 @@ def pqrs(params: CloningParams) -> tuple:
     return P, Q, R, S
 
 
+def _check_lambda1(lambda1) -> np.ndarray:
+    """The input weight l1 (scalar or sequence) as a float array."""
+    x = np.asarray(lambda1, dtype=float)
+    _require(((0.0 <= x) & (x <= 1.0), "lambda1 must lie in [0, 1], got {}", lambda1))
+    return x
+
+
 def local_closed_form(lambda1: float, params: CloningParams) -> np.ndarray:
     """Two-qubit local output diag(c^2 l1, d^2, d^2, c^2 l2) + d^2 coherence block."""
+    _check_lambda1(lambda1)
     c2, d2 = params.c ** 2, params.d ** 2
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = c2 * lambda1
@@ -342,6 +356,7 @@ def local_closed_form(lambda1: float, params: CloningParams) -> np.ndarray:
 
 def nonlocal_closed_form(lambda1: float, params: CloningParams) -> np.ndarray:
     """Two-qubit non-local output with corner coherence Q sqrt(l1 l2)."""
+    _check_lambda1(lambda1)
     P, Q, R, S = pqrs(params)
     l1, l2 = lambda1, 1.0 - lambda1
     m = np.zeros((4, 4), dtype=complex)
@@ -370,10 +385,7 @@ def clone_bipartite_stack(lambda1, signs, params: CloningParams,
     one-row call.  An l1 outside [0, 1] raises the one-row call's DomainError
     for the first such row.
     """
-    lam = np.asarray(lambda1, dtype=float)
-    bad = ~((0.0 <= lam) & (lam <= 1.0))
-    if bad.any():
-        raise DomainError(f"lambda1 must lie in [0, 1], got {lambda1[int(np.argmax(bad))]}")
+    lam = _check_lambda1(lambda1)
     if params.n != 2:
         raise DomainError("bipartite cloning is implemented for qubit machines (n = 2)")
     sign = np.asarray(signs, dtype=float)

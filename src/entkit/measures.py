@@ -337,7 +337,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
             return *out, start.max(axis=1)
     live = np.flatnonzero(~stop)
     rows, g = rows[live], g[live]
-    best = np.full(len(live), -np.inf)   # each state's F at its last check
+    best = np.full(len(live), -np.inf)   # each state's highest F over its checks
     for k in range(1, _POLAR_STEPS + 1):
         w = _polar_step(g)
         g = rows @ w
@@ -355,7 +355,7 @@ def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
             w[raised], g[raised] = trial[up], trial_g[up]
             found = np.maximum(found, trial_found)
         stop = (found - best <= n * n * _EPS * found) | (k == _POLAR_STEPS)
-        best = found
+        best = np.maximum(best, found)
         certificate = _certificate(rows[:, 0], w[pick], g[pick], open_skew, stop)
         if not certificate:
             continue

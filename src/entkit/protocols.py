@@ -7,26 +7,28 @@ probability and renormalising (an outcome of zero probability is dropped, and
 apply the collective extraction unitary and split by auxiliary outcome, or
 hand the branch over as it is; then fill the report by the family's
 convention.  What differs between families is data in one table, `_FAMILIES`
-(see `_Family`).  Steps 1-3 run in `_tree`, which builds the state and each
-controller's basis once and projects every requested outcome together;
-`cdc_run` asks for its one outcome.  Runs are deterministic given the
-outcomes.  The Monte-Carlo wrappers enumerate a protocol's outcome tree once,
-weighting each leaf by its Born probability, and draw every sample from it
-with one multinomial at an explicit seed.
+(see `_Family`), each controller too.  Steps 1-3 run in `_tree`, which builds
+the state and each controller's basis once and projects every requested
+outcome together; `cdc_run` asks for its one outcome.  Runs are deterministic
+given the outcomes.  The Monte-Carlo wrappers enumerate a protocol's outcome
+tree once, weighting each leaf by its Born probability, and `_draw` draws
+every sample from it with one multinomial at an explicit seed and tallies the
+drawn and the exact mass of the success leaves.
 
 Reported concurrences follow each family's published closed form (evaluated
 on the unnormalised post-measurement branch vector where that is the
 underlying convention), except for the qutrit family, which reports the
 simulated pair's; the simulated shared state itself is also returned so the
 honest value can always be recomputed.  `cdc_closed_forms` is the one source
-of every published value: each CDC call evaluates it once, as plain values,
-and reads from it what its family's convention reports.
+of every published value, and the published closed forms live there, not in
+`_FAMILIES`: each CDC call evaluates it once, as plain values, and reads from
+it what its family's convention reports.
 
 Secret sharing clones both qubits of Charlie's |Phi+> (bit 0) and |Phi->
 (bit 1) as one two-row stack (`cloning.clone_bipartite_stack`, non-local pair
 only).  `_shares` builds that stack, the published Q and Bob's four
-conditional states, one per (bit, Alice's outcome), each stack validated once
-by one eigvalsh; `secret_share_run` indexes them and
+conditional states, one per (bit, Alice's outcome in `_HADAMARD`), each stack
+validated once by one eigvalsh; `secret_share_run` indexes them and
 `monte_carlo_secret_share` iterates them.  A run checks c, Charlie's bit and
 Alice's outcome, in that order, before it simulates.  Only the
 secret-sharing code reads `cloning`, as `entkit.cloning`, which the package
@@ -289,21 +291,6 @@ def _sender_major(u: np.ndarray) -> np.ndarray:
     return u[_AM_TO_SM]
 
 
-def _qutrit_controller(p: dict) -> list:
-    """The last of three qutrits measures in qutrit_controller_basis(theta)."""
-    return [(2, qutrit_controller_basis(p["theta"]))]
-
-
-def _one_tilted(p: dict) -> list:
-    """The last of three parties measures in controller_basis(theta)."""
-    return [(2, controller_basis(p["theta"]))]
-
-
-def _two_tilted(p: dict) -> list:
-    """Cliff (last of four) measures at theta, then Paul (first) at epsilon."""
-    return [(3, controller_basis(p["theta"])), (0, controller_basis(p["epsilon"]))]
-
-
 def _balanced(p: dict, outcome: str, branch: np.ndarray) -> np.ndarray:
     """U1 at the ratio angle min(theta, pi/2 - theta) for a two-qubit branch
     alpha|0y> + beta|1y'>; when the sender's |1> component dominates, it is
@@ -333,12 +320,13 @@ class _Family:
 
     params      the cdc_run arguments the family reads; the others report None
     state       p -> the resource state
-    controllers p -> [(subsystem, MeasurementBasis), ...] in measurement order,
-                subsystems counted among the parties still unmeasured; an
-                outcome is the basis label of a single controller, or one
-                label character per controller
     unitary     (p, outcome, branch) -> the sender's extraction unitary on
                 (sender, aux), or None to hand the branch over as it is
+    controllers ((subsystem, basis builder, parameter it reads), ...) in
+                measurement order, subsystems counted among the parties still
+                unmeasured; a builder whose parameter is None takes none.  An
+                outcome is the basis label of a single controller, or one
+                label character per controller
     convention  how the report is filled:
                 "simulated"   success = aux-0 weight, bits 1 + success,
                               closed-form concurrence
@@ -352,38 +340,41 @@ class _Family:
 
     params: tuple
     state: Callable
-    controllers: Callable
     unitary: Callable
+    controllers: tuple = ((2, controller_basis, "theta"),)
     convention: str = "simulated"
     outcomes: tuple = ("+", "-")
     aliases: dict = field(default_factory=dict)
     spellings: dict = field(default_factory=dict)
 
 
-# Cliff's and Paul's outcomes; a one-character outcome leaves Paul's at '+'
-_TWO_CONTROLLERS = {"outcomes": ("++", "+-", "-+", "--"), "spellings": {"+": "++", "-": "-+"}}
+# Cliff (last of four) measures at theta, then Paul (first) at epsilon; a
+# one-character outcome leaves Paul's at '+'
+_TWO_CONTROLLERS = {"controllers": ((3, controller_basis, "theta"),
+                                    (0, controller_basis, "epsilon")),
+                    "outcomes": ("++", "+-", "-+", "--"), "spellings": {"+": "++", "-": "-+"}}
 
 
 _FAMILIES = {
-    "ghz": _Family(("theta",), lambda p: statezoo.ghz3(), _one_tilted, _balanced),
+    "ghz": _Family(("theta",), lambda p: statezoo.ghz3(), _balanced),
     "ghz_class": _Family(("theta", "class_index"),
-                         lambda p: statezoo.ghz_class(p["class_index"]), _one_tilted, _balanced),
+                         lambda p: statezoo.ghz_class(p["class_index"]), _balanced),
     # Bob's probabilistic two-bit readout succeeds with 2 l^2 / (1 + l^2)
-    "pati": _Family(("theta", "l"), lambda p: statezoo.pati(p["l"]), _one_tilted, _balanced,
+    "pati": _Family(("theta", "l"), lambda p: statezoo.pati(p["l"]), _balanced,
                     convention="published"),
-    "ghz4": _Family(("theta", "epsilon"), lambda p: statezoo.ghz4(), _two_tilted,
+    "ghz4": _Family(("theta", "epsilon"), lambda p: statezoo.ghz4(),
                     lambda p, o, v: _sender_major(_u2(p["theta"], p["epsilon"])),
                     **_TWO_CONTROLLERS),
-    "w3": _Family(("theta",), lambda p: statezoo.w3_prototype(), _one_tilted,
+    "w3": _Family(("theta",), lambda p: statezoo.w3_prototype(),
                   lambda p, o, v: _sender_major(_u1(p["theta"])), convention="published"),
-    "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _two_tilted, _balanced,
+    "w4": _Family(("theta", "epsilon"), lambda p: statezoo.w4(), _balanced,
                   convention="published", **_TWO_CONTROLLERS),
-    "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]),
-                       lambda p: [(2, MeasurementBasis(np.eye(2), ("+", "-")))],
-                       lambda p, o, v: None, convention="published",
-                       spellings={"0": "+", "1": "-"}),
-    "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_controller,
-                          _qutrit_unitary, convention="per_outcome",
+    "liqiu_w": _Family(("n",), lambda p: statezoo.liqiu_w(p["n"]), lambda p, o, v: None,
+                       controllers=((2, lambda: MeasurementBasis(np.eye(2), ("+", "-")), None),),
+                       convention="published", spellings={"0": "+", "1": "-"}),
+    "qutrit_ghz": _Family(("theta",), lambda p: statezoo.qutrit_ghz3(), _qutrit_unitary,
+                          controllers=((2, qutrit_controller_basis, "theta"),),
+                          convention="per_outcome",
                           outcomes=("up", "side", "down"), aliases={"+": "up", "-": "down"}),
 }
 
@@ -400,11 +391,11 @@ def _tree(family: str, p: dict, outcomes: tuple) -> dict:
     """
     fam = _FAMILIES[family]
     psi = fam.state(p)
-    steps = fam.controllers(p)
     dims, alive, probs = psi.dims, list(outcomes), [1.0] * len(outcomes)
     vecs = psi.vector[None]
-    for step, (subsystem, basis) in enumerate(steps):
-        rows = [basis.labels.index(o if len(steps) == 1 else o[step]) for o in alive]
+    for step, (subsystem, build, key) in enumerate(fam.controllers):
+        basis = build() if key is None else build(p[key])
+        rows = [basis.labels.index(o if len(fam.controllers) == 1 else o[step]) for o in alive]
         rests = _project(vecs, dims, subsystem, basis.vectors[rows])
         p_steps = [float(np.vdot(rest, rest).real) for rest in rests]
         live = [i for i, p_step in enumerate(p_steps) if p_step >= 1e-15]
@@ -557,28 +548,6 @@ class SecretShareReport:
         return _report_dict(self, "channel", "bob_state")
 
 
-def _hadamard_vector(outcome: str) -> np.ndarray:
-    if outcome == "+":
-        return np.array([1.0, 1.0]) / SQRT2
-    if outcome == "-":
-        return np.array([1.0, -1.0]) / SQRT2
-    raise DomainError(f"alice outcome must be '+' or '-', got {outcome!r}")
-
-
-# Alice's Hadamard projector |h><h| x I on the channel, per outcome (h is real)
-_ALICE_PROJECTORS = {o: tensor(np.outer(_hadamard_vector(o), _hadamard_vector(o)), I2)
-                     for o in "+-"}
-
-
-def _bob_matrices(channels: np.ndarray, outcomes) -> np.ndarray:
-    """Bob's conditional states, unvalidated, as a (k, 2, 2) stack: row r after
-    Alice's outcome outcomes[r] on the channel matrix channels[r]."""
-    proj = np.stack([_ALICE_PROJECTORS[o] for o in outcomes])
-    sub = proj @ channels @ proj
-    prob = sub.trace(axis1=-2, axis2=-1).real
-    return _reduced_matrix(sub / prob[:, None, None], (2, 2), (1,))
-
-
 def cloning_amplitude(c2: float) -> float:
     """The amplitude c = sqrt(c^2) of Cliff's cloning machine, for c^2 in (1/3, 1]."""
     if not entkit.cloning._entangling_c2(c2):
@@ -594,10 +563,10 @@ def _cloning_machine(c: float) -> entkit.cloning.CloningParams:
     return entkit.cloning.uqcm_params(2, np.sqrt((1.0 - c * c) / 2.0))
 
 
-def _charlie_bit(charlie_bit: int) -> int:
-    if charlie_bit not in (0, 1):
-        raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
-    return 0 if charlie_bit == 0 else 1
+# Alice's Hadamard outcome -> (its real vector h, her projector |h><h| x I on the channel)
+_HADAMARD = {o: (h, tensor(np.outer(h, h), I2))
+             for o, h in (("+", np.array([1.0, 1.0]) / SQRT2),
+                          ("-", np.array([1.0, -1.0]) / SQRT2))}
 
 
 # the rows (Charlie's bit, Alice's outcome) of _shares' stack of Bob's states
@@ -613,7 +582,10 @@ def _shares(c: float, params: entkit.cloning.CloningParams) -> tuple:
     (4, 2, 2) stack, with its spectra."""
     (channels,), (spectra,) = entkit.cloning.clone_bipartite_stack(
         (0.5, 0.5), (1.0, -1.0), params, pairs=("nonlocal",))
-    bobs = _bob_matrices(channels[[b for b, _ in _BOB_ROWS]], [o for _, o in _BOB_ROWS])
+    proj = np.stack([_HADAMARD[o][1] for _, o in _BOB_ROWS])
+    sub = proj @ channels[[b for b, _ in _BOB_ROWS]] @ proj
+    prob = sub.trace(axis1=-2, axis2=-1).real
+    bobs = _reduced_matrix(sub / prob[:, None, None], (2, 2), (1,))
     q = 4.0 * c * c * (1.0 - c * c) / 2.0
     return channels, spectra, q, bobs, _density_spectra((2,), bobs)
 
@@ -623,8 +595,11 @@ def secret_share_run(c: float, charlie_bit: int = 0, alice_outcome: str = "+") -
     qubits, Alice measures in the Hadamard basis, Bob applies the three-element
     discrimination and succeeds with probability Q = 4 c^2 d^2."""
     params = _cloning_machine(c)
-    bit = _charlie_bit(charlie_bit)
-    _hadamard_vector(alice_outcome)     # raises for an unknown outcome before any simulation
+    if charlie_bit not in (0, 1):
+        raise DomainError(f"charlie bit must be 0 or 1, got {charlie_bit}")
+    if alice_outcome not in _HADAMARD:
+        raise DomainError(f"alice outcome must be '+' or '-', got {alice_outcome!r}")
+    bit = 0 if charlie_bit == 0 else 1
     channels, spectra, q, bobs, bob_spectra = _shares(c, params)
     row = _BOB_ROWS.index((bit, alice_outcome))
     e1, e2, e3 = povm_elements(q)
@@ -667,9 +642,11 @@ def secret_share_witness_checks(c: float, lambda1: float) -> WitnessCheck:
 # Monte-Carlo wrappers
 # ---------------------------------------------------------------------------
 
-def _draw(rng: np.random.Generator, weights: dict, n: int) -> dict:
-    """Counts of n samples over the leaves of an outcome tree, drawn with one
-    multinomial over the normalised weights.
+def _draw(rng: np.random.Generator, weights: dict, n: int, hit: str) -> tuple:
+    """(counts, empirical, exact) of n samples over the leaves of an outcome
+    tree, drawn with one multinomial over the normalised weights: the count
+    of each leaf drawn, and the drawn share and the summed weight of the
+    leaves whose names end in `hit`.
 
     A weight down to -1e-12 counts as 0; a more negative one raises.  Leaves
     never drawn are omitted, so counts from independent chains merge by
@@ -683,7 +660,10 @@ def _draw(rng: np.random.Generator, weights: dict, n: int) -> dict:
         raise DomainError(f"outcome {leaf!r} has negative weight {w.min():.3e}")
     w = np.maximum(w, 0.0)
     drawn = rng.multinomial(n, w / w.sum())
-    return {leaf: int(k) for leaf, k in zip(weights, drawn) if k}
+    counts = {leaf: int(k) for leaf, k in zip(weights, drawn) if k}
+    hits = [leaf for leaf in weights if leaf.endswith(hit)]
+    return (counts, sum(counts.get(leaf, 0) for leaf in hits) / n,
+            sum(weights[leaf] for leaf in hits))
 
 
 def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
@@ -699,7 +679,7 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
     sum p_branch * p_success and published_success the family's closed form.
     """
     fam, p, closed = _setup(family, theta=theta, **kwargs)
-    tree, leaves, exact = _tree(family, p, fam.outcomes), {}, 0.0
+    tree, leaves = _tree(family, p, fam.outcomes), {}
     for outcome in fam.outcomes:
         prob, success = 0.0, 0.0        # unless the state produces the outcome
         if outcome in tree:
@@ -707,10 +687,8 @@ def monte_carlo_cdc(family: str, theta: float, n_samples: int, seed: int,
             success = _success(fam, closed, vec, d, branches)[0]
         leaves[f"{outcome}/aux0"] = prob * success
         leaves[f"{outcome}/fail"] = prob * (1.0 - success)
-        exact += prob * success
-    counts = _draw(_rng(seed), leaves, n_samples)
-    hits = sum(k for leaf, k in counts.items() if leaf.endswith("/aux0"))
-    return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
+    counts, empirical, exact = _draw(_rng(seed), leaves, n_samples, "/aux0")
+    return {"counts": counts, "empirical_success": empirical, "exact_success": exact,
             "published_success": closed["success"], "n_samples": n_samples,
             "seed": seed}
 
@@ -733,16 +711,14 @@ def monte_carlo_secret_share(c: float, n_samples: int, seed: int) -> dict:
     elements = povm_elements(q)
     leaves = {}
     for (bit, outcome), bob in zip(_BOB_ROWS, bobs):
-        h = _hadamard_vector(outcome)
+        h = _HADAMARD[outcome][0]
         p_alice = float(np.real(h @ alices[bit] @ h))
         e1, e2 = "conclusive_correct", "conclusive_wrong"
         if (bit == 0) != (outcome == "+"):
             e1, e2 = e2, e1
         for result, e in zip((e1, e2, "inconclusive"), elements):
             leaves[f"{bit}/{outcome}/{result}"] = 0.5 * p_alice * float(np.trace(e @ bob).real)
-    counts = _draw(_rng(seed), leaves, n_samples)
-    hits = sum(k for leaf, k in counts.items() if leaf.endswith("/conclusive_correct"))
-    exact = sum(w for leaf, w in leaves.items() if leaf.endswith("/conclusive_correct"))
-    return {"counts": counts, "empirical_success": hits / n_samples, "exact_success": exact,
+    counts, empirical, exact = _draw(_rng(seed), leaves, n_samples, "/conclusive_correct")
+    return {"counts": counts, "empirical_success": empirical, "exact_success": exact,
             "discrimination": "published Tr(E rho_B); E1 and E2 are not hermitian",
             "n_samples": n_samples, "seed": seed}

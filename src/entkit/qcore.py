@@ -30,6 +30,20 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require(*checks) -> None:
+    """Raise, at the first entry that fails a check, the DomainError that the
+    scalar call raises there.  Each check is (ok, message, value) in the scalar
+    call's order: ok and value a scalar or an array, message naming the value with {}."""
+    if all(np.asarray(ok).all() for ok, _, _ in checks):   # the common case, without a broadcast
+        return
+    oks = np.broadcast_arrays(*(ok for ok, _, _ in checks))
+    i = np.logical_and.reduce(oks).ravel().argmin()
+    for ok, (_, message, value) in zip(oks, checks):
+        if not ok.flat[i]:
+            bad = value if np.ndim(value) == 0 else np.broadcast_to(value, ok.shape).flat[i]
+            raise DomainError(message.format(bad))
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

@@ -18,6 +18,7 @@ from .qcore import (
     DensityMatrix,
     DomainError,
     PureState,
+    _require,
     basis_ket,
     ket,
     tensor,
@@ -160,20 +161,6 @@ _PSI_PLUS = bell(3).density().matrix
 # scalar call raises at its first bad entry.
 
 
-def _require(*checks) -> None:
-    """Raise the scalar constructor's DomainError at the first entry that fails
-    a check.  Each check is (ok, message, value) in the scalar call's order:
-    ok and value a scalar or an array, message naming the value with {}."""
-    oks = np.broadcast_arrays(*(ok for ok, _, _ in checks))
-    passed = np.logical_and.reduce(oks).ravel()
-    if not passed.all():
-        i = passed.argmin()
-        for ok, (_, message, value) in zip(oks, checks):
-            if not ok.flat[i]:
-                bad = value if np.ndim(value) == 0 else np.broadcast_to(value, ok.shape).flat[i]
-                raise DomainError(message.format(bad))
-
-
 def _state(m: np.ndarray):
     """The DensityMatrix of one 4x4 matrix, or a grid's complex matrix stack."""
     return DensityMatrix((2, 2), m) if m.ndim == 2 else m.astype(complex, copy=False)
@@ -241,8 +228,13 @@ def wei(x, y, a, b, gamma):
     return _state(m)
 
 
+def _werner_derivative_F(F) -> tuple:
+    """The _require check of werner_derivative's F, which lies in (1/2, 1]."""
+    return (0.5 < F) & (F <= 1.0), "werner_derivative F must lie in (1/2, 1], got {}", F
+
+
 def _check_werner_derivative(F, a) -> None:
-    _require(((0.5 < F) & (F <= 1.0), "werner_derivative F must lie in (1/2, 1], got {}", F),
+    _require(_werner_derivative_F(F),
              ((0.5 <= a) & (a <= 1.0), "werner_derivative a must lie in [1/2, 1], got {}", a))
 
 
@@ -259,7 +251,9 @@ def werner_derivative(F, a):
 
 
 def werner_derivative_entangled_bound(F: float) -> float:
-    """Upper limit on a below which the Werner derivative stays entangled."""
+    """Upper limit on a below which the Werner derivative stays entangled, for
+    F in (1/2, 1], a scalar or an array."""
+    _require(_werner_derivative_F(F))
     return 0.5 * (1.0 + np.sqrt(3.0 * (4.0 * F * F - 1.0)) / (4.0 * F - 1.0))
 
 

@@ -494,6 +494,27 @@ def test_clone_pair_fef_domain(d):
         cloning.clone_pair_fef(d)
 
 
+# a public closed form just outside its domain, where its formula gives NaN,
+# divides by zero or returns a negative weight: d in (0, 1/2], l1 in [0, 1]
+# and the werner_derivative F in (1/2, 1]
+OUTSIDE = {
+    "werner_derivative_entangled_bound(1/2)": (statezoo.werner_derivative_entangled_bound, 0.5),
+    "werner_derivative_entangled_bound(1/4)": (statezoo.werner_derivative_entangled_bound, 0.25),
+    "pt_eigenvalue_1": (cloning.pt_eigenvalue_1, 0.5000001),
+    "pt_eigenvalue_2": (cloning.pt_eigenvalue_2, 0.5000001),
+    "reduction_eigenvalue_nonopt": (cloning.reduction_eigenvalue_nonopt, 0.5000001),
+    "local_closed_form": (cloning.local_closed_form, -1e-7, cloning.uqcm_params(2)),
+    "nonlocal_closed_form": (cloning.nonlocal_closed_form, 1.0000001, cloning.uqcm_params(2)),
+}
+
+
+@pytest.mark.parametrize("call", OUTSIDE)
+def test_a_closed_form_raises_just_outside_its_domain(call):
+    closed_form, *args = OUTSIDE[call]
+    with pytest.raises(DomainError, match="must lie in"):
+        closed_form(*args)
+
+
 # d on figure 4.2's grid, where the lowest reduction eigenvalue is simple, and
 # the optimal pair; below NONOPT_FILTER_D_MIN the minimum is degenerate and
 # the distilled advantage depends on the local frame

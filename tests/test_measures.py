@@ -709,6 +709,23 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     assert trials == [(1,)] * 5
 
 
+@pytest.mark.parametrize("seed,rank", [(1, 4), (0, 8)])
+def test_the_singlet_fraction_is_at_least_every_check_of_the_ascent(monkeypatch, seed, rank):
+    # rounding reads a later check of these two states an ulp below an
+    # earlier one; the value is the highest check, not the last
+    rho = random_density(np.random.default_rng(seed), (3, 3), rank=rank)
+    checks, certificate = [], measures._certificate
+
+    def recorded(rows, w, g, open_skew, stop):
+        checks.append(measures._overlaps(w, g, 3))
+        return certificate(rows, w, g, open_skew, stop)
+
+    monkeypatch.setattr(measures, "_certificate", recorded)
+    value = measures.singlet_fraction(rho)
+    assert len(checks) > 1
+    assert value >= max(check.max() for check in checks)
+
+
 def test_the_ascent_budget_script_judges_three_states():
     # tests/fixtures/ascent_budget.py's judging code, against a 300-step
     # reference in place of its 3,000: the clone pair closes at the leader's
@@ -797,6 +814,11 @@ def test_negativity_never_exceeds_the_concurrence(seed, rank):
 
 @settings(max_examples=40, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3, 4]))
+@example(0, 5)   # seed 0 gives F > 1/n at each n = 5..9
+@example(0, 6)
+@example(0, 7)
+@example(0, 8)
+@example(0, 9)
 def test_a_fef_above_1_over_n_violates_the_reduction_criterion(seed, n):
     # <psi|rho_A x I - rho|psi> = 1/n - F at the maximally entangled psi
     # reaching F, so F > 1/n makes rho_A x I - rho indefinite (M. Horodecki &
