@@ -1,8 +1,8 @@
 """fef_values.json: the pinned values of the fully entangled fraction.
 
 The fixture pins `measures.singlet_fraction(rho)`, the fully entangled
-fraction: the magic-basis eigenvalue for n = 2 and, for n = 3, the polar
-ascent with Newton steps from the nine generalised Bell unitaries, the
+fraction: the magic-basis eigenvalue for n = 2 and, for n >= 3, the polar
+ascent with Newton steps from the n^2 generalised Bell unitaries, the
 best of them first and alone for one step, run until its Z = 0 certificate
 closes, a cycle of steps stops raising its value, or for its budget of 60
 steps (see `ascent_budget.py`), once for each of
@@ -10,7 +10,8 @@ steps (see `ascent_budget.py`), once for each of
   `default_rng(1)`),
 - the floor states of the qutrit clone analysis that the workload does not
   already hold,
-- seeded random n x n states, n = 2 and 3, of every rank,
+- seeded random n x n states, n = 2 and 3, of every rank, and for each
+  n = 4 to 9 one of rank n and one of rank n^2,
 and every field of `channel.analyze_channel` on a few two-qubit
 states.  The states of one n are refined as one stack,
 `measures._singlet_fractions`, which gives each state the bits of
@@ -32,7 +33,8 @@ from fixtures import make_channel_reports
 
 # (n, rank, seed) of each random state, drawn from default_rng(seed)
 RANDOM_STATES = (*((2, rank, seed) for rank in range(1, 5) for seed in range(5)),
-                 *((3, rank, seed) for rank in range(1, 10) for seed in (rank % 5, (rank + 2) % 5)))
+                 *((3, rank, seed) for rank in range(1, 10) for seed in (rank % 5, (rank + 2) % 5)),
+                 *((n, rank, 0) for n in range(4, 10) for rank in (n, n * n)))
 
 # a value may rise, but may not fall by more than this (rounding) before a re-pin
 FLOOR_GATE = 1e-12
