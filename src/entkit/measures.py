@@ -196,7 +196,7 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     starts takes step 1 alone, and the ascent stops there if fef_bounds'
     Z = 0 certificate closes: 1 svd on a pure or isotropic state and on every
     qutrit clone pair.  Otherwise every start takes step 1, and after every
-    3rd step each state's best row also takes one Newton step on the unitary
+    3rd step the best start also takes one Newton step on the unitary
     group, kept only where it raises the overlap.  After step 1 and every
     Newton step the ascent stops once the certificate closes or the best
     overlap has risen by at most n^2 eps times itself since the last such
@@ -206,7 +206,9 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     1, is a lower bound on F; fef_bounds certifies how far below it can lie.
     """
     n = _require_square(rho, "singlet fraction")
-    return float(_singlet_fractions(rho.matrix[None], n)[0][0])
+    if n == 2:
+        return float(_singlet_fractions(rho.matrix[None], n)[0][0])
+    return float(_singlet_fraction(rho.matrix, n)[0])
 
 
 def fef_bounds(rho: DensityMatrix) -> tuple:
@@ -225,8 +227,8 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     lower + max(lambda_max(K(Z)), 0) plus a rounding margin of
     8 n^2 eps (1 + |X|_F + |Y|_F) bounds F.  Z = 0, one of the ascent's stop
     tests, closes most states, every qutrit clone pair at the best start's
-    first step; the states it leaves open run _DUAL_STEPS (200) steps of a
-    smoothed descent over Z, one stacked eigh per step.
+    first step; a state it leaves open runs _DUAL_STEPS (200) steps of a
+    smoothed descent over Z, one eigh per step.
 
     The bound is on the relaxation over states with maximally mixed
     marginals, which can exceed F for n >= 3: unital channels that are not
@@ -253,10 +255,10 @@ _MAGIC = np.array(maximally_entangled_bases(2)).T * np.array([1.0, 1j, 1j, 1.0])
 _MAGIC_DAG = _MAGIC.conj().T
 _MAGIC.flags.writeable = _MAGIC_DAG.flags.writeable = False
 
-# the most polar steps of a (state, start) row, every _NEWTON_EVERY-th
-# followed by a Newton step on the state's best row.  On the 1,409 3x3
-# states of tests/fixtures/ascent_budget.py every state came within 1e-15 of
-# a 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
+# the most polar steps of a start, every _NEWTON_EVERY-th followed by a
+# Newton step on the best start.  On the 1,409 3x3 states of
+# tests/fixtures/ascent_budget.py every state came within 1e-15 of a
+# 3,000-step plain ascent from the Bell and 6 Haar starts, or stopped on a
 # certificate at most 5.6e-14 wide, by step 18 (the 5th drawn from seed 59
 # and the 8th from seed 101 last, the median by step 6), 189 of them at the
 # leader's step; 60 keeps 3.33 times that.  A state stops before it when its
@@ -281,117 +283,100 @@ def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
 
 def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
     """(F, certificate) for an (N, n^2, n^2) stack: F the singlet_fraction of
-    each state, the larger of the enumeration and the magic-basis eigenvalue
-    (n = 2) or the polar ascent (n >= 3) capped at 1, each run once over the
-    whole stack with every product taken state by state, so each state gets
-    the bits it gets alone; certificate the ascent's (W, H/2, top, margin),
-    or None at n = 2."""
+    each state.  n = 2: the larger of the enumeration and the magic-basis
+    eigenvalue, capped at 1, run once over the whole stack with every product
+    taken state by state, so each state gets the bits it gets alone, and
+    certificate None.  n >= 3: _singlet_fraction of one state after another,
+    and certificate the stack of their (W, H/2, top, margin)."""
     if n == 2:
         # for real unit x, <Mx|rho|Mx> = x^T R x, R = Re(M^dag rho M); x = e_k are the Bell states
         r = ((_MAGIC_DAG @ matrices) @ _MAGIC).real
-        found, start, certificate = np.linalg.eigvalsh(r)[:, -1], r.diagonal(0, 1, 2).max(1), None
-    else:
-        found, *certificate, start = _polar_ascent(matrices, _polar_starts(n))
-    # F <= 1, which rounding can pass by an eps on a maximally entangled state
-    return np.minimum(np.maximum(found, start), 1.0), certificate
+        found, start = np.linalg.eigvalsh(r)[:, -1], r.diagonal(0, 1, 2).max(1)
+        # F <= 1, which rounding can pass by an eps on a maximally entangled state
+        return np.minimum(np.maximum(found, start), 1.0), None
+    fractions, certificates = zip(*(_singlet_fraction(rho, n) for rho in matrices))
+    return np.array(fractions), tuple(np.array(part) for part in zip(*certificates))
 
 
-def _polar_ascent(matrices: np.ndarray, starts: np.ndarray) -> tuple:
-    """(F, W, H/2, top, margin, start) of each n x n state in an (N, n^2, n^2)
-    stack: F its best overlap over the polar ascents from the (S, n^2, 1)
-    columns vec W of `starts`, W the (N, n, n) unitary that reached it,
-    (W, H/2, top, margin) its Z = 0 certificate (fef_bounds, _dual_tops) and
-    start its largest overlap at the starts; each step is one stacked svd.
+def _singlet_fraction(rho: np.ndarray, n: int) -> tuple:
+    """(F, certificate) of one n x n state, n >= 3: F the larger of the polar
+    ascent and the enumeration, capped at 1, and certificate the ascent's
+    (W, H/2, top, margin)."""
+    found, *certificate, start = _polar_ascent(rho, _polar_starts(n))
+    return min(max(found, start), 1.0), certificate
 
-    Each state's best start takes step 1 alone, one stacked svd over one row
-    per state, and a state stops there if that row's certificate closes; the
-    others then step from every start.  The ascent converges linearly, slowly
-    where its rate is near 1, so after every _NEWTON_EVERY-th step each
-    state's best row also takes a Newton step (_newton_step), which
-    converges quadratically near a maximum, and moves there only if that
-    raises its overlap.  After step 1, each Newton step and the last step, a
-    state stops if its best row's certificate closes or its best overlap has
-    risen by at most n^2 eps times itself since the check before, which is
-    rounding at the ascent's fixed point.  The certificate is formed only when
-    some state stops or could close: with psi = (I x W)|Phi+>,
-    K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
+
+def _polar_ascent(rho: np.ndarray, starts: np.ndarray) -> tuple:
+    """(F, W, H/2, top, margin, start) of one (n^2, n^2) state rho: F its best
+    overlap over the polar ascents from the (S, n^2, 1) columns vec W of
+    `starts`, W the (n, n) unitary that reached it, (W, H/2, top, margin) its
+    Z = 0 certificate (fef_bounds, _dual_tops) and start its largest overlap
+    at the starts; each step is one svd stacked over the starts.
+
+    The best start takes step 1 alone, and the ascent stops there if that
+    row's certificate closes; otherwise it steps from every start.  The
+    ascent converges linearly, slowly where its rate is near 1, so after
+    every _NEWTON_EVERY-th step the best row also takes a Newton step
+    (_newton_step), which converges quadratically near a maximum, and moves
+    there only if that raises its overlap.  After step 1, each Newton step
+    and the last step, it stops if the best row's certificate closes or the
+    best overlap has risen by at most n^2 eps times itself since the check
+    before, which is rounding at the ascent's fixed point.  The certificate
+    is formed only when the ascent stops or could close: with
+    psi = (I x W)|Phi+>, K(0) psi = (G W^dag - W G^dag) W / 2 sqrt(n)
     and |K(0)| <= 1 + sqrt(n), so lambda_max(K(0)) >= |K(0) psi|^2 / 2 (1 + sqrt(n)),
     twice the largest margin 8 n^2 eps (1 + sqrt(n)) once
     |G W^dag - W G^dag|_F^2 > open_skew (2 + sqrt(n) covers rounding)."""
-    rows = matrices[:, None]   # broadcast over the starts
     n, w = math.isqrt(starts.shape[-2]), starts
-    out = np.empty(len(rows)), *np.empty((2, len(rows), n, n), complex), *np.empty((2, len(rows)))
-    g = rows @ w
-    start = _overlaps(w, g, n)
+    g = rho @ w
+    overlaps = _overlaps(w, g, n)
+    start = overlaps.max()
     open_skew = 128 * n ** 3 * _EPS * (2.0 + math.sqrt(n)) ** 2
-    lead_w = _polar_step(g[np.arange(len(rows)), start.argmax(axis=1)])
-    lead_g = rows[:, 0] @ lead_w
-    stop = np.zeros(len(rows), bool)
-    certificate = _certificate(rows[:, 0], lead_w, lead_g, open_skew, stop)
-    if certificate:
-        stop = certificate[2] <= certificate[3]
-    if stop.any():
-        for array, value in zip(out, (_overlaps(lead_w, lead_g, n), *certificate)):
-            array[stop] = value[stop]
-        if stop.all():
-            return *out, start.max(axis=1)
-    live = np.flatnonzero(~stop)
-    rows, g = rows[live], g[live]
-    best = np.full(len(live), -np.inf)   # each state's highest F over its checks
+    lead_w = _polar_step(g[overlaps.argmax()])
+    lead_g = rho @ lead_w
+    certificate = _certificate(rho, lead_w, lead_g, open_skew, False)
+    if certificate and certificate[2] <= certificate[3]:
+        return _overlaps(lead_w, lead_g, n), *certificate, start
+    best = -np.inf   # the highest F over the checks
     for k in range(1, _POLAR_STEPS + 1):
         w = _polar_step(g)
-        g = rows @ w
+        g = rho @ w
         if k % _NEWTON_EVERY and k != 1 and k != _POLAR_STEPS:
             continue
         overlaps = _overlaps(w, g, n)
-        pick = np.arange(len(live)), overlaps.argmax(axis=1)
+        pick = overlaps.argmax()
         found = overlaps[pick]
         if k % _NEWTON_EVERY == 0:
-            trial = _newton_step(rows[:, 0], w[pick], g[pick])
-            trial_g = rows[:, 0] @ trial
+            trial = _newton_step(rho, w[pick], g[pick])
+            trial_g = rho @ trial
             trial_found = _overlaps(trial, trial_g, n)
-            up = trial_found > found
-            raised = pick[0][up], pick[1][up]
-            w[raised], g[raised] = trial[up], trial_g[up]
-            found = np.maximum(found, trial_found)
-        stop = (found - best <= n * n * _EPS * found) | (k == _POLAR_STEPS)
-        best = np.maximum(best, found)
-        certificate = _certificate(rows[:, 0], w[pick], g[pick], open_skew, stop)
-        if not certificate:
-            continue
-        stop |= certificate[2] <= certificate[3]
-        if stop.any():
-            for array, value in zip(out, (best, *certificate)):
-                array[live[stop]] = value[stop]
-            if stop.all():
-                break
-            keep = ~stop
-            live, rows, w, g, best = live[keep], rows[keep], w[keep], g[keep], best[keep]
-    return *out, start.max(axis=1)
+            if trial_found > found:
+                w[pick], g[pick], found = trial, trial_g, trial_found
+        stop = found - best <= n * n * _EPS * found or k == _POLAR_STEPS
+        best = max(best, found)
+        certificate = _certificate(rho, w[pick], g[pick], open_skew, stop)
+        if certificate and (stop or certificate[2] <= certificate[3]):
+            return best, *certificate, start
 
 
 def _certificate(rho: np.ndarray, w: np.ndarray, g: np.ndarray, open_skew: float,
-                 stop: np.ndarray) -> tuple | None:
-    """(W, H/2, top, margin) of the Z = 0 certificate of each state's row,
-    from its (n^2, 1) columns vec W and g = rho vec W, formed only where
-    `stop` is set or the skew passes the open_skew pretest of _polar_ascent;
-    top and margin are (inf, 0) elsewhere, where it is open, and None is
-    returned when it is open on every row that does not stop."""
+                 stop: bool) -> tuple | None:
+    """(W, H/2, top, margin) of the Z = 0 certificate of one row, from its
+    (n^2, 1) column vec W and g = rho vec W, or None, as it is open, when
+    `stop` is not set and the skew fails the open_skew pretest of
+    _polar_ascent."""
     n = math.isqrt(w.shape[-2])
-    unitary = w.reshape(-1, n, n)
-    gw = g.reshape(-1, n, n) @ unitary.conj().swapaxes(-1, -2)   # G W^dag
-    skew = gw - gw.conj().swapaxes(-1, -2)
-    formed = stop | (np.add.reduce(np.abs(skew) ** 2, axis=(-2, -1)) <= open_skew)
-    if not formed.any():
+    unitary = w.reshape(n, n)
+    gw = g.reshape(n, n) @ unitary.conj().T   # G W^dag
+    skew = gw - gw.conj().T
+    if not (stop or np.add.reduce(np.abs(skew) ** 2, axis=(-2, -1)) <= open_skew):
         return None
-    half_h = (gw + gw.conj().swapaxes(-1, -2)) / 4.0
-    top, margin = np.full(len(w), np.inf), np.zeros(len(w))
-    top[formed], margin[formed] = _dual_tops(rho[formed], half_h[formed], unitary[formed], 0.0)
-    return unitary, half_h, top, margin
+    half_h = (gw + gw.conj().T) / 4.0
+    return unitary, half_h, *_dual_tops(rho, half_h, unitary, 0.0)
 
 
 def _newton_step(rho: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """vec polar(W (I + i H)) of each row, from its state rho, its (n^2, 1)
+    """vec polar(W (I + i H)) of one row, from its state rho, its (n^2, 1)
     column vec W and g = rho vec W: H the Newton step of
     f(H) = <W e^{iH}|rho|W e^{iH}> in the coordinates x of
     H = sum_k x_k B_k over _hermitian_basis(n).  With G = mat(g) and
@@ -403,15 +388,15 @@ def _newton_step(rho: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = math.isqrt(w.shape[-2])
     basis = _hermitian_basis(n)
     transposed = basis.reshape(-1, n * n).conj().T   # the columns vec(B_k^T) = vec(conj(B_k))
-    unitary = w.reshape(-1, n, n)
-    moves = (unitary[:, None] @ basis).reshape(len(w), -1, n * n)   # the rows vec(W B_k)
-    m_dag = g.reshape(-1, n, n).conj().swapaxes(-1, -2) @ unitary
-    slope = -2.0 * (m_dag.reshape(-1, 1, n * n) @ transposed).imag   # Tr(X Y) = vec(X) . vec(Y^T)
-    t = (m_dag[:, None] @ basis).reshape(moves.shape) @ transposed   # Tr(M^dag B_k B_l)
-    curvature = (2.0 * (moves.conj() @ rho @ moves.swapaxes(-1, -2)).real
-                 - (t + t.swapaxes(-1, -2)).real - 1e-12 * np.eye(len(basis)))
-    x = np.linalg.solve(curvature, -slope.swapaxes(-1, -2))
-    h = (x.swapaxes(-1, -2) @ basis.reshape(-1, n * n)).reshape(-1, n, n)
+    unitary = w.reshape(n, n)
+    moves = (unitary @ basis).reshape(-1, n * n)   # the rows vec(W B_k)
+    m_dag = g.reshape(n, n).conj().T @ unitary
+    slope = -2.0 * (m_dag.reshape(1, n * n) @ transposed).imag   # Tr(X Y) = vec(X) . vec(Y^T)
+    t = (m_dag @ basis).reshape(moves.shape) @ transposed   # Tr(M^dag B_k B_l)
+    curvature = (2.0 * (moves.conj() @ rho @ moves.T).real
+                 - (t + t.T).real - 1e-12 * np.eye(len(basis)))
+    x = np.linalg.solve(curvature, -slope.T)
+    h = (x.T @ basis.reshape(-1, n * n)).reshape(n, n)
     return _polar_step((unitary + 1j * unitary @ h).reshape(w.shape))
 
 
@@ -466,82 +451,86 @@ _EPS = np.finfo(float).eps
 
 def _fef_brackets(matrices: np.ndarray, n: int) -> tuple:
     """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
-    lower being singlet_fraction(rho)."""
-    lower, certificate = _singlet_fractions(matrices, n)
+    lower being singlet_fraction(rho): one stack at n = 2, else _fef_bracket
+    of one state after another."""
     if n == 2:
+        lower = _singlet_fractions(matrices, n)[0]
         return lower, lower
-    w, half_h, top, margin = certificate
-    gap = np.maximum(top, 0.0) + margin
-    open_rows = np.flatnonzero(top > margin)
-    if open_rows.size:
-        rho, w, half_h = matrices[open_rows], w[open_rows], half_h[open_rows]
+    lower, upper = np.array([_fef_bracket(rho, n) for rho in matrices]).T
+    return lower, upper
+
+
+def _fef_bracket(rho: np.ndarray, n: int) -> tuple:
+    """(lower, upper) of fef_bounds for one n x n state, n >= 3."""
+    lower, (w, half_h, top, margin) = _singlet_fraction(rho, n)
+    gap = max(top, 0.0) + margin
+    if top > margin:
         top, margin = _dual_tops(rho, half_h, w, _descend(rho, half_h, w))
-        gap[open_rows] = np.minimum(gap[open_rows], np.maximum(top, 0.0) + margin)
+        gap = min(gap, max(top, 0.0) + margin)
     return lower, lower + gap
 
 
 def _dual_matrices(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple:
-    """(K, X, Y) of each row: X = H/2 + Z, Y = (W^dag (H/2 - Z) W)^T and
+    """(K, X, Y): X = H/2 + Z, Y = (W^dag (H/2 - Z) W)^T and
     K = rho - X x I - I x Y."""
     n = w.shape[-1]
     x = half_h + z
-    y = (w.conj().swapaxes(-1, -2) @ (half_h - z) @ w).swapaxes(-1, -2)
+    y = (w.conj().T @ (half_h - z) @ w).T
     eye = np.eye(n)
-    kron = (x[..., :, None, :, None] * eye[:, None, :]
-            + eye[:, None, :, None] * y[..., None, :, None, :])
+    kron = x[:, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * y[None, :, None, :]
     return rho - kron.reshape(rho.shape), x, y
 
 
 def _dual_tops(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple:
-    """(lambda_max(K(Z)), its rounding margin 8 n^2 eps (1 + |X|_F + |Y|_F))
-    of each row, the margin above the rounding of forming K and of eigvalsh."""
+    """(lambda_max(K(Z)), its rounding margin 8 n^2 eps (1 + |X|_F + |Y|_F)),
+    the margin above the rounding of forming K and of eigvalsh."""
     k, x, y = _dual_matrices(rho, half_h, w, z)
     n = w.shape[-1]
     scale = 1.0 + np.linalg.norm(x, axis=(-2, -1)) + np.linalg.norm(y, axis=(-2, -1))
-    return np.linalg.eigvalsh(k)[:, -1], 8 * n * n * _EPS * scale
+    return np.linalg.eigvalsh(k)[-1], 8 * n * n * _EPS * scale
 
 
 def _descend(rho: np.ndarray, half_h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Z of each row at the lowest lambda_max(K(Z) - 2 psi psi^dag) met in
-    _DUAL_STEPS steps of a smoothed descent, one stacked eigh per step.
+    """Z at the lowest lambda_max(K(Z) - 2 psi psi^dag) met in _DUAL_STEPS
+    steps of a smoothed descent, one eigh per step.
 
     psi is an eigenvector of every K(Z) with eigenvalue about 0, so the
     descent moves it to -2 and lowers the rest of the spectrum.  It
     minimises mu log sum_i exp(lambda_i / mu), whose gradient in Z is
     W (Tr_A P)^T W^dag - Tr_B P for P = sum_i p_i v_i v_i^dag, p the softmax
-    weights of the eigenpairs.  Each row keeps its own step, x1.5 after a
-    step that lowers the smoothed value and halved (without the move) after
-    one that does not, and its own mu, lowered to max(lambda_max, eps^2) /
-    log n^2 as lambda_max falls."""
+    weights of the eigenpairs.  The step grows x1.5 after a step that lowers
+    the smoothed value and is halved (without the move) after one that does
+    not, and mu is lowered to max(lambda_max, eps^2) / log n^2 as
+    lambda_max falls."""
     n = w.shape[-1]
-    wh = w.conj().swapaxes(-1, -2)
-    psi = w.reshape(-1, n * n, 1) / math.sqrt(n)
-    away = rho - 2.0 * psi @ psi.conj().swapaxes(-1, -2)
+    wh = w.conj().T
+    psi = w.reshape(n * n, 1) / math.sqrt(n)
+    away = rho - 2.0 * psi @ psi.conj().T
 
     def spectrum(z):
         return np.linalg.eigh(_dual_matrices(away, half_h, w, z)[0])
 
     def smoothed(lam, mu):
-        weights = np.exp((lam - lam[:, -1:]) / mu[:, None])
-        total = weights.sum(axis=1)
-        return lam[:, -1] + mu * np.log(total), weights / total[:, None]
+        weights = np.exp((lam - lam[-1]) / mu)
+        total = weights.sum()
+        return lam[-1] + mu * np.log(total), weights / total
 
     z = best = np.zeros_like(w)
     lam, v = spectrum(z)
-    low, mu, step = lam[:, -1], np.full(len(z), np.inf), np.ones(len(z))
+    low, mu, step = lam[-1], np.inf, 1.0
     for _ in range(_DUAL_STEPS):
-        mu = np.minimum(mu, np.maximum(lam[:, -1], _EPS * _EPS) / math.log(n * n))
+        mu = min(mu, max(lam[-1], _EPS * _EPS) / math.log(n * n))
         value, p = smoothed(lam, mu)
-        pp = ((v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)).reshape(-1, n, n, n, n)
-        grad = w @ np.einsum("...jajb->...ba", pp) @ wh - np.einsum("...ajbj->...ab", pp)
-        trial = z - step[:, None, None] * grad
+        pp = ((v * p) @ v.conj().T).reshape(n, n, n, n)
+        grad = w @ np.einsum("jajb->ba", pp) @ wh - np.einsum("ajbj->ab", pp)
+        trial = z - step * grad
         trial_lam, trial_v = spectrum(trial)
-        best = np.where((trial_lam[:, -1] < low)[:, None, None], trial, best)
-        low = np.minimum(low, trial_lam[:, -1])
-        up = smoothed(trial_lam, mu)[0] < value
-        z = np.where(up[:, None, None], trial, z)
-        lam, v = np.where(up[:, None], trial_lam, lam), np.where(up[:, None, None], trial_v, v)
-        step = np.where(up, 1.5 * step, 0.5 * step)
+        if trial_lam[-1] < low:
+            best, low = trial, trial_lam[-1]
+        if smoothed(trial_lam, mu)[0] < value:
+            z, lam, v, step = trial, trial_lam, trial_v, 1.5 * step
+        else:
+            step = 0.5 * step
     return best
 
 

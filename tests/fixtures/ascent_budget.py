@@ -26,11 +26,12 @@ lies more than TOL below the reference.  The corpus:
 - the five perfbench `fef3` states of each of seeds 1-10
   (`make_fef_values.workload_states`),
 - `test_measures.SLOW_STATES`.
-Each read is one stack of the whole corpus (`measures._singlet_fractions`),
-which gives every state the bits of `singlet_fraction` alone; the stalls are
-found by counting each state's svd calls alone.  The whole run is not part
-of the test suite (it took about 5 minutes on one thread of a shared 2-vCPU
-host); `test_measures` runs `judge` on three states against a short reference.
+Each read is one call of `measures._singlet_fractions` on the whole corpus,
+which runs one state after another and so gives every state the bits of
+`singlet_fraction`; the stalls are found by counting each state's svd
+calls.  The whole run is not part of the test suite (it took about 6 minutes
+on a shared 2-vCPU host); `test_measures` runs `judge` on three states
+against a short reference.
 
     PYTHONPATH=src python tests/fixtures/ascent_budget.py
 """

@@ -13,9 +13,10 @@ steps (see `ascent_budget.py`), once for each of
 - seeded random n x n states, n = 2 and 3, of every rank, and for each
   n = 4 to 9 one of rank n and one of rank n^2,
 and every field of `channel.analyze_channel` on a few two-qubit
-states.  The states of one n are refined as one stack,
-`measures._singlet_fractions`, which gives each state the bits of
-`singlet_fraction` alone.  `pin.py` writes and checks the file; its --check
+states.  The states of one n are refined by one call of
+`measures._singlet_fractions`, one stack at n = 2 and one state after
+another at n >= 3, which gives each state the bits of `singlet_fraction`
+alone.  `pin.py` writes and checks the file; its --check
 also gives the largest fall (min new - old) and the number of values that
 fell by more than FLOOR_GATE: a re-pin needs that number to be 0.  The
 n = 3 value is the certified lower bound of `measures.fef_bounds`, whose

@@ -414,7 +414,8 @@ def test_clone_pair_fef_is_the_ascent_value_inside_the_certified_bracket():
 
 def test_every_qutrit_clone_pair_closes_at_the_leaders_step(monkeypatch):
     # the best Bell start's first polar step reaches each pair's FEF and its
-    # certificate closes there, so the stack takes that one svd and no descent;
+    # certificate closes there, so each pair takes that one svd, of one row,
+    # and no descent;
     # at d <= 0.3 the best row after every start's first step lies at a second
     # optimum, whose certificate stays open
     grid = np.r_[CLONE_FEF_GRID, 0.2, 0.21, 0.22, 0.23, 0.3]
@@ -428,7 +429,7 @@ def test_every_qutrit_clone_pair_closes_at_the_leaders_step(monkeypatch):
     monkeypatch.setattr(measures, "_polar_step", counted)
     stack = cloning.qutrit_cloned_pairs(grid)[0]
     lower, upper = measures._fef_brackets(stack, 3)
-    assert stacked == [(len(grid),)]
+    assert stacked == [()] * len(grid)
     assert (upper - lower <= 1e-12).all()
 
 

@@ -293,7 +293,7 @@ def test_singlet_fraction_ascent_agrees_with_algebraic_oracle():
     for _ in range(5):
         for rank in range(1, 5):
             rho = random_density(rng, (2, 2), rank=rank)
-            ascent = measures._polar_ascent(rho.matrix[None], haar_starts(rng, 2, 12))[0]
+            ascent = measures._polar_ascent(rho.matrix, haar_starts(rng, 2, 12))[0]
             closed = fef_closed_form(rho)
             value = measures.singlet_fraction(rho)
             assert ascent == pytest.approx(closed, abs=1e-12)
@@ -363,16 +363,16 @@ def test_the_singlet_fraction_is_the_larger_of_the_enumeration_and_the_ascent(se
     if n == 2:
         magic = measures._MAGIC
         r = (magic.conj().T @ rho.matrix[None] @ magic).real
-        found, start = np.linalg.eigvalsh(r)[:, -1], np.diagonal(r, axis1=1, axis2=2).max(axis=1)
+        found, start = np.linalg.eigvalsh(r)[0, -1], np.diagonal(r, axis1=1, axis2=2).max()
     else:
-        found, *_, start = measures._polar_ascent(rho.matrix[None], measures._polar_starts(n))
-    assert np.float64(enumeration).view(np.int64) == start.view(np.int64)[0]
+        found, *_, start = measures._polar_ascent(rho.matrix, measures._polar_starts(n))
+    assert np.float64(enumeration).view(np.int64) == np.float64(start).view(np.int64)
     # the definition, max <v|rho|v> over the basis, as a reference: each
     # evaluation sums n nonzero products twice, so they differ by < 8 n^2 eps
     reference = max((v.conj() @ rho.matrix @ v).real for v in measures.maximally_entangled_bases(n))
     assert abs(enumeration - reference) <= 8 * n * n * np.finfo(float).eps
     assert value >= min(enumeration, 1.0)
-    larger = min(max(enumeration, found[0]), 1.0)
+    larger = min(max(enumeration, found), 1.0)
     assert np.float64(value).view(np.int64) == np.float64(larger).view(np.int64)
 
 
@@ -611,7 +611,8 @@ def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
     # two states of random rank and, at n = 3, the d = 1/2 clone pair, a
     # full-rank state and a generalised-Bell mixture; each state at least
     # once, in random order with repeats.  The ascent from the Bell and 1 to
-    # 8 Haar starts keeps each state's bits too
+    # 8 Haar starts, run on the states in that order, gives each the bits
+    # of its run in the states' own order
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
@@ -624,9 +625,9 @@ def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
     assert np.array(got).view(np.int64).tolist() == [
         np.float64(alone[i]).view(np.int64) for i in order]
     starts = haar_starts(rng, n, int(rng.integers(1, 9)))
-    alone = [measures._polar_ascent(rho.matrix[None], starts)[0][0] for rho in states]
-    got = measures._polar_ascent(stack, starts)[0]
-    assert got.view(np.int64).tolist() == [np.float64(alone[i]).view(np.int64) for i in order]
+    alone = [np.float64(measures._polar_ascent(rho.matrix, starts)[0]) for rho in states]
+    got = [np.float64(measures._polar_ascent(matrix, starts)[0]) for matrix in stack]
+    assert np.array(got).view(np.int64).tolist() == [alone[i].view(np.int64) for i in order]
 
 
 @settings(max_examples=10, deadline=None)
@@ -677,9 +678,10 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # Newton trial on its best row after every 3rd, whose retraction is one
     # svd, 21 svd calls in all.  The perfbench seed-1 and seed-4
     # fef3:ginibre-full states, whose Z = 0 certificate stays open too,
-    # stall after step 12: 17 svd calls each, 4 of them Newton trials.  In
-    # one stack the closed states leave after the leader's step
-    stacked, trials = [], []   # the (states, rows) of each stacked svd and Newton trial
+    # stall after step 12: 17 svd calls each, 4 of them Newton trials.  A
+    # stack runs one state after another: each step's svd is stacked over
+    # the 9 starts, and the leader's step and each Newton trial take one svd
+    stacked, trials = [], []   # the rows of each stacked svd and Newton trial
     step, newton = measures._polar_step, measures._newton_step
 
     def counted(g):
@@ -705,8 +707,8 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     stacked.clear()
     trials.clear()
     measures._singlet_fractions(np.array([rho.matrix for rho in states[:3]]), 3)
-    assert stacked == [(3,)] + ([(1, 9)] * 3 + [(1,)]) * 5
-    assert trials == [(1,)] * 5
+    assert stacked == [()] * 3 + ([(9,)] * 3 + [()]) * 5
+    assert trials == [()] * 5
 
 
 @pytest.mark.parametrize("seed,rank", [(1, 4), (0, 8)])
@@ -716,14 +718,14 @@ def test_the_singlet_fraction_is_at_least_every_check_of_the_ascent(monkeypatch,
     rho = random_density(np.random.default_rng(seed), (3, 3), rank=rank)
     checks, certificate = [], measures._certificate
 
-    def recorded(rows, w, g, open_skew, stop):
+    def recorded(rho, w, g, open_skew, stop):
         checks.append(measures._overlaps(w, g, 3))
-        return certificate(rows, w, g, open_skew, stop)
+        return certificate(rho, w, g, open_skew, stop)
 
     monkeypatch.setattr(measures, "_certificate", recorded)
     value = measures.singlet_fraction(rho)
     assert len(checks) > 1
-    assert value >= max(check.max() for check in checks)
+    assert value >= max(checks)
 
 
 def test_the_ascent_budget_script_judges_three_states():
