@@ -135,7 +135,7 @@ def _reports(matrices: np.ndarray, spectra: np.ndarray) -> list:
         "concurrence": measures._concurrences(matrices),
         "n_value": n,
         "m_value": m,
-        "singlet_fraction": measures._singlet_fractions(matrices, 2)[0],
+        "singlet_fraction": measures._two_qubit_fractions(matrices)[0],
         "fidelity_opt": 0.5 * (1.0 + n / 3.0),
         # exactly-critical channels (N = 1 up to float noise) are flagged boundary
         # and reported not useful; the same band guards the Bell flag

@@ -108,8 +108,10 @@ def _load_matrix(path: str):
             payload = json.load(fh)
         dims = tuple(int(d) for d in payload["dims"])
         entries = np.array([complex(re, im) for re, im in payload["entries"]])
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read matrix file {path!r}: {exc}") from exc
+    if list(dims) != payload["dims"]:   # int() would read 2.7 as 2
+        raise ParseFailure(f"matrix file dims must be integers, got {payload['dims']!r}")
     d = math.prod(dims)
     if entries.size != d * d:
         raise ParseFailure(f"matrix file has {entries.size} entries, expected {d * d}")

@@ -102,8 +102,8 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 def entropy(rho: DensityMatrix, kind: str = "von_neumann", base: float = 2.0) -> float:
     """von Neumann entropy -sum l_i log_base l_i, or the purity-based linear
     entropy n/(n-1) (1 - Tr rho^2); exactly 0.0 for a state of rank 1."""
-    if not base > 1.0:
-        raise DomainError(f"entropy base must be > 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise DomainError(f"entropy base must be finite and > 1, got {base}")
     if kind not in ("von_neumann", "linear"):
         raise DomainError(f"unknown entropy kind {kind!r}")
     if kind == "linear":
@@ -173,7 +173,12 @@ def bell_enumeration(rho: DensityMatrix) -> float:
     """Largest overlap <phi|rho|phi> over the n^2 states phi of
     maximally_entangled_bases(n): a lower bound on the fully entangled
     fraction, equal to it on states diagonal in that basis."""
-    return float(_bell_enumerations(rho.matrix[None], _require_square(rho, "Bell enumeration"))[0])
+    n = _require_square(rho, "Bell enumeration")
+    if n == 2:
+        return float(_two_qubit_fractions(rho.matrix[None])[1][0])
+    # the products the ascent forms for its start overlaps, so the two agree bit for bit
+    starts = _polar_starts(n)
+    return float(_overlaps(starts, rho.matrix @ starts, n).max())
 
 
 def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
@@ -188,11 +193,13 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     in the magic basis (Phi+, i Phi-, i Psi+, Psi-) are real up to a global
     phase (Bennett, DiVincenzo, Smolin & Wootters 1996), so F is
     lambda_max(Re(M^dag rho M)), exact; its diagonal holds the Bell overlaps.
+    The same kernel reads F for a whole stack of states in channel's reports.
 
     n >= 3: every maximally entangled state is (I x W)|Phi+> for a unitary W,
     since (U_A x U_B)|Phi+> = (I x U_B U_A^T)|Phi+>, and the overlap is convex
     in vec W, so the polar ascent W <- polar(mat(rho vec W)) never lowers it.
-    It ascends from the n^2 generalised Bell unitaries.  The best of those
+    It ascends on this one state from the n^2 generalised Bell unitaries,
+    each step one svd stacked over them.  The best of those
     starts takes step 1 alone, and the ascent stops there if fef_bounds'
     Z = 0 certificate closes: 1 svd on a pure or isotropic state and on every
     qutrit clone pair.  Otherwise every start takes step 1, and after every
@@ -207,7 +214,7 @@ def singlet_fraction(rho: DensityMatrix, restarts: int = 1) -> float:
     """
     n = _require_square(rho, "singlet fraction")
     if n == 2:
-        return float(_singlet_fractions(rho.matrix[None], n)[0][0])
+        return float(_two_qubit_fractions(rho.matrix[None])[0][0])
     return float(_singlet_fraction(rho.matrix, n)[0])
 
 
@@ -239,8 +246,12 @@ def fef_bounds(rho: DensityMatrix) -> tuple:
     8.7e-5, the relaxation's own gap there.  The 150th drawn from seed 11 is
     still 1.4e-3 open after those 200 steps.
     """
-    lower, upper = _fef_brackets(rho.matrix[None], _require_square(rho, "singlet fraction"))
-    return float(lower[0]), float(upper[0])
+    n = _require_square(rho, "singlet fraction")
+    if n == 2:
+        lower = singlet_fraction(rho)
+        return lower, lower
+    lower, upper = _fef_bracket(rho.matrix, n)
+    return float(lower), float(upper)
 
 
 def _require_square(rho: DensityMatrix, what: str) -> int:
@@ -270,32 +281,17 @@ _POLAR_STEPS = 60
 _NEWTON_EVERY = 3
 
 
-def _bell_enumerations(matrices: np.ndarray, n: int) -> np.ndarray:
-    """bell_enumeration of each n x n state in an (N, n^2, n^2) stack, formed
-    as singlet_fraction forms it, so the two agree bit for bit: the largest
-    diagonal entry of Re(M^dag rho M) at n = 2, else the largest overlap at
-    _polar_starts(n), the products the ascent forms for its start overlaps."""
-    if n == 2:
-        return ((_MAGIC_DAG @ matrices) @ _MAGIC).real.diagonal(0, 1, 2).max(axis=1)
-    starts = _polar_starts(n)
-    return _overlaps(starts, matrices[:, None] @ starts, n).max(axis=1)
-
-
-def _singlet_fractions(matrices: np.ndarray, n: int) -> tuple:
-    """(F, certificate) for an (N, n^2, n^2) stack: F the singlet_fraction of
-    each state.  n = 2: the larger of the enumeration and the magic-basis
-    eigenvalue, capped at 1, run once over the whole stack with every product
-    taken state by state, so each state gets the bits it gets alone, and
-    certificate None.  n >= 3: _singlet_fraction of one state after another,
-    and certificate the stack of their (W, H/2, top, margin)."""
-    if n == 2:
-        # for real unit x, <Mx|rho|Mx> = x^T R x, R = Re(M^dag rho M); x = e_k are the Bell states
-        r = ((_MAGIC_DAG @ matrices) @ _MAGIC).real
-        found, start = np.linalg.eigvalsh(r)[:, -1], r.diagonal(0, 1, 2).max(1)
-        # F <= 1, which rounding can pass by an eps on a maximally entangled state
-        return np.minimum(np.maximum(found, start), 1.0), None
-    fractions, certificates = zip(*(_singlet_fraction(rho, n) for rho in matrices))
-    return np.array(fractions), tuple(np.array(part) for part in zip(*certificates))
+def _two_qubit_fractions(matrices: np.ndarray) -> tuple:
+    """(F, enumeration) of each two-qubit state of an (N, 4, 4) stack, with
+    R = Re(M^dag rho M): enumeration (bell_enumeration) R's largest diagonal
+    entry, and F (singlet_fraction) the larger of it and R's top eigenvalue,
+    capped at 1.  Every product is taken state by state, so each state gets
+    the bits it gets alone."""
+    # for real unit x, <Mx|rho|Mx> = x^T R x; x = e_k are the Bell states
+    r = ((_MAGIC_DAG @ matrices) @ _MAGIC).real
+    start = r.diagonal(0, 1, 2).max(1)
+    # F <= 1, which rounding can pass by an eps on a maximally entangled state
+    return np.minimum(np.maximum(np.linalg.eigvalsh(r)[:, -1], start), 1.0), start
 
 
 def _singlet_fraction(rho: np.ndarray, n: int) -> tuple:
@@ -447,17 +443,6 @@ def _polar_step(g: np.ndarray) -> np.ndarray:
 # between 160 and 180
 _DUAL_STEPS = 200
 _EPS = np.finfo(float).eps
-
-
-def _fef_brackets(matrices: np.ndarray, n: int) -> tuple:
-    """(lower, upper) of fef_bounds for each state of an (N, n^2, n^2) stack,
-    lower being singlet_fraction(rho): one stack at n = 2, else _fef_bracket
-    of one state after another."""
-    if n == 2:
-        lower = _singlet_fractions(matrices, n)[0]
-        return lower, lower
-    lower, upper = np.array([_fef_bracket(rho, n) for rho in matrices]).T
-    return lower, upper
 
 
 def _fef_bracket(rho: np.ndarray, n: int) -> tuple:

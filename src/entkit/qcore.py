@@ -114,6 +114,8 @@ class DensityMatrix:
     def __post_init__(self):
         dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
+        if any(d < 2 for d in dims):
+            raise DomainError(f"subsystem dimensions must be >= 2, got {dims}")
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

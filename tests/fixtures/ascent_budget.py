@@ -26,10 +26,9 @@ lies more than TOL below the reference.  The corpus:
 - the five perfbench `fef3` states of each of seeds 1-10
   (`make_fef_values.workload_states`),
 - `test_measures.SLOW_STATES`.
-Each read is one call of `measures._singlet_fractions` on the whole corpus,
-which runs one state after another and so gives every state the bits of
-`singlet_fraction`; the stalls are found by counting each state's svd
-calls.  The whole run is not part of the test suite (it took about 6 minutes
+Each read calls `measures._singlet_fraction` once per state, which gives
+every state the bits of `singlet_fraction`; the stalls are found by counting
+each state's svd calls.  The whole run is not part of the test suite (it took about 6 minutes
 on a shared 2-vCPU host); `test_measures` runs `judge` on three states
 against a short reference.
 
@@ -94,7 +93,11 @@ def reach_steps(matrices: np.ndarray, reference: np.ndarray) -> tuple:
     try:
         for steps in range(1, budget + 1):
             measures._POLAR_STEPS = steps
-            value, (_, _, top, margin) = measures._singlet_fractions(matrices, 3)
+            rows = []
+            for matrix in matrices:
+                fraction, (_, _, state_top, state_margin) = measures._singlet_fraction(matrix, 3)
+                rows.append((fraction, state_top, state_margin))
+            value, top, margin = np.array(rows).T
             width = np.where(top <= margin, np.maximum(top, 0.0) + margin, np.nan)
             reached[(value < reference - TOL) & ~(width <= CERTIFIED)] = steps + 1
     finally:
@@ -118,7 +121,7 @@ def svd_calls(matrices: np.ndarray) -> np.ndarray:
     try:
         for matrix in matrices:
             calls.append(0)
-            measures._singlet_fractions(matrix[None], 3)
+            measures._singlet_fraction(matrix, 3)
     finally:
         measures._polar_step = step
     return np.array(calls)

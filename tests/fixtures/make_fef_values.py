@@ -13,10 +13,7 @@ steps (see `ascent_budget.py`), once for each of
 - seeded random n x n states, n = 2 and 3, of every rank, and for each
   n = 4 to 9 one of rank n and one of rank n^2,
 and every field of `channel.analyze_channel` on a few two-qubit
-states.  The states of one n are refined by one call of
-`measures._singlet_fractions`, one stack at n = 2 and one state after
-another at n >= 3, which gives each state the bits of `singlet_fraction`
-alone.  `pin.py` writes and checks the file; its --check
+states.  `pin.py` writes and checks the file; its --check
 also gives the largest fall (min new - old) and the number of values that
 fell by more than FLOOR_GATE: a re-pin needs that number to be 0.  The
 n = 3 value is the certified lower bound of `measures.fef_bounds`, whose
@@ -73,23 +70,9 @@ def floor_states() -> dict:
     return states
 
 
-def _float(value: float) -> float:
-    if type(value) is not float:
-        raise TypeError(f"unexpected {type(value).__name__} {value!r}")
-    return value
-
-
 def _fractions(states: dict) -> dict:
-    """key -> singlet_fraction(rho) for each key -> rho, one stack per n."""
-    groups = {}
-    for key, rho in states.items():
-        groups.setdefault(rho.dims[0], []).append((key, rho))
-    fractions = {}
-    for n, members in groups.items():
-        matrices = np.array([rho.matrix for _, rho in members])
-        values = measures._singlet_fractions(matrices, n)[0].tolist()
-        fractions.update((key, _float(value)) for (key, _), value in zip(members, values))
-    return fractions
+    """key -> singlet_fraction(rho) for each key -> rho."""
+    return {key: measures.singlet_fraction(rho) for key, rho in states.items()}
 
 
 def table() -> dict:

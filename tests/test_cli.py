@@ -514,6 +514,8 @@ def _run_without_runtime_warnings(capsys, *argv):
      "epsilon must be finite, got inf"),
     (["protocol", "cdc", "--family", "pati", "--l", "nan"], "l must be finite, got nan"),
     (["protocol", "cdc", "--family", "qutrit_ghz", "--theta", "inf"], "theta must be finite, got inf"),
+    (["measure", "--state", "werner:F=0.75", "--kind", "entropy_vn", "--base", "inf"],
+     "entropy base must be finite and > 1, got inf"),
 ])
 def test_non_finite_parameters_are_domain_errors_naming_the_value(capsys, argv, named):
     code, out, err = _run_without_runtime_warnings(capsys, *argv)
@@ -531,6 +533,36 @@ def test_non_finite_matrix_file_entry_is_a_domain_error(tmp_path, capsys, entry)
         capsys, "measure", "--state", f"matrix:{path}", "--kind", "entropy_vn")
     assert code == 3
     assert f"non-finite entry ({entry}+0j)" in err
+
+
+def _write_maximally_mixed(path, dims):
+    """A matrix file of I/4 on the given dims."""
+    path.write_text(json.dumps({"dims": dims, "entries": [[0.25 * (i % 5 == 0), 0]
+                                                          for i in range(16)]}))
+
+
+@pytest.mark.parametrize("kind", ["singlet_fraction", "negativity"])
+@pytest.mark.parametrize("dims", [[-2, -2], [1, 4], [4, 1]])
+def test_matrix_file_dims_below_2_are_a_domain_error(tmp_path, capsys, dims, kind):
+    # at these dims negativity used to print nan or end in a numpy traceback
+    path = tmp_path / "rho.json"
+    _write_maximally_mixed(path, dims)
+    code, out, err = _run_without_runtime_warnings(
+        capsys, "measure", "--state", f"matrix:{path}", "--kind", kind)
+    assert (code, out) == (3, "")
+    assert f"subsystem dimensions must be >= 2, got {tuple(dims)}" in err
+
+
+@pytest.mark.parametrize("dims,named", [
+    ([2.7, 2.2], "matrix file dims must be integers, got [2.7, 2.2]"),   # not read as (2, 2)
+    ([float("inf"), 2], "cannot convert float infinity to integer"),
+])
+def test_non_integral_matrix_file_dims_are_a_parse_failure(tmp_path, capsys, dims, named):
+    path = tmp_path / "rho.json"
+    _write_maximally_mixed(path, dims)
+    code, out, err = run_cli(capsys, "measure", "--state", f"matrix:{path}", "--kind", "entropy_vn")
+    assert (code, out) == (2, "")
+    assert named in err
 
 
 def test_protocol_montecarlo_zero_means_off(capsys):

@@ -404,9 +404,9 @@ CLONE_FEF_GRID = np.r_[np.linspace(0.01, 0.5, 50), D_OPT, cloning.NONOPT_FILTER_
 
 def test_clone_pair_fef_is_the_ascent_value_inside_the_certified_bracket():
     closed = cloning.clone_pair_fef(CLONE_FEF_GRID)
-    stack = np.array([cloning.qutrit_cloned_pair(d).joint.matrix for d in CLONE_FEF_GRID])
     # lower is singlet_fraction(rho)
-    lower, upper = measures._fef_brackets(stack, 3)
+    lower, upper = np.array([measures.fef_bounds(cloning.qutrit_cloned_pair(d).joint)
+                             for d in CLONE_FEF_GRID]).T
     assert_allclose(lower, closed, rtol=0, atol=1e-12)
     assert (closed <= upper).all()
     assert (upper - lower <= 1e-12).all()
@@ -427,8 +427,8 @@ def test_every_qutrit_clone_pair_closes_at_the_leaders_step(monkeypatch):
         return step(g)
 
     monkeypatch.setattr(measures, "_polar_step", counted)
-    stack = cloning.qutrit_cloned_pairs(grid)[0]
-    lower, upper = measures._fef_brackets(stack, 3)
+    lower, upper = np.array([measures.fef_bounds(DensityMatrix((3, 3), matrix))
+                             for matrix in cloning.qutrit_cloned_pairs(grid)[0]]).T
     assert stacked == [()] * len(grid)
     assert (upper - lower <= 1e-12).all()
 

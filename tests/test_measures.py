@@ -191,6 +191,9 @@ def test_entropy_maximally_mixed():
 def test_entropy_base_validation():
     with pytest.raises(DomainError):
         measures.entropy(statezoo.werner(0.8), "von_neumann", 1.0)
+    for base in (np.inf, np.nan):
+        with pytest.raises(DomainError, match=f"got {base}"):
+            measures.entropy(statezoo.werner(0.8), "von_neumann", base)
     with pytest.raises(DomainError):
         measures.entropy(statezoo.werner(0.8), "nonsense")
 
@@ -385,7 +388,7 @@ def test_the_two_qubit_fef_is_at_most_1_and_never_below_a_bell_overlap(seed):
     # (computed as a plain loop) by more than the 8 n^2 eps of rounding
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (2, 2), rank=rank) for rank in (1, 2, 3, 4)]
-    stacked = measures._singlet_fractions(np.array([rho.matrix for rho in states]), 2)[0]
+    stacked = measures._two_qubit_fractions(np.array([rho.matrix for rho in states]))[0]
     for rho, in_stack in zip(states, stacked):
         overlaps = [(v.conj() @ rho.matrix @ v).real for v in measures.maximally_entangled_bases(2)]
         for value in (measures.singlet_fraction(rho), in_stack):
@@ -406,18 +409,17 @@ def test_the_fef_of_a_product_basis_diagonal_state_is_bracketed_without_error(n)
     # (I x W)|Phi+>, largest at a permutation W (Birkhoff): F is the best
     # assignment max_s sum_i p_{i,s(i)} / n.  Every Bell start is a stationary
     # point of the ascent there, with a singular Hessian.  Three such states,
-    # dense, sparse and pure, each alone and stacked with a random state: no
-    # solve fails, the value stays at or below F and the certified upper end
-    # at or above it
+    # dense, sparse and pure: no solve fails, the value stays at or below F
+    # and the certified upper end at or above it
     rng = np.random.default_rng(n)
     sparse = rng.dirichlet(np.ones(n * n)) * (rng.uniform(size=n * n) < 0.5)
     weights = np.array([rng.dirichlet(np.ones(n * n)), sparse / sparse.sum(), np.eye(n * n)[0]])
-    generic = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
-    stack = np.array([*(np.diag(p).astype(complex) for p in weights), generic.matrix])
-    lower, upper = measures._fef_brackets(stack, n)
-    for p, low, up, matrix in zip(weights.reshape(-1, n, n), lower, upper, stack):
-        exact = max(p[np.arange(n), list(s)].sum() for s in itertools.permutations(range(n))) / n
-        assert measures.singlet_fraction(DensityMatrix((n, n), matrix)) == low <= exact + 1e-12
+    for p in weights:
+        rho = DensityMatrix((n, n), np.diag(p))
+        low, up = measures.fef_bounds(rho)
+        exact = max(p.reshape(n, n)[np.arange(n), list(s)].sum()
+                    for s in itertools.permutations(range(n))) / n
+        assert measures.singlet_fraction(rho) == low <= exact + 1e-12
         assert up >= exact - 1e-12
 
 
@@ -470,6 +472,9 @@ def test_singlet_fraction_requires_square_bipartite():
         measures.singlet_fraction(rho)
     with pytest.raises(DomainError, match=text):
         measures.fef_bounds(rho)
+    with pytest.raises(DomainError, match=r"^Bell enumeration needs an n x n bipartite state, "
+                                         r"got \(2, 3\)$"):
+        measures.bell_enumeration(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +555,11 @@ LOCAL_UNITARY_SIZES = [2, 2, 2, 3, 3, 4]
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.sampled_from(LOCAL_UNITARY_SIZES))
+@example(0, 5)
+@example(0, 6)
+@example(0, 7)
+@example(0, 8)
+@example(0, 9)
 def test_measures_are_invariant_under_local_unitaries(seed, n):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
@@ -610,9 +620,10 @@ def test_eof_is_monotone_in_the_concurrence(seed):
 def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
     # two states of random rank and, at n = 3, the d = 1/2 clone pair, a
     # full-rank state and a generalised-Bell mixture; each state at least
-    # once, in random order with repeats.  The ascent from the Bell and 1 to
-    # 8 Haar starts, run on the states in that order, gives each the bits
-    # of its run in the states' own order
+    # once, in random order with repeats.  singlet_fraction (at n = 2 one
+    # stack of them) and the ascent from the Bell and 1 to 8 Haar starts,
+    # run on the states in that order, give each the bits of its run in the
+    # states' own order
     rng = np.random.default_rng(seed)
     states = [random_density(rng, (n, n), rank=int(rng.integers(1, n * n + 1)))
               for _ in range(2)]
@@ -621,7 +632,10 @@ def test_refining_a_stack_gives_each_state_its_bits_alone(seed, n):
     order = rng.permutation(np.r_[np.arange(len(states)), rng.integers(0, len(states), 2)])
     stack = np.array([states[i].matrix for i in order])
     alone = [measures.singlet_fraction(rho) for rho in states]
-    got = measures._singlet_fractions(stack, n)[0]
+    if n == 2:
+        got = measures._two_qubit_fractions(stack)[0]
+    else:
+        got = [measures.singlet_fraction(states[i]) for i in order]
     assert np.array(got).view(np.int64).tolist() == [
         np.float64(alone[i]).view(np.int64) for i in order]
     starts = haar_starts(rng, n, int(rng.integers(1, 9)))
@@ -663,9 +677,9 @@ def test_the_step_budget_reaches_the_value_of_a_longer_ascent(seed, state):
     for _ in range(1000):
         w = measures._polar_step(rho.matrix @ w)
     longer = measures._overlaps(w, rho.matrix @ w, n).max()
-    value, (_, _, top, margin) = measures._singlet_fractions(rho.matrix[None], n)
-    assert value[0] >= longer - 1e-12
-    if top[0] <= margin[0]:
+    value, (_, _, top, margin) = measures._singlet_fraction(rho.matrix, n)
+    assert value >= longer - 1e-12
+    if top <= margin:
         lower, upper = measures.fef_bounds(rho)
         assert upper - lower <= 1e-12
 
@@ -678,9 +692,9 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     # Newton trial on its best row after every 3rd, whose retraction is one
     # svd, 21 svd calls in all.  The perfbench seed-1 and seed-4
     # fef3:ginibre-full states, whose Z = 0 certificate stays open too,
-    # stall after step 12: 17 svd calls each, 4 of them Newton trials.  A
-    # stack runs one state after another: each step's svd is stacked over
-    # the 9 starts, and the leader's step and each Newton trial take one svd
+    # stall after step 12: 17 svd calls each, 4 of them Newton trials.  Each
+    # step's svd is stacked over the 9 starts, and the leader's step and each
+    # Newton trial take one svd of one row
     stacked, trials = [], []   # the rows of each stacked svd and Newton trial
     step, newton = measures._polar_step, measures._newton_step
 
@@ -697,18 +711,15 @@ def test_each_state_runs_polar_steps_until_its_certificate_closes(monkeypatch):
     states = (QUTRIT_PAIRS["clone-d=0.5"], random_density(np.random.default_rng(5), (3, 3), rank=1),
               SLOW_STATES["seed-7 draw 118"], make_fef_values.workload_states(1)["fef3:ginibre-full"],
               make_fef_values.workload_states(4)["fef3:ginibre-full"])
-    counts = []
+    shapes = []
     for rho in states:
         stacked.clear()
         trials.clear()
         measures.singlet_fraction(rho)
-        counts.append((len(stacked), len(trials)))
-    assert counts == [(1, 0), (1, 0), (21, 5), (17, 4), (17, 4)]
-    stacked.clear()
-    trials.clear()
-    measures._singlet_fractions(np.array([rho.matrix for rho in states[:3]]), 3)
-    assert stacked == [()] * 3 + ([(9,)] * 3 + [()]) * 5
-    assert trials == [()] * 5
+        shapes.append((list(stacked), list(trials)))
+    assert [(len(svds), len(newton)) for svds, newton in shapes] == [
+        (1, 0), (1, 0), (21, 5), (17, 4), (17, 4)]
+    assert shapes[:3] == [([()], []), ([()], []), ([()] + ([(9,)] * 3 + [()]) * 5, [()] * 5)]
 
 
 @pytest.mark.parametrize("seed,rank", [(1, 4), (0, 8)])
@@ -841,6 +852,11 @@ def test_a_fef_above_1_over_n_violates_the_reduction_criterion(seed, n):
 OPEN_STATES = {"seed-7 draw 118": 8.9e-4}
 
 
+def bracket_width(rho: DensityMatrix) -> float:
+    lower, upper = measures.fef_bounds(rho)
+    return upper - lower
+
+
 def test_fef_bounds_close_to_rounding_on_all_but_the_listed_states():
     # the eight floor states, the perfbench fef3 Ginibre states of seeds
     # 1-10 and the first 120 states drawn from seed 7
@@ -850,8 +866,7 @@ def test_fef_bounds_close_to_rounding_on_all_but_the_listed_states():
                       for name, rho in make_fef_values.workload_states(seed).items()
                       if name.startswith("fef3:ginibre"))
     states.update((f"seed-7 draw {k}", rho) for k, rho in enumerate(drawn_states(7, 120), 1))
-    lower, upper = measures._fef_brackets(np.array([rho.matrix for rho in states.values()]), 3)
-    widths = dict(zip(states, (upper - lower).tolist()))
+    widths = {name: bracket_width(rho) for name, rho in states.items()}
     assert {name for name, width in widths.items() if width > 1e-12} == set(OPEN_STATES)
     for name, width in OPEN_STATES.items():
         assert widths[name] == pytest.approx(width, rel=0.1)
@@ -861,8 +876,7 @@ def test_fef_bounds_close_to_rounding_on_every_slow_state_not_listed_open():
     # seed-10 draw 6 leaves the ascent open and its descent closes only
     # between steps 160 and 180 of _DUAL_STEPS = 200
     names = [name for name in SLOW_STATES if name not in OPEN_STATES]
-    lower, upper = measures._fef_brackets(np.array([SLOW_STATES[name].matrix for name in names]), 3)
-    assert dict(zip(names, (upper - lower).tolist())) == {
+    assert {name: bracket_width(SLOW_STATES[name]) for name in names} == {
         name: pytest.approx(0.0, abs=1e-12) for name in names}
 
 
